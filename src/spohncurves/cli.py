@@ -175,6 +175,8 @@ def _cmd_witness(args):
 
 
 def _cmd_pareto(args):
+    if args.grid < 1:
+        raise UsageError("--grid must be a positive integer")
     return games.pareto_sweep(_load_game(args), grid=args.grid, seed=args.seed)
 
 

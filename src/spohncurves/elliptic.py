@@ -11,6 +11,7 @@ produces a Weierstrass model over Q certified against that j.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -291,16 +292,33 @@ class AronholdInvariants(NamedTuple):
     disc: Fraction    # (64 S^3 - T^2) / 1728
 
 
+# the cubic's coefficients are these multiples of the classical labels a..m
+_TEN_WEIGHTS = (1, 1, 1, 3, 3, 3, 3, 3, 3, 6)
+
+
 def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     """The two fundamental invariants and the discriminant of a ternary cubic.
 
-    In the classical coefficient labels (the xyz coefficient is called m
-    here), S and T are the following explicit polynomials; the cubic is
-    singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the Fermat cubic
-    x^3 + y^3 + z^3 has S = 0, T = 1.
-    """
-    a, b, c, d, e, f, g, h, i, m = cubic.coeffs
+    The cubic is singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the
+    Fermat cubic x^3 + y^3 + z^3 has S = 0, T = 1.
 
+    S and T are evaluated on integers.  With L the lcm of the denominators
+    of the cubic's ten coefficients, 6L times each classical label is an
+    integer (d..i are a coefficient over 3, m one over 6).  S and T are
+    homogeneous of degrees 4 and 6, so S = S(6L a, ...) / (6L)^4 and
+    T = T(6L a, ...) / (6L)^6 exactly.
+    """
+    L = math.lcm(*(x.denominator // math.gcd(x.denominator, w)
+                   for w, x in zip(_TEN_WEIGHTS, cubic.coeffs)))
+    N = 6 * L
+    S, T = _aronhold_st(*(x.numerator * (N // x.denominator) for x in cubic.coeffs))
+    return AronholdInvariants(Fraction(S, N**4), Fraction(T, N**6),
+                              Fraction(64 * S**3 - T**2, 1728 * N**12))
+
+
+def _aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
+    """S and T as explicit polynomials in the classical coefficient labels
+    (the xyz coefficient is called m here)."""
     S = (a*g*e*c - a*g*h**2 - a*m*b*c + a*m*e*h + a*f*b*h - a*f*e**2
          - d**2*e*c + d**2*h**2 + d*i*b*c - d*i*e*h + d*g*m*c - d*g*f*h
          - 2*d*m**2*h + 3*d*m*f*e - d*f**2*b - i**2*b*h + i**2*e**2
@@ -340,9 +358,7 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
          + 12*i*g**2*m**2*c + 36*i*g**2*m*f*h - 12*i*g**2*f**2*e
          - 36*i*g*m**3*h - 12*i*g*m**2*f*e + 12*i*g*m*f**2*b
          + 24*i*m**4*e - 12*i*m**3*f*b + 8*g**3*f**3 - 8*m**6)
-
-    disc = (64 * S**3 - T**2) / 1728
-    return AronholdInvariants(S, T, disc)
+    return S, T
 
 
 class JResult(NamedTuple):

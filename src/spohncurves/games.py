@@ -31,8 +31,14 @@ class PayoffTables:
     __slots__ = ("A", "B")
 
     def __init__(self, A, B):
-        self.A = tuple(tuple(rat(x) for x in row) for row in A)
-        self.B = tuple(tuple(rat(x) for x in row) for row in B)
+        """Raises ValueError unless A and B are 2x2 tables of exact
+        rationals (int, Fraction or string; floats are rejected)."""
+        try:
+            self.A = tuple(tuple(rat(x) for x in row) for row in A)
+            self.B = tuple(tuple(rat(x) for x in row) for row in B)
+        except TypeError as exc:
+            raise ValueError(f"payoff tables must be 2x2 tables of exact "
+                             f"rationals: {exc}") from None
         for M in (self.A, self.B):
             if len(M) != 2 or any(len(r) != 2 for r in M):
                 raise ValueError("payoff tables must be 2x2")

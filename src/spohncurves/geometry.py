@@ -11,6 +11,7 @@ explicit smooth rational points.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polynomials import (
@@ -19,6 +20,7 @@ from .polynomials import (
     ProjPoint,
     cross_product,
     is_rational_square,
+    primitive_vector,
     rat,
     rat_str,
 )
@@ -325,34 +327,45 @@ def _primitive_poly(p: MultiPoly) -> tuple:
     """
     if p.is_zero():
         return p, Fraction(1)
-    import math as _math
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // _math.gcd(lcm, c.denominator)
-    g = 0
-    for c in p.terms.values():
-        g = _math.gcd(g, abs(c.numerator * (lcm // c.denominator)))
-    scale = Fraction(g, lcm)
-    lead = p.terms[max(p.terms)]
-    if lead < 0:
-        scale = -scale
-    prim = p * (1 / scale)
-    return prim, scale
+    exps = sorted(p.terms, reverse=True)
+    ints = primitive_vector([p.terms[e] for e in exps])
+    return MultiPoly(p.vars, dict(zip(exps, ints))), p.terms[exps[0]] / ints[0]
 
 
-def _line_points(line_coeffs) -> tuple:
-    """Two distinct rational points spanning the line a x + b y + c z = 0."""
-    pts = []
-    for k in range(3):
-        e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(3))
-        v = cross_product(line_coeffs, e)
-        if any(x != 0 for x in v):
-            pt = ProjPoint(v)
-            if pt not in pts:
-                pts.append(pt)
-        if len(pts) == 2:
-            return tuple(pts)
-    raise AssertionError("a line always has two rational points")  # pragma: no cover
+def _linear_form(v) -> MultiPoly:
+    """The linear form v[0] x + v[1] y + v[2] z."""
+    return MultiPoly(VARS3, {(1, 0, 0): v[0], (0, 1, 0): v[1], (0, 0, 1): v[2]})
+
+
+def _integer_terms(p: MultiPoly) -> list:
+    """p's terms as (exponent, int) pairs: p scaled by the lcm of its
+    coefficient denominators, which has the same zeros."""
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    return [(e, c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
+
+
+def _vanishes_on_line(terms, line) -> bool:
+    """Does the ternary form with integer `terms` (degree 1 to 3) vanish on
+    the line line[0] x + line[1] y + line[2] z = 0?
+
+    p1 and p2 are two independent cross products of the line with unit
+    vectors, so they span it.  The form restricted to s p1 + t p2 is a binary
+    form of degree <= 3; a nonzero one has at most 3 roots on P^1, so
+    vanishing at s:t = 1:1, 1:-1, 1:0, 0:1 proves it is identically zero.
+    (p1 and p2 are where the line meets coordinate lines, often points of a
+    candidate's cubic, so they are tried last.)
+    """
+    a, b, c = line
+    if a:
+        p1, p2 = (-c, 0, a), (b, -a, 0)
+    else:
+        p1, p2 = (0, c, -b), ((-c, 0, 0) if c else (b, 0, 0))
+    plus = (p1[0] + p2[0], p1[1] + p2[1], p1[2] + p2[2])
+    minus = (p1[0] - p2[0], p1[1] - p2[1], p1[2] - p2[2])
+    for x, y, z in (plus, minus, p1, p2):
+        if sum(k * x ** e[0] * y ** e[1] * z ** e[2] for e, k in terms):
+            return False
+    return True
 
 
 def _candidate_lines(c) -> list:
@@ -363,31 +376,29 @@ def _candidate_lines(c) -> list:
     known linear factors — so its intersection points with V(x) and with
     V(y) or V(z) both come from short division-free lists.  Every pair of
     such points spans a candidate; the true components are among them.
+
+    Lines are primitive integer 3-vectors (a, b, c) of a x + b y + c z,
+    without repeats, in a fixed order.  Whether one divides the cubic is
+    decided by `_vanishes_on_line`, four exact evaluations.
     """
     c1, c2, c3, c4, c5, c6, c7 = c
-    X1 = [ProjPoint((0, 0, 1)), ProjPoint((0, 1, 0))]
+    X1 = [(0, 0, 1), (0, 1, 0)]
     if (c5, c6) != (0, 0):
-        X1.append(ProjPoint((0, c6, -c5)))
-    X2 = [ProjPoint((0, 0, 1)), ProjPoint((1, 0, 0))]
+        X1.append(primitive_vector((0, c6, -c5)))
+    X2 = [(0, 0, 1), (1, 0, 0)]
     if (c2, c4) != (0, 0):
-        X2.append(ProjPoint((c4, 0, -c2)))
-    X3 = [ProjPoint((0, 1, 0)), ProjPoint((1, 0, 0))]
+        X2.append(primitive_vector((c4, 0, -c2)))
+    X3 = [(0, 1, 0), (1, 0, 0)]
     if (c1, c3) != (0, 0):
-        X3.append(ProjPoint((c3, -c1, 0)))
+        X3.append(primitive_vector((c3, -c1, 0)))
 
     lines = []
-    seen = set()
 
-    def push(coeffs):
-        if all(x == 0 for x in coeffs):
-            return
-        line = MultiPoly(VARS3, {
-            (1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
-        prim, _ = _primitive_poly(line)
-        key = tuple(sorted(prim.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            lines.append(prim)
+    def push(v):
+        if any(v):
+            v = primitive_vector(v)
+            if v not in lines:
+                lines.append(v)
 
     # coordinate lines that are forced components by vanishing restrictions
     if c5 == 0 and c6 == 0:
@@ -397,19 +408,12 @@ def _candidate_lines(c) -> list:
     if c1 == 0 and c3 == 0:
         push((0, 0, 1))  # z | f
 
-    uniq = []
-    for p in X1:
-        if p not in uniq:
-            uniq.append(p)
-    others = []
-    for p in X2 + X3:
-        if p not in others:
-            others.append(p)
+    uniq = list(dict.fromkeys(X1))
+    others = list(dict.fromkeys(X2 + X3))
     for p in uniq:
         for q in others:
-            if p == q:
-                continue
-            push(cross_product(p.coords, q.coords))
+            if p != q:
+                push(cross_product(p, q))
     return lines
 
 
@@ -487,9 +491,7 @@ def _split_conic(g: MultiPoly):
     rank = _matrix_rank(M)
     if rank == 1:
         i = next(k for k in range(3) if M[k][k] != 0)
-        line = MultiPoly(VARS3, {
-            (1, 0, 0): M[i][0], (0, 1, 0): M[i][1], (0, 0, 1): M[i][2]})
-        prim, _ = _primitive_poly(line)
+        prim, _ = _primitive_poly(_linear_form(M[i]))
         return ("lines", prim, prim)
     # rank 2: try the quadratic formula in a variable that appears squared
     for k in range(3):
@@ -517,9 +519,7 @@ def _split_conic(g: MultiPoly):
             coeffs[k] = 2 * alpha
             coeffs[other[0]] = beta[0] - s * ralpha
             coeffs[other[1]] = beta[1] - s * rbeta
-            line = MultiPoly(VARS3, {
-                (1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
-            prim, _ = _primitive_poly(line)
+            prim, _ = _primitive_poly(_linear_form(coeffs))
             lines.append(prim)
         prod = lines[0] * lines[1]
         # proportional to g by construction; verify exactly
@@ -642,6 +642,12 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
 
+    A candidate line divides the residual iff the residual vanishes on it.
+    That is decided on the residual's coefficients scaled to integers, by
+    evaluating at four distinct points of the line: a nonzero binary form of
+    degree <= 3 has at most 3 roots on P^1, so four zeros are a proof, and
+    `divide_by_linear` then multiplies its quotient back as a second check.
+
     After peeling every dividing candidate line the residual has degree 3
     (no line divides f: genuinely irreducible, since the candidate list is
     exhaustive whenever no coordinate line divides f), degree 2 (split
@@ -662,15 +668,15 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     cases = classify_cases(cubic.game) if cubic.game is not None else None
 
     f = cubic.f
-    work = f
+    work, terms = f, _integer_terms(f)
     found = []  # (primitive line, multiplicity)
-    for line in _candidate_lines(cubic.c):
-        coeffs = [line.coefficient(tuple(1 if i == k else 0 for i in range(3)))
-                  for k in range(3)]
-        p1, p2 = _line_points(coeffs)
-        mult = 0
-        while work.degree() >= 1 and work.restrict_to_line(p1, p2).is_zero():
+    for v in _candidate_lines(cubic.c):
+        line, mult = None, 0
+        while work.degree() >= 1 and _vanishes_on_line(terms, v):
+            if line is None:
+                line = _linear_form(v)
             work = work.divide_by_linear(line)
+            terms = _integer_terms(work)
             mult += 1
         if mult:
             found.append((line, mult))

@@ -426,21 +426,7 @@ class ProjPoint:
 
     def primitive(self) -> tuple:
         """Integer coordinates with content 1 and first nonzero entry > 0."""
-        dens = [c.denominator for c in self.coords]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // math.gcd(lcm, d)
-        ints = [int(c * lcm) for c in self.coords]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-w for w in ints]
-                break
-        return tuple(ints)
+        return primitive_vector(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -457,10 +443,24 @@ class ProjPoint:
         return [rat_str(c) for c in self.canonical()]
 
 
+def primitive_vector(v) -> tuple:
+    """The integer multiple of a nonzero rational vector with content 1 and
+    first nonzero entry > 0: one representative per projective point."""
+    lcm = math.lcm(*(c.denominator for c in v))
+    ints = [int(c * lcm) for c in v]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def cross_product(a, b) -> tuple:
-    """Cross product of two rational 3-vectors (line through two points, etc.)."""
-    a = tuple(rat(x) for x in a)
-    b = tuple(rat(x) for x in b)
+    """Cross product of two rational 3-vectors (line through two points, etc.).
+
+    Integer vectors give an integer result.
+    """
+    a = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in a)
+    b = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in b)
     if len(a) != 3 or len(b) != 3:
         raise ValueError("cross product needs 3-vectors")
     return (

@@ -1,12 +1,17 @@
 import io
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from spohncurves import cli
+from caselib import game_for_case
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
 G44 = '{"A": [[1,2],[0,3]], "B": [[6,1],[4,0]]}'
+GOLDEN_DECOMPOSE = json.loads(
+    (Path(__file__).parent / "golden_decompose.json").read_text(encoding="utf-8"))
 PAIR = json.dumps({
     "A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
     "B": [[0, 0, "1/2", 0], [0, 0, "-1/2", "1/2"],
@@ -76,6 +81,16 @@ def test_equiv_coordination_games(capsys):
     data = json.loads(out)
     assert data["fully_equivalent"] is True
     assert data["j1"] == data["j2"] == "365986170577/44976384"
+
+
+@pytest.mark.parametrize("case", range(1, 13))
+def test_decompose_golden_bytes(capsys, case):
+    """One seeded game per reducibility case; the bytes pin which components
+    are found, their order, normalization, points and the scalar."""
+    rec = GOLDEN_DECOMPOSE[str(case)]
+    assert game_for_case(case, random.Random(rec["seed"])).to_json() == rec["game"]
+    out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
+    assert out == rec["stdout"]
 
 
 # --- input channels ---------------------------------------------------------------------
@@ -168,6 +183,25 @@ def test_witness_flag_conflicts(capsys):
     _, err = run_ok(capsys, ["witness", "--game", PD, "--ne", "0,0",
                              "--cooperation"], code=2)
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("game", [
+    '{"A": [[1.5, 2], [3, 4]], "B": [[1, 2], [3, 4]]}',
+    '{"A": 5, "B": [[1, 2], [3, 4]]}',
+    '{"A": [[1, 2], [3, 4]], "B": [[null, 2], [3, 4]]}',
+    '{"A": [[1, 2], [3, 4]], "B": [[[1], 2], [3, 4]]}',
+])
+def test_non_rational_payoffs_are_bad_input(capsys, game):
+    out, err = run_ok(capsys, ["classify", "--game", game], code=2)
+    assert out == ""
+    assert err.startswith("bad input: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["-5", "0"])
+def test_pareto_grid_must_be_positive(capsys, grid):
+    out, err = run_ok(capsys, ["pareto", "--game", PD, "--grid", grid], code=2)
+    assert out == ""
+    assert "usage error" in err and "--grid" in err
 
 
 def test_de_check_rejects_non_distribution(capsys):

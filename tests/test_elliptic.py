@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spohncurves import (
     DomainError,
@@ -22,6 +23,7 @@ from spohncurves import (
     translate_to_infinity,
     weierstrass_from_cubic,
 )
+from spohncurves.elliptic import _aronhold_st
 from caselib import random_game
 
 F = Fraction
@@ -80,6 +82,29 @@ def test_aronhold_scaling_degrees_and_unimodular_invariance():
                 break
         a2 = aronhold(PlaneCubic.from_poly(cbc.poly.substitute_matrix(M)))
         assert (a2.S, a2.T) == (a0.S, a0.T)
+
+
+TEN_MONOMIALS = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 2, 1),
+                 (1, 0, 2), (1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1))
+coefficients = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coefficients, min_size=10, max_size=10))
+@example([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+@example([F(1, 2), F(-5, 3), F(7, 11), 0, 0, 0, 0, 0, 0, 0])
+@example([0, 0, 0, F(1, 3), F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6)])
+def test_integer_aronhold_matches_fraction_formula(ten):
+    """The cleared-denominator evaluation equals the S/T polynomials taken
+    on the Fraction labels, for every ternary cubic, pure cubes included."""
+    poly = poly3(dict(zip(TEN_MONOMIALS, ten)))
+    assume(not poly.is_zero())
+    cubic = PlaneCubic.from_poly(poly)
+    S, T = _aronhold_st(*cubic.coeffs)
+    assert all(isinstance(x, Fraction) for x in cubic.coeffs)
+    assert aronhold(cubic) == (S, T, (64 * S**3 - T**2) / 1728)
 
 
 def test_singular_cubic_reports_singular():

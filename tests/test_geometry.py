@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spohncurves import (
     DomainError,
@@ -20,6 +21,8 @@ from spohncurves import (
     w_membership,
     zero_cubic_classify,
 )
+from spohncurves.geometry import _candidate_lines, _integer_terms, _vanishes_on_line
+from spohncurves.polynomials import cross_product
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
 
 F = Fraction
@@ -310,3 +313,60 @@ def test_verdict_json_shape(pd):
     assert {c["kind"] for c in data["components"]} == {"line", "conic"}
     for c in data["components"]:
         assert c["point"] is not None
+
+
+# --- the four-point line test against the symbolic restriction ------------------------
+
+def _entries(draw):
+    """Payoff entries: small integers, heights near 10^12, or non-integers."""
+    return draw(st.one_of(
+        st.integers(-9, 9),
+        st.integers(-10**12, 10**12),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)))
+
+
+@st.composite
+def line_test_games(draw):
+    """Random games (almost never reducible), and case games under an
+    affine change of each table, which keeps the case and its linear
+    component: a -> lam a + mu, b -> kap b + nu."""
+    if draw(st.booleans()):
+        return PayoffTables([[_entries(draw) for _ in range(2)] for _ in range(2)],
+                            [[_entries(draw) for _ in range(2)] for _ in range(2)])
+    g = game_for_case(draw(st.integers(1, 12)),
+                      random.Random(draw(st.integers(0, 10**6))))
+    lam, kap = (draw(st.fractions(max_denominator=10**6).filter(bool)) * 10**6
+                for _ in range(2))
+    mu, nu = _entries(draw), _entries(draw)
+    return PayoffTables([[lam * x + mu for x in row] for row in g.A],
+                        [[kap * x + nu for x in row] for row in g.B])
+
+
+def _restriction_vanishes(p, line):
+    """Oracle: expand p on the line through two distinct points of it."""
+    pts = []
+    for k in range(3):
+        v = cross_product(line, tuple(1 if i == k else 0 for i in range(3)))
+        if any(v) and ProjPoint(v) not in pts:
+            pts.append(ProjPoint(v))
+    return p.restrict_to_line(pts[0], pts[1]).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_test_games())
+def test_four_point_line_test_matches_restriction(game):
+    cubic = build_cubic(game)
+    assume(not cubic.is_zero())
+    hits = 0
+    work = cubic.f
+    for line in _candidate_lines(cubic.c):
+        assert all(isinstance(x, int) for x in line)
+        while work.degree() >= 1:
+            hit = _vanishes_on_line(_integer_terms(work), line)
+            assert hit == _restriction_vanishes(work, line)
+            if not hit:
+                break
+            hits += 1
+            work = work.divide_by_linear(q3({(1, 0, 0): line[0], (0, 1, 0): line[1],
+                                             (0, 0, 1): line[2]}))
+    assert (hits > 0) == bool(classify_cases(game))
