@@ -62,6 +62,7 @@ from .elliptic import (
     cubic_from_quadrics,
     game_equivalence,
     j_invariant,
+    jacobian,
     q_isomorphic,
     spohn_pair,
     split_klm,

@@ -6,14 +6,17 @@ with sorted keys to stdout.  Rationals are always fully reduced strings;
 floats appear only in the explicitly numeric reports (witness, pareto), which
 carry a "numeric": true marker.
 
-Exit codes: 0 success, 1 domain error (singular curve, degenerate input),
-2 usage error (bad flags, unreadable input, malformed JSON).
+Exit codes: 0 success, 1 domain error (singular curve, degenerate input)
+or stdout closed before the output was written, 2 usage error (bad flags,
+unreadable input, malformed JSON).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import elliptic, games, geometry
@@ -187,6 +190,7 @@ def _cmd_approx(args):
     return {"approx": rat_str(cf.value)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spohncurves",
@@ -274,7 +278,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's own flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

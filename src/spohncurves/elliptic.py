@@ -5,8 +5,13 @@ move a known rational point of the quadric pair to [0:0:0:1], split each
 quadric as L*t + M with L linear and M quadratic in the remaining three
 coordinates, and take the resultant cubic C = L1 M2 - L2 M1.  The degree-4
 and degree-6 invariants S, T of a ternary cubic then give the discriminant
-(64 S^3 - T^2)/1728 and j = 64 S^3 / disc, and an exact two-branch reduction
-produces a Weierstrass model over Q certified against that j.
+(64 S^3 - T^2)/1728, j = 64 S^3 / disc and the Jacobian
+J_C: y^2 = x^3 - 432 S x - 432 T (Artin, Rodriguez-Villegas and Tate, "On the
+Jacobians of plane cubics", Adv. Math. 198 (2005)).  A smooth cubic with a
+rational point is Q-isomorphic to J_C, so J_C alone decides Q-isomorphism of
+two such cubics.  An exact two-branch reduction produces a Weierstrass model
+through a given point, certified Q-isomorphic to J_C, which tells quadratic
+twists apart where equal j cannot.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .polynomials import (
     MultiPoly,
     ProjPoint,
     cross_product,
+    det,
     is_rational_nth_power,
     is_rational_square,
     rat,
@@ -459,8 +465,9 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     branched along a quartic G(t) with G(0) a nonzero square, and the curve
     is Q-isomorphic to the Jacobian y^2 = x^3 - 27 I x - 27 J of v^2 = G(u)
     (classical binary-quartic invariants I, J).  Either way the result is
-    certified by comparing its j-invariant with 64 S^3 / disc of the input —
-    an exact identity, so a failed certification raises instead of
+    certified Q-isomorphic to the cubic's Jacobian J_C (see `jacobian`).
+    The certificate is twist-aware: a model with the right j but the wrong
+    quadratic twist fails it, and a failed certification raises instead of
     returning a wrong model.
     """
     aron = aronhold(cubic)
@@ -490,7 +497,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     for k in range(3):
         cols = (tangent_dir, pt.coords, _unit3(k))
         M = [[cols[j][i] for j in range(3)] for i in range(3)]
-        if _det3x3(M) != 0:
+        if det(M) != 0:
             third = M
             break
     if third is None:  # pragma: no cover
@@ -532,11 +539,9 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         J = 72*A4*C4*E4 + 9*B4*C4*D4 - 27*A4*D4**2 - 27*B4**2*E4 - 2*C4**3
         E = WeierstrassCurve(0, 0, 0, -27 * I, -27 * J)
 
-    jE = E.j()
-    jC = 64 * aron.S**3 / aron.disc
-    if jE is None or jE != jC:
-        raise AssertionError("Weierstrass reduction failed certification "
-                             f"(j mismatch: {jE} vs {jC})")
+    if not q_isomorphic(E, _jacobian(aron)):
+        raise AssertionError("Weierstrass reduction failed certification: "
+                             f"{E!r} is not Q-isomorphic to the Jacobian")
     return E
 
 
@@ -544,10 +549,21 @@ def _parallel(u, v) -> bool:
     return all(x == 0 for x in cross_product(u, v))
 
 
-def _det3x3(M) -> Fraction:
-    return (M[0][0]*(M[1][1]*M[2][2] - M[1][2]*M[2][1])
-            - M[0][1]*(M[1][0]*M[2][2] - M[1][2]*M[2][0])
-            + M[0][2]*(M[1][0]*M[2][1] - M[1][1]*M[2][0]))
+def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
+    """The Jacobian J_C: y^2 = x^3 - 432 S x - 432 T of a smooth plane cubic.
+
+    S, T are the Aronhold invariants of `aronhold`; the Fermat cubic gives
+    y^2 = x^3 - 432.  A smooth cubic with a rational point is Q-isomorphic
+    to J_C.  Raises DomainError when the cubic is singular (disc = 0).
+    """
+    return _jacobian(aronhold(cubic))
+
+
+def _jacobian(inv) -> WeierstrassCurve:
+    """J_C from the S, T and disc of an AronholdInvariants or a JResult."""
+    if inv.disc == 0:
+        raise DomainError("singular cubic: no Jacobian")
+    return WeierstrassCurve.from_short(-432 * inv.S, -432 * inv.T)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +578,16 @@ def q_isomorphic(E1: WeierstrassCurve, E2: WeierstrassCurve) -> bool:
     j = 0 (c4 = 0) the criterion is c6'/c6 a sixth power, for j = 1728
     (c6 = 0) it is c4'/c4 a fourth power.
     """
-    if E1.is_singular() or E2.is_singular():
-        raise DomainError("q_isomorphic needs nonsingular curves")
-    if E1.j() != E2.j():
-        return False
     c4, c6 = E1.c4, E1.c6
     c4p, c6p = E2.c4, E2.c6
-    if c4 == 0:  # j = 0; same j forces c4p == 0
-        return is_rational_nth_power(c6p / c6, 6)
-    if c6 == 0:  # j = 1728
-        return is_rational_nth_power(c4p / c4, 4)
+    if c4**3 == c6**2 or c4p**3 == c6p**2:  # 1728 disc = c4^3 - c6^2
+        raise DomainError("q_isomorphic needs nonsingular curves")
+    if c4 == 0 or c4p == 0:  # j = 0 needs both
+        return c4 == c4p and is_rational_nth_power(c6p / c6, 6)
+    if c6 == 0 or c6p == 0:  # j = 1728 needs both
+        return c6 == c6p and is_rational_nth_power(c4p / c4, 4)
     s = (c6p / c6) / (c4p / c4)  # = u^2 if isomorphic
-    return (is_rational_square(s) and c4p == s**2 * c4 and c6p == s**3 * c6)
+    return c4p == s**2 * c4 and c6p == s**3 * c6 and is_rational_square(s)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +598,12 @@ def game_equivalence(game1, game2) -> dict:
     """Compare two games through the elliptic invariants of their cubics.
 
     Reports the j-invariants, whether they agree, and whether the curves are
-    actually Q-isomorphic (same j is necessary, not sufficient).  Raises
-    DomainError naming the matched reducibility cases if a cubic is
-    singular, since j is undefined there.
+    actually Q-isomorphic (same j is necessary, not sufficient: a quadratic
+    twist has the same j).  Q-isomorphism is decided on the Jacobians J_C1,
+    J_C2 built from each cubic's S and T, which is twist-aware and needs no
+    rational point or coordinate change.  Raises DomainError naming the
+    matched reducibility cases if a cubic is singular, since j is undefined
+    there.
     """
     results = []
     for tag, game in (("first", game1), ("second", game2)):
@@ -594,38 +611,20 @@ def game_equivalence(game1, game2) -> dict:
         if spohn.is_zero():
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
-        plane = PlaneCubic.from_poly(spohn.f)
-        jres = j_invariant(plane)
+        jres = j_invariant(PlaneCubic.from_poly(spohn.f))
         if jres.is_singular:
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(
                 f"the {tag} game has a singular cubic (matched reducibility "
                 f"cases: {cases}); j is undefined")
-        results.append((plane, jres))
+        results.append(jres)
 
-    (p1, j1), (p2, j2) = results
+    j1, j2 = results
     same_j = j1.value == j2.value
-    fully = False
-    if same_j:
-        E1 = _weierstrass_of_spohn(p1)
-        E2 = _weierstrass_of_spohn(p2)
-        fully = q_isomorphic(E1, E2)
     return {
         "j1": rat_str(j1.value),
         "j2": rat_str(j2.value),
         "same_j": same_j,
-        "fully_equivalent": fully,
+        "fully_equivalent": same_j and q_isomorphic(_jacobian(j1), _jacobian(j2)),
     }
 
-
-def _weierstrass_of_spohn(plane: PlaneCubic) -> WeierstrassCurve:
-    """Weierstrass model using the first coordinate point on the curve.
-
-    Spohn cubics have no pure-cube terms, so all three coordinate points lie
-    on the curve; [1:0:0] is tried first for determinism.
-    """
-    for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        if plane.poly.evaluate(coords) == 0:
-            return weierstrass_from_cubic(plane, coords)
-    raise DomainError("no rational coordinate point on the cubic; "
-                      "equivalence beyond j undetermined")  # pragma: no cover

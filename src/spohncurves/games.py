@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polynomials import DomainError, rat, rat_str
+from .polynomials import DomainError, det, rat, rat_str
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ class KonstanzMatrix:
         )
 
     def det(self) -> Fraction:
-        return _det(self.rows)
+        return det(self.rows)
 
     def apply(self, vec) -> tuple:
         v = [rat(x) for x in vec]
@@ -322,21 +322,6 @@ class KonstanzMatrix:
             "matrix": [[rat_str(x) for x in row] for row in self.rows],
             "det": rat_str(self.det()),
         }
-
-
-def _det(rows) -> Fraction:
-    """Exact determinant by Laplace expansion (tiny matrices only)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * _det(minor)
-    return total
 
 
 def konstanz_matrix(game: PayoffTables, pi1, pi2) -> KonstanzMatrix:
@@ -424,7 +409,8 @@ class WitnessReport:
     """
 
     def __init__(self, kind, case, formula, threshold, sequence, limit,
-                 played, ladder, inequalities, ok, tol, relabeling=""):
+                 played, ladder, inequalities, ok, tol, relabeling="",
+                 lam=None, payoff_limits=None):
         self.kind = kind                  # "pure" | "semi-mixed" | "totally-mixed" | "cooperation"
         self.case = case                  # human-readable case selector
         self.formula = formula            # sequence formula in normalized coordinates
@@ -437,6 +423,8 @@ class WitnessReport:
         self.ok = ok
         self.tol = tol
         self.relabeling = relabeling
+        self.lam = lam                    # cooperation only: the off-diagonal split
+        self.payoff_limits = payoff_limits  # cooperation only: limits of E_k^(i)
 
     def to_json(self) -> dict:
         out = {
@@ -465,7 +453,7 @@ class WitnessReport:
             ],
             "ok": self.ok,
         }
-        if hasattr(self, "lam"):
+        if self.lam is not None:
             out["lambda"] = rat_str(self.lam)
             out["payoff_limits"] = [rat_str(x) for x in self.payoff_limits]
         return out
@@ -654,13 +642,10 @@ def cooperation_witness(game: PayoffTables, tol=_WITNESS_TOL) -> WitnessReport:
     limit = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     threshold = _interior_threshold(seq)
     ladder, labels, ok = _evaluate_ladder(game, seq, limit, tol)
-    targets = (game.a11, game.a11, game.a11, game.a22)
-    report = WitnessReport("cooperation", f"lambda = {rat_str(lam)}",
-                           "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
-                           threshold, seq, limit, labels, ladder, labels, ok, tol)
-    report.lam = lam
-    report.payoff_limits = targets
-    return report
+    return WitnessReport("cooperation", f"lambda = {rat_str(lam)}",
+                         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
+                         threshold, seq, limit, labels, ladder, labels, ok, tol,
+                         lam=lam, payoff_limits=(game.a11, game.a11, game.a11, game.a22))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .polynomials import (
     MultiPoly,
     ProjPoint,
     cross_product,
+    det,
     is_rational_square,
     primitive_vector,
     rat,
@@ -253,12 +254,6 @@ def classify_cases(game) -> frozenset:
     return frozenset(cases)
 
 
-# Cases with every simplex point of the curve a dependency equilibrium (the
-# linear component meets the simplex pointwise in equilibria); under cases
-# 1-7 that statement fails in general.  Documentation only — no op key on it.
-CASES_ALL_SIMPLEX_POINTS_ARE_DE = frozenset({8, 9, 10, 11, 12})
-
-
 # ---------------------------------------------------------------------------
 # decomposition into components
 # ---------------------------------------------------------------------------
@@ -431,12 +426,6 @@ def _conic_matrix(g: MultiPoly) -> list:
     return M
 
 
-def _det3(M) -> Fraction:
-    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-
 def _matrix_rank(M) -> int:
     """Rank of a small rational matrix by fraction Gaussian elimination."""
     rows = [list(r) for r in M]
@@ -486,7 +475,7 @@ def _split_conic(g: MultiPoly):
     conic whose two conjugate lines are not defined over Q.
     """
     M = _conic_matrix(g)
-    if _det3(M) != 0:
+    if det(M) != 0:
         return ("irreducible",)
     rank = _matrix_rank(M)
     if rank == 1:

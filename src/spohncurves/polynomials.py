@@ -285,20 +285,6 @@ class MultiPoly:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute_linear(self, var, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace one variable by a polynomial of degree <= 1 (same variable list)."""
-        self._check_same_vars(replacement)
-        if replacement.degree() > 1:
-            raise ValueError("replacement must have degree <= 1")
-        k = var if isinstance(var, int) else self.vars.index(var)
-        out = MultiPoly.zero(self.vars)
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            rest[k] = 0
-            term = MultiPoly(self.vars, {tuple(rest): c})
-            out = out + term * replacement ** exp[k]
-        return out
-
     def substitute_matrix(self, matrix) -> "MultiPoly":
         """Linear change of coordinates: returns g with g(w) = f(M w).
 
@@ -452,6 +438,22 @@ def primitive_vector(v) -> tuple:
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a small square matrix (the 3x3 and 4x4 ones of
+    this package) by Laplace expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * rows[0][j] * det(minor)
+    return total
 
 
 def cross_product(a, b) -> tuple:

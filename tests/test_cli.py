@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,22 @@ def test_both_game_and_bimatrix_rejected(capsys):
     _, err = run_ok(capsys, ["classify", "--game", PD,
                              "--bimatrix", "2,2 0,3; 3,0 1,1"], code=2)
     assert "exactly one" in err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spohncurves", "j", "--game", G44],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
 
 
 def test_no_subcommand_prints_usage(capsys):

@@ -16,6 +16,7 @@ from spohncurves import (
     cubic_from_quadrics,
     game_equivalence,
     j_invariant,
+    jacobian,
     q_isomorphic,
     rat,
     spohn_pair,
@@ -239,11 +240,48 @@ def test_reduction_certifies_on_random_cubics():
         assert E.j() == j_invariant(cbc).value
 
 
+def test_fermat_jacobian():
+    fermat = PlaneCubic.from_poly(poly3({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}))
+    J = jacobian(fermat)
+    assert (J.a1, J.a2, J.a3, J.a4, J.a6) == (0, 0, 0, 0, -432)
+    assert q_isomorphic(J, weierstrass_from_cubic(fermat, (1, -1, 0)))
+
+
+NON_SQUARES = (F(-1), F(2), F(-3), F(5), F(2, 3), F(-7, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficients, min_size=10, max_size=10),
+       st.integers(0, 2), st.sampled_from(NON_SQUARES))
+@example([-1, 0, 0, 0, 1, -1, 0, 0, 0, 0], 1, F(2))    # y^2 z = x^3 + x z^2, j = 1728
+@example([-1, 0, -1, 0, 1, 0, 0, 0, 0, 0], 1, F(-3))   # y^2 z = x^3 + z^3, j = 0
+@example([0, F(1, 2), F(-5, 3), F(1, 3), 0, F(-1, 5), 0, F(1, 2), 0, F(5, 6)], 0, F(-1))
+def test_model_is_jacobian_and_its_twist_is_not(ten, k, d):
+    """The model through a coordinate point is Q-isomorphic to J_C; its
+    quadratic twist by a non-square d has the same j and is not."""
+    ten = list(ten)
+    ten[k] = 0                                  # the unit point e_k lies on C
+    poly = poly3(dict(zip(TEN_MONOMIALS, ten)))
+    assume(not poly.is_zero())
+    cubic = PlaneCubic.from_poly(poly)
+    assume(aronhold(cubic).disc != 0)
+    J = jacobian(cubic)
+    E = weierstrass_from_cubic(cubic, tuple(int(i == k) for i in range(3)))
+    assert q_isomorphic(E, J)
+    A, B = -E.c4 / 48, -E.c6 / 864
+    assume(B != 0 or d > 0)                     # j = 1728: twists by -s^2 are trivial
+    twist = WeierstrassCurve.from_short(d**2 * A, d**3 * B)
+    assert twist.j() == J.j() == j_invariant(cubic).value
+    assert not q_isomorphic(twist, J)
+
+
 def test_reduction_rejects_bad_input():
     g = PayoffTables([[1, 1], [2, 0]], [[3, -2], [-1, 4]])
     singular = PlaneCubic.from_poly(build_cubic(g).f)
     with pytest.raises(DomainError):
         weierstrass_from_cubic(singular, (1, 0, 0))
+    with pytest.raises(DomainError):
+        jacobian(singular)
     fermat = PlaneCubic.from_poly(poly3({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}))
     with pytest.raises(DomainError):
         weierstrass_from_cubic(fermat, (1, 1, 1))                  # not on the curve
@@ -321,6 +359,14 @@ def test_affine_payoff_rescaling_is_equivalence(g44):
 def test_inequivalent_games_report_different_j(g44, bos):
     r = game_equivalence(g44, bos[0])
     assert not r["same_j"] and not r["fully_equivalent"]
+
+
+def test_twist_games_share_j_but_are_not_equivalent():
+    g1 = PayoffTables([[0, 3], [-3, 0]], [[-2, 0], [3, -3]])
+    g2 = PayoffTables([[-3, 0], [0, 2]], [[0, -3], [3, 0]])
+    r = game_equivalence(g1, g2)
+    assert r["j1"] == r["j2"] == "3631696/2025"
+    assert r["same_j"] and not r["fully_equivalent"]
 
 
 def test_singular_game_equivalence_names_cases(pd, g44):

@@ -115,12 +115,6 @@ def test_partial_and_gradient():
     assert p.gradient_at((1, 2, -1)) == (12, 3, -2)
 
 
-def test_substitute_linear():
-    p = P({(2, 0, 0): 1})  # x^2
-    repl = P({(0, 1, 0): 1, (0, 0, 1): 2})  # y + 2z
-    assert p.substitute_linear("x", repl) == P({(0, 2, 0): 1, (0, 1, 1): 4, (0, 0, 2): 4})
-
-
 def test_substitute_matrix_composition():
     rng = random.Random(3391)
     p = P({(2, 1, 0): 1, (1, 0, 2): -3, (0, 3, 0): 2})
