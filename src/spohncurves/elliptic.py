@@ -26,7 +26,6 @@ from .polynomials import (
     MultiPoly,
     ProjPoint,
     cross_product,
-    det,
     is_rational_nth_power,
     is_rational_square,
     rat,
@@ -225,6 +224,10 @@ class TenCoeffs(NamedTuple):
 
     C = a x^3 + b y^3 + c z^3 + 3d x^2 y + 3e y^2 z + 3f z^2 x
         + 3g x y^2 + 3h y z^2 + 3i z x^2 + 6m x y z
+
+    The labels are the entries of the symmetric trilinear form T with
+    T(x, x, x) = C(x): T_xxx = a, T_yyy = b, T_zzz = c, T_xxy = d,
+    T_yyz = e, T_xzz = f, T_xyy = g, T_yzz = h, T_xxz = i, T_xyz = m.
     """
 
     a: Fraction
@@ -453,17 +456,41 @@ class WeierstrassCurve:
 
 
 def _unit3(k) -> tuple:
-    return tuple(Fraction(1) if i == k else Fraction(0) for i in range(3))
+    return tuple(int(i == k) for i in range(3))
+
+
+def _polar(coeffs, u, v, w):
+    """T(u, v, w) for the symmetric trilinear form T whose entries are the
+    ten classical labels `coeffs` (see `TenCoeffs`)."""
+    a, b, c, d, e, f, g, h, i, m = coeffs
+    w0, w1, w2 = w
+    # the polar conic T(., ., w) as a symmetric matrix
+    qxx = a * w0 + d * w1 + i * w2
+    qyy = g * w0 + b * w1 + e * w2
+    qzz = f * w0 + h * w1 + c * w2
+    qxy = d * w0 + g * w1 + m * w2
+    qxz = i * w0 + m * w1 + f * w2
+    qyz = m * w0 + e * w1 + h * w2
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (qxx * u0 * v0 + qyy * u1 * v1 + qzz * u2 * v2
+            + qxy * (u0 * v1 + u1 * v0) + qxz * (u0 * v2 + u2 * v0)
+            + qyz * (u1 * v2 + u2 * v1))
 
 
 def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """Exact Weierstrass model of a smooth plane cubic with a rational point.
 
-    The point is moved to [0:1:0] with its tangent line as {z = 0}.  If the
-    point is a flex, the coefficients read off directly.  Otherwise the
-    projection from the point expresses the curve as a double cover of P^1
-    branched along a quartic G(t) with G(0) a nonzero square, and the curve
-    is Q-isomorphic to the Jacobian y^2 = x^3 - 27 I x - 27 J of v^2 = G(u)
+    The point p is moved to [0:1:0] with its tangent line as {Z = 0}: the
+    new coordinates are X u + Y p + Z w with u a tangent direction at p and
+    w a unit vector completing a basis.  The coefficient of X^a Y^b Z^c in
+    them is the multinomial (3; a, b, c) times T(u^a, p^b, w^c), T the
+    cubic's trilinear form (see `TenCoeffs`), so each one is a single
+    `_polar` evaluation on integers and no polynomial is expanded.  If the
+    point is a flex, the model reads off directly.  Otherwise the projection
+    from the point expresses the curve as a double cover of P^1 branched
+    along a quartic G(t) with G(0) a nonzero square, and the curve is
+    Q-isomorphic to the Jacobian y^2 = x^3 - 27 I x - 27 J of v^2 = G(u)
     (classical binary-quartic invariants I, J).  Either way the result is
     certified Q-isomorphic to the cubic's Jacobian J_C (see `jacobian`).
     The certificate is twist-aware: a model with the right j but the wrong
@@ -476,44 +503,45 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     pt = pt if isinstance(pt, ProjPoint) else ProjPoint(pt)
     if len(pt.coords) != 3:
         raise DomainError("base point must have 3 coordinates")
-    fpoly = cubic.poly
-    if fpoly.evaluate(pt.coords) != 0:
+    # on integers: the labels are A / n, p = P / dp and u = U / du, and T is
+    # linear in the labels and in each argument, so
+    # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly
+    n = math.lcm(*(x.denominator for x in cubic.coeffs))
+    A = tuple(x.numerator * (n // x.denominator) for x in cubic.coeffs)
+    dp = math.lcm(*(x.denominator for x in pt.coords))
+    P = tuple(x.numerator * (dp // x.denominator) for x in pt.coords)
+    if _polar(A, P, P, P) != 0:
         raise DomainError("base point does not lie on the cubic")
-    grad = fpoly.gradient_at(pt.coords)
+    grad = tuple(3 * _polar(A, _unit3(k), P, P) for k in range(3))  # n dp^2 grad C(p)
     if all(x == 0 for x in grad):  # pragma: no cover — impossible when disc != 0
         raise DomainError("base point is singular")
 
-    # move pt -> [0:1:0] and its tangent -> {Z = 0}: columns of the matrix
-    # are (tangent direction, pt, any completion with nonzero determinant)
-    tangent_dir = None
+    # U: a tangent direction at p; w: the first unit vector with
+    # det(U, P, w) = (U x P) . w nonzero
+    U = None
     for k in range(3):
         v = cross_product(grad, _unit3(k))
-        if any(x != 0 for x in v) and not _parallel(v, pt.coords):
-            tangent_dir = v
+        if any(x != 0 for x in v) and not _parallel(v, P):
+            U = v
             break
-    if tangent_dir is None:  # pragma: no cover
+    if U is None:  # pragma: no cover
         raise AssertionError("no tangent direction found")
-    third = None
-    for k in range(3):
-        cols = (tangent_dir, pt.coords, _unit3(k))
-        M = [[cols[j][i] for j in range(3)] for i in range(3)]
-        if det(M) != 0:
-            third = M
-            break
-    if third is None:  # pragma: no cover
-        raise AssertionError("could not complete the coordinate change")
-    g = fpoly.substitute_matrix(third)
+    normal = cross_product(U, P)
+    w = _unit3(next(k for k in range(3) if normal[k] != 0))
+    du = n * dp * dp
 
-    beta = g.coefficient((0, 2, 1))   # Y^2 Z
-    if g.coefficient((0, 3, 0)) != 0 or g.coefficient((1, 2, 0)) != 0 or beta == 0:
+    def coefficient(a, b, c) -> Fraction:
+        """Of X^a Y^b Z^c: the multinomial (3; a, b, c) times T(u^a, p^b, w^c)."""
+        multinomial = 6 // (math.factorial(a) * math.factorial(b) * math.factorial(c))
+        return Fraction(multinomial * _polar(A, *[U] * a, *[P] * b, *[w] * c),
+                        n * du**a * dp**b)
+
+    beta = coefficient(0, 2, 1)
+    if _polar(A, U, P, P) != 0 or beta == 0:  # X Y^2 and Y^2 Z
         raise AssertionError("normalization failed")  # pragma: no cover
-    q1 = g.coefficient((2, 1, 0))     # X^2 Y
-    q2 = g.coefficient((1, 1, 1))     # X Y Z
-    q3 = g.coefficient((0, 1, 2))     # Y Z^2
-    k0 = g.coefficient((3, 0, 0))     # X^3
-    k1 = g.coefficient((2, 0, 1))     # X^2 Z
-    k2 = g.coefficient((1, 0, 2))     # X Z^2
-    k3 = g.coefficient((0, 0, 3))     # Z^3
+    q1, q2, q3 = coefficient(2, 1, 0), coefficient(1, 1, 1), coefficient(0, 1, 2)
+    k0, k1 = coefficient(3, 0, 0), coefficient(2, 0, 1)
+    k2, k3 = coefficient(1, 0, 2), coefficient(0, 0, 3)
 
     if q1 == 0:
         # flex: the tangent meets the curve three times at pt

@@ -386,13 +386,6 @@ def _compose(p, q):
     return tuple(q[p[i]] for i in range(4))
 
 
-def _invert(p):
-    inv = [0] * 4
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 class WitnessLadderRow(NamedTuple):
     r: int
     point: tuple            # exact Fractions

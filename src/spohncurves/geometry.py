@@ -20,10 +20,10 @@ from .polynomials import (
     ProjPoint,
     cross_product,
     det,
-    is_rational_square,
     primitive_vector,
     rat,
     rat_str,
+    rational_sqrt,
 )
 
 VARS4 = ("p11", "p12", "p21", "p22")
@@ -449,15 +449,8 @@ def _matrix_rank(M) -> int:
 def _square_root_of_binary_square(d_uu, d_uv, d_vv):
     """If d_uu u^2 + d_uv uv + d_vv v^2 = (alpha u + beta v)^2, return
     (alpha, beta); else None."""
-    from .polynomials import _int_nth_root  # reuse the exact integer root
-
-    def sqrt_frac(q):
-        if q < 0 or not is_rational_square(q):
-            return None
-        return Fraction(_int_nth_root(q.numerator, 2), _int_nth_root(q.denominator, 2))
-
-    alpha = sqrt_frac(d_uu)
-    beta = sqrt_frac(d_vv)
+    alpha = rational_sqrt(d_uu)
+    beta = rational_sqrt(d_vv)
     if alpha is None or beta is None:
         return None
     # signs: need 2*alpha*beta == d_uv
@@ -470,75 +463,53 @@ def _square_root_of_binary_square(d_uu, d_uv, d_vv):
 def _split_conic(g: MultiPoly):
     """Factor a ternary conic over Q if it is degenerate.
 
-    Returns ("irreducible",) for a smooth conic, ("lines", l1, l2) for a
-    rational line pair (possibly equal), or ("irrational",) for a degenerate
-    conic whose two conjugate lines are not defined over Q.
+    Returns ("irreducible",) for a smooth conic, ("lines", v1, v2, ratio)
+    for a rational line pair (v1 == v2 for a double line) with v1, v2
+    primitive integer 3-vectors and g == ratio (v1 . x)(v2 . x) verified, or
+    ("irrational",) for a degenerate conic whose two conjugate lines are not
+    defined over Q.
+
+    g must have a squared variable.  A degenerate d1 xy + d2 xz + d3 yz
+    (det = d1 d2 d3 / 4 = 0) is a coordinate line times a linear form, and
+    `decompose_cubic` never passes one: a coordinate line divides the cubic
+    iff its two coefficients vanish, and then the candidate lines list it and
+    the division loop removes every copy before a residual conic is split.
     """
     M = _conic_matrix(g)
     if det(M) != 0:
         return ("irreducible",)
-    rank = _matrix_rank(M)
-    if rank == 1:
+    if _matrix_rank(M) == 1:
         i = next(k for k in range(3) if M[k][k] != 0)
-        prim, _ = _primitive_poly(_linear_form(M[i]))
-        return ("lines", prim, prim)
-    # rank 2: try the quadratic formula in a variable that appears squared
-    for k in range(3):
-        if M[k][k] == 0:
-            continue
+        v1 = v2 = primitive_vector(M[i])
+    else:
+        # rank 2: the quadratic formula in the first variable w = x_k that
+        # appears squared, g = alpha w^2 + w beta(u, v) + gamma(u, v)
+        k = next(k for k in range(3) if M[k][k] != 0)
         other = [i for i in range(3) if i != k]
         alpha = M[k][k]
-        # g = alpha w^2 + w * beta(u,v) + gamma(u,v)
         beta = [2 * M[k][other[0]], 2 * M[k][other[1]]]
-        gamma = {  # coefficients of u^2, uv, v^2
-            (2, 0): M[other[0]][other[0]],
-            (1, 1): 2 * M[other[0]][other[1]],
-            (0, 2): M[other[1]][other[1]],
-        }
-        d_uu = beta[0] ** 2 - 4 * alpha * gamma[(2, 0)]
-        d_uv = 2 * beta[0] * beta[1] - 4 * alpha * gamma[(1, 1)]
-        d_vv = beta[1] ** 2 - 4 * alpha * gamma[(0, 2)]
+        d_uu = beta[0] ** 2 - 4 * alpha * M[other[0]][other[0]]
+        d_uv = 2 * beta[0] * beta[1] - 8 * alpha * M[other[0]][other[1]]
+        d_vv = beta[1] ** 2 - 4 * alpha * M[other[1]][other[1]]
         root = _square_root_of_binary_square(d_uu, d_uv, d_vv)
         if root is None:
             return ("irrational",)
-        ralpha, rbeta = root
-        lines = []
+        pair = []
         for s in (1, -1):
             coeffs = [Fraction(0)] * 3
             coeffs[k] = 2 * alpha
-            coeffs[other[0]] = beta[0] - s * ralpha
-            coeffs[other[1]] = beta[1] - s * rbeta
-            prim, _ = _primitive_poly(_linear_form(coeffs))
-            lines.append(prim)
-        prod = lines[0] * lines[1]
-        # proportional to g by construction; verify exactly
-        ratio = None
-        for e, c in g.terms.items():
-            pc = prod.coefficient(e)
-            if pc == 0:
-                return ("irrational",)  # pragma: no cover
-            if ratio is None:
-                ratio = c / pc
-            elif c / pc != ratio:  # pragma: no cover
-                return ("irrational",)
-        if prod * ratio != g:  # pragma: no cover
-            raise AssertionError("conic split verification failed")
-        return ("lines", lines[0], lines[1])
-    # no squared variable at all: g = d1 xy + d2 xz + d3 yz with det = 0,
-    # so one of the d's vanishes and a coordinate factor is visible
-    d1 = g.coefficient((1, 1, 0))
-    d2 = g.coefficient((1, 0, 1))
-    d3 = g.coefficient((0, 1, 1))
-    if d3 == 0:
-        l1 = MultiPoly(VARS3, {(1, 0, 0): Fraction(1)})
-        l2 = MultiPoly(VARS3, {(0, 1, 0): d1, (0, 0, 1): d2})
-    elif d2 == 0:
-        l1 = MultiPoly(VARS3, {(0, 1, 0): Fraction(1)})
-        l2 = MultiPoly(VARS3, {(1, 0, 0): d1, (0, 0, 1): d3})
-    else:  # d1 == 0
-        l1 = MultiPoly(VARS3, {(0, 0, 1): Fraction(1)})
-        l2 = MultiPoly(VARS3, {(1, 0, 0): d2, (0, 1, 0): d3})
-    return ("lines", _primitive_poly(l1)[0], _primitive_poly(l2)[0])
+            coeffs[other[0]] = beta[0] - s * root[0]
+            coeffs[other[1]] = beta[1] - s * root[1]
+            pair.append(primitive_vector(coeffs))
+        v1, v2 = pair
+    # g == ratio (v1 . x)(v2 . x) iff M == ratio (v1 v2^T + v2 v1^T) / 2
+    prod = [[Fraction(v1[i] * v2[j] + v1[j] * v2[i], 2) for j in range(3)]
+            for i in range(3)]
+    i, j = next((i, j) for i in range(3) for j in range(3) if prod[i][j])
+    ratio = M[i][j] / prod[i][j]
+    if any(M[i][j] != ratio * prod[i][j] for i in range(3) for j in range(3)):
+        raise AssertionError("conic split verification failed")
+    return ("lines", v1, v2, ratio)
 
 
 def smooth_rational_point(component: CurveComponent) -> ProjPoint:
@@ -548,7 +519,8 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
     try the three coordinate points first, then search coordinate-line
     slices with parameters of height <= 100.  Raises DomainError if the
     budgeted search finds nothing (degenerate conics without rational
-    points, reported rather than silently skipped).
+    points, reported rather than silently skipped).  A pair of conjugate
+    irrational lines raises at once: its only rational point is singular.
     """
     g = component.poly
     if component.kind == "line":
@@ -569,10 +541,14 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
             if any(x != 0 for x in grad):
                 return ProjPoint(coords)
 
+    # a degenerate conic with irrational lines has one rational point, the
+    # lines' intersection, and it is singular
+    if _split_conic(g)[0] == "irrational":
+        raise DomainError("the conic is a pair of conjugate irrational lines: "
+                          "its only rational point is singular")
+
     # bounded slice search: fix two coordinates at small heights, solve the
     # remaining quadratic exactly
-    from .polynomials import _int_nth_root
-
     def try_point(coords):
         if g.evaluate(coords) != 0:
             return None
@@ -607,10 +583,8 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
                         if beta != 0:
                             sols.append(-gamma / beta)
                     else:
-                        disc = beta ** 2 - 4 * alpha * gamma
-                        if disc >= 0 and is_rational_square(disc):
-                            root = Fraction(_int_nth_root(disc.numerator, 2),
-                                            _int_nth_root(disc.denominator, 2))
+                        root = rational_sqrt(beta ** 2 - 4 * alpha * gamma)
+                        if root is not None:
                             sols.extend([(-beta + root) / (2 * alpha),
                                          (-beta - root) / (2 * alpha)])
                     for w in sols:
@@ -658,17 +632,15 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
 
     f = cubic.f
     work, terms = f, _integer_terms(f)
-    found = []  # (primitive line, multiplicity)
+    found: dict = {}  # primitive line vector -> multiplicity, in order found
+    forms: dict = {}  # primitive line vector -> its linear form, built once
     for v in _candidate_lines(cubic.c):
-        line, mult = None, 0
         while work.degree() >= 1 and _vanishes_on_line(terms, v):
-            if line is None:
-                line = _linear_form(v)
-            work = work.divide_by_linear(line)
+            if v not in forms:
+                forms[v] = _linear_form(v)
+            work = work.divide_by_linear(forms[v])
             terms = _integer_terms(work)
-            mult += 1
-        if mult:
-            found.append((line, mult))
+            found[v] = found.get(v, 0) + 1
 
     components = []
     scalar = Fraction(1)
@@ -677,24 +649,12 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     elif work.degree() == 2:
         verdict_kind = "Reducible"
         split = _split_conic(work)
-        if split[0] == "irreducible":
-            prim, s = _primitive_poly(work)
-            scalar *= s
-            components.append(CurveComponent("conic", prim))
-        elif split[0] == "lines":
-            l1, l2 = split[1], split[2]
-            prod = l1 * l2
-            ratio = next(c / prod.coefficient(e) for e, c in work.terms.items()
-                         if prod.coefficient(e) != 0)
-            if prod * ratio != work:  # pragma: no cover
-                raise AssertionError("conic split does not reproduce the residual")
+        if split[0] == "lines":
+            _, v1, v2, ratio = split
             scalar *= ratio
-            if l1 == l2:
-                found.append((l1, 2))
-            else:
-                found.append((l1, 1))
-                found.append((l2, 1))
-        else:  # degenerate but irrational line pair: keep as a conic component
+            for v in (v1, v2):  # v1 == v2 for a double line
+                found[v] = found.get(v, 0) + 1
+        else:  # smooth, or an irrational line pair: one conic component
             prim, s = _primitive_poly(work)
             scalar *= s
             components.append(CurveComponent("conic", prim))
@@ -704,32 +664,24 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         # located it vanished identically); the residual is an exact factor,
         # hence a component outright
         verdict_kind = "Reducible"
-        prim, s = _primitive_poly(work)
-        scalar *= s
-        found.append((prim, 1))
+        coeffs = [work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        v = primitive_vector(coeffs)
+        k = next(k for k in range(3) if v[k])
+        scalar *= coeffs[k] / v[k]
+        found[v] = 1
     elif work.degree() == 0:
         verdict_kind = "Reducible"
         scalar *= next(iter(work.terms.values()))
     else:  # pragma: no cover
         raise AssertionError("impossible residual degree")
 
-    # merge duplicate lines (a line found separately and again inside the
-    # residual conic), then attach smooth points
-    merged: dict = {}
-    order = []
-    for line, mult in found:
-        key = tuple(sorted(line.terms.items()))
-        if key in merged:
-            merged[key] = (line, merged[key][1] + mult)
-        else:
-            merged[key] = (line, mult)
-            order.append(key)
-    line_components = [CurveComponent("line", merged[k][0], merged[k][1])
-                       for k in order]
+    line_components = [CurveComponent("line", forms.get(v) or _linear_form(v), mult)
+                       for v, mult in found.items()]
     components = line_components + components
     if line_components:
         verdict_kind = "Reducible"
 
+    # smooth points, or null where none exists (an irrational line pair)
     for comp in components:
         try:
             comp.point = smooth_rational_point(comp)

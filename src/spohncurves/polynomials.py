@@ -82,8 +82,19 @@ def is_rational_nth_power(q: Fraction, k: int) -> bool:
     return rn ** k == num and rd ** k == den
 
 
+def rational_sqrt(q) -> Fraction | None:
+    """The rational r >= 0 with r^2 = q, or None if q is not a rational square."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
 def is_rational_square(q: Fraction) -> bool:
-    return is_rational_nth_power(q, 2)
+    return rational_sqrt(q) is not None
 
 
 # ---------------------------------------------------------------------------

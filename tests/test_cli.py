@@ -71,10 +71,17 @@ def test_konstanz_det(capsys):
 
 
 def test_reduce_with_weierstrass_model(capsys):
+    """The whole report is pinned: the cubic, j and the Weierstrass model."""
     out, _ = run_ok(capsys, ["reduce", "--pair", PAIR, "--point", "1,1,1"])
-    data = json.loads(out)
-    assert data["j"] == "65536/37"
-    assert data["weierstrass"]["j"] == "65536/37"
+    assert out == (
+        '{"cubic": {"coefficients": {"a": "-1", "b": "0", "c": "-1", "d": "0", '
+        '"e": "-1/3", "f": "-1/3", "g": "-1/3", "h": "2/3", "i": "1", "m": "0"}, '
+        '"poly": {"terms": [{"coef": "-1", "exp": [3, 0, 0]}, '
+        '{"coef": "3", "exp": [2, 0, 1]}, {"coef": "-1", "exp": [1, 2, 0]}, '
+        '{"coef": "-1", "exp": [1, 0, 2]}, {"coef": "-1", "exp": [0, 2, 1]}, '
+        '{"coef": "2", "exp": [0, 1, 2]}, {"coef": "-1", "exp": [0, 0, 3]}], '
+        '"vars": ["x", "y", "z"]}}, "j": "65536/37", '
+        '"weierstrass": {"a": ["0", "0", "0", "-6912", "-34560"], "j": "65536/37"}}\n')
 
 
 def test_equiv_coordination_games(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from spohncurves import (
     translate_to_infinity,
     weierstrass_from_cubic,
 )
-from spohncurves.elliptic import _aronhold_st
+from spohncurves.elliptic import _aronhold_st, _polar
+from spohncurves.polynomials import det
 from caselib import random_game
 
 F = Fraction
@@ -223,6 +225,22 @@ def test_reduction_at_flex_reads_off_short_form():
     assert q_isomorphic(Ef, En)
 
 
+def test_reduction_bytes_at_non_integer_points():
+    """The models themselves are pinned, not only their Q-isomorphism class,
+    for labels and base points with denominators: a flex (y^2 z = x^3 + x z^2
+    in other coordinates, scaled by 1/7) and a non-flex point."""
+    flex = PlaneCubic.from_coeffs(F(-8, 7), F(3, 7), 0, F(4, 7), F(3, 7), F(-6, 7),
+                                  F(-8, 21), F(3, 7), 0, F(-2, 7))
+    E = weierstrass_from_cubic(flex, (F(1, 2), 1, F(-1, 3)))
+    assert repr(E) == "WeierstrassCurve(6/7, -36/49, -54/343, 486/2401, -2187/117649)"
+    general = PlaneCubic.from_coeffs(F(566831, 124740), F(-5, 3), F(7, 11), F(1, 3),
+                                     F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6))
+    E = weierstrass_from_cubic(general, (F(1, 2), F(-1, 3), 1))
+    assert repr(E) == (
+        "WeierstrassCurve(0, 0, 0, -1231525435528669377601804227193/5163165920371802112000000, "
+        "-782972023284187454531243344917494076261006571/17921925664157559815130002227200000000)")
+
+
 def test_reduction_certifies_on_random_cubics():
     # every reduction is re-checked internally against the Aronhold j
     rng = random.Random(995521)
@@ -273,6 +291,28 @@ def test_model_is_jacobian_and_its_twist_is_not(ten, k, d):
     twist = WeierstrassCurve.from_short(d**2 * A, d**3 * B)
     assert twist.j() == J.j() == j_invariant(cubic).value
     assert not q_isomorphic(twist, J)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficients, min_size=10, max_size=10),
+       st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=100),
+                min_size=9, max_size=9))
+def test_polar_coefficients_match_substitution(ten, entries):
+    """In coordinates X u + Y v + Z w, the coefficient of X^a Y^b Z^c is the
+    multinomial (3; a, b, c) times T(u^a, v^b, w^c); the generic expansion
+    `substitute_matrix` is the independent check."""
+    assume(any(ten))
+    cubic = PlaneCubic.from_coeffs(*ten)
+    u, v, w = entries[0:3], entries[3:6], entries[6:9]
+    M = [[u[i], v[i], w[i]] for i in range(3)]            # columns u, v, w
+    assume(det(M) != 0)
+    g = cubic.poly.substitute_matrix(M)
+    for a in range(4):
+        for b in range(4 - a):
+            c = 3 - a - b
+            multinomial = 6 // (math.factorial(a) * math.factorial(b) * math.factorial(c))
+            args = [u] * a + [v] * b + [w] * c
+            assert g.coefficient((a, b, c)) == multinomial * _polar(cubic.coeffs, *args)
 
 
 def test_reduction_rejects_bad_input():

@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spohncurves import (
     DomainError,
@@ -370,3 +374,130 @@ def test_four_point_line_test_matches_restriction(game):
             work = work.divide_by_linear(q3({(1, 0, 0): line[0], (0, 1, 0): line[1],
                                              (0, 0, 1): line[2]}))
     assert (hits > 0) == bool(classify_cases(game))
+
+
+# --- irrational line pairs and the sympy oracle for the decomposition ------------------
+
+def test_irrational_line_pair_gets_a_null_point_at_once():
+    """x (y^2 - 2 z^2): the conic's only rational point is its singular
+    vertex [1:0:0], so it is reported null without a search."""
+    from spohncurves.geometry import CurveComponent
+    start = time.perf_counter()
+    verdict = decompose_cubic(q3({(1, 2, 0): 1, (1, 0, 2): -2}))
+    assert time.perf_counter() - start < 0.5
+    line, conic = verdict.components
+    assert (line.kind, line.poly, line.multiplicity) == ("line", q3({(1, 0, 0): 1}), 1)
+    assert line.point == ProjPoint((0, 0, 1))
+    assert (conic.kind, conic.poly, conic.point) == (
+        "conic", q3({(0, 2, 0): 1, (0, 0, 2): -2}), None)
+    with pytest.raises(DomainError):
+        smooth_rational_point(CurveComponent("conic", conic.poly))
+
+
+# the coordinate points e_k a factor passes through: a line through e_k has
+# coefficient k zero (at most two of them), a quadric its x_k^2 coefficient
+_LINE_ZEROS = [set(z) for r in range(3) for z in itertools.combinations(range(3), r)]
+_QUADRIC_ZEROS = _LINE_ZEROS + [{0, 1, 2}]
+_SHAPES = [  # (factor degrees, multiplicities, zero-set choices covering e_0, e_1, e_2)
+    ((1, 2), (1, 1), itertools.product(_LINE_ZEROS, _QUADRIC_ZEROS)),
+    ((1, 1), (1, 2), itertools.product(_LINE_ZEROS, repeat=2)),
+    ((1, 1, 1), (1, 1, 1), itertools.product(_LINE_ZEROS, repeat=3)),
+]
+_SHAPES = [(degrees, mults, [zs for zs in choices if set().union(*zs) == {0, 1, 2}])
+           for degrees, mults, choices in _SHAPES]
+
+
+def _mono(*ks):
+    """The exponent of x_k1 x_k2 ..."""
+    return tuple(ks.count(i) for i in range(3))
+
+
+def _nonzero(draw):
+    return _entries(draw) or 1
+
+
+def _factor(draw, degree, zeros):
+    if degree == 1:
+        return q3({_mono(k): 0 if k in zeros else _nonzero(draw) for k in range(3)})
+    terms = {_mono(k, k): 0 if k in zeros else _nonzero(draw) for k in range(3)}
+    terms.update({_mono(i, j): _entries(draw) for i, j in ((0, 1), (0, 2), (1, 2))})
+    if not any(terms.values()):
+        terms[_mono(0, 1)] = 1
+    return q3(terms)
+
+
+@st.composite
+def split_cubics(draw):
+    """Factors (form, multiplicity) of a cubic that vanishes at each
+    coordinate point because one factor does: line x quadric,
+    line x line^2, line x line x line, or a coordinate line x a binary
+    quadric in the other two variables."""
+    shape = draw(st.integers(0, 3))
+    if shape == 3:
+        k = draw(st.integers(0, 2))
+        u, v = (i for i in range(3) if i != k)
+        binary = q3({_mono(u, u): _entries(draw), _mono(u, v): _entries(draw),
+                     _mono(v, v): _nonzero(draw)})
+        return [(q3({_mono(k): 1}), 1), (binary, 1)]
+    degrees, mults, choices = _SHAPES[shape]
+    zero_sets = draw(st.sampled_from(choices))
+    return [(_factor(draw, d, z), m) for d, m, z in zip(degrees, mults, zero_sets)]
+
+
+_SX = sympy.symbols("x y z")
+
+
+def _monic(terms):
+    """Scale a form so that its lex-largest coefficient is 1."""
+    lead = terms[max(terms)]
+    return tuple(sorted((e, c / lead) for e, c in terms.items()))
+
+
+def _sympy_factors(f):
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * _SX[0] ** e[0] * _SX[1] ** e[1] * _SX[2] ** e[2]
+               for e, c in f.terms.items())
+    _, factors = sympy.factor_list(expr, *_SX, domain="QQ")
+    out = []
+    for fac, mult in factors:
+        poly = sympy.Poly(fac, *_SX)
+        if poly.total_degree() > 0:
+            out.append((poly.total_degree(), _monic(
+                {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}), mult))
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cubics())
+@example([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 2, (0, 0, 1): 3}), 2)])  # double line
+@example([(q3({(1, 0, 0): 1}), 1), (q3({(0, 2, 0): 1, (0, 0, 2): -2}), 1)])  # irrational
+@example([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 1}), 1),                   # residual line
+          (q3({(1, 0, 0): 1, (0, 1, 0): F(-1, 2), (0, 0, 1): 10**12}), 1)])
+def test_decomposition_matches_sympy_factorization(factors):
+    """The components, with multiplicity, are sympy's factors over Q; null
+    points only on conics; every call is fast (no exhausted search)."""
+    f = q3({(0, 0, 0): 1})
+    for form, mult in factors:
+        f = f * form ** mult
+    start = time.perf_counter()
+    verdict = decompose_cubic(f)
+    assert time.perf_counter() - start < 0.5
+    expected = _sympy_factors(f)
+    irreducible = len(expected) == 1 and expected[0][0] == 3
+    assert (verdict.kind == "Irreducible") == irreducible
+    if irreducible:
+        assert verdict.components == []
+        return
+    got = []
+    for comp in verdict.components:
+        coeffs = list(comp.poly.terms.values())
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert comp.poly.terms[max(comp.poly.terms)] > 0
+        got.append((comp.poly.degree(), _monic(comp.poly.terms), comp.multiplicity))
+        if comp.point is None:
+            assert comp.kind == "conic"
+        else:
+            assert comp.poly.evaluate(comp.point.coords) == 0
+            assert any(comp.poly.gradient_at(comp.point.coords))
+    assert sorted(got) == expected

@@ -14,6 +14,7 @@ from spohncurves.polynomials import (
     is_rational_square,
     rat,
     rat_str,
+    rational_sqrt,
 )
 
 F = Fraction
@@ -58,6 +59,13 @@ def test_rational_power_tests():
     # large exact case: (123/457)^4
     assert is_rational_nth_power(F(123, 457) ** 4, 4)
     assert not is_rational_nth_power(F(123, 457) ** 4 + 1, 4)
+    assert rational_sqrt(F(9, 4)) == F(3, 2)
+    assert rational_sqrt(0) == 0
+    assert rational_sqrt(F(10**24 + 2 * 10**12 + 1, 49)) == F(10**12 + 1, 7)
+    assert rational_sqrt(F(5)) is None
+    assert rational_sqrt(F(-4)) is None
+    assert rational_sqrt(F(4, 3)) is None
+    assert rational_sqrt(F(10**24 + 1)) is None
 
 
 # --- MultiPoly ----------------------------------------------------------------
