@@ -6,9 +6,10 @@ with sorted keys to stdout.  Rationals are always fully reduced strings;
 floats appear only in the explicitly numeric reports (witness, pareto), which
 carry a "numeric": true marker.
 
-Exit codes: 0 success, 1 domain error (singular curve, degenerate input)
-or stdout closed before the output was written, 2 usage error (bad flags,
-unreadable input, malformed JSON).
+Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
+payoffs beyond the float range of a numeric report) or stdout closed
+before the output was written, 2 usage error (bad flags, unreadable input,
+malformed JSON).
 """
 
 from __future__ import annotations
@@ -268,6 +269,10 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # exact input whose numeric report (witness, pareto) leaves the float range
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

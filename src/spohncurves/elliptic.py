@@ -73,15 +73,18 @@ class QuadricPair:
     def from_json(cls, data) -> "QuadricPair":
         """Accepts {"P1": poly, "P2": poly, "point": [...]} with polys in the
         sparse-term format, or {"A": 4x4, "B": 4x4, "point": [...]} giving
-        the quadrics as v^T A v and v^T B v."""
-        if "A" in data and "B" in data:
-            return cls(_poly_from_matrix(data["A"]), _poly_from_matrix(data["B"]),
-                       [rat(c) for c in data["point"]])
-        if "P1" in data and "P2" in data:
-            return cls(MultiPoly.from_json(data["P1"]),
-                       MultiPoly.from_json(data["P2"]),
-                       [rat(c) for c in data["point"]])
-        raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point")
+        the quadrics as v^T A v and v^T B v.  Raises ValueError on any
+        other shape."""
+        try:
+            if "A" in data and "B" in data:
+                P1, P2 = _poly_from_matrix(data["A"]), _poly_from_matrix(data["B"])
+            else:
+                P1, P2 = MultiPoly.from_json(data["P1"]), MultiPoly.from_json(data["P2"])
+            point = [rat(c) for c in data["point"]]
+        except (TypeError, KeyError) as exc:
+            raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point: "
+                             f"{exc!r}") from None
+        return cls(P1, P2, point)
 
     def to_json(self) -> dict:
         return {"P1": self.P1.to_json(), "P2": self.P2.to_json(),

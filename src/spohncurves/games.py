@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .polynomials import DomainError, det, rat, rat_str
@@ -645,101 +646,154 @@ def cooperation_witness(game: PayoffTables, tol=_WITNESS_TOL) -> WitnessReport:
 # Pareto sweep along the Spohn curve (numeric)
 # ---------------------------------------------------------------------------
 
+def _unit_spread(table):
+    """(T - t11) / max|T - t11| in exact rationals: the shift and positive
+    scale that leave the Spohn curve alone bring the entries into [-1, 1].
+    A table with zero spread is returned as it is."""
+    t11 = table[0][0]
+    shifted = [[x - t11 for x in row] for row in table]
+    spread = max(abs(x) for row in shifted for x in row)
+    if spread == 0:
+        return table
+    return [[x / spread for x in row] for row in shifted]
+
+
+def _residuals_and_jacobian(a, b, p):
+    """The sampler's residuals (det M1, det M2, sum - 1) at the float point
+    p, and their exact 3x4 Jacobian; a and b hold the tables row by row.
+
+    Both determinants are quadrics, det M1 = s (a21 p21 + a22 p22)
+    - (a11 p11 + a12 p12) t with s = p11 + p12, t = p21 + p22, so each
+    partial derivative is one linear form (det M2 likewise by columns).
+    """
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    p11, p12, p21, p22 = p
+    s1, t1 = p11 + p12, p21 + p22
+    l1, m1 = a21 * p21 + a22 * p22, a11 * p11 + a12 * p12
+    s2, t2 = p11 + p21, p12 + p22
+    l2, m2 = b12 * p12 + b22 * p22, b11 * p11 + b21 * p21
+    F = (s1 * l1 - m1 * t1, s2 * l2 - m2 * t2, p11 + p12 + p21 + p22 - 1.0)
+    J = ((l1 - a11 * t1, l1 - a12 * t1, a21 * s1 - m1, a22 * s1 - m1),
+         (l2 - b11 * t2, b12 * s2 - m2, l2 - b21 * t2, b22 * s2 - m2),
+         (1.0, 1.0, 1.0, 1.0))
+    return F, J
+
+
+def _min_norm_step(J, F):
+    """J^T (J J^T)^-1 F, the least-norm solution of J step = F for a 3x4 J
+    of rank 3 (what a least-squares solver returns), with the symmetric 3x3
+    system solved by cofactors; None if det(J J^T) = 0."""
+    r1, r2, r3 = J
+    g11, g12, g13 = sum(map(mul, r1, r1)), sum(map(mul, r1, r2)), sum(map(mul, r1, r3))
+    g22, g23, g33 = sum(map(mul, r2, r2)), sum(map(mul, r2, r3)), sum(map(mul, r3, r3))
+    c11, c12, c13 = g22 * g33 - g23 * g23, g13 * g23 - g12 * g33, g12 * g23 - g13 * g22
+    det = g11 * c11 + g12 * c12 + g13 * c13
+    if det == 0.0:
+        return None
+    c22, c23, c33 = g11 * g33 - g13 * g13, g12 * g13 - g11 * g23, g11 * g22 - g12 * g12
+    f1, f2, f3 = F
+    w1 = (c11 * f1 + c12 * f2 + c13 * f3) / det
+    w2 = (c12 * f1 + c22 * f2 + c23 * f3) / det
+    w3 = (c13 * f1 + c23 * f2 + c33 * f3) / det
+    return [w1 * x + w2 * y + w3 * z for x, y, z in zip(r1, r2, r3)]
+
+
 def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
                         simplex_only: bool = True) -> list:
     """Sample float points on the Spohn curve of a generic game.
 
-    Draws `count` random lines through the (p11, p12, p21) face coordinates,
-    intersects each with the plane cubic of the game (the image of the curve
-    under dropping p22), lifts back to p22 through the first determinant,
-    normalizes the sum to 1 and polishes with Gauss-Newton until both
-    determinant residuals are ~1e-14.  Returns 4-lists of floats; with
-    simplex_only, points must be strictly inside the simplex.
+    Each table T is first mapped to (T - t11)/max|T - t11| in exact
+    rationals (shift and positive scale move neither determinant's zero
+    set), so the tolerances below mean the same for every rescaling of a
+    game.  Draws `count` random lines through the (p11, p12, p21) face
+    coordinates, intersects each with the plane cubic of the game (the
+    image of the curve under dropping p22; the roots of all lines come from
+    one batched eigenvalue call on their companion matrices), lifts back to
+    p22 through the first determinant, normalizes the sum to 1 and polishes
+    with at most 12 Gauss-Newton steps, each the least-norm step
+    J^T (J J^T)^-1 F with the analytic Jacobian of the two quadric
+    residuals and the sum, until all three residuals are below 1e-14.
+    A point is kept when its determinant residuals are at most 1e-8 and its
+    sum is within 1e-10 of 1.  Returns 4-lists of floats; with simplex_only,
+    points must be strictly inside the simplex.
     """
     import numpy as np
     from . import geometry
 
-    cub = geometry.build_cubic(game)
-    cvec = [float(c) for c in cub.c]
-    a = [[float(x) for x in row] for row in game.A]
-    b = [[float(x) for x in row] for row in game.B]
-    exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
+    A, B = _unit_spread(game.A), _unit_spread(game.B)
+    a = [float(x) for row in A for x in row]
+    b = [float(x) for row in B for x in row]
+    cvec = [float(c) for c in geometry.build_cubic(PayoffTables(A, B)).c]
 
-    def l1_m1(x, y, z):
-        l1 = (a[1][1] - a[0][0]) * x + (a[1][1] - a[0][1]) * y
-        m1 = z * ((a[1][0] - a[0][0]) * x + (a[1][0] - a[0][1]) * y)
-        return l1, m1
+    # lines (1 - s) u + s v; ends[n] holds u and v of line n
+    ends = np.random.default_rng(seed).random((max(count, 0), 2, 3)) + 1e-3
+    ends /= ends.sum(axis=2, keepdims=True)
+    u, v = ends[:, 0], ends[:, 1]
+    du = v - u
+    # the cubic restricted to u + s du, highest power of s first: the
+    # monomial x_i x_j x_k is the product of three linear forms a s + b
+    coeffs = np.zeros((len(ends), 4))
+    for e, c in zip(geometry._CUBIC_EXPS, cvec):
+        if c == 0.0:
+            continue
+        i, j, k = (n for n in range(3) for _ in range(e[n]))
+        a1, a2, a3, b1, b2, b3 = du[:, i], du[:, j], du[:, k], u[:, i], u[:, j], u[:, k]
+        a12, ab12, b12 = a1 * a2, a1 * b2 + b1 * a2, b1 * b2
+        coeffs[:, 0] += c * (a12 * a3)
+        coeffs[:, 1] += c * (a12 * b3 + ab12 * a3)
+        coeffs[:, 2] += c * (ab12 * b3 + b12 * a3)
+        coeffs[:, 3] += c * (b12 * b3)
+    # roots of every line whose leading coefficient exceeds 1e-14 from one
+    # eigenvalue call on the stacked companion matrices (as np.roots builds
+    # them); a line of lower degree keeps its own np.roots call
+    big = np.abs(coeffs) > 1e-14
+    lead = big.argmax(axis=1)
+    roots = [[] for _ in range(len(ends))]
+    cubic = np.flatnonzero(big[:, 0])
+    companion = np.zeros((len(cubic), 3, 3))
+    companion[:, 0] = -coeffs[cubic, 1:] / coeffs[cubic, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    for n, r in zip(cubic.tolist(), np.linalg.eigvals(companion).tolist()):
+        roots[n] = r
+    for n in np.flatnonzero((lead == 1) | (lead == 2)).tolist():
+        roots[n] = np.roots(coeffs[n, lead[n]:]).tolist()
 
-    def residuals(p):
-        d1 = (p[0] + p[1]) * (a[1][0] * p[2] + a[1][1] * p[3]) \
-            - (a[0][0] * p[0] + a[0][1] * p[1]) * (p[2] + p[3])
-        d2 = (p[0] + p[2]) * (b[0][1] * p[1] + b[1][1] * p[3]) \
-            - (b[0][0] * p[0] + b[1][0] * p[2]) * (p[1] + p[3])
-        return np.array([d1, d2, p.sum() - 1.0])
-
-    def jacobian(p):
-        eps = 1e-7
-        J = np.zeros((3, 4))
-        base = residuals(p)
-        for k in range(4):
-            q = p.copy()
-            q[k] += eps
-            J[:, k] = (residuals(q) - base) / eps
-        return J
-
-    rng = np.random.default_rng(seed)
+    a11, a12, a21, a22 = a
     found = []
     seen = set()
-    for _ in range(count):
-        u = rng.random(3) + 1e-3
-        v = rng.random(3) + 1e-3
-        u /= u.sum()
-        v /= v.sum()
-        # restrict the cubic to the affine line (1-s) u + s v
-        coeffs = np.zeros(4)
-        du = v - u
-        for (e, c) in zip(exps, cvec):
-            if c == 0.0:
-                continue
-            poly = np.array([1.0])
-            for k in range(3):
-                for _ in range(e[k]):
-                    poly = np.convolve(poly, np.array([du[k], u[k]]))
-            coeffs[4 - len(poly):] += c * poly
-        if not np.any(np.abs(coeffs) > 1e-14):
-            continue
-        lead = np.argmax(np.abs(coeffs) > 1e-14)
-        roots = np.roots(coeffs[lead:]) if lead < 3 else []
-        for s in roots:
+    for line_roots, (u1, u2, u3), (v1, v2, v3) in zip(roots, u.tolist(), v.tolist()):
+        for s in line_roots:
             if abs(s.imag) > 1e-9:
                 continue
             s = s.real
-            x, y, z = (1 - s) * u + s * v
-            l1, m1 = l1_m1(x, y, z)
+            x, y, z = (1 - s) * u1 + s * v1, (1 - s) * u2 + s * v2, (1 - s) * u3 + s * v3
+            l1 = (a22 - a11) * x + (a22 - a12) * y
             if abs(l1) < 1e-9:
                 continue
-            t = -m1 / l1
-            p = np.array([x, y, z, t])
-            tot = p.sum()
+            t = -(z * ((a21 - a11) * x + (a21 - a12) * y)) / l1
+            tot = x + y + z + t
             if abs(tot) < 1e-9:
                 continue
-            p /= tot
+            p = [x / tot, y / tot, z / tot, t / tot]
+            F, J = _residuals_and_jacobian(a, b, p)
             for _ in range(12):
-                F = residuals(p)
-                if np.max(np.abs(F)) < 1e-14:
+                if max(map(abs, F)) < 1e-14:
                     break
-                step, *_ = np.linalg.lstsq(jacobian(p), F, rcond=None)
-                p = p - step
-            F = residuals(p)
-            if np.max(np.abs(F[:2])) > 1e-8 or abs(F[2]) > 1e-10:
+                step = _min_norm_step(J, F)
+                if step is None:
+                    break
+                p = [pk - sk for pk, sk in zip(p, step)]
+                F, J = _residuals_and_jacobian(a, b, p)
+            if not (abs(F[0]) <= 1e-8 and abs(F[1]) <= 1e-8 and abs(F[2]) <= 1e-10):
                 continue
-            if simplex_only and (np.any(p <= 1e-9) or np.any(p >= 1 - 1e-9)):
+            if simplex_only and not all(1e-9 < x < 1 - 1e-9 for x in p):
                 continue
-            key = tuple(np.round(p, 9))
+            key = tuple(round(x * 1e9) / 1e9 for x in p)  # numpy.round(p, 9)
             if key in seen:
                 continue
             seen.add(key)
-            found.append([float(x) for x in p])
+            found.append(p)
     return found
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spohncurves import cli
 from caselib import game_for_case
@@ -234,6 +236,143 @@ def test_de_check_rejects_non_distribution(capsys):
     _, err = run_ok(capsys, ["de-check", "--game", PD,
                              "--point", "1,1,1,1"], code=2)
     assert "usage error" in err
+
+
+# --- fuzzed argv: every input ends in exit 0, 1 or 2 ------------------------------------
+
+_VALID = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10**12, 10**12),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-5000, 5000)),
+    st.sampled_from(["1.25", "-0", " 3 "]))
+_BAD = st.one_of(
+    st.sampled_from(["nan", "-inf", "1/0", "0/0", "", "abc", "1,2", "1e", "--1"]),
+    st.floats(), st.none(), st.booleans(), st.just([]), st.just([[1]]), st.just({}))
+
+
+@st.composite
+def _spoiled(draw, value):
+    """value, or (one time in four) value with one entry, row, table or key
+    replaced by junk or deleted."""
+    if draw(st.integers(0, 3)):
+        return value
+    path, node = [], value
+    while isinstance(node, (list, dict)) and node and draw(st.booleans()):
+        path.append(draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                         else range(len(node)))))
+        node = node[path[-1]]
+    junk = draw(st.one_of(_BAD, st.lists(_VALID, max_size=3)))
+    if not path:
+        return junk
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return value
+
+
+def _square(n):
+    return st.lists(st.lists(_VALID, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _json_text(values):
+    return values.map(json.dumps).flatmap(
+        lambda text: st.sampled_from([text] * 6 + [text[:-1], f"[{text}]", "null"]))
+
+
+_GAME = _json_text(st.builds(lambda A, B: {"A": A, "B": B}, _square(2), _square(2))
+                   .flatmap(_spoiled))
+_PAIR = _json_text(st.one_of(
+    st.builds(lambda A, B, p: {"A": A, "B": B, "point": p}, _square(4), _square(4),
+              st.lists(_VALID, min_size=4, max_size=4)),
+    st.builds(lambda c: {"P1": {"vars": ["x", "y", "z", "t"],
+                                "terms": [{"exp": [2, 0, 0, 0], "coef": "1"}]},
+                         "P2": {"vars": ["x"], "terms": [{"exp": [1], "coef": c}]},
+                         "point": [0, 1, 0, 0]}, _VALID),
+).flatmap(_spoiled))
+_TOKEN = st.one_of(*[_VALID] * 6, _BAD).map(str)
+_CELL = st.one_of(*[st.builds("{},{}".format, _TOKEN, _TOKEN)] * 6, _TOKEN)
+_SIZE = st.sampled_from([2] * 6 + [0, 1, 3])
+_BIMATRIX = _SIZE.flatmap(lambda n: st.lists(
+    _SIZE.flatmap(lambda m: st.lists(_CELL, min_size=m, max_size=m)),
+    min_size=n, max_size=n)).map(lambda rows: "; ".join(" ".join(r) for r in rows))
+# --grid stays <= 50 so a sweep costs milliseconds
+_COUNT = st.one_of(*[st.integers(1, 50).map(str)] * 4, st.integers(-3, 0).map(str),
+                   st.sampled_from(["", "x", "1.5", "1e3", "nan"]))
+
+
+def _csv(n):
+    """n comma-separated rationals, or the wrong number, or junk among them."""
+    return st.one_of(*[st.lists(_VALID, min_size=n, max_size=n)] * 4,
+                     st.lists(_VALID, max_size=n + 2),
+                     st.lists(st.one_of(_VALID, _BAD), min_size=n, max_size=n)
+                     ).map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["cubic", "classify", "decompose", "j", "nash", "equiv",
+                                "reduce", "konstanz", "de-check", "witness", "pareto",
+                                "approx"]))
+    argv = [cmd]
+    if cmd not in ("reduce", "approx"):
+        argv += draw(st.one_of(st.tuples(st.just("--game"), _GAME),
+                               st.tuples(st.just("--bimatrix"), _BIMATRIX)))
+    if cmd == "equiv":
+        argv += ["--game2", draw(_GAME)]
+    elif cmd == "reduce":
+        argv += ["--pair", draw(_PAIR)]
+        if draw(st.booleans()):
+            argv += ["--point", draw(_csv(3))]
+    elif cmd == "konstanz":
+        argv += ["--payoffs", draw(_csv(2))]
+    elif cmd == "de-check":
+        argv += ["--point", draw(_csv(4))]
+    elif cmd == "witness":
+        if draw(st.booleans()):
+            argv += ["--ne", draw(st.one_of(_csv(2), st.sampled_from(["0,0", "1,1", "0,1"])))]
+        if draw(st.booleans()):
+            argv.append("--cooperation")
+    elif cmd == "pareto":
+        argv += ["--grid", draw(_COUNT), "--seed", draw(_COUNT)]
+    elif cmd == "approx":
+        argv += ["--value", str(draw(st.one_of(_VALID, _BAD))),
+                 "--convergents", draw(_COUNT)]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    return argv
+
+
+_HUGE = '{"A": [["1e400", "-1e400"], ["-1e400", "1e400"]], "B": [[-1, 1], [1, -1]]}'
+
+
+@settings(max_examples=250, deadline=None)
+@given(_argv())
+@example(["reduce", "--pair", '{"A": null, "B": null, "point": [1, 0, 0, 0]}'])
+@example(["reduce", "--pair", '{"P1": 5, "P2": {}, "point": null}'])
+@example(["reduce", "--pair", "[1, 2]"])
+@example(["witness", "--game", '{"A": [[2, 0], ["3e400", 1]], "B": [[2, 3], [0, 1]]}',
+          "--ne", "0,0"])
+@example(["pareto", "--game", _HUGE, "--grid", "20"])
+@example(["witness", "--game", PD, "--ne", "0,0,1"])
+@example(["de-check", "--game", PD, "--point", "1/0,0,0,1"])
+@example(["pareto", "--game", PD, "--grid", "-1"])
+@example(["approx", "--value", "1e5000", "--convergents", "0"])
+@example(["approx", "--value", "nan", "--convergents", "3"])
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse rejects flags and their types
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert bool(out.getvalue()) == (code == 0)  # a failed call prints nothing
 
 
 # --- payload hygiene --------------------------------------------------------------------

@@ -2,13 +2,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spohncurves import (
     DomainError,
     JointDistribution,
     MixedProfile,
     PayoffTables,
+    build_cubic,
     build_quadrics,
     conditional_payoffs,
     cooperation_witness,
@@ -23,6 +26,7 @@ from spohncurves import (
     spohn_determinants,
     totally_mixed_nash,
 )
+from spohncurves.games import _min_norm_step, _residuals_and_jacobian, _unit_spread
 from caselib import random_game
 
 F = Fraction
@@ -324,6 +328,179 @@ def test_sample_curve_points_residuals(pd):
 
 def test_sample_curve_points_deterministic(pd):
     assert sample_curve_points(pd, 12, seed=9) == sample_curve_points(pd, 12, seed=9)
+
+
+# The finite-difference / least-squares sampler that `sample_curve_points`
+# replaced, kept as an independent route: same lines and roots (one
+# np.roots call per line on coefficients expanded by np.convolve), a
+# forward-difference Jacobian and np.linalg.lstsq for each step.
+def _reference_sample_curve_points(game, count, seed=0, simplex_only=True):
+    cvec = [float(c) for c in build_cubic(game).c]
+    a = [[float(x) for x in row] for row in game.A]
+    b = [[float(x) for x in row] for row in game.B]
+    exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
+
+    def residuals(p):
+        d1 = (p[0] + p[1]) * (a[1][0] * p[2] + a[1][1] * p[3]) \
+            - (a[0][0] * p[0] + a[0][1] * p[1]) * (p[2] + p[3])
+        d2 = (p[0] + p[2]) * (b[0][1] * p[1] + b[1][1] * p[3]) \
+            - (b[0][0] * p[0] + b[1][0] * p[2]) * (p[1] + p[3])
+        return np.array([d1, d2, p.sum() - 1.0])
+
+    def jacobian(p):
+        eps = 1e-7
+        J = np.zeros((3, 4))
+        base = residuals(p)
+        for k in range(4):
+            q = p.copy()
+            q[k] += eps
+            J[:, k] = (residuals(q) - base) / eps
+        return J
+
+    rng = np.random.default_rng(seed)
+    found, seen = [], set()
+    for _ in range(count):
+        u = rng.random(3) + 1e-3
+        v = rng.random(3) + 1e-3
+        u /= u.sum()
+        v /= v.sum()
+        coeffs = np.zeros(4)
+        du = v - u
+        for e, c in zip(exps, cvec):
+            if c == 0.0:
+                continue
+            poly = np.array([1.0])
+            for k in range(3):
+                for _ in range(e[k]):
+                    poly = np.convolve(poly, np.array([du[k], u[k]]))
+            coeffs[4 - len(poly):] += c * poly
+        if not np.any(np.abs(coeffs) > 1e-14):
+            continue
+        lead = np.argmax(np.abs(coeffs) > 1e-14)
+        for s in (np.roots(coeffs[lead:]) if lead < 3 else []):
+            if abs(s.imag) > 1e-9:
+                continue
+            x, y, z = (1 - s.real) * u + s.real * v
+            l1 = (a[1][1] - a[0][0]) * x + (a[1][1] - a[0][1]) * y
+            if abs(l1) < 1e-9:
+                continue
+            p = np.array([x, y, z, -z * ((a[1][0] - a[0][0]) * x + (a[1][0] - a[0][1]) * y) / l1])
+            tot = p.sum()
+            if abs(tot) < 1e-9:
+                continue
+            p /= tot
+            for _ in range(12):
+                F_ = residuals(p)
+                if np.max(np.abs(F_)) < 1e-14:
+                    break
+                step, *_ = np.linalg.lstsq(jacobian(p), F_, rcond=None)
+                p = p - step
+            F_ = residuals(p)
+            if np.max(np.abs(F_[:2])) > 1e-8 or abs(F_[2]) > 1e-10:
+                continue
+            if simplex_only and (np.any(p <= 1e-9) or np.any(p >= 1 - 1e-9)):
+                continue
+            key = tuple(np.round(p, 9))
+            if key not in seen:
+                seen.add(key)
+                found.append([float(x) for x in p])
+    return found
+
+
+def _fraction_game(rng):
+    e = lambda: F(rng.randint(-60, 60), rng.randint(1, 12))
+    return PayoffTables([[e(), e()], [e(), e()]], [[e(), e()], [e(), e()]])
+
+
+def test_sample_curve_points_matches_finite_difference_reference():
+    rng = random.Random(2024)
+    pool = [random_game(rng) for _ in range(25)] + [_fraction_game(rng) for _ in range(15)]
+    total = 0
+    for g in pool:
+        unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
+        for seed in (0, 1, 5):
+            for simplex_only in (True, False):
+                new = sample_curve_points(g, 20, seed=seed, simplex_only=simplex_only)
+                old = _reference_sample_curve_points(unit, 20, seed=seed,
+                                                     simplex_only=simplex_only)
+                assert len(new) == len(old), (g, seed, simplex_only)
+                for p, q in zip(new, old):
+                    assert max(abs(x - y) for x, y in zip(p, q)) < 1e-9, (g, seed, p, q)
+                total += len(new)
+    assert total > 1000
+
+
+_UNIT = st.floats(-2, 2, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_UNIT, min_size=12, max_size=12))
+def test_sampler_jacobian_matches_central_difference(xs):
+    a, b, p = xs[:4], xs[4:8], xs[8:]
+    F0, J = _residuals_and_jacobian(a, b, p)
+    assert len(F0) == 3 and len(J) == 3 and all(len(row) == 4 for row in J)
+    game = PayoffTables([[F(x) for x in a[:2]], [F(x) for x in a[2:]]],
+                        [[F(x) for x in b[:2]], [F(x) for x in b[2:]]])
+    d1, d2 = spohn_determinants(game, [F(x) for x in p])
+    assert abs(F0[0] - float(d1)) < 1e-12 and abs(F0[1] - float(d2)) < 1e-12
+    h = 1e-5
+    for k in range(4):
+        up = [x + h if i == k else x for i, x in enumerate(p)]
+        down = [x - h if i == k else x for i, x in enumerate(p)]
+        Fu, _ = _residuals_and_jacobian(a, b, up)
+        Fd, _ = _residuals_and_jacobian(a, b, down)
+        for r in range(3):
+            # the residuals are quadrics, so the central difference is exact
+            # up to rounding (~1e-16 / h)
+            assert abs((Fu[r] - Fd[r]) / (2 * h) - J[r][k]) < 1e-8, (r, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=11, max_size=11))
+def test_min_norm_step_is_the_least_squares_solution(xs):
+    J = (xs[0:4], xs[4:8], (1.0, 1.0, 1.0, 1.0))
+    F_ = xs[8:11]
+    Jm = np.array(J)
+    assume(np.linalg.cond(Jm @ Jm.T) < 1e8)
+    step = _min_norm_step(J, F_)
+    expected, *_ = np.linalg.lstsq(Jm, np.array(F_), rcond=None)
+    assert np.allclose(step, expected, rtol=1e-6, atol=1e-9)
+
+
+def test_min_norm_step_stops_on_a_singular_system():
+    assert _min_norm_step(((1.0, 2.0, 3.0, 4.0), (2.0, 4.0, 6.0, 8.0), (1.0, 1.0, 1.0, 1.0)),
+                          (1.0, 1.0, 1.0)) is None
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+_TABLES = st.lists(st.lists(_ENTRIES, min_size=2, max_size=2), min_size=2, max_size=2)
+_SCALE = st.fractions(min_value=F(1, 10**12), max_value=10**12, max_denominator=10**12)
+_SHIFT = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**12)
+
+
+def _spread(T):
+    return max(abs(x - T[0][0]) for row in T for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TABLES, _TABLES, _SCALE, _SHIFT, _SCALE, _SHIFT, st.integers(0, 3), st.integers(0, 10**6))
+@example([[2, 0], [3, 1]], [[2, 3], [0, 1]], F(10**12), 7, F(1), 0, 1, 3)
+@example([[10**12, -10**12], [-10**12 + 1, 10**12]], [[-3, 10**12], [5, -10**12]],
+         F(1, 10**12), F(-5), F(3, 7), F(10**12), 3, 11)
+def test_sample_curve_points_ignores_positive_affine_rescaling(A, B, alpha, beta, gamma,
+                                                               delta, which, seed):
+    g = PayoffTables(A, B)
+    A2 = [[alpha * x + beta for x in row] for row in g.A] if which & 1 else g.A
+    B2 = [[gamma * x + delta for x in row] for row in g.B] if which & 2 else g.B
+    pts = sample_curve_points(g, 12, seed=seed)
+    assert sample_curve_points(PayoffTables(A2, B2), 12, seed=seed) == pts
+    sa, sb = _spread(g.A) or 1, _spread(g.B) or 1
+    for p in pts:
+        d1, d2 = spohn_determinants(g, [F(x) for x in p])
+        assert abs(d1) / sa < F(1, 10**8) and abs(d2) / sb < F(1, 10**8), p
 
 
 def test_pareto_sweep_pd_finds_dominating_points(pd):
