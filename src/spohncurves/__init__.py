@@ -42,6 +42,7 @@ from .geometry import (
     SpohnQuadrics,
     build_cubic,
     build_quadrics,
+    classify,
     classify_cases,
     cubic_from_poly,
     decompose_cubic,

@@ -7,9 +7,9 @@ floats appear only in the explicitly numeric reports (witness, pareto), which
 carry a "numeric": true marker.
 
 Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
-payoffs beyond the float range of a numeric report) or stdout closed
-before the output was written, 2 usage error (bad flags, unreadable input,
-malformed JSON).
+payoffs beyond the float range of a numeric report, an exact answer longer
+than Python's int-to-string digit limit) or stdout closed before the output
+was written, 2 usage error (bad flags, unreadable input, malformed JSON).
 """
 
 from __future__ import annotations
@@ -101,9 +101,8 @@ def _cmd_cubic(args):
 
 
 def _cmd_classify(args):
-    verdict = geometry.reducibility_verdict(_load_game(args))
-    return {"kind": verdict.kind,
-            "cases": sorted(verdict.cases) if verdict.cases is not None else []}
+    kind, cases = geometry.classify(_load_game(args))
+    return {"kind": kind, "cases": sorted(cases)}
 
 
 def _cmd_decompose(args):
@@ -114,7 +113,7 @@ def _cmd_j(args):
     spohn = geometry.build_cubic(_load_game(args))
     if spohn.is_zero():
         raise DomainError("the cubic vanishes identically; j is undefined")
-    return elliptic.j_invariant(elliptic.PlaneCubic.from_poly(spohn.f)).to_json()
+    return elliptic.j_invariant(elliptic.PlaneCubic.from_spohn(spohn)).to_json()
 
 
 def _cmd_reduce(args):

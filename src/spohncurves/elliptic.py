@@ -291,6 +291,13 @@ class PlaneCubic:
             raise DomainError("expected a nonzero cubic")
         return cls(poly, tc)
 
+    @classmethod
+    def from_spohn(cls, spohn) -> "PlaneCubic":
+        """A nonzero Spohn cubic, read off its seven coefficients."""
+        c1, c2, c3, c4, c5, c6, c7 = spohn.c
+        return cls.from_coeffs(0, 0, 0, c1 / 3, c5 / 3, c4 / 3, c3 / 3, c6 / 3, c2 / 3,
+                               c7 / 6)
+
     def to_json(self) -> dict:
         return {
             "poly": self.poly.to_json(),
@@ -642,7 +649,7 @@ def game_equivalence(game1, game2) -> dict:
         if spohn.is_zero():
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
-        jres = j_invariant(PlaneCubic.from_poly(spohn.f))
+        jres = j_invariant(PlaneCubic.from_spohn(spohn))
         if jres.is_singular:
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(

@@ -19,7 +19,6 @@ from .polynomials import (
     MultiPoly,
     ProjPoint,
     cross_product,
-    det,
     primitive_vector,
     rat,
     rat_str,
@@ -125,18 +124,25 @@ class SpohnCubic:
 
     There are never pure-cube terms, so the three coordinate points always
     lie on the curve.  `game` keeps a handle on the source payoffs so the
-    reducibility verdict can evaluate the case predicates.
+    reducibility verdict can evaluate the case predicates.  The `MultiPoly`
+    `f` is built on first access: most callers only read `c`.
     """
 
-    __slots__ = ("c", "f", "game")
+    __slots__ = ("c", "_f", "game")
 
     def __init__(self, c, game=None):
         cs = tuple(rat(x) for x in c)
         if len(cs) != 7:
             raise ValueError("need exactly seven coefficients")
         self.c = cs
-        self.f = MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, cs)))
+        self._f = None
         self.game = game
+
+    @property
+    def f(self) -> MultiPoly:
+        if self._f is None:
+            self._f = MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, self.c)))
+        return self._f
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c)
@@ -149,9 +155,10 @@ class SpohnCubic:
 
 
 def build_cubic(game) -> SpohnCubic:
-    """The seven coefficients, straight from the payoff entries."""
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    """The seven coefficients, straight from the payoff entries: computed on
+    the tables scaled to integers, then divided by the two scales."""
+    la, (a11, a12, a21, a22) = _integer_table(game.A)
+    lb, (b11, b12, b21, b22) = _integer_table(game.B)
     c1 = (a11 - a22) * (b11 - b12)
     c2 = (a11 - a21) * (b22 - b11)
     c3 = (a12 - a22) * (b11 - b12)
@@ -159,7 +166,17 @@ def build_cubic(game) -> SpohnCubic:
     c5 = (a12 - a22) * (b21 - b12)
     c6 = (a12 - a21) * (b22 - b21)
     c7 = (a12 - a21) * (b22 - b11) + (a11 - a22) * (b21 - b12)
-    return SpohnCubic((c1, c2, c3, c4, c5, c6, c7), game=game)
+    scale = la * lb
+    return SpohnCubic(tuple(Fraction(x, scale) for x in (c1, c2, c3, c4, c5, c6, c7)),
+                      game=game)
+
+
+def _integer_table(table) -> tuple:
+    """(lcm, entries): the lcm of a 2x2 table's denominators, and its
+    entries, row by row, times that lcm."""
+    (p, q), (r, s) = table
+    lcm = math.lcm(p.denominator, q.denominator, r.denominator, s.denominator)
+    return lcm, tuple(x.numerator * (lcm // x.denominator) for x in (p, q, r, s))
 
 
 def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
@@ -210,13 +227,13 @@ def zero_cubic_classify(game) -> int | None:
 def classify_cases(game) -> frozenset:
     """Evaluate the twelve case predicates exactly; return every match.
 
-    Cases 1-8 are entry equalities; cases 9-12 each require three bilinear
-    equations to vanish simultaneously.  A nonzero cubic acquires a linear
-    component iff at least one case holds (and conversely), which the
-    decomposition route verifies independently.
+    Cases 1-8 are entry equalities inside one table; cases 9-12 each require
+    three bilinear equations in (A, B) to vanish simultaneously.  So they
+    run on each table scaled to integers.  By the paper's theorem a nonzero
+    cubic has a linear component iff at least one case holds (`classify`).
     """
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    a11, a12, a21, a22 = _integer_table(game.A)[1]
+    b11, b12, b21, b22 = _integer_table(game.B)[1]
     cases = set()
     if a11 == a12:
         cases.add(1)
@@ -254,6 +271,19 @@ def classify_cases(game) -> frozenset:
     return frozenset(cases)
 
 
+def classify(game) -> tuple:
+    """(kind, cases) by the paper's twelve-case theorem, with no search.
+
+    kind is "ZeroCubic" if the cubic vanishes, else "Reducible" iff some
+    case holds (a reducible plane cubic always has a linear factor), else
+    "Irreducible"; cases is `classify_cases(game)`.
+    """
+    cases = classify_cases(game)
+    if build_cubic(game).is_zero():
+        return "ZeroCubic", cases
+    return ("Reducible" if cases else "Irreducible"), cases
+
+
 # ---------------------------------------------------------------------------
 # decomposition into components
 # ---------------------------------------------------------------------------
@@ -263,8 +293,9 @@ class CurveComponent:
 
     kind is "line" or "conic"; `poly` is primitive (integer coefficients,
     content 1, first nonzero coefficient positive); `multiplicity` counts
-    repeated factors; `point` is a smooth rational point of the component
-    (None only if the bounded search failed, which is reported, not hidden).
+    repeated factors; `point` is a smooth rational point of the component,
+    or None if it has none (a pair of conjugate irrational lines, whose only
+    rational point is singular).
     """
 
     __slots__ = ("kind", "poly", "multiplicity", "point")
@@ -292,18 +323,17 @@ class ReducibilityVerdict:
     """Full reducibility report for a game's cubic.
 
     kind: "ZeroCubic" | "Irreducible" | "Reducible".
-    scalar * product(components^multiplicity) == f exactly (verified at
-    construction for reducible verdicts).
+    scalar * product(components^multiplicity) == f exactly (checked by
+    `decompose_cubic` for reducible verdicts).
     """
 
     def __init__(self, kind, cases=None, components=(), scalar=Fraction(1),
-                 zero_condition=None, cubic=None):
+                 zero_condition=None):
         self.kind = kind
         self.cases = cases
         self.components = list(components)
         self.scalar = scalar
         self.zero_condition = zero_condition
-        self.cubic = cubic
 
     def to_json(self) -> dict:
         return {
@@ -315,28 +345,13 @@ class ReducibilityVerdict:
         }
 
 
-def _primitive_poly(p: MultiPoly) -> tuple:
-    """Scale to integer coefficients, content 1, first (lex-max) coeff > 0.
-
-    Returns (primitive poly, scalar) with poly * scalar == p.
-    """
-    if p.is_zero():
-        return p, Fraction(1)
-    exps = sorted(p.terms, reverse=True)
-    ints = primitive_vector([p.terms[e] for e in exps])
-    return MultiPoly(p.vars, dict(zip(exps, ints))), p.terms[exps[0]] / ints[0]
-
-
-def _linear_form(v) -> MultiPoly:
-    """The linear form v[0] x + v[1] y + v[2] z."""
-    return MultiPoly(VARS3, {(1, 0, 0): v[0], (0, 1, 0): v[1], (0, 0, 1): v[2]})
-
-
-def _integer_terms(p: MultiPoly) -> list:
-    """p's terms as (exponent, int) pairs: p scaled by the lcm of its
-    coefficient denominators, which has the same zeros."""
-    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
-    return [(e, c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
+# A ternary form of degree d is an integer vector over _MONOS[d], the
+# monomials in lex-descending order: 10 entries for a cubic, 6 for a conic,
+# 3 for a line (_MONOS[1] are also the unit vectors), 1 for a constant.
+_MONOS = tuple(tuple((i, j, d - i - j) for i in range(d, -1, -1)
+                     for j in range(d - i, -1, -1)) for d in range(4))
+_INDEX = tuple({e: n for n, e in enumerate(monos)} for monos in _MONOS)
+_DEGREE = {len(monos): d for d, monos in enumerate(_MONOS)}
 
 
 def _vanishes_on_line(terms, line) -> bool:
@@ -361,6 +376,37 @@ def _vanishes_on_line(terms, line) -> bool:
         if sum(k * x ** e[0] * y ** e[1] * z ** e[2] for e, k in terms):
             return False
     return True
+
+
+def _divide_by_line(form, line) -> list:
+    """The quotient of an integer form by a primitive integer line that
+    divides it, by long division in lex order: each step clears the
+    remainder's leading term with a multiple of the line's leading term,
+    that of x_k.  By Gauss's lemma the quotient has integer coefficients;
+    `decompose_cubic` checks the final product."""
+    d = _DEGREE[len(form)]
+    k = next(i for i in range(3) if line[i])
+    rem, quotient = list(form), [0] * len(_MONOS[d - 1])
+    for n, e in enumerate(_MONOS[d]):
+        if rem[n]:
+            q = e[:k] + (e[k] - 1,) + e[k + 1:]
+            c = quotient[_INDEX[d - 1][q]] = rem[n] // line[k]
+            for m in range(k, 3):
+                rem[_INDEX[d][q[:m] + (q[m] + 1,) + q[m + 1:]]] -= c * line[m]
+    return quotient
+
+
+def _multiply(p, q) -> list:
+    """The product of two integer forms (convolution of their vectors)."""
+    dp, dq = _DEGREE[len(p)], _DEGREE[len(q)]
+    index = _INDEX[dp + dq]
+    out = [0] * len(index)
+    for (i, j, _), a in zip(_MONOS[dp], p):
+        if a:
+            for (k, m, _), b in zip(_MONOS[dq], q):
+                if b:
+                    out[index[i + k, j + m, dp + dq - i - j - k - m]] += a * b
+    return out
 
 
 def _candidate_lines(c) -> list:
@@ -412,104 +458,76 @@ def _candidate_lines(c) -> list:
     return lines
 
 
-def _conic_matrix(g: MultiPoly) -> list:
-    """Symmetric 3x3 matrix of a ternary quadratic form."""
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for exp, c in g.terms.items():
-        idx = [k for k in range(3) for _ in range(exp[k])]
-        i, j = idx
-        if i == j:
-            M[i][i] += c
-        else:
-            M[i][j] += c / 2
-            M[j][i] += c / 2
-    return M
+def _conic_matrix(w) -> tuple:
+    """Twice the symmetric matrix of the conic with coefficient vector w,
+    so that an integer conic keeps integer entries."""
+    xx, xy, xz, yy, yz, zz = w
+    return ((2 * xx, xy, xz), (xy, 2 * yy, yz), (xz, yz, 2 * zz))
 
 
-def _matrix_rank(M) -> int:
-    """Rank of a small rational matrix by fraction Gaussian elimination."""
-    rows = [list(r) for r in M]
-    rank, col = 0, 0
-    n, m = len(rows), len(rows[0])
-    while rank < n and col < m:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _split_conic(N):
+    """Factor a conic over Q if it is degenerate.
 
-
-def _square_root_of_binary_square(d_uu, d_uv, d_vv):
-    """If d_uu u^2 + d_uv uv + d_vv v^2 = (alpha u + beta v)^2, return
-    (alpha, beta); else None."""
-    alpha = rational_sqrt(d_uu)
-    beta = rational_sqrt(d_vv)
-    if alpha is None or beta is None:
-        return None
-    # signs: need 2*alpha*beta == d_uv
-    for s in (1, -1):
-        if 2 * alpha * s * beta == d_uv:
-            return alpha, s * beta
-    return None
-
-
-def _split_conic(g: MultiPoly):
-    """Factor a ternary conic over Q if it is degenerate.
-
-    Returns ("irreducible",) for a smooth conic, ("lines", v1, v2, ratio)
-    for a rational line pair (v1 == v2 for a double line) with v1, v2
-    primitive integer 3-vectors and g == ratio (v1 . x)(v2 . x) verified, or
+    N is a positive multiple of the conic's symmetric matrix (see
+    `_conic_matrix`).  Returns ("irreducible",) for a smooth conic,
+    ("lines", v1, v2, ratio) for a rational line pair (v1 == v2 for a double
+    line, which is when all 2x2 minors vanish) with v1, v2 primitive integer
+    3-vectors and N == ratio (v1 v2^T + v2 v1^T) verified, or
     ("irrational",) for a degenerate conic whose two conjugate lines are not
     defined over Q.
 
-    g must have a squared variable.  A degenerate d1 xy + d2 xz + d3 yz
+    The conic must have a squared variable.  A degenerate d1 xy + d2 xz + d3 yz
     (det = d1 d2 d3 / 4 = 0) is a coordinate line times a linear form, and
     `decompose_cubic` never passes one: a coordinate line divides the cubic
     iff its two coefficients vanish, and then the candidate lines list it and
     the division loop removes every copy before a residual conic is split.
     """
-    M = _conic_matrix(g)
-    if det(M) != 0:
+    minors = cross_product(N[1], N[2]), cross_product(N[0], N[2]), cross_product(N[0], N[1])
+    if sum(a * b for a, b in zip(N[0], minors[0])):  # det N = N[0] . (N[1] x N[2])
         return ("irreducible",)
-    if _matrix_rank(M) == 1:
-        i = next(k for k in range(3) if M[k][k] != 0)
-        v1 = v2 = primitive_vector(M[i])
+    k = next(k for k in range(3) if N[k][k])
+    if not any(minors[0] + minors[1] + minors[2]):
+        v1 = v2 = primitive_vector(N[k])
     else:
-        # rank 2: the quadratic formula in the first variable w = x_k that
-        # appears squared, g = alpha w^2 + w beta(u, v) + gamma(u, v)
-        k = next(k for k in range(3) if M[k][k] != 0)
-        other = [i for i in range(3) if i != k]
-        alpha = M[k][k]
-        beta = [2 * M[k][other[0]], 2 * M[k][other[1]]]
-        d_uu = beta[0] ** 2 - 4 * alpha * M[other[0]][other[0]]
-        d_uv = 2 * beta[0] * beta[1] - 8 * alpha * M[other[0]][other[1]]
-        d_vv = beta[1] ** 2 - 4 * alpha * M[other[1]][other[1]]
-        root = _square_root_of_binary_square(d_uu, d_uv, d_vv)
-        if root is None:
+        # rank 2: g = alpha w^2 + w beta(u, v) + gamma(u, v) in the first
+        # squared variable w = x_k splits over Q iff the discriminant
+        # d_uu u^2 + d_uv uv + d_vv v^2 is the square of some r_u u + r_v v
+        u, v = (i for i in range(3) if i != k)
+        alpha, beta_u, beta_v = N[k][k], 2 * N[k][u], 2 * N[k][v]
+        r_u = rational_sqrt(beta_u ** 2 - 4 * alpha * N[u][u])
+        r_v = rational_sqrt(beta_v ** 2 - 4 * alpha * N[v][v])
+        d_uv = 2 * beta_u * beta_v - 8 * alpha * N[u][v]
+        if r_u is None or r_v is None or d_uv not in (2 * r_u * r_v, -2 * r_u * r_v):
             return ("irrational",)
+        if 2 * r_u * r_v != d_uv:
+            r_v = -r_v
         pair = []
         for s in (1, -1):
-            coeffs = [Fraction(0)] * 3
-            coeffs[k] = 2 * alpha
-            coeffs[other[0]] = beta[0] - s * root[0]
-            coeffs[other[1]] = beta[1] - s * root[1]
-            pair.append(primitive_vector(coeffs))
+            line = [0] * 3
+            line[k], line[u], line[v] = 2 * alpha, beta_u - s * r_u, beta_v - s * r_v
+            pair.append(primitive_vector(line))
         v1, v2 = pair
-    # g == ratio (v1 . x)(v2 . x) iff M == ratio (v1 v2^T + v2 v1^T) / 2
-    prod = [[Fraction(v1[i] * v2[j] + v1[j] * v2[i], 2) for j in range(3)]
-            for i in range(3)]
+    prod = [[v1[i] * v2[j] + v1[j] * v2[i] for j in range(3)] for i in range(3)]
     i, j = next((i, j) for i in range(3) for j in range(3) if prod[i][j])
-    ratio = M[i][j] / prod[i][j]
-    if any(M[i][j] != ratio * prod[i][j] for i in range(3) for j in range(3)):
+    if any(N[a][b] * prod[i][j] != N[i][j] * prod[a][b]
+           for a in range(3) for b in range(3)):
         raise AssertionError("conic split verification failed")
-    return ("lines", v1, v2, ratio)
+    return ("lines", v1, v2, Fraction(N[i][j], prod[i][j]))
+
+
+def _line_point(v) -> ProjPoint:
+    """A rational point of the line v: v crossed with a coordinate vector."""
+    return next(ProjPoint(p) for p in (cross_product(v, e) for e in _MONOS[1]) if any(p))
+
+
+def _coordinate_point(N):
+    """The first coordinate point, in the order [0:1:0], [1:0:0], [0:0:1],
+    on the conic with matrix N (a zero diagonal entry) and smooth on it (a
+    nonzero row, the gradient there); None if there is none."""
+    for k in (1, 0, 2):
+        if N[k][k] == 0 and any(N[k]):
+            return ProjPoint(_MONOS[1][k])
+    return None
 
 
 def smooth_rational_point(component: CurveComponent) -> ProjPoint:
@@ -524,79 +542,40 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
     """
     g = component.poly
     if component.kind == "line":
-        coeffs = [g.coefficient(tuple(1 if i == k else 0 for i in range(3)))
-                  for k in range(3)]
-        for k in range(3):
-            e = [Fraction(0)] * 3
-            e[k] = Fraction(1)
-            v = cross_product(coeffs, e)
-            if any(x != 0 for x in v):
-                return ProjPoint(v)
-        raise AssertionError("zero line")  # pragma: no cover
+        return _line_point([g.coefficient(e) for e in _MONOS[1]])
 
-    # conic: coordinate points in the fixed candidate order
-    for coords in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
-        if g.evaluate(coords) == 0:
-            grad = g.gradient_at(coords)
-            if any(x != 0 for x in grad):
-                return ProjPoint(coords)
+    N = _conic_matrix([g.coefficient(e) for e in _MONOS[2]])
+    point = _coordinate_point(N)
+    if point is not None:
+        return point
 
     # a degenerate conic with irrational lines has one rational point, the
     # lines' intersection, and it is singular
-    if _split_conic(g)[0] == "irrational":
+    if _split_conic(N)[0] == "irrational":
         raise DomainError("the conic is a pair of conjugate irrational lines: "
                           "its only rational point is singular")
 
-    # bounded slice search: fix two coordinates at small heights, solve the
-    # remaining quadratic exactly
-    def try_point(coords):
-        if g.evaluate(coords) != 0:
-            return None
-        grad = g.gradient_at(coords)
-        if all(x == 0 for x in grad):
-            return None
-        return ProjPoint(coords)
-
-    for solve_var in range(3):
-        keep = [i for i in range(3) if i != solve_var]
+    # bounded slice search: fix x_i = h1 and x_j = h2 at heights <= 100 and
+    # solve x^T N x = a w^2 + 2 b w + c = 0 for w = x_s exactly; N x is the
+    # gradient there, up to a factor
+    for s in range(3):
+        i, j = (k for k in range(3) if k != s)
         for h1 in range(0, 101):
             for h2 in range(1, 101):
-                for s1 in ((1, -1) if h1 else (1,)):
-                    vals = {keep[0]: Fraction(s1 * h1), keep[1]: Fraction(h2)}
-                    # g restricted: quadratic alpha w^2 + beta w + gamma
-                    alpha = Fraction(0)
-                    beta = Fraction(0)
-                    gamma = Fraction(0)
-                    for exp, c in g.terms.items():
-                        w = exp[solve_var]
-                        term = c
-                        for i in keep:
-                            term *= vals[i] ** exp[i]
-                        if w == 2:
-                            alpha += term
-                        elif w == 1:
-                            beta += term
-                        else:
-                            gamma += term
-                    sols = []
-                    if alpha == 0:
-                        if beta != 0:
-                            sols.append(-gamma / beta)
+                for hi in ((h1, -h1) if h1 else (0,)):
+                    a = N[s][s]
+                    b = N[s][i] * hi + N[s][j] * h2
+                    c = N[i][i] * hi * hi + 2 * N[i][j] * hi * h2 + N[j][j] * h2 * h2
+                    if a == 0:
+                        roots = [-c / (2 * b)] if b else []
                     else:
-                        root = rational_sqrt(beta ** 2 - 4 * alpha * gamma)
-                        if root is not None:
-                            sols.extend([(-beta + root) / (2 * alpha),
-                                         (-beta - root) / (2 * alpha)])
-                    for w in sols:
-                        coords = [Fraction(0)] * 3
-                        coords[solve_var] = w
-                        coords[keep[0]] = vals[keep[0]]
-                        coords[keep[1]] = vals[keep[1]]
-                        if all(x == 0 for x in coords):
-                            continue
-                        pt = try_point(tuple(coords))
-                        if pt is not None:
-                            return pt
+                        r = rational_sqrt(b * b - a * c)
+                        roots = [] if r is None else [(-b + r) / a, (-b - r) / a]
+                    for w in roots:
+                        x = [Fraction(0)] * 3
+                        x[s], x[i], x[j] = w, Fraction(hi), Fraction(h2)
+                        if any(sum(N[m][n] * x[n] for n in range(3)) for m in range(3)):
+                            return ProjPoint(x)
     raise DomainError("no smooth rational point found on the conic within "
                       "the height-100 search budget")
 
@@ -605,24 +584,24 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
 
-    A candidate line divides the residual iff the residual vanishes on it.
-    That is decided on the residual's coefficients scaled to integers, by
-    evaluating at four distinct points of the line: a nonzero binary form of
-    degree <= 3 has at most 3 roots on P^1, so four zeros are a proof, and
-    `divide_by_linear` then multiplies its quotient back as a second check.
+    The cubic, scaled by the lcm of its denominators, is an integer vector,
+    the residual.  A candidate line divides the residual iff the residual
+    vanishes on it (`_vanishes_on_line`), and synthetic division then
+    replaces the residual by the quotient: 10 -> 6 -> 3 coefficients.  A
+    residual of degree 3 means no line divides f (irreducible: the candidate
+    list is exhaustive whenever no coordinate line divides f); a conic is
+    split further on its integer matrix, which is complete over Q.  The
+    scalar is tracked exactly, and scalar * product of the components ==
+    f is checked by convolving the vectors.
 
-    After peeling every dividing candidate line the residual has degree 3
-    (no line divides f: genuinely irreducible, since the candidate list is
-    exhaustive whenever no coordinate line divides f), degree 2 (split
-    further by the conic routine, which is complete over Q), degree 1 (an
-    exact linear factor in hand), or degree 0.  The product
-    of the returned component polynomials (with multiplicity) times
-    `scalar` reproduces the input exactly.
+    Every residual conic passes through a coordinate point (a line holds at
+    most two of them), which is smooth on a smooth conic; a pair of
+    conjugate irrational lines gets a null point, since its only rational
+    point is the singular vertex.
 
-    Accepts a SpohnCubic or a raw MultiPoly.  Raises DomainError on the zero
-    cubic.  When the cubic came from a game, the twelve case predicates are
-    evaluated and reported alongside (the two routes are kept independent:
-    no cross-enforcement here; tests compare them).
+    Accepts a SpohnCubic or a raw MultiPoly, and decides the kind itself.
+    Raises DomainError on the zero cubic.  When the cubic came from a game,
+    the twelve case predicates are reported alongside.
     """
     if isinstance(cubic, MultiPoly):
         cubic = cubic_from_poly(cubic)
@@ -630,85 +609,87 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         raise DomainError("cannot decompose the zero cubic")
     cases = classify_cases(cubic.game) if cubic.game is not None else None
 
-    f = cubic.f
-    work, terms = f, _integer_terms(f)
+    lcm = math.lcm(*(x.denominator for x in cubic.c))
+    ints = [x.numerator * (lcm // x.denominator) for x in cubic.c]
+    form = [0] * 10
+    for e, k in zip(_CUBIC_EXPS, ints):
+        form[_INDEX[3][e]] = k
+    scalar = Fraction(1, lcm)  # f = scalar * residual * (the found lines)
+    residual = form
     found: dict = {}  # primitive line vector -> multiplicity, in order found
-    forms: dict = {}  # primitive line vector -> its linear form, built once
-    for v in _candidate_lines(cubic.c):
-        while work.degree() >= 1 and _vanishes_on_line(terms, v):
-            if v not in forms:
-                forms[v] = _linear_form(v)
-            work = work.divide_by_linear(forms[v])
-            terms = _integer_terms(work)
+    for v in _candidate_lines(ints):
+        while len(residual) > 1 and _vanishes_on_line(
+                list(zip(_MONOS[_DEGREE[len(residual)]], residual)), v):
+            residual = _divide_by_line(residual, v)
             found[v] = found.get(v, 0) + 1
 
-    components = []
-    scalar = Fraction(1)
-    if work.degree() == 3:
-        verdict_kind = "Irreducible"
-    elif work.degree() == 2:
-        verdict_kind = "Reducible"
-        split = _split_conic(work)
+    degree = _DEGREE[len(residual)]
+    if degree == 3:
+        return ReducibilityVerdict("Irreducible", cases=cases)
+
+    conic = conic_point = None
+    if degree == 2:
+        N = _conic_matrix(residual)
+        split = _split_conic(N)
         if split[0] == "lines":
             _, v1, v2, ratio = split
             scalar *= ratio
             for v in (v1, v2):  # v1 == v2 for a double line
                 found[v] = found.get(v, 0) + 1
         else:  # smooth, or an irrational line pair: one conic component
-            prim, s = _primitive_poly(work)
-            scalar *= s
-            components.append(CurveComponent("conic", prim))
-    elif work.degree() == 1:
+            conic = primitive_vector(residual)
+            k = next(k for k in range(6) if conic[k])
+            scalar *= Fraction(residual[k], conic[k])
+            if split[0] == "irreducible":
+                conic_point = _coordinate_point(N)
+    elif degree == 1:
         # happens when coordinate-line shortcuts peeled two factors and the
         # third line is generic (the coordinate restrictions that would have
         # located it vanished identically); the residual is an exact factor,
         # hence a component outright
-        verdict_kind = "Reducible"
-        coeffs = [work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        v = primitive_vector(coeffs)
+        v = primitive_vector(residual)
         k = next(k for k in range(3) if v[k])
-        scalar *= coeffs[k] / v[k]
+        scalar *= Fraction(residual[k], v[k])
         found[v] = 1
-    elif work.degree() == 0:
-        verdict_kind = "Reducible"
-        scalar *= next(iter(work.terms.values()))
-    else:  # pragma: no cover
-        raise AssertionError("impossible residual degree")
+    elif degree == 0:
+        scalar *= residual[0]
 
-    line_components = [CurveComponent("line", forms.get(v) or _linear_form(v), mult)
-                       for v, mult in found.items()]
-    components = line_components + components
-    if line_components:
-        verdict_kind = "Reducible"
+    # exact reconstruction check: scalar * product == form / lcm
+    product = [1]
+    for v, mult in found.items():
+        for _ in range(mult):
+            product = _multiply(product, v)
+    if conic is not None:
+        product = _multiply(product, conic)
+    num, den = scalar.numerator * lcm, scalar.denominator
+    if any(num * p != den * q for p, q in zip(product, form)):
+        raise AssertionError("component product does not reproduce the cubic")
 
-    # smooth points, or null where none exists (an irrational line pair)
-    for comp in components:
-        try:
-            comp.point = smooth_rational_point(comp)
-        except DomainError:
-            comp.point = None  # reported as null in the verdict
-
-    # exact reconstruction check (reducible verdicts list every factor)
-    if verdict_kind == "Reducible":
-        prod = MultiPoly.constant(VARS3, scalar)
-        for comp in components:
-            prod = prod * comp.poly ** comp.multiplicity
-        if prod != f:
-            raise AssertionError("component product does not reproduce the cubic")
-
-    verdict = ReducibilityVerdict(verdict_kind, cases=cases,
-                                  components=components, scalar=scalar,
-                                  cubic=cubic)
-    return verdict
+    components = [CurveComponent("line", MultiPoly(VARS3, dict(zip(_MONOS[1], v))), mult,
+                                 _line_point(v)) for v, mult in found.items()]
+    if conic is not None:
+        components.append(CurveComponent(
+            "conic", MultiPoly(VARS3, dict(zip(_MONOS[2], conic))), point=conic_point))
+    return ReducibilityVerdict("Reducible", cases=cases, components=components,
+                               scalar=scalar)
 
 
 def reducibility_verdict(game) -> ReducibilityVerdict:
-    """Game-level report: zero-cubic condition, matched cases, decomposition."""
-    cubic = build_cubic(game)
-    if cubic.is_zero():
+    """Game-level report: kind and cases from `classify` (an irreducible
+    verdict involves no search), the zero-cubic condition, and the
+    components of a reducible cubic.  AssertionError if no rational line
+    divides a reducible one: the twelve-case theorem would be contradicted.
+    """
+    kind, cases = classify(game)
+    if kind == "ZeroCubic":
         cond = zero_cubic_classify(game)
         if cond is None:  # pragma: no cover
             raise AssertionError("zero cubic outside the four known conditions")
-        return ReducibilityVerdict("ZeroCubic", cases=classify_cases(game),
-                                   zero_condition=cond, cubic=cubic)
-    return decompose_cubic(cubic)
+        return ReducibilityVerdict("ZeroCubic", cases=cases, zero_condition=cond)
+    if kind == "Irreducible":
+        return ReducibilityVerdict("Irreducible", cases=cases)
+    verdict = decompose_cubic(build_cubic(game))
+    if verdict.kind != "Reducible":
+        raise AssertionError("a case of the twelve-case theorem holds, but no "
+                             "rational line divides the cubic")
+    return verdict

@@ -8,6 +8,7 @@ exact: coefficients are `fractions.Fraction`, no floats ever enter.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,11 +40,18 @@ def rat(value) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Canonical string: "n" for integers, "n/d" otherwise (lowest terms)."""
+    """Canonical string: "n" for integers, "n/d" otherwise (lowest terms).
+    DomainError if a part is longer than Python's process-wide int-to-str
+    digit limit (`sys.get_int_max_str_digits`), which is left alone."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise DomainError(
+            f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, Python's limit for integer-to-string conversion") from exc
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -444,7 +452,7 @@ def primitive_vector(v) -> tuple:
     """The integer multiple of a nonzero rational vector with content 1 and
     first nonzero entry > 0: one representative per projective point."""
     lcm = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * lcm) for c in v]
+    ints = [c.numerator * (lcm // c.denominator) for c in v]
     g = math.gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
@@ -470,17 +478,13 @@ def det(rows) -> Fraction:
 def cross_product(a, b) -> tuple:
     """Cross product of two rational 3-vectors (line through two points, etc.).
 
-    Integer vectors give an integer result.
+    Entries are ints or Fractions; integer vectors give an integer result.
     """
-    a = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in a)
-    b = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in b)
     if len(a) != 3 or len(b) != 3:
         raise ValueError("cross product needs 3-vectors")
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 # ---------------------------------------------------------------------------

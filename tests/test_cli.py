@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,32 @@ def test_singular_nonzero_cubic_j_succeeds(capsys):
 def test_equiv_singular_game_is_domain_error(capsys):
     _, err = run_ok(capsys, ["equiv", "--game", PD, "--game2", G44], code=1)
     assert "domain error" in err and "singular" in err
+
+
+def test_answer_beyond_the_digit_limit_is_domain_error(capsys):
+    """Python refuses to print an int of more than 4300 digits; such an
+    exact answer is a domain error naming the limit, not bad input."""
+    game = ('{"A": [["-95e756", "-5e-2168"], [22210740301, 5]], '
+            '"B": [["-5/19", -57271413], ["29e-327", "-94e-602"]]}')
+    out, err = run_ok(capsys, ["j", "--game", game], code=1)
+    assert out == ""
+    assert err.startswith("domain error:") and "4300 decimal digits" in err
+
+
+def test_decompose_scalar_beyond_the_digit_limit_is_domain_error(capsys):
+    """The prisoner's dilemma with A scaled by 10^4400: the components stay
+    small, and only the scalar, -10^4400, is too long to print."""
+    big = '{"A": [["2e4400", 0], ["3e4400", "1e4400"]], "B": [[2, 3], [0, 1]]}'
+    out, err = run_ok(capsys, ["decompose", "--game", big], code=1)
+    assert out == "" and "4300 decimal digits" in err
+    out, _ = run_ok(capsys, ["classify", "--game", big])
+    assert out == '{"cases": [9, 10], "kind": "Reducible"}\n'
+    fits = big.replace("e4400", "e4200")
+    out, _ = run_ok(capsys, ["decompose", "--game", fits])
+    data = json.loads(out)
+    assert data["scalar"] == "-1" + "0" * 4200
+    assert data == {**json.loads(run_ok(capsys, ["decompose", "--game", PD])[0]),
+                    "scalar": data["scalar"]}
 
 
 def test_malformed_json_is_usage_error(capsys):
@@ -373,6 +400,33 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     assert bool(out.getvalue()) == (code == 0)  # a failed call prints nothing
+
+
+# --- the README's examples -------------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, output line) for every `$ spohncurves ...` line of the README
+    that is followed by its output."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return [(shlex.split(line[2:], comments=True), out)
+            for line, out in zip(lines, lines[1:])
+            if line.startswith("$ spohncurves ") and out.strip()
+            and not out.startswith(("$", "```"))]
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    assert PD in README.read_text(encoding="utf-8")  # the README's pd.json
+    (tmp_path / "pd.json").write_text(PD, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for argv, expected in examples:
+        assert argv[0] == "spohncurves"
+        out, _ = run_ok(capsys, argv[1:])
+        assert out == expected + "\n", argv
 
 
 # --- payload hygiene --------------------------------------------------------------------

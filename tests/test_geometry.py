@@ -9,15 +9,18 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spohncurves import (
+    CurveComponent,
     DomainError,
     MultiPoly,
     PayoffTables,
     ProjPoint,
     build_cubic,
     build_quadrics,
+    classify,
     classify_cases,
     cubic_from_poly,
     decompose_cubic,
+    ReducibilityVerdict,
     reducibility_verdict,
     smooth_rational_point,
     spohn_determinants,
@@ -25,8 +28,9 @@ from spohncurves import (
     w_membership,
     zero_cubic_classify,
 )
-from spohncurves.geometry import _candidate_lines, _integer_terms, _vanishes_on_line
-from spohncurves.polynomials import cross_product
+from spohncurves import cli, geometry
+from spohncurves.geometry import _candidate_lines, _vanishes_on_line
+from spohncurves.polynomials import cross_product, det, primitive_vector, rational_sqrt
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
 
 F = Fraction
@@ -346,6 +350,13 @@ def line_test_games(draw):
                         [[kap * x + nu for x in row] for row in g.B])
 
 
+def _integer_terms(p: MultiPoly) -> list:
+    """p's terms as (exponent, int) pairs: p scaled by the lcm of its
+    coefficient denominators, which has the same zeros."""
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    return [(e, c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
+
+
 def _restriction_vanishes(p, line):
     """Oracle: expand p on the line through two distinct points of it."""
     pts = []
@@ -501,3 +512,254 @@ def test_decomposition_matches_sympy_factorization(factors):
             assert comp.poly.evaluate(comp.point.coords) == 0
             assert any(comp.poly.gradient_at(comp.point.coords))
     assert sorted(got) == expected
+
+
+# --- the MultiPoly decomposition, kept as the reference route ---------------------------
+
+def _ref_conic_matrix(g):
+    """Symmetric 3x3 matrix of a ternary quadratic form."""
+    M = [[Fraction(0)] * 3 for _ in range(3)]
+    for exp, c in g.terms.items():
+        i, j = [k for k in range(3) for _ in range(exp[k])]
+        if i == j:
+            M[i][i] += c
+        else:
+            M[i][j] += c / 2
+            M[j][i] += c / 2
+    return M
+
+
+def _ref_matrix_rank(M):
+    """Rank of a small rational matrix by fraction Gaussian elimination."""
+    rows = [list(r) for r in M]
+    rank, col = 0, 0
+    while rank < 3 and col < 3:
+        piv = next((r for r in range(rank, 3) if rows[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(3):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _ref_split_conic(g):
+    """("irreducible",), ("irrational",) or ("lines", v1, v2, ratio) with
+    g == ratio (v1 . x)(v2 . x), on the rational matrix of g."""
+    M = _ref_conic_matrix(g)
+    if det(M) != 0:
+        return ("irreducible",)
+    k = next(k for k in range(3) if M[k][k] != 0)
+    if _ref_matrix_rank(M) == 1:
+        v1 = v2 = primitive_vector(M[k])
+    else:
+        u, v = (i for i in range(3) if i != k)
+        alpha = M[k][k]
+        beta = [2 * M[k][u], 2 * M[k][v]]
+        d_uu = beta[0] ** 2 - 4 * alpha * M[u][u]
+        d_uv = 2 * beta[0] * beta[1] - 8 * alpha * M[u][v]
+        d_vv = beta[1] ** 2 - 4 * alpha * M[v][v]
+        ru, rv = rational_sqrt(d_uu), rational_sqrt(d_vv)
+        if ru is None or rv is None:
+            return ("irrational",)
+        root = next(((ru, s * rv) for s in (1, -1) if 2 * ru * s * rv == d_uv), None)
+        if root is None:
+            return ("irrational",)
+        pair = []
+        for s in (1, -1):
+            coeffs = [Fraction(0)] * 3
+            coeffs[k] = 2 * alpha
+            coeffs[u] = beta[0] - s * root[0]
+            coeffs[v] = beta[1] - s * root[1]
+            pair.append(primitive_vector(coeffs))
+        v1, v2 = pair
+    prod = [[Fraction(v1[i] * v2[j] + v1[j] * v2[i], 2) for j in range(3)] for i in range(3)]
+    i, j = next((i, j) for i in range(3) for j in range(3) if prod[i][j])
+    ratio = M[i][j] / prod[i][j]
+    assert all(M[i][j] == ratio * prod[i][j] for i in range(3) for j in range(3))
+    return ("lines", v1, v2, ratio)
+
+
+def _ref_point(comp):
+    """A smooth rational point of a component, or None."""
+    g = comp.poly
+    if comp.kind == "line":
+        coeffs = [g.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        return next(ProjPoint(v) for v in (cross_product(coeffs, e) for e in
+                                          ((1, 0, 0), (0, 1, 0), (0, 0, 1))) if any(v))
+    for coords in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
+        if g.evaluate(coords) == 0 and any(g.gradient_at(coords)):
+            return ProjPoint(coords)
+    if _ref_split_conic(g)[0] == "irrational":
+        return None
+    try:
+        return smooth_rational_point(comp)
+    except DomainError:
+        return None
+
+
+def _primitive_poly(p):
+    """(q, s) with q integral, content 1, lex-first coefficient > 0 and s q == p."""
+    exps = sorted(p.terms, reverse=True)
+    ints = primitive_vector([p.terms[e] for e in exps])
+    return MultiPoly(p.vars, dict(zip(exps, ints))), p.terms[exps[0]] / ints[0]
+
+
+def _linear(v):
+    return q3({(1, 0, 0): v[0], (0, 1, 0): v[1], (0, 0, 1): v[2]})
+
+
+def _reference_decompose(cubic):
+    """The decomposition on MultiPoly arithmetic: `divide_by_linear` peels
+    each candidate line that the four-point test accepts, the residual conic
+    is split on its rational matrix, and the product is multiplied back."""
+    if isinstance(cubic, MultiPoly):
+        cubic = cubic_from_poly(cubic)
+    cases = classify_cases(cubic.game) if cubic.game is not None else None
+    work = f = cubic.f
+    found = {}
+    for v in _candidate_lines(cubic.c):
+        while work.degree() >= 1 and _vanishes_on_line(_integer_terms(work), v):
+            work = work.divide_by_linear(_linear(v))
+            found[v] = found.get(v, 0) + 1
+    components, scalar = [], Fraction(1)
+    if work.degree() == 3:
+        return ReducibilityVerdict("Irreducible", cases=cases)
+    if work.degree() == 2:
+        split = _ref_split_conic(work)
+        if split[0] == "lines":
+            scalar *= split[3]
+            for v in split[1:3]:
+                found[v] = found.get(v, 0) + 1
+        else:
+            prim, s = _primitive_poly(work)
+            scalar *= s
+            components.append(CurveComponent("conic", prim))
+    elif work.degree() == 1:
+        v = primitive_vector([work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        prim, s = _primitive_poly(work)
+        assert prim == _linear(v)
+        scalar *= s
+        found[v] = 1
+    else:
+        scalar *= work.terms[(0, 0, 0)]
+    components = [CurveComponent("line", _linear(v), m) for v, m in found.items()] + components
+    for comp in components:
+        comp.point = _ref_point(comp)
+    prod = MultiPoly.constant(P3, scalar)
+    for comp in components:
+        prod = prod * comp.poly ** comp.multiplicity
+    assert prod == f
+    return ReducibilityVerdict("Reducible", cases=cases, components=components,
+                               scalar=scalar)
+
+
+def _reference_verdict(game):
+    cubic = build_cubic(game)
+    if cubic.is_zero():
+        return ReducibilityVerdict("ZeroCubic", cases=classify_cases(game),
+                                   zero_condition=zero_cubic_classify(game))
+    return _reference_decompose(cubic)
+
+
+def _product(factors):
+    f = q3({(0, 0, 0): 1})
+    for form, mult in factors:
+        f = f * form ** mult
+    return f
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(split_cubics().map(_product), line_test_games()))
+@example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 2, 0): 1, (0, 0, 2): -2}), 1)]))
+@example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 2, (0, 0, 1): 3}), 2)]))
+@example(q3({(1, 1, 1): F(1, 3)}))
+@example(q3({(2, 1, 0): -5}))
+def test_decomposition_matches_the_reference_route(source):
+    """Integer vectors and MultiPoly arithmetic give the same bytes: raw
+    cubics of the four split shapes, and random and case games, with small,
+    ~10^12 and non-integer entries."""
+    if isinstance(source, MultiPoly):
+        expected = _reference_decompose(source).to_json()
+        assert decompose_cubic(source).to_json() == expected
+        return
+    expected = _reference_verdict(source)
+    assert reducibility_verdict(source).to_json() == expected.to_json()
+    if expected.kind != "ZeroCubic":
+        assert decompose_cubic(build_cubic(source)).to_json() == expected.to_json()
+
+
+# --- the twelve-case theorem against sympy's factorization ------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(line_test_games())
+@example(game_for_case(1, random.Random(0)))
+@example(game_for_case(2, random.Random(0)))
+@example(game_for_case(3, random.Random(0)))
+@example(game_for_case(4, random.Random(0)))
+@example(game_for_case(5, random.Random(0)))
+@example(game_for_case(6, random.Random(0)))
+@example(game_for_case(7, random.Random(0)))
+@example(game_for_case(8, random.Random(0)))
+@example(game_for_case(9, random.Random(0)))
+@example(game_for_case(10, random.Random(0)))
+@example(game_for_case(11, random.Random(0)))
+@example(game_for_case(12, random.Random(0)))
+def test_twelve_case_theorem_matches_sympy(game):
+    """A nonzero cubic has a linear factor over Q iff some case holds.
+
+    Transposing the players swaps p12 and p21 and fixes p22, the centre of
+    the projection that gives the plane cubic, so the kind stays.  Swapping
+    rows or columns moves the centre, and the plane cubic's kind can change
+    (see the test below); the theorem holds for the relabelled game too."""
+    kind, cases = classify(game)
+    assume(kind != "ZeroCubic")
+    for moved in (game, game.swap_rows(), game.swap_cols()):
+        cubic = build_cubic(moved)
+        if cubic.is_zero():
+            continue
+        has_line = any(deg == 1 for deg, _, _ in _sympy_factors(cubic.f))
+        assert bool(classify_cases(moved)) == has_line
+        assert classify(moved)[0] == ("Reducible" if has_line else "Irreducible")
+    assert classify(game.transpose_players())[0] == kind
+
+
+def test_row_and_column_swaps_can_change_the_kind():
+    """The plane cubic is the Spohn curve projected from [0:0:0:1].  Here
+    the column swap moves that centre: y divides the first cubic (case 2,
+    a11 = a21), while the swapped game's cubic is irreducible over Q."""
+    g = PayoffTables([[3, 4], [3, -1]], [[7, 6], [3, 0]])
+    assert classify(g) == ("Reducible", frozenset({2}))
+    assert _sympy_factors(build_cubic(g).f)[0][0] == 1
+    assert classify(g.swap_cols()) == ("Irreducible", frozenset())
+    assert [deg for deg, _, _ in _sympy_factors(build_cubic(g.swap_cols()).f)] == [3]
+    assert classify(g.transpose_players())[0] == "Reducible"
+
+
+def test_classify_never_decomposes(monkeypatch, pd, g44, capsys):
+    """`classify` and an irreducible verdict run no decomposition."""
+    def fail(cubic):
+        raise AssertionError("decompose_cubic called")
+    monkeypatch.setattr(geometry, "decompose_cubic", fail)
+    rng = random.Random(4011)
+    zero = PayoffTables([[5, 5], [5, 5]], [[1, 2], [3, 4]])
+    for g in [pd, g44, zero] + [game_for_case(c, rng) for c in range(1, 13)]:
+        kind, cases = classify(g)
+        assert kind == _reference_verdict(g).kind
+        assert cases == classify_cases(g)
+    assert reducibility_verdict(g44).kind == "Irreducible"
+    assert cli.run(["classify", "--bimatrix", "2,2 0,3; 3,0 1,1"]) == 0
+    assert capsys.readouterr().out == '{"cases": [9, 10], "kind": "Reducible"}\n'
+
+
+def test_a_case_without_a_rational_line_is_an_internal_error(monkeypatch, g44):
+    """A case holding on a cubic that no rational line divides would
+    contradict the theorem: the verdict raises rather than report it."""
+    monkeypatch.setattr(geometry, "classify", lambda game: ("Reducible", frozenset({1})))
+    with pytest.raises(AssertionError, match="twelve-case theorem"):
+        reducibility_verdict(g44)
