@@ -66,8 +66,6 @@ from .elliptic import (
     jacobian,
     q_isomorphic,
     spohn_pair,
-    split_klm,
-    translate_to_infinity,
     weierstrass_from_cubic,
 )
 

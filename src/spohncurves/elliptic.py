@@ -1,9 +1,11 @@
 """Plane cubics from quadric pencils, Aronhold invariants, Weierstrass models.
 
 The pipeline mirrors how elliptic invariants of a Spohn curve are computed:
-move a known rational point of the quadric pair to [0:0:0:1], split each
-quadric as L*t + M with L linear and M quadratic in the remaining three
-coordinates, and take the resultant cubic C = L1 M2 - L2 M1.  The degree-4
+project the quadric pair from a known rational point p onto a plane cubic.
+With each quadric written v^T M v, M symmetric, and v = w + t p, the polar
+identity gives w^T M w + 2 t (M p).w, since p^T M p = 0: a quadratic part
+Q_i in w and a linear part L_i = 2 M_i p, read off the matrices without
+expanding.  Eliminating t leaves the cubic C = L1 Q2 - L2 Q1.  The degree-4
 and degree-6 invariants S, T of a ternary cubic then give the discriminant
 (64 S^3 - T^2)/1728, j = 64 S^3 / disc and the Jacobian
 J_C: y^2 = x^3 - 432 S x - 432 T (Artin, Rodriguez-Villegas and Tate, "On the
@@ -118,104 +120,51 @@ def spohn_pair(game) -> QuadricPair:
 
 
 # ---------------------------------------------------------------------------
-# moving the common point to infinity
+# eliminating the common point
 # ---------------------------------------------------------------------------
 
-def translate_to_infinity(pair: QuadricPair):
-    """Send the common point to [0:0:0:1] by permutation + translation.
-
-    If the point's t-coordinate is zero, a recorded coordinate swap brings a
-    nonzero coordinate into the last slot first.  Then with the point scaled
-    to (x0, y0, z0, 1), substitute (x, y, z, t) -> (x + x0 t, y + y0 t,
-    z + z0 t, t).  Returns (new pair, record) where record documents the
-    swap and the translation vector.
-    """
-    coords = list(pair.point.coords)
-    swap = None
-    if coords[3] == 0:
-        k = next(i for i in range(4) if coords[i] != 0)
-        swap = k
-        coords[k], coords[3] = coords[3], coords[k]
-
-    def permute(p: MultiPoly) -> MultiPoly:
-        if swap is None:
-            return p
-        out = {}
-        for exp, c in p.terms.items():
-            e = list(exp)
-            e[swap], e[3] = e[3], e[swap]
-            out[tuple(e)] = c
-        return MultiPoly(VARS4, out)
-
-    t0 = coords[3]
-    x0, y0, z0 = (coords[0] / t0, coords[1] / t0, coords[2] / t0)
-    Q = [
-        [1, 0, 0, x0],
-        [0, 1, 0, y0],
-        [0, 0, 1, z0],
-        [0, 0, 0, 1],
-    ]
-    new1 = permute(pair.P1).substitute_matrix(Q)
-    new2 = permute(pair.P2).substitute_matrix(Q)
-    for p in (new1, new2):
-        if p.evaluate((0, 0, 0, 1)) != 0:  # pragma: no cover
-            raise AssertionError("translation failed to move the point to infinity")
-    record = {
-        "swap": swap,
-        "translation": [rat_str(x0), rat_str(y0), rat_str(z0)],
-    }
-    return QuadricPair(new1, new2, (0, 0, 0, 1)), record
-
-
-class SplitKLM(NamedTuple):
-    """P_i = L_i * t + M_i for a pair vanishing at [0:0:0:1] (K_i = 0)."""
-
-    L1: MultiPoly
-    M1: MultiPoly
-    L2: MultiPoly
-    M2: MultiPoly
-
-
-def split_klm(pair: QuadricPair) -> SplitKLM:
-    """Split both quadrics along powers of t.
-
-    Requires the common point at [0:0:0:1] (so the t^2 coefficients vanish);
-    raises DomainError if the two t-linear forms are proportional, in which
-    case the residual curve of the pencil has genus 0 and carries no
-    j-invariant.
-    """
-    def split(p: MultiPoly):
-        if p.coefficient((0, 0, 0, 2)) != 0:
-            raise DomainError("quadric does not vanish at [0:0:0:1]; "
-                              "translate the common point to infinity first")
-        L = {}
-        M = {}
-        for exp, c in p.terms.items():
-            if exp[3] == 1:
-                L[exp[:3]] = c
-            elif exp[3] == 0:
-                M[exp[:3]] = c
-        return MultiPoly(VARS3, L), MultiPoly(VARS3, M)
-
-    L1, M1 = split(pair.P1)
-    L2, M2 = split(pair.P2)
-    v1 = [L1.coefficient(tuple(1 if i == k else 0 for i in range(3))) for k in range(3)]
-    v2 = [L2.coefficient(tuple(1 if i == k else 0 for i in range(3))) for k in range(3)]
-    if all(x == 0 for x in cross_product(v1, v2)):
-        raise DomainError("the t-linear forms are proportional: the pencil "
-                          "degenerates to a genus-0 configuration")
-    return SplitKLM(L1, M1, L2, M2)
+def _quadric_matrix(P: MultiPoly) -> list:
+    """The symmetric 4x4 matrix M with P(v) = v^T M v."""
+    M = [[Fraction(0)] * 4 for _ in range(4)]
+    for exp, c in P.terms.items():
+        i, j = (k for k in range(4) for _ in range(exp[k]))
+        M[i][j] = M[j][i] = c if i == j else c / 2
+    return M
 
 
 def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
-    """Eliminate t: the common solutions project to L1 M2 - L2 M1 = 0."""
-    moved, _ = translate_to_infinity(pair)
-    s = split_klm(moved)
-    C = s.L1 * s.M2 - s.L2 * s.M1
-    if C.is_zero():
+    """Eliminate t: the common solutions project to L1 Q2 - L2 Q1 = 0.
+
+    Scale the common point p so p_k = 1, with k = 3 unless p_3 = 0, else
+    the first nonzero index, and let w range over the other three
+    coordinates.  For the quadric v^T M v the polar identity gives
+    P(w + t p) = w^T M w + 2 t (M p).w + t^2 p^T M p with p^T M p = 0, so
+    Q_i is the 3x3 block of M_i on those coordinates and L_i = 2 M_i p
+    restricted to them; the product is one `geometry._multiply`
+    convolution, and nothing is expanded.  Raises DomainError if L1 and L2
+    are proportional (the pencil degenerates to genus 0) or the eliminant
+    vanishes.
+    """
+    p = pair.point.coords
+    k = 3 if p[3] else next(i for i in range(4) if p[i])
+    p = [c / p[k] for c in p]
+    rest = [i if i != k else 3 for i in range(3)]
+    L, Q = [], []
+    for P in (pair.P1, pair.P2):
+        M = _quadric_matrix(P)
+        L.append([2 * sum(M[i][j] * p[j] for j in range(4)) for i in rest])
+        # over _MONOS[2] = x^2, xy, xz, y^2, yz, z^2
+        Q.append([M[rest[a]][rest[b]] * (1 if a == b else 2)
+                  for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
+    if not any(cross_product(*L)):
+        raise DomainError("the t-linear forms are proportional: the pencil "
+                          "degenerates to a genus-0 configuration")
+    C = [u - v for u, v in zip(geometry._multiply(L[0], Q[1]),
+                               geometry._multiply(L[1], Q[0]))]
+    if not any(C):
         raise DomainError("the pencil degenerates: the eliminant cubic "
                           "vanishes identically")
-    return PlaneCubic.from_poly(C)
+    return PlaneCubic.from_poly(MultiPoly(VARS3, zip(geometry._MONOS[3], C)))
 
 
 # ---------------------------------------------------------------------------

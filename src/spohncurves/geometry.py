@@ -397,7 +397,7 @@ def _divide_by_line(form, line) -> list:
 
 
 def _multiply(p, q) -> list:
-    """The product of two integer forms (convolution of their vectors)."""
+    """The product of two forms (convolution of their coefficient vectors)."""
     dp, dq = _DEGREE[len(p)], _DEGREE[len(q)]
     index = _INDEX[dp + dq]
     out = [0] * len(index)

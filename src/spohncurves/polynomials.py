@@ -25,11 +25,12 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction or string like "3", "-5/7", "1.25" to a Fraction.
 
     Floats are rejected on purpose: they carry binary rounding noise and this
-    library is exact.  Decimal *strings* are fine (they are exact).
+    library is exact.  Decimal *strings* are fine (they are exact).  Bools are
+    rejected too, although Python counts them as ints: a JSON true is not 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -159,10 +160,14 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, obj) -> "MultiPoly":
-        """Inverse of to_json: {"vars": [...], "terms": [{"exp": [...], "coef": "n/d"}, ...]}."""
+        """Inverse of to_json: {"vars": [...], "terms": [{"exp": [...], "coef": "n/d"}, ...]}.
+        An exponent that is not an integer (1.9, "1", true) is a ValueError."""
         if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
             raise ValueError("polynomial JSON needs 'vars' and 'terms'")
-        return cls(obj["vars"], [(tuple(t["exp"]), rat(t["coef"])) for t in obj["terms"]])
+        terms = [(tuple(t["exp"]), rat(t["coef"])) for t in obj["terms"]]
+        if any(type(e) is not int for exp, _ in terms for e in exp):
+            raise ValueError("polynomial exponents must be JSON integers")
+        return cls(obj["vars"], terms)
 
     # -- serialization ------------------------------------------------------
 

@@ -252,6 +252,36 @@ def test_non_rational_payoffs_are_bad_input(capsys, game):
     assert err.startswith("bad input: ") and "Traceback" not in err
 
 
+# 2 x t + y^2 and x z + y t, through [0:0:0:1]
+_BOOL_POINT_PAIR = ('{"A": [[0,0,0,1],[0,1,0,0],[0,0,0,0],[1,0,0,0]], '
+                    '"B": [[0,0,"1/2",0],[0,0,0,"1/2"],["1/2",0,0,0],[0,"1/2",0,0]], '
+                    '"point": [false, false, false, true]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["j", "--game", '{"A": [[true, false], [0, 1]], "B": [[1, 2], [3, 4]]}'],
+    ["reduce", "--pair", _BOOL_POINT_PAIR],
+])
+def test_json_booleans_are_not_rationals(capsys, argv):
+    """Python counts true as the int 1; a JSON true is bad input all the same."""
+    run_ok(capsys, argv[:2] + [argv[2].replace("true", "1").replace("false", "0")])
+    out, err = run_ok(capsys, argv, code=2)
+    assert out == "" and err.startswith("bad input: ") and "bool" in err
+
+
+@pytest.mark.parametrize("exponent", ['[1.9, 0, 0, 1.2]', '["1", 0, 0, 1]', '[true, 0, 0, 1]'])
+def test_non_integer_exponents_are_bad_input(capsys, exponent):
+    """x t + y^2 and y t + x z, with the exponent of x t spelt badly."""
+    pair = ('{"P1": {"vars": ["x", "y", "z", "t"], "terms": ['
+            '{"exp": %s, "coef": 1}, {"exp": [0, 2, 0, 0], "coef": 1}]}, '
+            '"P2": {"vars": ["x", "y", "z", "t"], "terms": ['
+            '{"exp": [0, 1, 0, 1], "coef": 1}, {"exp": [1, 0, 1, 0], "coef": 1}]}, '
+            '"point": [0, 0, 0, 1]}')
+    run_ok(capsys, ["reduce", "--pair", pair % "[1, 0, 0, 1]"])
+    out, err = run_ok(capsys, ["reduce", "--pair", pair % exponent], code=2)
+    assert out == "" and err.startswith("bad input: ") and "exponent" in err
+
+
 @pytest.mark.parametrize("grid", ["-5", "0"])
 def test_pareto_grid_must_be_positive(capsys, grid):
     out, err = run_ok(capsys, ["pareto", "--game", PD, "--grid", grid], code=2)

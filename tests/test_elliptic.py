@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,13 +22,12 @@ from spohncurves import (
     jacobian,
     q_isomorphic,
     rat,
+    rat_str,
     spohn_pair,
-    split_klm,
-    translate_to_infinity,
     weierstrass_from_cubic,
 )
 from spohncurves.elliptic import _aronhold_st, _polar
-from spohncurves.polynomials import det
+from spohncurves.polynomials import cross_product, det
 from caselib import random_game
 
 F = Fraction
@@ -117,7 +118,102 @@ def test_singular_cubic_reports_singular():
     assert res.to_json() == {"j": "singular"}
 
 
-# --- quadric pair -> plane cubic --------------------------------------------------------
+# --- quadric pair -> plane cubic ------------------------------------------------------
+
+# The MultiPoly route that `cubic_from_quadrics` replaced, kept as the tests'
+# reference: move the common point to [0:0:0:1] by a coordinate swap and a
+# substitution, split each quadric as L t + M along powers of t, and expand
+# L1 M2 - L2 M1.
+
+def translate_to_infinity(pair: QuadricPair):
+    """Send the common point to [0:0:0:1] by permutation + translation.
+
+    If the point's t-coordinate is zero, a recorded coordinate swap brings a
+    nonzero coordinate into the last slot first.  Then with the point scaled
+    to (x0, y0, z0, 1), substitute (x, y, z, t) -> (x + x0 t, y + y0 t,
+    z + z0 t, t).  Returns (new pair, record) where record documents the
+    swap and the translation vector.
+    """
+    coords = list(pair.point.coords)
+    swap = None
+    if coords[3] == 0:
+        k = next(i for i in range(4) if coords[i] != 0)
+        swap = k
+        coords[k], coords[3] = coords[3], coords[k]
+
+    def permute(p: MultiPoly) -> MultiPoly:
+        if swap is None:
+            return p
+        out = {}
+        for exp, c in p.terms.items():
+            e = list(exp)
+            e[swap], e[3] = e[3], e[swap]
+            out[tuple(e)] = c
+        return MultiPoly(p.vars, out)
+
+    t0 = coords[3]
+    x0, y0, z0 = (coords[0] / t0, coords[1] / t0, coords[2] / t0)
+    Q = [
+        [1, 0, 0, x0],
+        [0, 1, 0, y0],
+        [0, 0, 1, z0],
+        [0, 0, 0, 1],
+    ]
+    new1 = permute(pair.P1).substitute_matrix(Q)
+    new2 = permute(pair.P2).substitute_matrix(Q)
+    assert new1.evaluate((0, 0, 0, 1)) == new2.evaluate((0, 0, 0, 1)) == 0
+    record = {
+        "swap": swap,
+        "translation": [rat_str(x0), rat_str(y0), rat_str(z0)],
+    }
+    return QuadricPair(new1, new2, (0, 0, 0, 1)), record
+
+
+class SplitKLM(NamedTuple):
+    """P_i = L_i * t + M_i for a pair vanishing at [0:0:0:1] (K_i = 0)."""
+
+    L1: MultiPoly
+    M1: MultiPoly
+    L2: MultiPoly
+    M2: MultiPoly
+
+
+def split_klm(pair: QuadricPair) -> SplitKLM:
+    """Split both quadrics along powers of t; DomainError if the two
+    t-linear forms are proportional (the pencil has genus 0)."""
+    def split(p: MultiPoly):
+        assert p.coefficient((0, 0, 0, 2)) == 0
+        L = {exp[:3]: c for exp, c in p.terms.items() if exp[3] == 1}
+        M = {exp[:3]: c for exp, c in p.terms.items() if exp[3] == 0}
+        return MultiPoly(("x", "y", "z"), L), MultiPoly(("x", "y", "z"), M)
+
+    L1, M1 = split(pair.P1)
+    L2, M2 = split(pair.P2)
+    v1 = [L1.coefficient(tuple(1 if i == k else 0 for i in range(3))) for k in range(3)]
+    v2 = [L2.coefficient(tuple(1 if i == k else 0 for i in range(3))) for k in range(3)]
+    if all(x == 0 for x in cross_product(v1, v2)):
+        raise DomainError("the t-linear forms are proportional: the pencil "
+                          "degenerates to a genus-0 configuration")
+    return SplitKLM(L1, M1, L2, M2)
+
+
+def _reference_cubic_from_quadrics(pair: QuadricPair) -> PlaneCubic:
+    moved, _ = translate_to_infinity(pair)
+    s = split_klm(moved)
+    C = s.L1 * s.M2 - s.L2 * s.M1
+    if C.is_zero():
+        raise DomainError("the pencil degenerates: the eliminant cubic "
+                          "vanishes identically")
+    return PlaneCubic.from_poly(C)
+
+
+def _outcome(route, pair):
+    """The cubic's JSON bytes, or the DomainError text."""
+    try:
+        return json.dumps(route(pair).to_json(), sort_keys=True)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
 
 def test_spohn_pair_split_golden(g44):
     pair = spohn_pair(g44)
@@ -130,6 +226,7 @@ def test_spohn_pair_split_golden(g44):
     assert s.M2 == poly3({(1, 1, 0): -5, (0, 1, 1): -3})
     cub = cubic_from_quadrics(pair)
     assert cub.poly == poly3(dict(build_cubic(g44).f.terms))
+    assert cub.poly == _reference_cubic_from_quadrics(pair).poly
     assert j_invariant(cub).value == F(2810381476, 227025)
 
 
@@ -159,6 +256,7 @@ def test_non_spohn_pair_pipeline():
     assert cub.poly == poly3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
                               (0, 2, 1): -1, (1, 0, 2): -1, (0, 1, 2): 2,
                               (0, 0, 3): -1})
+    assert cub.poly == _reference_cubic_from_quadrics(pr).poly
     tc = cub.coeffs
     assert (tc.a, tc.b, tc.c, tc.d, tc.e, tc.f, tc.g, tc.h, tc.i, tc.m) == \
         (F(-1), F(0), F(-1), F(0), F(-1, 3), F(-1, 3), F(-1, 3), F(2, 3), F(1), F(0))
@@ -184,16 +282,81 @@ def test_translate_swaps_when_last_coordinate_vanishes(g44):
     assert moved.point.canonical() == (0, 0, 0, 1)
     # same curve, so the reduction lands at the same j
     assert j_invariant(cubic_from_quadrics(pair)).value == F(2810381476, 227025)
+    assert cubic_from_quadrics(pair).poly == _reference_cubic_from_quadrics(pair).poly
+
+
+# t x + y^2 and t x + z^2 share the linear-in-t part: the pencil drops genus
+PROPORTIONAL_L = QuadricPair(poly4({(1, 0, 0, 1): 1, (0, 2, 0, 0): 1}),
+                             poly4({(1, 0, 0, 1): 1, (0, 0, 2, 0): 1}), (0, 0, 0, 1))
+# x (t + z) and y (t + z) share a plane: L1 M2 - L2 M1 = x yz - y xz = 0
+ZERO_ELIMINANT = QuadricPair(poly4({(1, 0, 0, 1): 1, (1, 0, 1, 0): 1}),
+                             poly4({(0, 1, 0, 1): 1, (0, 1, 1, 0): 1}), (0, 0, 0, 1))
 
 
 def test_split_rejects_proportional_linear_parts():
-    # t x + y^2 and t x + z^2 share the linear-in-t part: the pencil drops genus
-    P1 = poly4({(1, 0, 0, 1): 1, (0, 2, 0, 0): 1})
-    P2 = poly4({(1, 0, 0, 1): 1, (0, 0, 2, 0): 1})
-    pair = QuadricPair(P1, P2, (0, 0, 0, 1))
-    moved, _ = translate_to_infinity(pair)
+    moved, _ = translate_to_infinity(PROPORTIONAL_L)
     with pytest.raises(DomainError):
         split_klm(moved)
+    with pytest.raises(DomainError, match="proportional"):
+        cubic_from_quadrics(PROPORTIONAL_L)
+
+
+CORNERS = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+pair_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50))
+
+
+@st.composite
+def quadric_pairs(draw):
+    """Spohn pairs at a corner, or random pairs through a random rational
+    point (given as polynomials or as possibly unsymmetric A/B matrices)."""
+    try:
+        if draw(st.booleans()):
+            e = draw(st.lists(pair_entries, min_size=8, max_size=8))
+            base = spohn_pair(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
+            return QuadricPair(base.P1, base.P2, draw(st.sampled_from(CORNERS)))
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        point = draw(st.lists(coord, min_size=3, max_size=3))
+        point.append(draw(st.one_of(st.just(F(0)), coord)))
+        assume(any(point))
+        k = next(i for i in range(4) if point[i])
+        mats = []
+        for _ in range(2):
+            M = [[F(draw(pair_entries)) for _ in range(4)] for _ in range(4)]
+            # move the point onto the quadric through the x_k^2 entry
+            M[k][k] -= sum(M[i][j] * point[i] * point[j]
+                           for i in range(4) for j in range(4)) / point[k] ** 2
+            mats.append(M)
+        if draw(st.booleans()):
+            return QuadricPair.from_json({
+                "A": [[rat_str(x) for x in row] for row in mats[0]],
+                "B": [[rat_str(x) for x in row] for row in mats[1]],
+                "point": [rat_str(x) for x in point]})
+        P1, P2 = (poly4({tuple(int(n == i) + int(n == j) for n in range(4)): M[i][j]
+                         for i in range(4) for j in range(4)}) for M in mats)
+        return QuadricPair(P1, P2, point)
+    except DomainError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadric_pairs())
+@example(PROPORTIONAL_L)
+@example(ZERO_ELIMINANT)
+@example(QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 1)))
+def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
+    """The polar identity on the symmetric matrices gives the same cubic,
+    byte for byte, as translating, splitting and expanding, and the same
+    DomainError text on a degenerate pencil."""
+    assert _outcome(cubic_from_quadrics, pair) == \
+        _outcome(_reference_cubic_from_quadrics, pair)
+
+
+def test_zero_eliminant_is_a_domain_error():
+    with pytest.raises(DomainError, match="vanishes identically"):
+        cubic_from_quadrics(ZERO_ELIMINANT)
 
 
 def test_quadric_pair_validation():
