@@ -27,6 +27,7 @@ from .polynomials import (
     DomainError,
     MultiPoly,
     ProjPoint,
+    clear_denominators,
     cross_product,
     is_rational_nth_power,
     is_rational_square,
@@ -240,13 +241,6 @@ class PlaneCubic:
             raise DomainError("expected a nonzero cubic")
         return cls(poly, tc)
 
-    @classmethod
-    def from_spohn(cls, spohn) -> "PlaneCubic":
-        """A nonzero Spohn cubic, read off its seven coefficients."""
-        c1, c2, c3, c4, c5, c6, c7 = spohn.c
-        return cls.from_coeffs(0, 0, 0, c1 / 3, c5 / 3, c4 / 3, c3 / 3, c6 / 3, c2 / 3,
-                               c7 / 6)
-
     def to_json(self) -> dict:
         return {
             "poly": self.poly.to_json(),
@@ -260,26 +254,19 @@ class AronholdInvariants(NamedTuple):
     disc: Fraction    # (64 S^3 - T^2) / 1728
 
 
-# the cubic's coefficients are these multiples of the classical labels a..m
-_TEN_WEIGHTS = (1, 1, 1, 3, 3, 3, 3, 3, 3, 6)
-
-
 def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     """The two fundamental invariants and the discriminant of a ternary cubic.
 
     The cubic is singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the
     Fermat cubic x^3 + y^3 + z^3 has S = 0, T = 1.
 
-    S and T are evaluated on integers.  With L the lcm of the denominators
-    of the cubic's ten coefficients, 6L times each classical label is an
-    integer (d..i are a coefficient over 3, m one over 6).  S and T are
-    homogeneous of degrees 4 and 6, so S = S(6L a, ...) / (6L)^4 and
-    T = T(6L a, ...) / (6L)^6 exactly.
+    S and T are evaluated on integers.  With N the lcm of the denominators
+    of the ten classical labels, N times each label is an integer, and S
+    and T are homogeneous of degrees 4 and 6, so S = S(N a, ...) / N^4 and
+    T = T(N a, ...) / N^6 exactly.
     """
-    L = math.lcm(*(x.denominator // math.gcd(x.denominator, w)
-                   for w, x in zip(_TEN_WEIGHTS, cubic.coeffs)))
-    N = 6 * L
-    S, T = _aronhold_st(*(x.numerator * (N // x.denominator) for x in cubic.coeffs))
+    N, labels = clear_denominators(cubic.coeffs)
+    S, T = _aronhold_st(*labels)
     return AronholdInvariants(Fraction(S, N**4), Fraction(T, N**6),
                               Fraction(64 * S**3 - T**2, 1728 * N**12))
 
@@ -414,10 +401,6 @@ class WeierstrassCurve:
                           (self.a1, self.a2, self.a3, self.a4, self.a6)) + ")")
 
 
-def _unit3(k) -> tuple:
-    return tuple(int(i == k) for i in range(3))
-
-
 def _polar(coeffs, u, v, w):
     """T(u, v, w) for the symmetric trilinear form T whose entries are the
     ten classical labels `coeffs` (see `TenCoeffs`)."""
@@ -465,28 +448,21 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     # on integers: the labels are A / n, p = P / dp and u = U / du, and T is
     # linear in the labels and in each argument, so
     # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly
-    n = math.lcm(*(x.denominator for x in cubic.coeffs))
-    A = tuple(x.numerator * (n // x.denominator) for x in cubic.coeffs)
-    dp = math.lcm(*(x.denominator for x in pt.coords))
-    P = tuple(x.numerator * (dp // x.denominator) for x in pt.coords)
+    n, A = clear_denominators(cubic.coeffs)
+    dp, P = clear_denominators(pt.coords)
     if _polar(A, P, P, P) != 0:
         raise DomainError("base point does not lie on the cubic")
-    grad = tuple(3 * _polar(A, _unit3(k), P, P) for k in range(3))  # n dp^2 grad C(p)
+    grad = tuple(3 * _polar(A, e, P, P) for e in geometry._MONOS[1])  # n dp^2 grad C(p)
     if all(x == 0 for x in grad):  # pragma: no cover — impossible when disc != 0
         raise DomainError("base point is singular")
 
-    # U: a tangent direction at p; w: the first unit vector with
+    # U: a tangent direction at p, one of grad x e_k (they span the tangent
+    # line, which holds P) not parallel to P; w: the first unit vector with
     # det(U, P, w) = (U x P) . w nonzero
-    U = None
-    for k in range(3):
-        v = cross_product(grad, _unit3(k))
-        if any(x != 0 for x in v) and not _parallel(v, P):
-            U = v
-            break
-    if U is None:  # pragma: no cover
-        raise AssertionError("no tangent direction found")
+    U = next(v for v in (cross_product(grad, e) for e in geometry._MONOS[1])
+             if any(cross_product(v, P)))
     normal = cross_product(U, P)
-    w = _unit3(next(k for k in range(3) if normal[k] != 0))
+    w = geometry._MONOS[1][next(k for k in range(3) if normal[k] != 0)]
     du = n * dp * dp
 
     def coefficient(a, b, c) -> Fraction:
@@ -530,10 +506,6 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         raise AssertionError("Weierstrass reduction failed certification: "
                              f"{E!r} is not Q-isomorphic to the Jacobian")
     return E
-
-
-def _parallel(u, v) -> bool:
-    return all(x == 0 for x in cross_product(u, v))
 
 
 def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
@@ -598,7 +570,7 @@ def game_equivalence(game1, game2) -> dict:
         if spohn.is_zero():
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
-        jres = j_invariant(PlaneCubic.from_spohn(spohn))
+        jres = j_invariant(PlaneCubic.from_poly(spohn.f))
         if jres.is_singular:
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(

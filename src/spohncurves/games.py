@@ -398,12 +398,13 @@ class WitnessReport:
     """Outcome of a witness-sequence construction for a Nash equilibrium.
 
     `sequence(r)` returns the exact interior point for integer r >= threshold.
-    The ladder evaluates r = 10^3..10^6; `ok` says whether every required
-    limit inequality holds within `tol` at the largest r.
+    The ladder evaluates r = 10^3..10^6, or threshold * 10^0..10^3 when the
+    threshold exceeds 10^3; `ok` says whether every required limit
+    inequality holds within `_WITNESS_TOL` at the last rung.
     """
 
     def __init__(self, kind, case, formula, threshold, sequence, limit,
-                 played, ladder, inequalities, ok, tol, relabeling="",
+                 ladder, inequalities, ok, relabeling="",
                  lam=None, payoff_limits=None):
         self.kind = kind                  # "pure" | "semi-mixed" | "totally-mixed" | "cooperation"
         self.case = case                  # human-readable case selector
@@ -411,11 +412,9 @@ class WitnessReport:
         self.threshold = threshold        # minimal integer r with an interior point
         self.sequence = sequence          # callable r -> exact 4-tuple
         self.limit = limit                # exact limit point (4-tuple)
-        self.played = played              # which E_k^(i) must dominate, e.g. ["e21>=e11"]
         self.ladder = ladder              # list[WitnessLadderRow]
-        self.inequalities = inequalities  # list of inequality labels
+        self.inequalities = inequalities  # which E_k^(i) must dominate, as labels
         self.ok = ok
-        self.tol = tol
         self.relabeling = relabeling
         self.lam = lam                    # cooperation only: the off-diagonal split
         self.payoff_limits = payoff_limits  # cooperation only: limits of E_k^(i)
@@ -430,7 +429,7 @@ class WitnessReport:
             "threshold": self.threshold,
             "limit": [rat_str(x) for x in self.limit],
             "inequalities": list(self.inequalities),
-            "tolerance": self.tol,
+            "tolerance": _WITNESS_TOL,
             "ladder": [
                 {
                     "r": row.r,
@@ -505,18 +504,27 @@ def _semi_mixed_sequence(game: PayoffTables, r_mix: Fraction):
     return label, formula, seq
 
 
-def _interior_threshold(seq, start=2, cap=10 ** 7) -> int:
-    r = start
-    while r <= cap:
-        if all(x > 0 for x in seq(r)):
-            return r
-        r += 1
-    raise DomainError("no interior point found along the sequence")  # pragma: no cover
+def _interior_threshold(seq) -> int:
+    """The least integer r >= 2 with seq(r) in the open simplex: try
+    r = 2, 3, 5, 9, ..., doubling r - 1, and bisect the last step (so a
+    threshold of 2 or 3 costs what a walk from 2 does).  Every coordinate of
+    every template is a positive multiple of a power of 1/r, or a positive
+    constant minus such terms, so once seq(r) is interior it stays interior."""
+    def interior(r):
+        return all(x > 0 for x in seq(r))
+    lo, hi = 1, 2  # the threshold is in (lo, hi] once interior(hi) holds
+    while not interior(hi):
+        lo, hi = hi, 2 * hi - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if interior(mid) else (mid, hi)
+    return hi
 
 
-def _evaluate_ladder(game: PayoffTables, seq, limit_point, tol=_WITNESS_TOL):
-    """Evaluate the four conditional payoffs along r = 10^3..10^6 and check
-    the DE inequalities for strategies played in the limit."""
+def _evaluate_ladder(game: PayoffTables, seq, limit_point, threshold):
+    """Evaluate the four conditional payoffs along the ladder (see
+    `WitnessReport`) and check the DE inequalities for strategies played in
+    the limit."""
     lim = JointDistribution(*limit_point)
     checks = []  # (label, f: payoffs -> float slack)
     if lim.row1 != 0:
@@ -528,21 +536,22 @@ def _evaluate_ladder(game: PayoffTables, seq, limit_point, tol=_WITNESS_TOL):
     if lim.col2 != 0:
         checks.append(("E_2^(2) >= E_1^(2)", lambda e: float(e.e22 - e.e12)))
     rows = []
-    for r in _LADDER:
+    ladder = (_LADDER if threshold <= _LADDER[0]
+              else tuple(threshold * 10 ** k for k in range(4)))
+    for r in ladder:
         pt = seq(r)
         dist = JointDistribution(*pt)
         if sum(pt) != 1:
             raise AssertionError("witness sequence left the simplex")  # pragma: no cover
         pay = conditional_payoffs(game, dist)
         rows.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
-    ok = all(res >= -tol for res in rows[-1].residuals)
+    ok = all(res >= -_WITNESS_TOL for res in rows[-1].residuals)
     return rows, [label for label, _ in checks], ok
 
 
-def ne_witness_sequence(game: PayoffTables, ne: MixedProfile,
-                        tol=_WITNESS_TOL) -> WitnessReport:
+def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
     """Construct an interior sequence witnessing that a Nash equilibrium is a
-    dependency equilibrium, and evaluate it on the ladder r = 10^3..10^6.
+    dependency equilibrium, and evaluate it on the ladder.
 
     `ne` must be a Nash equilibrium of the game (checked exactly); totally
     mixed equilibria get the constant sequence.  Boundary equilibria are
@@ -560,10 +569,10 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile,
     if 0 < q < 1 and 0 < r_ < 1:
         limit = ne.segre().as_tuple()
         seq = lambda r: limit
-        ladder, labels, ok = _evaluate_ladder(game, seq, limit, tol)
+        ladder, labels, ok = _evaluate_ladder(game, seq, limit, 1)
         return WitnessReport("totally-mixed", "interior equilibrium",
                              "constant sequence p(r) = p", 1, seq, limit,
-                             labels, ladder, labels, ok, tol)
+                             ladder, labels, ok)
 
     # normalize: player 1 should be the pure player, playing row 2
     work, wq, wr = game, q, r_
@@ -595,13 +604,13 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile,
     seq = lambda r: tuple(wseq(r)[perm[i]] for i in range(4))
     limit = tuple(wlimit[perm[i]] for i in range(4))
     threshold = _interior_threshold(seq)
-    ladder, labels, ok = _evaluate_ladder(game, seq, limit, tol)
+    ladder, labels, ok = _evaluate_ladder(game, seq, limit, threshold)
     return WitnessReport(kind, label, formula, threshold, seq, limit,
-                         labels, ladder, labels, ok, tol,
+                         ladder, labels, ok,
                          relabeling=", ".join(steps) if steps else "none")
 
 
-def cooperation_witness(game: PayoffTables, tol=_WITNESS_TOL) -> WitnessReport:
+def cooperation_witness(game: PayoffTables) -> WitnessReport:
     """Witness sequence showing mutual cooperation is a dependency
     equilibrium of a symmetric prisoner's-dilemma-type game.
 
@@ -635,10 +644,10 @@ def cooperation_witness(game: PayoffTables, tol=_WITNESS_TOL) -> WitnessReport:
                      lam / r, (1 - lam) / r)
     limit = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     threshold = _interior_threshold(seq)
-    ladder, labels, ok = _evaluate_ladder(game, seq, limit, tol)
+    ladder, labels, ok = _evaluate_ladder(game, seq, limit, threshold)
     return WitnessReport("cooperation", f"lambda = {rat_str(lam)}",
                          "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
-                         threshold, seq, limit, labels, ladder, labels, ok, tol,
+                         threshold, seq, limit, ladder, labels, ok,
                          lam=lam, payoff_limits=(game.a11, game.a11, game.a11, game.a22))
 
 

@@ -11,13 +11,13 @@ explicit smooth rational points.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .polynomials import (
     DomainError,
     MultiPoly,
     ProjPoint,
+    clear_denominators,
     cross_product,
     primitive_vector,
     rat,
@@ -157,8 +157,8 @@ class SpohnCubic:
 def build_cubic(game) -> SpohnCubic:
     """The seven coefficients, straight from the payoff entries: computed on
     the tables scaled to integers, then divided by the two scales."""
-    la, (a11, a12, a21, a22) = _integer_table(game.A)
-    lb, (b11, b12, b21, b22) = _integer_table(game.B)
+    la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
+    lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
     c1 = (a11 - a22) * (b11 - b12)
     c2 = (a11 - a21) * (b22 - b11)
     c3 = (a12 - a22) * (b11 - b12)
@@ -169,14 +169,6 @@ def build_cubic(game) -> SpohnCubic:
     scale = la * lb
     return SpohnCubic(tuple(Fraction(x, scale) for x in (c1, c2, c3, c4, c5, c6, c7)),
                       game=game)
-
-
-def _integer_table(table) -> tuple:
-    """(lcm, entries): the lcm of a 2x2 table's denominators, and its
-    entries, row by row, times that lcm."""
-    (p, q), (r, s) = table
-    lcm = math.lcm(p.denominator, q.denominator, r.denominator, s.denominator)
-    return lcm, tuple(x.numerator * (lcm // x.denominator) for x in (p, q, r, s))
 
 
 def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
@@ -232,8 +224,8 @@ def classify_cases(game) -> frozenset:
     run on each table scaled to integers.  By the paper's theorem a nonzero
     cubic has a linear component iff at least one case holds (`classify`).
     """
-    a11, a12, a21, a22 = _integer_table(game.A)[1]
-    b11, b12, b21, b22 = _integer_table(game.B)[1]
+    a11, a12, a21, a22 = clear_denominators(game.A[0] + game.A[1])[1]
+    b11, b12, b21, b22 = clear_denominators(game.B[0] + game.B[1])[1]
     cases = set()
     if a11 == a12:
         cases.add(1)
@@ -470,9 +462,9 @@ def _split_conic(N):
 
     N is a positive multiple of the conic's symmetric matrix (see
     `_conic_matrix`).  Returns ("irreducible",) for a smooth conic,
-    ("lines", v1, v2, ratio) for a rational line pair (v1 == v2 for a double
-    line, which is when all 2x2 minors vanish) with v1, v2 primitive integer
-    3-vectors and N == ratio (v1 v2^T + v2 v1^T) verified, or
+    ("lines", v1, v2) for a rational line pair (v1 == v2 for a double line,
+    which is when all 2x2 minors vanish) with v1, v2 primitive integer
+    3-vectors and N a verified multiple of v1 v2^T + v2 v1^T, or
     ("irrational",) for a degenerate conic whose two conjugate lines are not
     defined over Q.
 
@@ -512,7 +504,7 @@ def _split_conic(N):
     if any(N[a][b] * prod[i][j] != N[i][j] * prod[a][b]
            for a in range(3) for b in range(3)):
         raise AssertionError("conic split verification failed")
-    return ("lines", v1, v2, Fraction(N[i][j], prod[i][j]))
+    return ("lines", v1, v2)
 
 
 def _line_point(v) -> ProjPoint:
@@ -534,11 +526,12 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
     """A rational point of the component where its gradient does not vanish.
 
     Lines: cross the coefficient vector with a coordinate vector.  Conics:
-    try the three coordinate points first, then search coordinate-line
-    slices with parameters of height <= 100.  Raises DomainError if the
-    budgeted search finds nothing (degenerate conics without rational
-    points, reported rather than silently skipped).  A pair of conjugate
-    irrational lines raises at once: its only rational point is singular.
+    try the three coordinate points first.  Then `_split_conic` decides a
+    degenerate conic exactly: a double line, and a pair of conjugate
+    irrational lines (one rational point, their vertex), have no smooth
+    rational point and raise DomainError at once; a rational line pair
+    v1 v2 gets the first v1 x e_k off v2.  A smooth conic is searched on
+    coordinate-line slices at heights <= 100; DomainError if none is found.
     """
     g = component.poly
     if component.kind == "line":
@@ -549,15 +542,21 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
     if point is not None:
         return point
 
-    # a degenerate conic with irrational lines has one rational point, the
-    # lines' intersection, and it is singular
-    if _split_conic(N)[0] == "irrational":
+    split = _split_conic(N)
+    if split[0] == "irrational":
         raise DomainError("the conic is a pair of conjugate irrational lines: "
                           "its only rational point is singular")
+    if split[0] == "lines":
+        _, v1, v2 = split
+        if v1 == v2:
+            raise DomainError("the conic is a double line: every point of it "
+                              "is singular")
+        return next(ProjPoint(p) for p in (cross_product(v1, e) for e in _MONOS[1])
+                    if sum(a * b for a, b in zip(v2, p)))
 
-    # bounded slice search: fix x_i = h1 and x_j = h2 at heights <= 100 and
-    # solve x^T N x = a w^2 + 2 b w + c = 0 for w = x_s exactly; N x is the
-    # gradient there, up to a factor
+    # a smooth conic: fix x_i = h1, x_j = h2 and solve x^T N x = a w^2 +
+    # 2 b w + c = 0 for w = x_s; a != 0 (else e_s was returned above), and
+    # every point of a smooth conic is smooth
     for s in range(3):
         i, j = (k for k in range(3) if k != s)
         for h1 in range(0, 101):
@@ -566,16 +565,11 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
                     a = N[s][s]
                     b = N[s][i] * hi + N[s][j] * h2
                     c = N[i][i] * hi * hi + 2 * N[i][j] * hi * h2 + N[j][j] * h2 * h2
-                    if a == 0:
-                        roots = [-c / (2 * b)] if b else []
-                    else:
-                        r = rational_sqrt(b * b - a * c)
-                        roots = [] if r is None else [(-b + r) / a, (-b - r) / a]
-                    for w in roots:
+                    r = rational_sqrt(b * b - a * c)
+                    if r is not None:
                         x = [Fraction(0)] * 3
-                        x[s], x[i], x[j] = w, Fraction(hi), Fraction(h2)
-                        if any(sum(N[m][n] * x[n] for n in range(3)) for m in range(3)):
-                            return ProjPoint(x)
+                        x[s], x[i], x[j] = (-b + r) / a, Fraction(hi), Fraction(h2)
+                        return ProjPoint(x)
     raise DomainError("no smooth rational point found on the conic within "
                       "the height-100 search budget")
 
@@ -591,8 +585,9 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     residual of degree 3 means no line divides f (irreducible: the candidate
     list is exhaustive whenever no coordinate line divides f); a conic is
     split further on its integer matrix, which is complete over Q.  The
-    scalar is tracked exactly, and scalar * product of the components ==
-    f is checked by convolving the vectors.
+    product of the components, one convolution of their vectors, must be
+    proportional to the integer cubic entry by entry; the scalar is read off
+    that check once, at the product's first nonzero entry.
 
     Every residual conic passes through a coordinate point (a line holds at
     most two of them), which is smooth on a smooth conic; a pair of
@@ -609,12 +604,10 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         raise DomainError("cannot decompose the zero cubic")
     cases = classify_cases(cubic.game) if cubic.game is not None else None
 
-    lcm = math.lcm(*(x.denominator for x in cubic.c))
-    ints = [x.numerator * (lcm // x.denominator) for x in cubic.c]
+    lcm, ints = clear_denominators(cubic.c)
     form = [0] * 10
     for e, k in zip(_CUBIC_EXPS, ints):
         form[_INDEX[3][e]] = k
-    scalar = Fraction(1, lcm)  # f = scalar * residual * (the found lines)
     residual = form
     found: dict = {}  # primitive line vector -> multiplicity, in order found
     for v in _candidate_lines(ints):
@@ -632,14 +625,10 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         N = _conic_matrix(residual)
         split = _split_conic(N)
         if split[0] == "lines":
-            _, v1, v2, ratio = split
-            scalar *= ratio
-            for v in (v1, v2):  # v1 == v2 for a double line
+            for v in split[1:]:  # v1 == v2 for a double line
                 found[v] = found.get(v, 0) + 1
         else:  # smooth, or an irrational line pair: one conic component
             conic = primitive_vector(residual)
-            k = next(k for k in range(6) if conic[k])
-            scalar *= Fraction(residual[k], conic[k])
             if split[0] == "irreducible":
                 conic_point = _coordinate_point(N)
     elif degree == 1:
@@ -647,23 +636,20 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         # third line is generic (the coordinate restrictions that would have
         # located it vanished identically); the residual is an exact factor,
         # hence a component outright
-        v = primitive_vector(residual)
-        k = next(k for k in range(3) if v[k])
-        scalar *= Fraction(residual[k], v[k])
-        found[v] = 1
-    elif degree == 0:
-        scalar *= residual[0]
+        found[primitive_vector(residual)] = 1
 
-    # exact reconstruction check: scalar * product == form / lcm
+    # exact reconstruction check: the product is proportional to form, and
+    # the scalar is read off its first nonzero entry i
     product = [1]
     for v, mult in found.items():
         for _ in range(mult):
             product = _multiply(product, v)
     if conic is not None:
         product = _multiply(product, conic)
-    num, den = scalar.numerator * lcm, scalar.denominator
-    if any(num * p != den * q for p, q in zip(product, form)):
+    i = next(i for i in range(10) if product[i])
+    if any(form[i] * p != product[i] * q for p, q in zip(product, form)):
         raise AssertionError("component product does not reproduce the cubic")
+    scalar = Fraction(form[i], product[i] * lcm)
 
     components = [CurveComponent("line", MultiPoly(VARS3, dict(zip(_MONOS[1], v))), mult,
                                  _line_point(v)) for v, mult in found.items()]

@@ -453,11 +453,17 @@ class ProjPoint:
         return [rat_str(c) for c in self.canonical()]
 
 
+def clear_denominators(v) -> tuple:
+    """(lcm, ints): the lcm of the denominators of a rational vector (ints
+    or Fractions), and the vector times it, as a tuple of ints."""
+    lcm = math.lcm(*[c.denominator for c in v])
+    return lcm, tuple([c.numerator * (lcm // c.denominator) for c in v])
+
+
 def primitive_vector(v) -> tuple:
     """The integer multiple of a nonzero rational vector with content 1 and
     first nonzero entry > 0: one representative per projective point."""
-    lcm = math.lcm(*(c.denominator for c in v))
-    ints = [c.numerator * (lcm // c.denominator) for c in v]
+    ints = clear_denominators(v)[1]
     g = math.gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g

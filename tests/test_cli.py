@@ -6,6 +6,8 @@ import random
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -238,6 +240,21 @@ def test_witness_flag_conflicts(capsys):
     _, err = run_ok(capsys, ["witness", "--game", PD, "--ne", "0,0",
                              "--cooperation"], code=2)
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("ne, threshold", [("0,1/100000", 100001), ("0,1/1000", 1001)])
+def test_witness_ladder_starts_at_a_large_threshold(capsys, ne, threshold):
+    # the semi-mixed sequence is interior only for r > 1/p1: the threshold is
+    # found by doubling and bisection, and the ladder starts there
+    game = '{"A": [[0,0],[1,1]], "B": [[0,0],[1,1]]}'
+    start = time.perf_counter()
+    out, _ = run_ok(capsys, ["witness", "--game", game, "--ne", ne])
+    assert time.perf_counter() - start < 1
+    data = json.loads(out)
+    assert data["threshold"] == threshold
+    assert [row["r"] for row in data["ladder"]] == [threshold * 10 ** k for k in range(4)]
+    for row in data["ladder"]:
+        assert all(Fraction(x) > 0 for x in row["point"])
 
 
 @pytest.mark.parametrize("game", [

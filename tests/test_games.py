@@ -243,6 +243,23 @@ def test_witness_semi_mixed_reports_slow_column_residual():
         assert sum(pt) == 1 and all(x > 0 for x in pt)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+       st.booleans())
+def test_interior_threshold_is_the_first_interior_rung(mix, swap):
+    # doubling and bisection find the same r as walking r = 2, 3, ...; the
+    # semi-mixed sequence needs r > 1/mix and r^2 > 1/(1 - mix)
+    g = PayoffTables([[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    ne = MixedProfile(0, mix)
+    if swap:
+        g, ne = g.transpose_players(), MixedProfile(mix, 0)
+    rep = ne_witness_sequence(g, ne)
+    assert rep.kind == "semi-mixed"
+    walk = next(r for r in itertools.count(2) if all(x > 0 for x in rep.sequence(r)))
+    assert rep.threshold == walk
+    assert all(x > 0 for row in rep.ladder for x in row.point)
+
+
 def test_witness_all_four_pure_corners():
     rng = random.Random(7211)
     seen_strict = 0

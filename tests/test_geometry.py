@@ -304,6 +304,26 @@ def test_smooth_point_search_on_conic_without_coordinate_points():
     assert any(v != 0 for v in conic.poly.gradient_at(pt.coords))
 
 
+def test_double_line_has_no_smooth_point_at_once():
+    # every point of (x + y + z)^2 is singular: no search budget is spent
+    conic = CurveComponent("conic", q3({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) ** 2)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="double line"):
+        smooth_rational_point(conic)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("v1, v2", [((1, 1, 1), (1, -2, 3)), ((2, 3, -1), (1, 1, 1)),
+                                    ((1, 1, 1), (2, 1, 1)), ((3, -1, 5), (-2, 7, 1))])
+def test_rational_line_pair_gets_a_smooth_point(v1, v2):
+    # no coordinate point lies on these pairs, so the point comes from the
+    # split; on (x+y+z)(2x+y+z) the first candidate [0:1:-1] is the vertex
+    conic = CurveComponent("conic", _linear(v1) * _linear(v2) * Fraction(-3, 2))
+    pt = smooth_rational_point(conic)
+    assert conic.poly.evaluate(pt.coords) == 0
+    assert any(v != 0 for v in conic.poly.gradient_at(pt.coords))
+
+
 def test_conic_with_no_rational_points_is_reported():
     from spohncurves.geometry import CurveComponent
     # x^2 + y^2 = 3 z^2 has no rational solutions

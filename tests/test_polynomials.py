@@ -8,6 +8,7 @@ from spohncurves.polynomials import (
     DomainError,
     MultiPoly,
     ProjPoint,
+    clear_denominators,
     contfrac_approx,
     cross_product,
     is_rational_nth_power,
@@ -172,6 +173,17 @@ def test_projpoint_canonical_and_primitive():
     assert pt.primitive() == (0, 1, 6)
     with pytest.raises(ValueError):
         ProjPoint((0, 0, 0))
+
+
+def test_clear_denominators():
+    assert clear_denominators((3, -4, 0)) == (1, (3, -4, 0))
+    assert clear_denominators((0, 0)) == (1, (0, 0))
+    assert clear_denominators((F(-1, 6), F(3, 4), 2, 0)) == (12, (-2, 9, 24, 0))
+    assert clear_denominators([F(5, 7)]) == (7, (5,))
+    big = 10 ** 39 + 7  # a 40-digit denominator, coprime to 3
+    lcm, ints = clear_denominators((F(1, big), F(-2, 3)))
+    assert (lcm, ints) == (3 * big, (3, -2 * big))
+    assert all(type(x) is int for x in ints)
 
 
 def test_cross_product_orthogonality():
