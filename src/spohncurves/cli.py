@@ -42,24 +42,17 @@ class UsageError(Exception):
     pass
 
 
-def _load_game(args) -> games.PayoffTables:
-    if getattr(args, "bimatrix", None) is not None:
-        if getattr(args, "game", None) is not None:
-            raise UsageError("give exactly one of --game / --bimatrix")
-        return games.PayoffTables.from_bimatrix(args.bimatrix)
-    if getattr(args, "game", None) is None:
-        raise UsageError("a game is required (--game or --bimatrix)")
-    return games.PayoffTables.from_json(_load_json(args.game))
-
-
-def _load_second_game(args) -> games.PayoffTables:
-    if getattr(args, "bimatrix2", None) is not None:
-        if getattr(args, "game2", None) is not None:
-            raise UsageError("give exactly one of --game2 / --bimatrix2")
-        return games.PayoffTables.from_bimatrix(args.bimatrix2)
-    if getattr(args, "game2", None) is None:
-        raise UsageError("a second game is required (--game2 or --bimatrix2)")
-    return games.PayoffTables.from_json(_load_json(args.game2))
+def _load_game(args, n="") -> games.PayoffTables:
+    """The game given by --game<n> or --bimatrix<n>, for n = "" or "2"."""
+    spec, text = getattr(args, "game" + n, None), getattr(args, "bimatrix" + n, None)
+    if text is not None:
+        if spec is not None:
+            raise UsageError(f"give exactly one of --game{n} / --bimatrix{n}")
+        return games.PayoffTables.from_bimatrix(text)
+    if spec is None:
+        which = "a second game" if n else "a game"
+        raise UsageError(f"{which} is required (--game{n} or --bimatrix{n})")
+    return games.PayoffTables.from_json(_load_json(spec))
 
 
 def _load_json(spec: str):
@@ -129,7 +122,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_equiv(args):
-    return elliptic.game_equivalence(_load_game(args), _load_second_game(args))
+    return elliptic.game_equivalence(_load_game(args), _load_game(args, "2"))
 
 
 def _cmd_nash(args):

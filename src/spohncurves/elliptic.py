@@ -31,6 +31,7 @@ from .polynomials import (
     cross_product,
     is_rational_nth_power,
     is_rational_square,
+    json_list,
     rat,
     rat_str,
 )
@@ -77,13 +78,13 @@ class QuadricPair:
         """Accepts {"P1": poly, "P2": poly, "point": [...]} with polys in the
         sparse-term format, or {"A": 4x4, "B": 4x4, "point": [...]} giving
         the quadrics as v^T A v and v^T B v.  Raises ValueError on any
-        other shape."""
+        other shape, a string where an array belongs included."""
         try:
             if "A" in data and "B" in data:
                 P1, P2 = _poly_from_matrix(data["A"]), _poly_from_matrix(data["B"])
             else:
                 P1, P2 = MultiPoly.from_json(data["P1"]), MultiPoly.from_json(data["P2"])
-            point = [rat(c) for c in data["point"]]
+            point = [rat(c) for c in json_list(data["point"], "the common point")]
         except (TypeError, KeyError) as exc:
             raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point: "
                              f"{exc!r}") from None
@@ -95,7 +96,8 @@ class QuadricPair:
 
 
 def _poly_from_matrix(M) -> MultiPoly:
-    rows = [[rat(x) for x in row] for row in M]
+    rows = [[rat(x) for x in json_list(row, "a quadric matrix row")]
+            for row in json_list(M, "a quadric matrix")]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("quadric matrix must be 4x4")
     terms = {}
@@ -115,9 +117,7 @@ def spohn_pair(game) -> QuadricPair:
     """The game's Spohn quadrics with the fully-mixed-boundary point
     [0:0:0:1], relabeled to (x, y, z, t) = (p11, p12, p21, p22)."""
     q = geometry.build_quadrics(game)
-    return QuadricPair(MultiPoly(VARS4, dict(q.q1.terms)),
-                       MultiPoly(VARS4, dict(q.q2.terms)),
-                       (0, 0, 0, 1))
+    return QuadricPair(q.q1, q.q2, (0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------

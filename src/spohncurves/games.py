@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .polynomials import DomainError, det, rat, rat_str
+from .polynomials import DomainError, clear_denominators, det, json_list, rat, rat_str
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +64,17 @@ class PayoffTables:
 
     @classmethod
     def from_json(cls, data) -> "PayoffTables":
-        """{"A": [["2","0"],["3","1"]], "B": ...} (entries int or "n/d" strings)."""
+        """{"A": [["2","0"],["3","1"]], "B": ...} (entries int or "n/d" strings;
+        tables and rows must be JSON arrays)."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or "A" not in data or "B" not in data:
             raise ValueError("game JSON needs 'A' and 'B'")
-        return cls(data["A"], data["B"])
+        A, B = data["A"], data["B"]
+        for M in (A, B):
+            for row in json_list(M, "a payoff table"):
+                json_list(row, "a payoff row")
+        return cls(A, B)
 
     @classmethod
     def from_bimatrix(cls, text: str) -> "PayoffTables":
@@ -369,22 +374,20 @@ def de_membership(game: PayoffTables, p: JointDistribution) -> str:
 # witness sequences for Nash equilibria
 # ---------------------------------------------------------------------------
 
-# The sequences below converge to a boundary Nash equilibrium through the
-# open simplex and realize the defining limit inequalities of dependency
-# equilibria.  They are stated for the normalized position "player 1 plays
-# their second strategy"; arbitrary equilibria are moved there by relabeling
-# strategies/players and the sequence is mapped back through the inverse
-# relabeling.
+# A witness sequence p(r) converges through the open simplex to a boundary
+# Nash equilibrium and realizes the defining limit inequalities of dependency
+# equilibria.  Each is stored as a template: four cells in the order
+# (11, 12, 21, 22), each a row (c0, c1, c2, c3) meaning
+# c0 + c1/r + c2/r^2 + c3/r^3.  Boundary templates are stated for the
+# normalized position "player 1 plays their second strategy"; an arbitrary
+# equilibrium is moved there by the relabelings below, and the template's
+# rows are permuted back through them.
 
-_IDENT = (0, 1, 2, 3)            # cell order (11, 12, 21, 22)
-_SWAP_ROWS = (2, 3, 0, 1)        # 11<->21, 12<->22
-_SWAP_COLS = (1, 0, 3, 2)        # 11<->12, 21<->22
-_SWAP_PLAYERS = (0, 2, 1, 3)     # transpose: 12<->21
-
-
-def _compose(p, q):
-    """Permutation composition: apply q after p (both act on cell indices)."""
-    return tuple(q[p[i]] for i in range(4))
+_SWAPS = {                          # relabeling -> the cells it exchanges
+    "players swapped": (0, 2, 1, 3),   # transpose: 12<->21
+    "rows swapped": (2, 3, 0, 1),      # 11<->21, 12<->22
+    "columns swapped": (1, 0, 3, 2),   # 11<->12, 21<->22
+}
 
 
 class WitnessLadderRow(NamedTuple):
@@ -395,29 +398,69 @@ class WitnessLadderRow(NamedTuple):
 
 
 class WitnessReport:
-    """Outcome of a witness-sequence construction for a Nash equilibrium.
+    """A witness sequence for a Nash equilibrium, built from its template.
 
-    `sequence(r)` returns the exact interior point for integer r >= threshold.
-    The ladder evaluates r = 10^3..10^6, or threshold * 10^0..10^3 when the
-    threshold exceeds 10^3; `ok` says whether every required limit
-    inequality holds within `_WITNESS_TOL` at the last rung.
+    `template` holds four rows (c0, c1, c2, c3), one per cell in the order
+    (11, 12, 21, 22), meaning c0 + c1/r + c2/r^2 + c3/r^3; its columns must
+    sum to (1, 0, 0, 0), so p(r) sums to 1 for every r.  `limit` is the c0
+    column and `sequence(r)` the exact point at r.  `threshold` is the least
+    integer r with p(r) in the open simplex.  The ladder evaluates
+    r = 10^3..10^6, or threshold * 10^0..10^3 when the threshold exceeds
+    10^3; `inequalities` are the DE conditions E_k^(i) >= E_l^(i) for the
+    strategies played in the limit, and `ok` says whether every one holds
+    within `_WITNESS_TOL` at the last rung.
     """
 
-    def __init__(self, kind, case, formula, threshold, sequence, limit,
-                 ladder, inequalities, ok, relabeling="",
+    def __init__(self, game, kind, case, formula, template, relabeling="",
                  lam=None, payoff_limits=None):
+        if tuple(map(sum, zip(*template))) != (1, 0, 0, 0):
+            raise AssertionError("witness template does not sum to 1")  # pragma: no cover
         self.kind = kind                  # "pure" | "semi-mixed" | "totally-mixed" | "cooperation"
         self.case = case                  # human-readable case selector
         self.formula = formula            # sequence formula in normalized coordinates
-        self.threshold = threshold        # minimal integer r with an interior point
-        self.sequence = sequence          # callable r -> exact 4-tuple
-        self.limit = limit                # exact limit point (4-tuple)
-        self.ladder = ladder              # list[WitnessLadderRow]
-        self.inequalities = inequalities  # which E_k^(i) must dominate, as labels
-        self.ok = ok
+        self.template = template          # four rows (c0, c1, c2, c3) of 1/r coefficients
         self.relabeling = relabeling
         self.lam = lam                    # cooperation only: the off-diagonal split
         self.payoff_limits = payoff_limits  # cooperation only: limits of E_k^(i)
+        self._cells = []  # (lcm, integer coefficients up to the last nonzero one)
+        for row in template:
+            den, ints = clear_denominators(row)
+            while len(ints) > 1 and ints[-1] == 0:
+                ints = ints[:-1]
+            self._cells.append((den, ints))
+        self.limit = tuple(Fraction(row[0]) for row in template)
+        self.threshold = _interior_threshold(self.sequence)
+
+        lim = JointDistribution(*self.limit)
+        checks = []  # (label, f: payoffs -> float slack)
+        if lim.row1 != 0:
+            checks.append(("E_1^(1) >= E_2^(1)", lambda e: float(e.e11 - e.e21)))
+        if lim.row2 != 0:
+            checks.append(("E_2^(1) >= E_1^(1)", lambda e: float(e.e21 - e.e11)))
+        if lim.col1 != 0:
+            checks.append(("E_1^(2) >= E_2^(2)", lambda e: float(e.e12 - e.e22)))
+        if lim.col2 != 0:
+            checks.append(("E_2^(2) >= E_1^(2)", lambda e: float(e.e22 - e.e12)))
+        self.inequalities = [label for label, _ in checks]
+        self.ladder = []
+        for r in (_LADDER if self.threshold <= _LADDER[0]
+                  else tuple(self.threshold * 10 ** k for k in range(4))):
+            pt = self.sequence(r)
+            pay = conditional_payoffs(game, JointDistribution(*pt))
+            self.ladder.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
+        self.ok = all(res >= -_WITNESS_TOL for res in self.ladder[-1].residuals)
+
+    def sequence(self, r: int) -> tuple:
+        """The exact point p(r): one Fraction per cell, numerator by Horner's
+        rule on the integer coefficients, denominator lcm * r^degree (the
+        lowest power keeps the gcd small when r is huge)."""
+        out = []
+        for den, ints in self._cells:
+            num = 0
+            for c in ints:
+                num = num * r + c
+            out.append(Fraction(num, den * r ** (len(ints) - 1)))
+        return tuple(out)
 
     def to_json(self) -> dict:
         out = {
@@ -456,97 +499,55 @@ _LADDER = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 _WITNESS_TOL = 1e-6
 
 
-def _pure_corner_sequence(game: PayoffTables):
-    """Sequence template for the normalized pure equilibrium (row 2, col 2).
+def _pure_corner_template(game: PayoffTables):
+    """Template for the normalized pure equilibrium (row 2, col 2).
 
     Requires a12 <= a22 and b21 <= b22 (the best-response conditions).
-    Returns (case label, formula string, r -> exact tuple).
+    Returns (case label, formula string, template).
     """
-    F = Fraction
     if game.a11 <= game.a12 and game.b11 <= game.b21:
-        label = "a11<=a12 and b11<=b21"
-        formula = "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)"
-        seq = lambda r: (F(1, r), F(1, r ** 2), F(1, r ** 2),
-                         1 - F(1, r) - 2 * F(1, r ** 2))
-    elif game.a11 >= game.a12 and game.b11 >= game.b21:
-        label = "a11>=a12 and b11>=b21"
-        formula = "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)"
-        seq = lambda r: (F(1, r ** 2), F(1, r), F(1, r),
-                         1 - 2 * F(1, r) - F(1, r ** 2))
-    elif game.a11 <= game.a12 and game.b11 >= game.b21:
-        label = "a11<=a12 and b11>=b21"
-        formula = "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)"
-        seq = lambda r: (F(1, r ** 2), F(1, r ** 3), F(1, r),
-                         1 - F(1, r) - F(1, r ** 2) - F(1, r ** 3))
-    else:
-        label = "a11>=a12 and b11<=b21"
-        formula = "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)"
-        seq = lambda r: (F(1, r ** 2), F(1, r), F(1, r ** 3),
-                         1 - F(1, r) - F(1, r ** 2) - F(1, r ** 3))
-    return label, formula, seq
+        return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)",
+                ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (1, -1, -2, 0)))
+    if game.a11 >= game.a12 and game.b11 >= game.b21:
+        return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)",
+                ((0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0), (1, -2, -1, 0)))
+    if game.a11 <= game.a12 and game.b11 >= game.b21:
+        return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)",
+                ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, -1, -1, -1)))
+    return ("a11>=a12 and b11<=b21", "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)",
+            ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, -1, -1, -1)))
 
 
-def _semi_mixed_sequence(game: PayoffTables, r_mix: Fraction):
-    """Sequence template for the normalized semi-mixed equilibrium
+def _semi_mixed_template(game: PayoffTables, r_mix: Fraction):
+    """Template for the normalized semi-mixed equilibrium
     ((0,1), (r_mix, 1-r_mix)); needs b21 == b22 (player 2 indifference)."""
     if game.b21 != game.b22:
         raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
-    F = Fraction
-    p1, p2 = r_mix, 1 - r_mix
+    row2 = ((r_mix, -1, 0, 0), (1 - r_mix, 0, -1, 0))  # p1 - 1/r, p2 - 1/r^2
     if game.a11 <= game.a12:
-        label = "a11<=a12"
-        formula = "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)"
-        seq = lambda r: (F(1, r), F(1, r ** 2), p1 - F(1, r), p2 - F(1, r ** 2))
-    else:
-        label = "a11>=a12"
-        formula = "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)"
-        seq = lambda r: (F(1, r ** 2), F(1, r), p1 - F(1, r), p2 - F(1, r ** 2))
-    return label, formula, seq
+        return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)",
+                ((0, 1, 0, 0), (0, 0, 1, 0)) + row2)
+    return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)",
+            ((0, 0, 1, 0), (0, 1, 0, 0)) + row2)
 
 
 def _interior_threshold(seq) -> int:
-    """The least integer r >= 2 with seq(r) in the open simplex: try
-    r = 2, 3, 5, 9, ..., doubling r - 1, and bisect the last step (so a
-    threshold of 2 or 3 costs what a walk from 2 does).  Every coordinate of
-    every template is a positive multiple of a power of 1/r, or a positive
-    constant minus such terms, so once seq(r) is interior it stays interior."""
+    """The least integer r >= 1 with seq(r) in the open simplex: try
+    r = 1, 2, 3, 5, 9, ..., doubling r - 1, and bisect the last step (so a
+    threshold of 2 or 3 costs what a walk from 1 does).  Every cell of
+    every template is a positive constant, a positive combination of powers
+    of 1/r, or a positive constant minus such terms, so once seq(r) is
+    interior it stays interior; only a constant template is interior at
+    r = 1."""
     def interior(r):
         return all(x > 0 for x in seq(r))
-    lo, hi = 1, 2  # the threshold is in (lo, hi] once interior(hi) holds
+    lo, hi = 0, 1  # the threshold is in (lo, hi] once interior(hi) holds
     while not interior(hi):
-        lo, hi = hi, 2 * hi - 1
+        lo, hi = hi, hi + max(hi - 1, 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if interior(mid) else (mid, hi)
     return hi
-
-
-def _evaluate_ladder(game: PayoffTables, seq, limit_point, threshold):
-    """Evaluate the four conditional payoffs along the ladder (see
-    `WitnessReport`) and check the DE inequalities for strategies played in
-    the limit."""
-    lim = JointDistribution(*limit_point)
-    checks = []  # (label, f: payoffs -> float slack)
-    if lim.row1 != 0:
-        checks.append(("E_1^(1) >= E_2^(1)", lambda e: float(e.e11 - e.e21)))
-    if lim.row2 != 0:
-        checks.append(("E_2^(1) >= E_1^(1)", lambda e: float(e.e21 - e.e11)))
-    if lim.col1 != 0:
-        checks.append(("E_1^(2) >= E_2^(2)", lambda e: float(e.e12 - e.e22)))
-    if lim.col2 != 0:
-        checks.append(("E_2^(2) >= E_1^(2)", lambda e: float(e.e22 - e.e12)))
-    rows = []
-    ladder = (_LADDER if threshold <= _LADDER[0]
-              else tuple(threshold * 10 ** k for k in range(4)))
-    for r in ladder:
-        pt = seq(r)
-        dist = JointDistribution(*pt)
-        if sum(pt) != 1:
-            raise AssertionError("witness sequence left the simplex")  # pragma: no cover
-        pay = conditional_payoffs(game, dist)
-        rows.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
-    ok = all(res >= -_WITNESS_TOL for res in rows[-1].residuals)
-    return rows, [label for label, _ in checks], ok
 
 
 def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
@@ -554,11 +555,11 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
     dependency equilibrium, and evaluate it on the ladder.
 
     `ne` must be a Nash equilibrium of the game (checked exactly); totally
-    mixed equilibria get the constant sequence.  Boundary equilibria are
-    relabeled to the normalized position (player 1 pure on row 2, and column
-    2 for pure equilibria) and the sequence for the matching
-    payoff-comparison case is used, mapped back through the inverse
-    relabeling.
+    mixed equilibria get the constant template (p, 0, 0, 0) per cell.
+    Boundary equilibria are relabeled to the normalized position (player 1
+    pure on row 2, and column 2 for pure equilibria), the template for the
+    matching payoff-comparison case is chosen there, and its rows are
+    permuted back through the relabelings in reverse order.
     """
     ne = MixedProfile(rat(ne.q), rat(ne.r))
     if not is_nash(game, ne):
@@ -567,46 +568,34 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
     q, r_ = ne.q, ne.r
 
     if 0 < q < 1 and 0 < r_ < 1:
-        limit = ne.segre().as_tuple()
-        seq = lambda r: limit
-        ladder, labels, ok = _evaluate_ladder(game, seq, limit, 1)
-        return WitnessReport("totally-mixed", "interior equilibrium",
-                             "constant sequence p(r) = p", 1, seq, limit,
-                             ladder, labels, ok)
+        return WitnessReport(game, "totally-mixed", "interior equilibrium",
+                             "constant sequence p(r) = p",
+                             tuple((p, 0, 0, 0) for p in ne.segre().as_tuple()))
 
     # normalize: player 1 should be the pure player, playing row 2
-    work, wq, wr = game, q, r_
-    perm = _IDENT
+    work, wr = game, r_
     steps = []
-    if 0 < wq < 1:  # player 1 mixes, so player 2 must be pure: swap players
-        work, wq, wr = work.transpose_players(), wr, wq
-        perm = _compose(perm, _SWAP_PLAYERS)
+    if 0 < q < 1:  # player 1 mixes, so player 2 must be pure: swap players
+        work, q, wr = work.transpose_players(), wr, q
         steps.append("players swapped")
-    if wq == 1:
-        work, wq = work.swap_rows(), Fraction(0)
-        perm = _compose(perm, _SWAP_ROWS)
+    if q == 1:
+        work = work.swap_rows()
         steps.append("rows swapped")
 
     if 0 < wr < 1:
         kind = "semi-mixed"
-        label, formula, wseq = _semi_mixed_sequence(work, wr)
-        wlimit = (Fraction(0), Fraction(0), wr, 1 - wr)
+        label, formula, template = _semi_mixed_template(work, wr)
     else:
         if wr == 1:
-            work, wr = work.swap_cols(), Fraction(0)
-            perm = _compose(perm, _SWAP_COLS)
+            work = work.swap_cols()
             steps.append("columns swapped")
         kind = "pure"
-        label, formula, wseq = _pure_corner_sequence(work)
-        wlimit = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+        label, formula, template = _pure_corner_template(work)
 
-    # map back: original cell i carries the mass of normalized cell perm[i]
-    seq = lambda r: tuple(wseq(r)[perm[i]] for i in range(4))
-    limit = tuple(wlimit[perm[i]] for i in range(4))
-    threshold = _interior_threshold(seq)
-    ladder, labels, ok = _evaluate_ladder(game, seq, limit, threshold)
-    return WitnessReport(kind, label, formula, threshold, seq, limit,
-                         ladder, labels, ok,
+    # each relabeling is an involution on the cells: undo the last one first
+    for step in reversed(steps):
+        template = tuple(template[j] for j in _SWAPS[step])
+    return WitnessReport(game, kind, label, formula, template,
                          relabeling=", ".join(steps) if steps else "none")
 
 
@@ -639,15 +628,9 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
             raise DomainError(f"cooperation witness requires {label}")
 
     lam = (game.a11 - game.a22) / (game.a21 - game.a22)
-    F = Fraction
-    seq = lambda r: (1 - F(1, r) - F(1, r ** 2), F(1, r ** 2),
-                     lam / r, (1 - lam) / r)
-    limit = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    threshold = _interior_threshold(seq)
-    ladder, labels, ok = _evaluate_ladder(game, seq, limit, threshold)
-    return WitnessReport("cooperation", f"lambda = {rat_str(lam)}",
+    return WitnessReport(game, "cooperation", f"lambda = {rat_str(lam)}",
                          "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
-                         threshold, seq, limit, ladder, labels, ok,
+                         ((1, -1, -1, 0), (0, 0, 1, 0), (0, lam, 0, 0), (0, 1 - lam, 0, 0)),
                          lam=lam, payoff_limits=(game.a11, game.a11, game.a11, game.a22))
 
 

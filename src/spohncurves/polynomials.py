@@ -55,6 +55,15 @@ def rat_str(q: Fraction) -> str:
             "digits, Python's limit for integer-to-string conversion") from exc
 
 
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON array (a list, as `json` parses one), else
+    ValueError naming `what`: a string there would be read character by
+    character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
 def _int_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, exact integer Newton iteration."""
     if n < 0:
@@ -167,7 +176,7 @@ class MultiPoly:
         terms = [(tuple(t["exp"]), rat(t["coef"])) for t in obj["terms"]]
         if any(type(e) is not int for exp, _ in terms for e in exp):
             raise ValueError("polynomial exponents must be JSON integers")
-        return cls(obj["vars"], terms)
+        return cls(json_list(obj["vars"], "polynomial vars"), terms)
 
     # -- serialization ------------------------------------------------------
 

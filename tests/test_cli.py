@@ -286,6 +286,33 @@ def test_json_booleans_are_not_rationals(capsys, argv):
     assert out == "" and err.startswith("bad input: ") and "bool" in err
 
 
+# 2 x t + y^2 and x z + y t as unsymmetric matrices, through [0:0:0:1]
+_DIGIT_PAIR = ('{"A": [%s, %s, %s, %s], "B": [[0,0,1,0],[0,0,0,1],[0,0,0,0],[0,0,0,0]], '
+               '"point": %s}')
+_VARS_PAIR = ('{"P1": {"vars": %s, "terms": [{"exp": [1, 0, 0, 1], "coef": 1}, '
+              '{"exp": [0, 2, 0, 0], "coef": 1}]}, '
+              '"P2": {"vars": ["x", "y", "z", "t"], "terms": ['
+              '{"exp": [0, 1, 0, 1], "coef": 1}, {"exp": [1, 0, 1, 0], "coef": 1}]}, '
+              '"point": [0, 0, 0, 1]}')
+
+
+@pytest.mark.parametrize("command, arrays, strings", [
+    ("j", '{"A": [[1,2],[3,4]], "B": [[5,6],[7,8]]}', '{"A": ["12","34"], "B": ["56","78"]}'),
+    ("reduce", _DIGIT_PAIR % ("[0,0,0,1]", "[0,1,0,0]", "[0,0,0,0]", "[1,0,0,0]", "[0,0,0,1]"),
+     _DIGIT_PAIR % ('"0001"', '"0100"', '"0000"', '"1000"', "[0,0,0,1]")),
+    ("reduce", _DIGIT_PAIR % ("[0,0,0,1]", "[0,1,0,0]", "[0,0,0,0]", "[1,0,0,0]", "[0,0,0,1]"),
+     _DIGIT_PAIR % ("[0,0,0,1]", "[0,1,0,0]", "[0,0,0,0]", "[1,0,0,0]", '"0001"')),
+    ("reduce", _VARS_PAIR % '["x", "y", "z", "t"]', _VARS_PAIR % '"xyzt"'),
+], ids=["payoff rows", "quadric rows", "point", "vars"])
+def test_json_strings_are_not_arrays(capsys, command, arrays, strings):
+    """Payoff rows, quadric matrix rows, the common point and polynomial vars
+    spelt as strings would be read character by character."""
+    flag = "--game" if command == "j" else "--pair"
+    run_ok(capsys, [command, flag, arrays])
+    out, err = run_ok(capsys, [command, flag, strings], code=2)
+    assert out == "" and err.startswith("bad input: ") and "JSON array" in err
+
+
 @pytest.mark.parametrize("exponent", ['[1.9, 0, 0, 1.2]', '["1", 0, 0, 1]', '[true, 0, 0, 1]'])
 def test_non_integer_exponents_are_bad_input(capsys, exponent):
     """x t + y^2 and y t + x z, with the exponent of x t spelt badly."""

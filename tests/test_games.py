@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,14 @@ from spohncurves import (
     spohn_determinants,
     totally_mixed_nash,
 )
-from spohncurves.games import _min_norm_step, _residuals_and_jacobian, _unit_spread
+from spohncurves.games import (
+    WitnessLadderRow,
+    WitnessReport,
+    _min_norm_step,
+    _residuals_and_jacobian,
+    _unit_spread,
+)
+from spohncurves.polynomials import rat_str
 from caselib import random_game
 
 F = Fraction
@@ -537,3 +546,189 @@ def test_pareto_sweep_mixed_reference(bos):
     report = pareto_sweep(bos[0], grid=12, seed=4)
     assert report["reference"]["kind"] == "totally-mixed"
     assert report["reference"]["point"] == ["3/10", "9/20", "1/10", "3/20"]
+
+
+# --- witness templates against the lambda route ------------------------------------
+#
+# The reference route states each witness sequence as a lambda r -> 4-tuple in
+# the normalized position, with its limit point written out by hand, and maps
+# it back through composed cell permutations evaluated at every r.  Production
+# stores 1/r coefficient tables and permutes their rows once; both must give
+# the same report bytes.
+
+_REF_IDENT = (0, 1, 2, 3)
+_REF_SWAP_ROWS = (2, 3, 0, 1)
+_REF_SWAP_COLS = (1, 0, 3, 2)
+_REF_SWAP_PLAYERS = (0, 2, 1, 3)
+
+
+def _ref_compose(p, q):
+    return tuple(q[p[i]] for i in range(4))
+
+
+def _reference_pure_corner_sequence(game):
+    if game.a11 <= game.a12 and game.b11 <= game.b21:
+        return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)",
+                lambda r: (F(1, r), F(1, r ** 2), F(1, r ** 2), 1 - F(1, r) - 2 * F(1, r ** 2)))
+    if game.a11 >= game.a12 and game.b11 >= game.b21:
+        return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)",
+                lambda r: (F(1, r ** 2), F(1, r), F(1, r), 1 - 2 * F(1, r) - F(1, r ** 2)))
+    if game.a11 <= game.a12 and game.b11 >= game.b21:
+        return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)",
+                lambda r: (F(1, r ** 2), F(1, r ** 3), F(1, r),
+                           1 - F(1, r) - F(1, r ** 2) - F(1, r ** 3)))
+    return ("a11>=a12 and b11<=b21", "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)",
+            lambda r: (F(1, r ** 2), F(1, r), F(1, r ** 3),
+                       1 - F(1, r) - F(1, r ** 2) - F(1, r ** 3)))
+
+
+def _reference_semi_mixed_sequence(game, p1):
+    if game.b21 != game.b22:
+        raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
+    p2 = 1 - p1
+    if game.a11 <= game.a12:
+        return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)",
+                lambda r: (F(1, r), F(1, r ** 2), p1 - F(1, r), p2 - F(1, r ** 2)))
+    return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)",
+            lambda r: (F(1, r ** 2), F(1, r), p1 - F(1, r), p2 - F(1, r ** 2)))
+
+
+def _reference_report(game, kind, case, formula, seq, limit, relabeling="",
+                      lam=None, payoff_limits=None, threshold=None):
+    """The report as the lambda route built it: the least interior r >= 2 by
+    doubling r - 1 and bisecting, and every rung checked to sum to 1."""
+    if threshold is None:
+        interior = lambda r: all(x > 0 for x in seq(r))
+        lo, hi = 1, 2
+        while not interior(hi):
+            lo, hi = hi, 2 * hi - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if interior(mid) else (mid, hi)
+        threshold = hi
+    lim = JointDistribution(*limit)
+    checks = [(label, f) for label, m, f in (
+        ("E_1^(1) >= E_2^(1)", lim.row1, lambda e: float(e.e11 - e.e21)),
+        ("E_2^(1) >= E_1^(1)", lim.row2, lambda e: float(e.e21 - e.e11)),
+        ("E_1^(2) >= E_2^(2)", lim.col1, lambda e: float(e.e12 - e.e22)),
+        ("E_2^(2) >= E_1^(2)", lim.col2, lambda e: float(e.e22 - e.e12))) if m != 0]
+    ladder = []
+    for r in ((10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6) if threshold <= 10 ** 3
+              else tuple(threshold * 10 ** k for k in range(4))):
+        pt = seq(r)
+        assert sum(pt) == 1
+        pay = conditional_payoffs(game, JointDistribution(*pt))
+        ladder.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
+    return SimpleNamespace(
+        kind=kind, case=case, formula=formula, threshold=threshold, sequence=seq,
+        limit=limit, ladder=ladder, inequalities=[label for label, _ in checks],
+        ok=all(res >= -1e-6 for res in ladder[-1].residuals), relabeling=relabeling,
+        lam=lam, payoff_limits=payoff_limits)
+
+
+def _reference_ne_witness(game, ne):
+    q, r_ = ne.q, ne.r
+    if 0 < q < 1 and 0 < r_ < 1:
+        limit = ne.segre().as_tuple()
+        return _reference_report(game, "totally-mixed", "interior equilibrium",
+                                 "constant sequence p(r) = p", lambda r: limit, limit,
+                                 threshold=1)
+    work, wq, wr = game, q, r_
+    perm = _REF_IDENT
+    steps = []
+    if 0 < wq < 1:
+        work, wq, wr = work.transpose_players(), wr, wq
+        perm = _ref_compose(perm, _REF_SWAP_PLAYERS)
+        steps.append("players swapped")
+    if wq == 1:
+        work, wq = work.swap_rows(), F(0)
+        perm = _ref_compose(perm, _REF_SWAP_ROWS)
+        steps.append("rows swapped")
+    if 0 < wr < 1:
+        kind = "semi-mixed"
+        label, formula, wseq = _reference_semi_mixed_sequence(work, wr)
+        wlimit = (F(0), F(0), wr, 1 - wr)
+    else:
+        if wr == 1:
+            work, wr = work.swap_cols(), F(0)
+            perm = _ref_compose(perm, _REF_SWAP_COLS)
+            steps.append("columns swapped")
+        kind = "pure"
+        label, formula, wseq = _reference_pure_corner_sequence(work)
+        wlimit = (F(0), F(0), F(0), F(1))
+    seq = lambda r: tuple(wseq(r)[perm[i]] for i in range(4))
+    limit = tuple(wlimit[perm[i]] for i in range(4))
+    return _reference_report(game, kind, label, formula, seq, limit,
+                             relabeling=", ".join(steps) if steps else "none")
+
+
+def _reference_cooperation_witness(game):
+    lam = (game.a11 - game.a22) / (game.a21 - game.a22)
+    return _reference_report(
+        game, "cooperation", f"lambda = {rat_str(lam)}",
+        "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
+        lambda r: (1 - F(1, r) - F(1, r ** 2), F(1, r ** 2), lam / r, (1 - lam) / r),
+        (F(1), F(0), F(0), F(0)), lam=lam,
+        payoff_limits=(game.a11, game.a11, game.a11, game.a22))
+
+
+def _assert_same_witness(rep, ref):
+    assert json.dumps(rep.to_json(), sort_keys=True) == \
+        json.dumps(WitnessReport.to_json(ref), sort_keys=True)
+    for r in (2, 3, 17, rep.threshold, rep.threshold + 1, 10 ** 6):
+        assert rep.sequence(r) == ref.sequence(r), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TABLES, _TABLES)
+@example([[2, 0], [3, 1]], [[2, 3], [0, 1]])                    # a11 <= a12, b11 <= b21
+@example([[3, 0], [0, 2]], [[2, 1], [0, 3]])                    # both corners and a mixed one
+@example([[10**12, 1], [F(1, 3), 10**12]], [[F(-7, 2), 5], [10**12, -10**12]])
+@example([[0, 0], [0, 0]], [[0, 0], [0, 0]])                    # every profile is Nash
+def test_pure_and_totally_mixed_witnesses_match_the_lambda_route(A, B):
+    g = PayoffTables(A, B)
+    profiles = [MixedProfile(int(i == 1), int(j == 1)) for i, j in pure_nash(g)]
+    tm = totally_mixed_nash(g)
+    if isinstance(tm, MixedProfile):
+        profiles.append(tm)
+    for ne in profiles:
+        _assert_same_witness(ne_witness_sequence(g, ne), _reference_ne_witness(g, ne))
+
+
+_MIXES = st.one_of(
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+    st.integers(1001, 100001).map(lambda n: F(1, n)),          # threshold n + 1 > 10^3
+    st.integers(10**6, 10**10).map(lambda n: 1 - F(1, n)))     # threshold ~ sqrt(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES, st.lists(_ENTRIES, min_size=3, max_size=3),
+       _MIXES, st.booleans(), st.booleans(), st.booleans())
+@example(0, 0, 0, 0, [0, 0, 1], F(1, 100000), False, False, False)
+@example(0, 1, 2, 0, [3, 5, 3], F(1, 3), True, True, True)
+def test_semi_mixed_witnesses_match_the_lambda_route(a11, a12, d1, d2, b, mix,
+                                                     transpose, swap_rows, swap_cols):
+    # normalized: player 1 plays row 2 (weakly dominant), player 2 is
+    # indifferent on it and mixes; then relabel game and profile alike
+    g = PayoffTables([[a11, a12], [a11 + abs(d1), a12 + abs(d2)]], [[b[0], b[1]], [b[2], b[2]]])
+    q, r = F(0), mix
+    if transpose:
+        g, q, r = g.transpose_players(), r, q
+    if swap_rows:
+        g, q = g.swap_rows(), 1 - q
+    if swap_cols:
+        g, r = g.swap_cols(), 1 - r
+    ne = MixedProfile(q, r)
+    rep = ne_witness_sequence(g, ne)
+    assert rep.kind == "semi-mixed"
+    _assert_same_witness(rep, _reference_ne_witness(g, ne))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ENTRIES, min_size=4, max_size=4, unique=True))
+@example([1, 0, 3, 2])
+@example([F(-1, 3), -10**12, 10**12, 7])
+def test_cooperation_witnesses_match_the_lambda_route(values):
+    a12, a22, a11, a21 = sorted(values)
+    g = PayoffTables([[a11, a12], [a21, a22]], [[a11, a21], [a12, a22]])
+    _assert_same_witness(cooperation_witness(g), _reference_cooperation_witness(g))
