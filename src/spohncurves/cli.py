@@ -8,8 +8,9 @@ carry a "numeric": true marker.
 
 Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
-than Python's int-to-string digit limit) or stdout closed before the output
-was written, 2 usage error (bad flags, unreadable input, malformed JSON).
+than Python's int-to-string digit limit, a request too large to allocate)
+or stdout closed before the output was written, 2 usage error (bad flags,
+unreadable input, malformed JSON).
 """
 
 from __future__ import annotations
@@ -263,9 +264,10 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        # exact input whose numeric report (witness, pareto) leaves the float range
-        print(f"domain error: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:
+        # exact input whose numeric report (witness, pareto) leaves the float
+        # range, or a request too large to allocate (pareto --grid 10^14)
+        print(f"domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)

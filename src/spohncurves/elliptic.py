@@ -195,6 +195,12 @@ class TenCoeffs(NamedTuple):
     m: Fraction
 
 
+# (monomial, multiplier) of each classical coefficient, in TenCoeffs order
+_TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
+                  ((2, 1, 0), 3), ((0, 2, 1), 3), ((1, 0, 2), 3),
+                  ((1, 2, 0), 3), ((0, 1, 2), 3), ((2, 0, 1), 3), ((1, 1, 1), 6))
+
+
 class PlaneCubic:
     """A ternary cubic form with its ten classical coefficients."""
 
@@ -212,31 +218,14 @@ class PlaneCubic:
             poly = MultiPoly(VARS3, dict(poly.terms))
         if poly.is_zero() or poly.degree() != 3 or not poly.is_homogeneous():
             raise DomainError("expected a nonzero homogeneous ternary cubic")
-        co = poly.coefficient
-        coeffs = TenCoeffs(
-            a=co((3, 0, 0)),
-            b=co((0, 3, 0)),
-            c=co((0, 0, 3)),
-            d=co((2, 1, 0)) / 3,
-            e=co((0, 2, 1)) / 3,
-            f=co((1, 0, 2)) / 3,
-            g=co((1, 2, 0)) / 3,
-            h=co((0, 1, 2)) / 3,
-            i=co((2, 0, 1)) / 3,
-            m=co((1, 1, 1)) / 6,
-        )
-        return cls(poly, coeffs)
+        co = poly.coefficient  # k = 1 is skipped: a Fraction divided by 1 still pays a gcd
+        return cls(poly, TenCoeffs._make([co(e) / k if k > 1 else co(e)
+                                          for e, k in _TEN_MONOMIALS]))
 
     @classmethod
     def from_coeffs(cls, *coeffs) -> "PlaneCubic":
         tc = TenCoeffs(*(rat(x) for x in coeffs))
-        terms = {
-            (3, 0, 0): tc.a, (0, 3, 0): tc.b, (0, 0, 3): tc.c,
-            (2, 1, 0): 3 * tc.d, (0, 2, 1): 3 * tc.e, (1, 0, 2): 3 * tc.f,
-            (1, 2, 0): 3 * tc.g, (0, 1, 2): 3 * tc.h, (2, 0, 1): 3 * tc.i,
-            (1, 1, 1): 6 * tc.m,
-        }
-        poly = MultiPoly(VARS3, terms)
+        poly = MultiPoly(VARS3, {e: k * x for (e, k), x in zip(_TEN_MONOMIALS, tc)})
         if poly.is_zero():
             raise DomainError("expected a nonzero cubic")
         return cls(poly, tc)

@@ -404,14 +404,19 @@ class WitnessReport:
     (11, 12, 21, 22), meaning c0 + c1/r + c2/r^2 + c3/r^3; its columns must
     sum to (1, 0, 0, 0), so p(r) sums to 1 for every r.  `limit` is the c0
     column and `sequence(r)` the exact point at r.  `threshold` is the least
-    integer r with p(r) in the open simplex.  The ladder evaluates
+    integer r >= 1 with p(r) in the open simplex, read off the template by
+    its constructor.  Every cell of every template is a positive constant, a
+    positive combination of powers of 1/r, or a positive constant minus such
+    terms, so once p(r) is interior it stays interior; hence two exact
+    evaluations prove the value: p(threshold) is interior and, when
+    threshold > 1, p(threshold - 1) is not.  The ladder evaluates
     r = 10^3..10^6, or threshold * 10^0..10^3 when the threshold exceeds
     10^3; `inequalities` are the DE conditions E_k^(i) >= E_l^(i) for the
     strategies played in the limit, and `ok` says whether every one holds
     within `_WITNESS_TOL` at the last rung.
     """
 
-    def __init__(self, game, kind, case, formula, template, relabeling="",
+    def __init__(self, game, kind, case, formula, threshold, template, relabeling="",
                  lam=None, payoff_limits=None):
         if tuple(map(sum, zip(*template))) != (1, 0, 0, 0):
             raise AssertionError("witness template does not sum to 1")  # pragma: no cover
@@ -429,7 +434,12 @@ class WitnessReport:
                 ints = ints[:-1]
             self._cells.append((den, ints))
         self.limit = tuple(Fraction(row[0]) for row in template)
-        self.threshold = _interior_threshold(self.sequence)
+
+        def interior(r):
+            return all(x > 0 for x in self.sequence(r))
+        if not interior(threshold) or threshold > 1 and interior(threshold - 1):
+            raise AssertionError("threshold is not the first interior r")  # pragma: no cover
+        self.threshold = threshold
 
         lim = JointDistribution(*self.limit)
         checks = []  # (label, f: payoffs -> float slack)
@@ -503,51 +513,39 @@ def _pure_corner_template(game: PayoffTables):
     """Template for the normalized pure equilibrium (row 2, col 2).
 
     Requires a12 <= a22 and b21 <= b22 (the best-response conditions).
-    Returns (case label, formula string, template).
+    Returns (case label, formula string, threshold, template); the
+    threshold is the least integer r > 0 at which the last cell is positive.
     """
-    if game.a11 <= game.a12 and game.b11 <= game.b21:
-        return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)",
+    if game.a11 <= game.a12 and game.b11 <= game.b21:  # r^2 - r - 2 = (r - 2)(r + 1)
+        return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)", 3,
                 ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (1, -1, -2, 0)))
-    if game.a11 >= game.a12 and game.b11 >= game.b21:
-        return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)",
+    if game.a11 >= game.a12 and game.b11 >= game.b21:  # r > 1 + sqrt(2)
+        return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)", 3,
                 ((0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0), (1, -2, -1, 0)))
+    # r^3 - r^2 - r - 1 is -2 at r = 1 and 1 at r = 2
     if game.a11 <= game.a12 and game.b11 >= game.b21:
-        return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)",
+        return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)", 2,
                 ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, -1, -1, -1)))
-    return ("a11>=a12 and b11<=b21", "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)",
+    return ("a11>=a12 and b11<=b21", "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)", 2,
             ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, -1, -1, -1)))
 
 
-def _semi_mixed_template(game: PayoffTables, r_mix: Fraction):
+def _semi_mixed_template(game: PayoffTables, p1: Fraction):
     """Template for the normalized semi-mixed equilibrium
-    ((0,1), (r_mix, 1-r_mix)); needs b21 == b22 (player 2 indifference)."""
+    ((0,1), (p1, p2)) with p2 = 1 - p1; needs b21 == b22 (player 2
+    indifference).  The threshold is the least integer r with r > 1/p1 and
+    r^2 > 1/p2."""
     if game.b21 != game.b22:
         raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
-    row2 = ((r_mix, -1, 0, 0), (1 - r_mix, 0, -1, 0))  # p1 - 1/r, p2 - 1/r^2
+    p2 = 1 - p1
+    threshold = max(p1.denominator // p1.numerator + 1,
+                    math.isqrt(p2.denominator // p2.numerator) + 1)
+    row2 = ((p1, -1, 0, 0), (p2, 0, -1, 0))  # p1 - 1/r, p2 - 1/r^2
     if game.a11 <= game.a12:
-        return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)",
+        return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)", threshold,
                 ((0, 1, 0, 0), (0, 0, 1, 0)) + row2)
-    return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)",
+    return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)", threshold,
             ((0, 0, 1, 0), (0, 1, 0, 0)) + row2)
-
-
-def _interior_threshold(seq) -> int:
-    """The least integer r >= 1 with seq(r) in the open simplex: try
-    r = 1, 2, 3, 5, 9, ..., doubling r - 1, and bisect the last step (so a
-    threshold of 2 or 3 costs what a walk from 1 does).  Every cell of
-    every template is a positive constant, a positive combination of powers
-    of 1/r, or a positive constant minus such terms, so once seq(r) is
-    interior it stays interior; only a constant template is interior at
-    r = 1."""
-    def interior(r):
-        return all(x > 0 for x in seq(r))
-    lo, hi = 0, 1  # the threshold is in (lo, hi] once interior(hi) holds
-    while not interior(hi):
-        lo, hi = hi, hi + max(hi - 1, 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if interior(mid) else (mid, hi)
-    return hi
 
 
 def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
@@ -569,7 +567,7 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
 
     if 0 < q < 1 and 0 < r_ < 1:
         return WitnessReport(game, "totally-mixed", "interior equilibrium",
-                             "constant sequence p(r) = p",
+                             "constant sequence p(r) = p", 1,
                              tuple((p, 0, 0, 0) for p in ne.segre().as_tuple()))
 
     # normalize: player 1 should be the pure player, playing row 2
@@ -584,18 +582,18 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
 
     if 0 < wr < 1:
         kind = "semi-mixed"
-        label, formula, template = _semi_mixed_template(work, wr)
+        label, formula, threshold, template = _semi_mixed_template(work, wr)
     else:
         if wr == 1:
             work = work.swap_cols()
             steps.append("columns swapped")
         kind = "pure"
-        label, formula, template = _pure_corner_template(work)
+        label, formula, threshold, template = _pure_corner_template(work)
 
     # each relabeling is an involution on the cells: undo the last one first
     for step in reversed(steps):
         template = tuple(template[j] for j in _SWAPS[step])
-    return WitnessReport(game, kind, label, formula, template,
+    return WitnessReport(game, kind, label, formula, threshold, template,
                          relabeling=", ".join(steps) if steps else "none")
 
 
@@ -629,7 +627,7 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
 
     lam = (game.a11 - game.a22) / (game.a21 - game.a22)
     return WitnessReport(game, "cooperation", f"lambda = {rat_str(lam)}",
-                         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
+                         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)", 2,  # r^2 > r + 1
                          ((1, -1, -1, 0), (0, 0, 1, 0), (0, lam, 0, 0), (0, 1 - lam, 0, 0)),
                          lam=lam, payoff_limits=(game.a11, game.a11, game.a11, game.a22))
 

@@ -245,7 +245,7 @@ def test_witness_flag_conflicts(capsys):
 @pytest.mark.parametrize("ne, threshold", [("0,1/100000", 100001), ("0,1/1000", 1001)])
 def test_witness_ladder_starts_at_a_large_threshold(capsys, ne, threshold):
     # the semi-mixed sequence is interior only for r > 1/p1: the threshold is
-    # found by doubling and bisection, and the ladder starts there
+    # read off the template, and the ladder starts there
     game = '{"A": [[0,0],[1,1]], "B": [[0,0],[1,1]]}'
     start = time.perf_counter()
     out, _ = run_ok(capsys, ["witness", "--game", game, "--ne", ne])
@@ -255,6 +255,26 @@ def test_witness_ladder_starts_at_a_large_threshold(capsys, ne, threshold):
     assert [row["r"] for row in data["ladder"]] == [threshold * 10 ** k for k in range(4)]
     for row in data["ladder"]:
         assert all(Fraction(x) > 0 for x in row["point"])
+
+
+@pytest.mark.parametrize("ne", ["0,1e-2200", "0,1e-4400"])
+def test_witness_threshold_beyond_the_digit_limit_fails_at_once(capsys, ne):
+    # the threshold 10^k + 1 costs two exact evaluations, not a search; the
+    # ladder's points then have more than 4300 digits
+    game = '{"A": [[0,0],[1,1]], "B": [[0,0],[1,1]]}'
+    start = time.perf_counter()
+    out, err = run_ok(capsys, ["witness", "--game", game, "--ne", ne], code=1)
+    assert time.perf_counter() - start < 1
+    assert out == ""
+    assert err.startswith("domain error:") and "4300 decimal digits" in err
+
+
+def test_allocation_beyond_memory_is_domain_error(capsys):
+    # 10^14 sample lines ask numpy for 4.26 PiB, which it refuses at once
+    out, err = run_ok(capsys, ["pareto", "--game", PD, "--grid", str(10 ** 14)], code=1)
+    assert out == ""
+    assert err.startswith("domain error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("game", [

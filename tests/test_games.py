@@ -253,20 +253,38 @@ def test_witness_semi_mixed_reports_slow_column_residual():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
-       st.booleans())
-def test_interior_threshold_is_the_first_interior_rung(mix, swap):
-    # doubling and bisection find the same r as walking r = 2, 3, ...; the
-    # semi-mixed sequence needs r > 1/mix and r^2 > 1/(1 - mix)
-    g = PayoffTables([[0, 0], [1, 1]], [[0, 0], [1, 1]])
-    ne = MixedProfile(0, mix)
-    if swap:
-        g, ne = g.transpose_players(), MixedProfile(mix, 0)
-    rep = ne_witness_sequence(g, ne)
-    assert rep.kind == "semi-mixed"
-    walk = next(r for r in itertools.count(2) if all(x > 0 for x in rep.sequence(r)))
-    assert rep.threshold == walk
-    assert all(x > 0 for row in rep.ladder for x in row.point)
+@given(st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+       st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000))
+@example([0, 1, 0, 2, 0, 1, 1, 2], F(1, 3))     # corner (2,2): a11<=a12 and b11<=b21
+@example([2, 0, 0, 1, 2, 0, 0, 1], F(1, 1000))  # a11>=a12 and b11>=b21; totally mixed NE
+@example([0, 1, 0, 2, 2, 0, 0, 1], F(999, 1000))  # a11<=a12 and b11>=b21
+@example([2, 0, 0, 1, 0, 1, 1, 2], F(1, 2))     # a11>=a12 and b11<=b21
+def test_interior_threshold_is_the_first_interior_rung(entries, mix):
+    # every threshold read off a template equals the first r of the walk
+    # r = 1, 2, 3, ... with p(r) in the open simplex: the pure corners and the
+    # totally mixed equilibrium of a game under every relabeling, cooperation,
+    # and semi-mixed sequences (r > 1/mix and r^2 > 1/(1 - mix)) for both
+    # semi-mixed cases in both player orders
+    base = PayoffTables([entries[0:2], entries[2:4]], [entries[4:6], entries[6:8]])
+    reports = []
+    for transpose, rows, cols in itertools.product((False, True), repeat=3):
+        g = base.transpose_players() if transpose else base
+        g = g.swap_rows() if rows else g
+        g = g.swap_cols() if cols else g
+        profiles = [MixedProfile(int(i == 1), int(j == 1)) for i, j in pure_nash(g)]
+        tm = totally_mixed_nash(g)
+        if isinstance(tm, MixedProfile):
+            profiles.append(tm)
+        reports += [ne_witness_sequence(g, ne) for ne in profiles]
+    reports.append(cooperation_witness(PayoffTables([[mix, -1], [1, 0]], [[mix, 1], [-1, 0]])))
+    for a11 in (0, 1):  # a11 <= a12 and a11 >= a12
+        g = PayoffTables([[a11, 0], [1, 1]], [[0, 0], [1, 1]])
+        reports += [ne_witness_sequence(g, MixedProfile(0, mix)),
+                    ne_witness_sequence(g.transpose_players(), MixedProfile(mix, 0))]
+    for rep in reports:
+        walk = next(r for r in itertools.count(1) if all(x > 0 for x in rep.sequence(r)))
+        assert rep.threshold == walk, (rep.kind, rep.case, rep.relabeling)
+        assert all(x > 0 for row in rep.ladder for x in row.point)
 
 
 def test_witness_all_four_pure_corners():
