@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
+from .geometry import VARS3
 from .polynomials import (
     DomainError,
     MultiPoly,
@@ -37,7 +38,6 @@ from .polynomials import (
 )
 
 VARS4 = ("x", "y", "z", "t")
-VARS3 = ("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +100,8 @@ def _poly_from_matrix(M) -> MultiPoly:
             for row in json_list(M, "a quadric matrix")]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("quadric matrix must be 4x4")
-    terms = {}
-    for i in range(4):
-        for j in range(4):
-            if rows[i][j] == 0:
-                continue
-            e = [0, 0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + rows[i][j]
-    return MultiPoly(VARS4, terms)
+    return MultiPoly(VARS4, [(geometry._mono4(i, j), rows[i][j])
+                             for i in range(4) for j in range(4)])
 
 
 def spohn_pair(game) -> QuadricPair:
@@ -337,37 +328,32 @@ def j_invariant(cubic: PlaneCubic) -> JResult:
 # ---------------------------------------------------------------------------
 
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    Fixed at construction: stores a1 ... a6, b2 = a1^2 + 4 a2,
+    b4 = 2 a4 + a1 a3, b6 = a3^2 + 4 a6, c4 = b2^2 - 24 b4 and
+    c6 = -b2^3 + 36 b2 b4 - 216 b6, and derives b8 and disc once by
+    4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2 (Silverman, The
+    Arithmetic of Elliptic Curves, III.1).
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        self.a1, self.a2, self.a3, self.a4, self.a6 = (
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6 = (
             rat(a1), rat(a2), rat(a3), rat(a4), rat(a6))
+        self.b2 = b2 = a1**2 + 4*a2
+        self.b4 = b4 = 2*a4 + a1*a3
+        self.b6 = b6 = a3**2 + 4*a6
+        self.b8 = (b2*b6 - b4**2) / 4
+        self.c4 = c4 = b2**2 - 24*b4
+        self.c6 = c6 = -b2**3 + 36*b2*b4 - 216*b6
+        self.disc = (c4**3 - c6**2) / 1728
 
     @classmethod
     def from_short(cls, A, B) -> "WeierstrassCurve":
         """y^2 = x^3 + A x + B."""
         return cls(0, 0, 0, A, B)
-
-    @property
-    def b2(self): return self.a1**2 + 4*self.a2
-    @property
-    def b4(self): return 2*self.a4 + self.a1*self.a3
-    @property
-    def b6(self): return self.a3**2 + 4*self.a6
-    @property
-    def b8(self):
-        return (self.a1**2*self.a6 + 4*self.a2*self.a6 - self.a1*self.a3*self.a4
-                + self.a2*self.a3**2 - self.a4**2)
-    @property
-    def c4(self): return self.b2**2 - 24*self.b4
-    @property
-    def c6(self): return -self.b2**3 + 36*self.b2*self.b4 - 216*self.b6
-    @property
-    def disc(self):
-        return (-self.b2**2*self.b8 - 8*self.b4**3 - 27*self.b6**2
-                + 9*self.b2*self.b4*self.b6)
 
     def is_singular(self) -> bool:
         return self.disc == 0
@@ -526,10 +512,10 @@ def q_isomorphic(E1: WeierstrassCurve, E2: WeierstrassCurve) -> bool:
     j = 0 (c4 = 0) the criterion is c6'/c6 a sixth power, for j = 1728
     (c6 = 0) it is c4'/c4 a fourth power.
     """
+    if E1.disc == 0 or E2.disc == 0:
+        raise DomainError("q_isomorphic needs nonsingular curves")
     c4, c6 = E1.c4, E1.c6
     c4p, c6p = E2.c4, E2.c6
-    if c4**3 == c6**2 or c4p**3 == c6p**2:  # 1728 disc = c4^3 - c6^2
-        raise DomainError("q_isomorphic needs nonsingular curves")
     if c4 == 0 or c4p == 0:  # j = 0 needs both
         return c4 == c4p and is_rational_nth_power(c6p / c6, 6)
     if c6 == 0 or c6p == 0:  # j = 1728 needs both

@@ -13,7 +13,6 @@ exact sequence generation with float summaries (tagged "numeric" in JSON).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -66,8 +65,6 @@ class PayoffTables:
     def from_json(cls, data) -> "PayoffTables":
         """{"A": [["2","0"],["3","1"]], "B": ...} (entries int or "n/d" strings;
         tables and rows must be JSON arrays)."""
-        if isinstance(data, str):
-            data = json.loads(data)
         if not isinstance(data, dict) or "A" not in data or "B" not in data:
             raise ValueError("game JSON needs 'A' and 'B'")
         A, B = data["A"], data["B"]
@@ -126,17 +123,24 @@ class PayoffTables:
 
 
 class JointDistribution:
-    """A point (p11, p12, p21, p22) of the closed probability simplex."""
+    """A point (p11, p12, p21, p22) of the closed probability simplex.
 
-    __slots__ = ("p11", "p12", "p21", "p22")
+    Fixed at construction: stores the p_ij and the marginals row1 = p11 +
+    p12, row2 = p21 + p22 (player 1's rows), col1 = p11 + p21 and col2 =
+    p12 + p22 (player 2's columns); the sum is checked as row1 + row2 == 1.
+    """
+
+    __slots__ = ("p11", "p12", "p21", "p22", "row1", "row2", "col1", "col2")
 
     def __init__(self, p11, p12, p21, p22):
-        vals = [rat(p) for p in (p11, p12, p21, p22)]
+        vals = p11, p12, p21, p22 = [rat(p) for p in (p11, p12, p21, p22)]
         if any(v < 0 for v in vals):
             raise ValueError("probabilities must be nonnegative")
-        if sum(vals) != 1:
+        row1, row2 = p11 + p12, p21 + p22
+        if row1 + row2 != 1:
             raise ValueError("probabilities must sum to exactly 1")
         self.p11, self.p12, self.p21, self.p22 = vals
+        self.row1, self.row2, self.col1, self.col2 = row1, row2, p11 + p21, p12 + p22
 
     @classmethod
     def uniform(cls) -> "JointDistribution":
@@ -145,16 +149,6 @@ class JointDistribution:
 
     def as_tuple(self) -> tuple:
         return (self.p11, self.p12, self.p21, self.p22)
-
-    # marginals: p1_, p2_ are player 1's row marginals; p_1, p_2 player 2's
-    @property
-    def row1(self): return self.p11 + self.p12
-    @property
-    def row2(self): return self.p21 + self.p22
-    @property
-    def col1(self): return self.p11 + self.p21
-    @property
-    def col2(self): return self.p12 + self.p22
 
     def marginals(self) -> tuple:
         return (self.row1, self.row2, self.col1, self.col2)

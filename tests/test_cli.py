@@ -123,6 +123,15 @@ def test_game_from_stdin(monkeypatch, capsys):
     assert out == '{"j": "2810381476/227025"}\n'
 
 
+def test_double_encoded_game_is_bad_input(monkeypatch, capsys):
+    """A JSON string that holds a game is not a game, like a string that
+    holds an array."""
+    for text in (json.dumps(G44), '"[1,2]"'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out, err = run_ok(capsys, ["j", "--game", "-"], code=2)
+        assert out == "" and err == "bad input: game JSON needs 'A' and 'B'\n"
+
+
 def test_game_from_bimatrix(capsys):
     out, _ = run_ok(capsys, ["classify", "--bimatrix", "2,2 0,3; 3,0 1,1"])
     assert out == '{"cases": [9, 10], "kind": "Reducible"}\n'

@@ -272,6 +272,20 @@ def test_quadric_pair_from_symmetric_matrices():
     })
     assert mpair.P1 == NON_SPOHN_P1 and mpair.P2 == NON_SPOHN_P2
     assert j_invariant(cubic_from_quadrics(mpair)).value == F(65536, 37)
+    # v^T A v reads only the symmetrization (A + A^T)/2: an antisymmetric
+    # part changes nothing, and an antisymmetric A is the zero form
+    skew = [[0, 2, 0, "1/3"], [-2, 0, 5, 0], [0, -5, 0, -1], ["-1/3", 0, 1, 0]]
+    upper_b = [[0, 0, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1], [0, 0, 0, 0]]
+    unsym = QuadricPair.from_json({
+        "A": [[rat(a) + rat(k) for a, k in zip(ra, rk)] for ra, rk in zip(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], skew)],
+        "B": upper_b,
+        "point": [1, 1, 1, 1],
+    })
+    assert unsym.P1 == NON_SPOHN_P1 and unsym.P2 == NON_SPOHN_P2
+    assert unsym.to_json() == mpair.to_json()
+    with pytest.raises(DomainError, match="^expected nonzero homogeneous quadrics$"):
+        QuadricPair.from_json({"A": skew, "B": upper_b, "point": [1, 1, 1, 1]})
 
 
 def test_translate_swaps_when_last_coordinate_vanishes(g44):
@@ -376,6 +390,33 @@ def test_weierstrass_b_and_c_invariants():
     E = WeierstrassCurve(1, 2, 3, 4, 6)
     assert (E.b2, E.b4, E.b6, E.b8) == (9, 11, 33, 44)
     assert 1728 * E.disc == E.c4 ** 3 - E.c6 ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_entries, min_size=5, max_size=5))
+@example([0, 0, 0, 0, 0])     # y^2 = x^3: a cusp, c4 = c6 = 0
+@example([0, 0, 0, -3, 2])    # y^2 = (x - 1)^2 (x + 2): a node, c4 != 0
+@example([0, 0, 1, 0, 0])     # j = 0
+@example([0, 0, 0, F(-1, 3), 0])  # j = 1728
+def test_weierstrass_invariants_match_the_textbook_expansions(a):
+    """The invariants stored at construction, derived by 4 b8 = b2 b6 - b4^2
+    and 1728 disc = c4^3 - c6^2, equal the general expansions in a1 ... a6
+    (Silverman, The Arithmetic of Elliptic Curves, III.1)."""
+    a1, a2, a3, a4, a6 = (rat(x) for x in a)
+    b2 = a1**2 + 4*a2
+    b4 = 2*a4 + a1*a3
+    b6 = a3**2 + 4*a6
+    b8 = a1**2*a6 + 4*a2*a6 - a1*a3*a4 + a2*a3**2 - a4**2
+    c4 = b2**2 - 24*b4
+    c6 = -b2**3 + 36*b2*b4 - 216*b6
+    disc = -b2**2*b8 - 8*b4**3 - 27*b6**2 + 9*b2*b4*b6
+    E = WeierstrassCurve(*a)
+    stored = (E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.disc)
+    assert stored == (b2, b4, b6, b8, c4, c6, disc)
+    assert all(type(x) is Fraction for x in stored)
+    assert 1728 * E.disc == E.c4**3 - E.c6**2
+    assert (E.disc == 0) == (E.c4**3 == E.c6**2) == E.is_singular()
+    assert E.j() == (None if disc == 0 else c4**3 / disc)
 
 
 def test_reduction_at_flex_reads_off_short_form():

@@ -72,12 +72,20 @@ def test_relabelings_are_involutions(pd):
 # --- distributions and payoffs ---------------------------------------------------
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
         JointDistribution(F(1, 2), F(1, 2), F(1, 2), F(-1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^probabilities must sum to exactly 1$"):
         JointDistribution(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    with pytest.raises(ValueError, match="^probabilities must sum to exactly 1$"):
+        JointDistribution(F(1, 3), 0, "1/3", F(1, 4))
     u = JointDistribution.uniform()
     assert u.totally_mixed() and sum(u.as_tuple()) == 1
+    for p in (u, JointDistribution(F(1, 7), F(2, 7), 0, "4/7"), JointDistribution(0, 0, 0, 1),
+              JointDistribution(F(10**12 - 1, 10**12), 0, F(1, 10**12), 0)):
+        assert p.marginals() == (p.row1, p.row2, p.col1, p.col2) == \
+            (p.p11 + p.p12, p.p21 + p.p22, p.p11 + p.p21, p.p12 + p.p22)
+        assert all(isinstance(m, Fraction) for m in p.marginals())
+    assert JointDistribution(0, 0, 0, 1).totally_mixed() is False
 
 
 def test_conditional_payoffs_uniform_pd(pd):
