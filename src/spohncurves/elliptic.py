@@ -4,10 +4,11 @@ The pipeline mirrors how elliptic invariants of a Spohn curve are computed:
 project the quadric pair from a known rational point p onto a plane cubic.
 With each quadric written v^T M v, M symmetric, and v = w + t p, the polar
 identity gives w^T M w + 2 t (M p).w, since p^T M p = 0: a quadratic part
-Q_i in w and a linear part L_i = 2 M_i p, read off the matrices without
-expanding.  Eliminating t leaves the cubic C = L1 Q2 - L2 Q1.  The degree-4
-and degree-6 invariants S, T of a ternary cubic then give the discriminant
-(64 S^3 - T^2)/1728, j = 64 S^3 / disc and the Jacobian
+Q_i in w and a linear part L_i = 2 M_i p, read off integer-cleared matrices
+M = N / d without expanding.  Eliminating t leaves the cubic
+C = L1 Q2 - L2 Q1, divided once at the end.  The degree-4 and degree-6
+invariants S, T of a ternary cubic, computed once per cubic, then give the
+discriminant (64 S^3 - T^2)/1728, j = 64 S^3 / disc and the Jacobian
 J_C: y^2 = x^3 - 432 S x - 432 T (Artin, Rodriguez-Villegas and Tate, "On the
 Jacobians of plane cubics", Adv. Math. 198 (2005)).  A smooth cubic with a
 rational point is Q-isomorphic to J_C, so J_C alone decides Q-isomorphism of
@@ -47,31 +48,26 @@ VARS4 = ("x", "y", "z", "t")
 class QuadricPair:
     """Two quadric surfaces in P^3 with a common rational point.
 
-    Polynomials are stored in variables (x, y, z, t); inputs in other
-    4-variable name sets are relabeled by position.  The point is verified
-    to lie on both quadrics at construction.
+    Each quadric P is stored as (d, N), N the integer symmetric 4x4 matrix
+    with P(v) = v^T N v / d, read off P's terms by position.  The point is
+    verified at construction: P^T N P = 0 on its cleared coordinates.  `P1`
+    and `P2` rebuild the polynomials in (x, y, z, t).
     """
 
-    __slots__ = ("P1", "P2", "point")
+    __slots__ = ("quadrics", "point")
 
     def __init__(self, P1: MultiPoly, P2: MultiPoly, point):
-        def adapt(p):
-            if len(p.vars) != 4:
-                raise DomainError("quadrics must use exactly 4 variables")
-            if p.vars != VARS4:
-                p = MultiPoly(VARS4, dict(p.terms))
-            if p.is_zero() or p.degree() != 2 or not p.is_homogeneous():
-                raise DomainError("expected nonzero homogeneous quadrics")
-            return p
-
-        self.P1 = adapt(P1)
-        self.P2 = adapt(P2)
+        self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
         pt = point if isinstance(point, ProjPoint) else ProjPoint(point)
         if len(pt.coords) != 4:
             raise DomainError("common point must have 4 coordinates")
-        if self.P1.evaluate(pt.coords) != 0 or self.P2.evaluate(pt.coords) != 0:
+        P = clear_denominators(pt.coords)[1]
+        if any(_times([P], _times(N, P))[0] for _, N in self.quadrics):  # P^T N P
             raise DomainError("the common point does not lie on both quadrics")
         self.point = pt
+
+    P1 = property(lambda self: _poly_from_cleared(*self.quadrics[0]))
+    P2 = property(lambda self: _poly_from_cleared(*self.quadrics[1]))
 
     @classmethod
     def from_json(cls, data) -> "QuadricPair":
@@ -95,6 +91,32 @@ class QuadricPair:
                 "point": self.point.to_json()}
 
 
+def _cleared_matrix(P: MultiPoly) -> tuple:
+    """(d, N) with P(v) = v^T N v / d.  N is 2 M cleared to integers, M the
+    symmetric matrix of P (off-diagonal entries half the coefficients), and
+    d is twice the lcm that cleared it."""
+    if len(P.vars) != 4:
+        raise DomainError("quadrics must use exactly 4 variables")
+    if P.is_zero() or P.degree() != 2 or not P.is_homogeneous():
+        raise DomainError("expected nonzero homogeneous quadrics")
+    M2 = [0] * 16  # 2 M, row by row
+    for exp, c in P.terms.items():
+        i, j = (k for k in range(4) for _ in range(exp[k]))
+        M2[4 * i + j] = M2[4 * j + i] = 2 * c if i == j else c
+    lcm, N = clear_denominators(M2)
+    return 2 * lcm, (N[0:4], N[4:8], N[8:12], N[12:16])
+
+
+def _times(N, v) -> list:
+    """The product N v of a matrix with 4 columns and a 4-vector."""
+    return [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in N]
+
+
+def _poly_from_cleared(d: int, N) -> MultiPoly:
+    """v^T N v / d in (x, y, z, t)."""
+    return _poly_from_matrix([[Fraction(x, d) for x in row] for row in N])
+
+
 def _poly_from_matrix(M) -> MultiPoly:
     rows = [[rat(x) for x in json_list(row, "a quadric matrix row")]
             for row in json_list(M, "a quadric matrix")]
@@ -115,15 +137,6 @@ def spohn_pair(game) -> QuadricPair:
 # eliminating the common point
 # ---------------------------------------------------------------------------
 
-def _quadric_matrix(P: MultiPoly) -> list:
-    """The symmetric 4x4 matrix M with P(v) = v^T M v."""
-    M = [[Fraction(0)] * 4 for _ in range(4)]
-    for exp, c in P.terms.items():
-        i, j = (k for k in range(4) for _ in range(exp[k]))
-        M[i][j] = M[j][i] = c if i == j else c / 2
-    return M
-
-
 def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     """Eliminate t: the common solutions project to L1 Q2 - L2 Q1 = 0.
 
@@ -133,20 +146,20 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     P(w + t p) = w^T M w + 2 t (M p).w + t^2 p^T M p with p^T M p = 0, so
     Q_i is the 3x3 block of M_i on those coordinates and L_i = 2 M_i p
     restricted to them; the product is one `geometry._multiply`
-    convolution, and nothing is expanded.  Raises DomainError if L1 and L2
-    are proportional (the pencil degenerates to genus 0) or the eliminant
-    vanishes.
+    convolution on the integers N_i (see `QuadricPair`) and the cleared
+    point P, divided once, by d1 d2 P_k, at the end.  Raises DomainError if
+    L1 and L2 are proportional (the pencil degenerates to genus 0) or the
+    eliminant vanishes.
     """
-    p = pair.point.coords
-    k = 3 if p[3] else next(i for i in range(4) if p[i])
-    p = [c / p[k] for c in p]
+    P = clear_denominators(pair.point.coords)[1]
+    k = 3 if P[3] else next(i for i in range(4) if P[i])
     rest = [i if i != k else 3 for i in range(3)]
     L, Q = [], []
-    for P in (pair.P1, pair.P2):
-        M = _quadric_matrix(P)
-        L.append([2 * sum(M[i][j] * p[j] for j in range(4)) for i in rest])
+    for _, N in pair.quadrics:
+        NP = _times(N, P)
+        L.append([2 * NP[i] for i in rest])
         # over _MONOS[2] = x^2, xy, xz, y^2, yz, z^2
-        Q.append([M[rest[a]][rest[b]] * (1 if a == b else 2)
+        Q.append([N[rest[a]][rest[b]] * (1 if a == b else 2)
                   for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
     if not any(cross_product(*L)):
         raise DomainError("the t-linear forms are proportional: the pencil "
@@ -156,7 +169,9 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     if not any(C):
         raise DomainError("the pencil degenerates: the eliminant cubic "
                           "vanishes identically")
-    return PlaneCubic.from_poly(MultiPoly(VARS3, zip(geometry._MONOS[3], C)))
+    D = pair.quadrics[0][0] * pair.quadrics[1][0] * P[k]
+    return PlaneCubic.from_poly(MultiPoly(VARS3, [
+        (e, Fraction(c, D)) for e, c in zip(geometry._MONOS[3], C)]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +208,18 @@ _TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
 
 
 class PlaneCubic:
-    """A ternary cubic form with its ten classical coefficients."""
+    """A ternary cubic form with its ten classical coefficients and its
+    Aronhold invariants, computed once at construction (see `aronhold`)."""
 
-    __slots__ = ("poly", "coeffs")
+    __slots__ = ("poly", "coeffs", "invariants")
 
     def __init__(self, poly: MultiPoly, coeffs: TenCoeffs):
         self.poly = poly
         self.coeffs = coeffs
+        n, labels = clear_denominators(coeffs)
+        S, T = _aronhold_st(*labels)
+        self.invariants = AronholdInvariants(Fraction(S, n**4), Fraction(T, n**6),
+                                             Fraction(64 * S**3 - T**2, 1728 * n**12))
 
     @classmethod
     def from_poly(cls, poly: MultiPoly) -> "PlaneCubic":
@@ -240,15 +260,12 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     The cubic is singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the
     Fermat cubic x^3 + y^3 + z^3 has S = 0, T = 1.
 
-    S and T are evaluated on integers.  With N the lcm of the denominators
-    of the ten classical labels, N times each label is an integer, and S
-    and T are homogeneous of degrees 4 and 6, so S = S(N a, ...) / N^4 and
-    T = T(N a, ...) / N^6 exactly.
+    `PlaneCubic` evaluates S and T once, on integers.  With n the lcm of
+    the denominators of the ten classical labels, n times each label is an
+    integer, and S and T are homogeneous of degrees 4 and 6, so
+    S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6 exactly.
     """
-    N, labels = clear_denominators(cubic.coeffs)
-    S, T = _aronhold_st(*labels)
-    return AronholdInvariants(Fraction(S, N**4), Fraction(T, N**6),
-                              Fraction(64 * S**3 - T**2, 1728 * N**12))
+    return cubic.invariants
 
 
 def _aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
@@ -317,7 +334,7 @@ def j_invariant(cubic: PlaneCubic) -> JResult:
 
     The exact identity j * disc == 64 S^3 holds whenever j is defined.
     """
-    S, T, disc = aronhold(cubic)
+    S, T, disc = cubic.invariants
     if disc == 0:
         return JResult(None, S, T, disc)
     return JResult(64 * S**3 / disc, S, T, disc)
@@ -334,21 +351,23 @@ class WeierstrassCurve:
     b4 = 2 a4 + a1 a3, b6 = a3^2 + 4 a6, c4 = b2^2 - 24 b4 and
     c6 = -b2^3 + 36 b2 b4 - 216 b6, and derives b8 and disc once by
     4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2 (Silverman, The
-    Arithmetic of Elliptic Curves, III.1).
+    Arithmetic of Elliptic Curves, III.1), on the integers n^w a_w (n the
+    lcm of the denominators, w the weight), each divided once by n^w.
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6 = (
+        a = self.a1, self.a2, self.a3, self.a4, self.a6 = (
             rat(a1), rat(a2), rat(a3), rat(a4), rat(a6))
-        self.b2 = b2 = a1**2 + 4*a2
-        self.b4 = b4 = 2*a4 + a1*a3
-        self.b6 = b6 = a3**2 + 4*a6
-        self.b8 = (b2*b6 - b4**2) / 4
-        self.c4 = c4 = b2**2 - 24*b4
-        self.c6 = c6 = -b2**3 + 36*b2*b4 - 216*b6
-        self.disc = (c4**3 - c6**2) / 1728
+        n, (a1, a2, a3, a4, a6) = clear_denominators(a)
+        a2, a3, a4, a6 = a2 * n, a3 * n**2, a4 * n**3, a6 * n**5
+        b2, b4, b6 = a1**2 + 4*a2, 2*a4 + a1*a3, a3**2 + 4*a6
+        c4, c6 = b2**2 - 24*b4, -b2**3 + 36*b2*b4 - 216*b6
+        self.b2, self.b4, self.b6 = Fraction(b2, n**2), Fraction(b4, n**4), Fraction(b6, n**6)
+        self.b8 = Fraction((b2*b6 - b4**2) // 4, n**8)
+        self.c4, self.c6 = Fraction(c4, n**4), Fraction(c6, n**6)
+        self.disc = Fraction((c4**3 - c6**2) // 1728, n**12)
 
     @classmethod
     def from_short(cls, A, B) -> "WeierstrassCurve":
@@ -414,8 +433,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     quadratic twist fails it, and a failed certification raises instead of
     returning a wrong model.
     """
-    aron = aronhold(cubic)
-    if aron.disc == 0:
+    if cubic.invariants.disc == 0:
         raise DomainError("singular cubic: no Weierstrass model")
     pt = pt if isinstance(pt, ProjPoint) else ProjPoint(pt)
     if len(pt.coords) != 3:
@@ -477,7 +495,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         J = 72*A4*C4*E4 + 9*B4*C4*D4 - 27*A4*D4**2 - 27*B4**2*E4 - 2*C4**3
         E = WeierstrassCurve(0, 0, 0, -27 * I, -27 * J)
 
-    if not q_isomorphic(E, _jacobian(aron)):
+    if not q_isomorphic(E, jacobian(cubic)):
         raise AssertionError("Weierstrass reduction failed certification: "
                              f"{E!r} is not Q-isomorphic to the Jacobian")
     return E
@@ -490,11 +508,7 @@ def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
     y^2 = x^3 - 432.  A smooth cubic with a rational point is Q-isomorphic
     to J_C.  Raises DomainError when the cubic is singular (disc = 0).
     """
-    return _jacobian(aronhold(cubic))
-
-
-def _jacobian(inv) -> WeierstrassCurve:
-    """J_C from the S, T and disc of an AronholdInvariants or a JResult."""
+    inv = cubic.invariants
     if inv.disc == 0:
         raise DomainError("singular cubic: no Jacobian")
     return WeierstrassCurve.from_short(-432 * inv.S, -432 * inv.T)
@@ -539,26 +553,26 @@ def game_equivalence(game1, game2) -> dict:
     matched reducibility cases if a cubic is singular, since j is undefined
     there.
     """
-    results = []
+    cubics = []
     for tag, game in (("first", game1), ("second", game2)):
         spohn = geometry.build_cubic(game)
         if spohn.is_zero():
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
-        jres = j_invariant(PlaneCubic.from_poly(spohn.f))
-        if jres.is_singular:
+        cubic = PlaneCubic.from_poly(spohn.f)
+        if cubic.invariants.disc == 0:
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(
                 f"the {tag} game has a singular cubic (matched reducibility "
                 f"cases: {cases}); j is undefined")
-        results.append(jres)
+        cubics.append(cubic)
 
-    j1, j2 = results
-    same_j = j1.value == j2.value
+    j1, j2 = (j_invariant(cubic).value for cubic in cubics)
+    same_j = j1 == j2
     return {
-        "j1": rat_str(j1.value),
-        "j2": rat_str(j2.value),
+        "j1": rat_str(j1),
+        "j2": rat_str(j2),
         "same_j": same_j,
-        "fully_equivalent": same_j and q_isomorphic(_jacobian(j1), _jacobian(j2)),
+        "fully_equivalent": same_j and q_isomorphic(*map(jacobian, cubics)),
     }
 

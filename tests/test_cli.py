@@ -89,6 +89,32 @@ def test_reduce_with_weierstrass_model(capsys):
         '"weierstrass": {"a": ["0", "0", "0", "-6912", "-34560"], "j": "65536/37"}}\n')
 
 
+def test_aronhold_runs_once_per_cubic(capsys, monkeypatch):
+    """Each cubic's S and T are computed once, when it is built: `reduce`
+    with a model reads them for j and for the model's certificate, and
+    `equiv` for both games' j and their Jacobians."""
+    from spohncurves import PayoffTables, elliptic
+    calls = []
+    aronhold_st = elliptic._aronhold_st
+
+    def counted(*labels):
+        calls.append(labels)
+        return aronhold_st(*labels)
+    monkeypatch.setattr(elliptic, "_aronhold_st", counted)
+    pair = json.dumps(elliptic.spohn_pair(
+        PayoffTables.from_json(json.loads(G44))).to_json())
+    assert "terms" in json.loads(pair)["P1"]  # the sparse polynomial form
+    out, _ = run_ok(capsys, ["reduce", "--pair", pair, "--point", "1,0,0"])
+    assert json.loads(out)["weierstrass"]["j"] == "2810381476/227025"
+    assert len(calls) == 1
+    calls.clear()
+    g1 = '{"A": [[3,0],[0,2]], "B": [[2,1],[0,3]]}'
+    g2 = '{"A": [[3,1],[0,2]], "B": [[2,0],[0,3]]}'
+    out, _ = run_ok(capsys, ["equiv", "--game", g1, "--game2", g2])
+    assert json.loads(out)["fully_equivalent"] is True
+    assert len(calls) == 2
+
+
 def test_equiv_coordination_games(capsys):
     g1 = '{"A": [[3,0],[0,2]], "B": [[2,1],[0,3]]}'
     g2 = '{"A": [[3,1],[0,2]], "B": [[2,0],[0,3]]}'

@@ -16,6 +16,7 @@ from spohncurves import (
     WeierstrassCurve,
     aronhold,
     build_cubic,
+    build_quadrics,
     cubic_from_quadrics,
     game_equivalence,
     j_invariant,
@@ -322,37 +323,64 @@ pair_entries = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=50))
 
 
+def matrix_poly(M):
+    """v^T M v in (x, y, z, t) for a possibly unsymmetric 4x4 matrix M."""
+    return MultiPoly(("x", "y", "z", "t"),
+                     [(tuple(int(n == i) + int(n == j) for n in range(4)), M[i][j])
+                      for i in range(4) for j in range(4)])
+
+
+@st.composite
+def quadric_pair_inputs(draw):
+    """(P1, P2, point, data): the Spohn quadrics of a game with a corner, or
+    random quadrics through a random rational point.  `data` is None, or
+    the random pair as possibly unsymmetric A/B matrix JSON, whose v^T A v
+    and v^T B v are P1 and P2."""
+    if draw(st.booleans()):
+        e = draw(st.lists(pair_entries, min_size=8, max_size=8))
+        q = build_quadrics(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
+        return q.q1, q.q2, draw(st.sampled_from(CORNERS)), None
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    point = draw(st.lists(coord, min_size=3, max_size=3))
+    point.append(draw(st.one_of(st.just(F(0)), coord)))
+    assume(any(point))
+    k = next(i for i in range(4) if point[i])
+    mats = []
+    for _ in range(2):
+        M = [[F(draw(pair_entries)) for _ in range(4)] for _ in range(4)]
+        # move the point onto the quadric through the x_k^2 entry
+        M[k][k] -= sum(M[i][j] * point[i] * point[j]
+                       for i in range(4) for j in range(4)) / point[k] ** 2
+        mats.append(M)
+    data = None
+    if draw(st.booleans()):
+        data = {"A": [[rat_str(x) for x in row] for row in mats[0]],
+                "B": [[rat_str(x) for x in row] for row in mats[1]],
+                "point": [rat_str(x) for x in point]}
+    return matrix_poly(mats[0]), matrix_poly(mats[1]), point, data
+
+
+def build_pair(P1, P2, point, data):
+    try:
+        return QuadricPair(P1, P2, point) if data is None else QuadricPair.from_json(data)
+    except DomainError:
+        assume(False)
+
+
 @st.composite
 def quadric_pairs(draw):
     """Spohn pairs at a corner, or random pairs through a random rational
     point (given as polynomials or as possibly unsymmetric A/B matrices)."""
-    try:
-        if draw(st.booleans()):
-            e = draw(st.lists(pair_entries, min_size=8, max_size=8))
-            base = spohn_pair(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
-            return QuadricPair(base.P1, base.P2, draw(st.sampled_from(CORNERS)))
-        coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-        point = draw(st.lists(coord, min_size=3, max_size=3))
-        point.append(draw(st.one_of(st.just(F(0)), coord)))
-        assume(any(point))
-        k = next(i for i in range(4) if point[i])
-        mats = []
-        for _ in range(2):
-            M = [[F(draw(pair_entries)) for _ in range(4)] for _ in range(4)]
-            # move the point onto the quadric through the x_k^2 entry
-            M[k][k] -= sum(M[i][j] * point[i] * point[j]
-                           for i in range(4) for j in range(4)) / point[k] ** 2
-            mats.append(M)
-        if draw(st.booleans()):
-            return QuadricPair.from_json({
-                "A": [[rat_str(x) for x in row] for row in mats[0]],
-                "B": [[rat_str(x) for x in row] for row in mats[1]],
-                "point": [rat_str(x) for x in point]})
-        P1, P2 = (poly4({tuple(int(n == i) + int(n == j) for n in range(4)): M[i][j]
-                         for i in range(4) for j in range(4)}) for M in mats)
-        return QuadricPair(P1, P2, point)
-    except DomainError:
-        assume(False)
+    return build_pair(*draw(quadric_pair_inputs()))
+
+
+# through (1/2, 0, 0, -3/4), which clears to (2, 0, 0, -3): a negative pivot
+OFF_LATTICE_INPUTS = (
+    poly4({(2, 0, 0, 0): 9, (0, 0, 0, 2): -4, (0, 1, 1, 0): 1, (1, 1, 0, 0): 2,
+           (0, 0, 1, 1): 1}),
+    poly4({(1, 0, 0, 1): 2, (2, 0, 0, 0): 3, (0, 2, 0, 0): 1, (1, 0, 1, 0): -1,
+           (0, 1, 0, 1): 1}),
+    (F(1, 2), 0, 0, F(-3, 4)), None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,6 +388,7 @@ def quadric_pairs(draw):
 @example(PROPORTIONAL_L)
 @example(ZERO_ELIMINANT)
 @example(QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 1)))
+@example(QuadricPair(*OFF_LATTICE_INPUTS[:3]))
 def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
     """The polar identity on the symmetric matrices gives the same cubic,
     byte for byte, as translating, splitting and expanding, and the same
@@ -373,11 +402,40 @@ def test_zero_eliminant_is_a_domain_error():
         cubic_from_quadrics(ZERO_ELIMINANT)
 
 
+@settings(max_examples=200, deadline=None)
+@given(quadric_pair_inputs(),
+       st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=30),
+                min_size=4, max_size=4))
+@example(OFF_LATTICE_INPUTS, [F(1, 3), F(-2), F(5, 7), F(1)])
+def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
+    """Each quadric is stored as (d, N), an integer symmetric matrix over a
+    positive integer with P(v) = v^T N v / d; P1 and P2 give back the
+    polynomials the pair was built from, in (x, y, z, t), and a JSON round
+    trip stores the same (d, N)."""
+    pair = build_pair(*inputs)
+    sources = [MultiPoly(("x", "y", "z", "t"), P.terms) for P in inputs[:2]]
+    for (d, N), P, source in zip(pair.quadrics, (pair.P1, pair.P2), sources):
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in N for x in row)
+        assert all(N[i][j] == N[j][i] for i in range(4) for j in range(4))
+        assert F(sum(N[i][j] * v[i] * v[j] for i in range(4) for j in range(4)),
+                 d) == source.evaluate(v)
+        assert P == source
+    again = QuadricPair.from_json(json.loads(json.dumps(pair.to_json())))
+    assert again.quadrics == pair.quadrics
+    assert again.point == pair.point
+
+
 def test_quadric_pair_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match="^the common point does not lie on both quadrics$"):
         QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 2))     # not on P2
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^expected nonzero homogeneous quadrics$"):
         QuadricPair(NON_SPOHN_P1, poly4({(1, 0, 0, 0): 1}), (0, 0, 1, 1))
+    with pytest.raises(DomainError, match="^quadrics must use exactly 4 variables$"):
+        QuadricPair(NON_SPOHN_P1, poly3({(2, 0, 0): 1}), (0, 0, 1, 1))
+    with pytest.raises(DomainError, match="^common point must have 4 coordinates$"):
+        QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1))
 
 
 # --- Weierstrass models -----------------------------------------------------------------
@@ -398,10 +456,16 @@ def test_weierstrass_b_and_c_invariants():
 @example([0, 0, 0, -3, 2])    # y^2 = (x - 1)^2 (x + 2): a node, c4 != 0
 @example([0, 0, 1, 0, 0])     # j = 0
 @example([0, 0, 0, F(-1, 3), 0])  # j = 1728
+# denominators that differ across weights
+@example([F(1, 2), 0, 0, 0, F(1, 3**7)])
+@example([0, 0, F(-5, 12), F(7, 8), 0])
+@example([F(1, 2), F(-2, 3), F(-5, 12), F(7, 8), F(1, 3**7)])
+@example([F(3, 10), F(1, 7), F(2, 5**3), F(-1, 6**4), F(5, 11)])
 def test_weierstrass_invariants_match_the_textbook_expansions(a):
-    """The invariants stored at construction, derived by 4 b8 = b2 b6 - b4^2
-    and 1728 disc = c4^3 - c6^2, equal the general expansions in a1 ... a6
-    (Silverman, The Arithmetic of Elliptic Curves, III.1)."""
+    """The invariants stored at construction, worked out on the integers
+    n^w a_w and derived by 4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2,
+    equal the general Fraction expansions in a1 ... a6 (Silverman, The
+    Arithmetic of Elliptic Curves, III.1), in lowest terms."""
     a1, a2, a3, a4, a6 = (rat(x) for x in a)
     b2 = a1**2 + 4*a2
     b4 = 2*a4 + a1*a3
@@ -414,6 +478,8 @@ def test_weierstrass_invariants_match_the_textbook_expansions(a):
     stored = (E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.disc)
     assert stored == (b2, b4, b6, b8, c4, c6, disc)
     assert all(type(x) is Fraction for x in stored)
+    assert all(x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+               for x in stored)
     assert 1728 * E.disc == E.c4**3 - E.c6**2
     assert (E.disc == 0) == (E.c4**3 == E.c6**2) == E.is_singular()
     assert E.j() == (None if disc == 0 else c4**3 / disc)
