@@ -6,8 +6,9 @@ With each quadric written v^T M v, M symmetric, and v = w + t p, the polar
 identity gives w^T M w + 2 t (M p).w, since p^T M p = 0: a quadratic part
 Q_i in w and a linear part L_i = 2 M_i p, read off integer-cleared matrices
 M = N / d without expanding.  Eliminating t leaves the cubic
-C = L1 Q2 - L2 Q1, divided once at the end.  The degree-4 and degree-6
-invariants S, T of a ternary cubic, computed once per cubic, then give the
+C = L1 Q2 - L2 Q1, kept as integers over one denominator, the form in which
+every plane cubic is stored.  The degree-4 and degree-6 invariants S, T of
+a ternary cubic, computed once per cubic on those integers, then give the
 discriminant (64 S^3 - T^2)/1728, j = 64 S^3 / disc and the Jacobian
 J_C: y^2 = x^3 - 432 S x - 432 T (Artin, Rodriguez-Villegas and Tate, "On the
 Jacobians of plane cubics", Adv. Math. 198 (2005)).  A smooth cubic with a
@@ -147,8 +148,8 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     Q_i is the 3x3 block of M_i on those coordinates and L_i = 2 M_i p
     restricted to them; the product is one `geometry._multiply`
     convolution on the integers N_i (see `QuadricPair`) and the cleared
-    point P, divided once, by d1 d2 P_k, at the end.  Raises DomainError if
-    L1 and L2 are proportional (the pencil degenerates to genus 0) or the
+    point P, over D = d1 d2 P_k (negative when P_k is).  Raises DomainError
+    if L1 and L2 are proportional (the pencil degenerates to genus 0) or the
     eliminant vanishes.
     """
     P = clear_denominators(pair.point.coords)[1]
@@ -170,8 +171,7 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
         raise DomainError("the pencil degenerates: the eliminant cubic "
                           "vanishes identically")
     D = pair.quadrics[0][0] * pair.quadrics[1][0] * P[k]
-    return PlaneCubic.from_poly(MultiPoly(VARS3, [
-        (e, Fraction(c, D)) for e, c in zip(geometry._MONOS[3], C)]))
+    return PlaneCubic(6 * D, [6 // k * C[geometry._INDEX[3][e]] for e, k in _TEN_MONOMIALS])
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +208,38 @@ _TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
 
 
 class PlaneCubic:
-    """A ternary cubic form with its ten classical coefficients and its
-    Aronhold invariants, computed once at construction (see `aronhold`)."""
+    """A ternary cubic form, stored as its ten classical labels (see
+    `TenCoeffs`) as integers over one nonzero denominator: label k is
+    ints[k] / den, and a coefficient C / n with multiplier m gives the label
+    (6 / m) C over 6 n.  The Aronhold invariants are computed once, at
+    construction (see `aronhold`); `coeffs` and `poly` are built on request."""
 
-    __slots__ = ("poly", "coeffs", "invariants")
+    __slots__ = ("den", "ints", "invariants")
 
-    def __init__(self, poly: MultiPoly, coeffs: TenCoeffs):
-        self.poly = poly
-        self.coeffs = coeffs
-        n, labels = clear_denominators(coeffs)
-        S, T = _aronhold_st(*labels)
-        self.invariants = AronholdInvariants(Fraction(S, n**4), Fraction(T, n**6),
-                                             Fraction(64 * S**3 - T**2, 1728 * n**12))
+    def __init__(self, den: int, ints):
+        if not any(ints):
+            raise DomainError("expected a nonzero cubic")
+        self.den, self.ints = den, tuple(ints)
+        S, T = _aronhold_st(*self.ints)
+        self.invariants = AronholdInvariants(Fraction(S, den**4), Fraction(T, den**6),
+                                             Fraction(64 * S**3 - T**2, 1728 * den**12))
+
+    coeffs = property(lambda self: TenCoeffs._make(Fraction(x, self.den) for x in self.ints))
+    poly = property(lambda self: MultiPoly(VARS3, [
+        (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
 
     @classmethod
     def from_poly(cls, poly: MultiPoly) -> "PlaneCubic":
         if len(poly.vars) != 3:
             raise DomainError("plane cubic needs exactly 3 variables")
-        if poly.vars != VARS3:
-            poly = MultiPoly(VARS3, dict(poly.terms))
         if poly.is_zero() or poly.degree() != 3 or not poly.is_homogeneous():
             raise DomainError("expected a nonzero homogeneous ternary cubic")
-        co = poly.coefficient  # k = 1 is skipped: a Fraction divided by 1 still pays a gcd
-        return cls(poly, TenCoeffs._make([co(e) / k if k > 1 else co(e)
-                                          for e, k in _TEN_MONOMIALS]))
+        n, C = clear_denominators([poly.coefficient(e) for e, _ in _TEN_MONOMIALS])
+        return cls(6 * n, [6 // k * x for (_, k), x in zip(_TEN_MONOMIALS, C)])
 
     @classmethod
     def from_coeffs(cls, *coeffs) -> "PlaneCubic":
-        tc = TenCoeffs(*(rat(x) for x in coeffs))
-        poly = MultiPoly(VARS3, {e: k * x for (e, k), x in zip(_TEN_MONOMIALS, tc)})
-        if poly.is_zero():
-            raise DomainError("expected a nonzero cubic")
-        return cls(poly, tc)
+        return cls(*clear_denominators(TenCoeffs(*(rat(x) for x in coeffs))))
 
     def to_json(self) -> dict:
         return {
@@ -260,10 +260,10 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     The cubic is singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the
     Fermat cubic x^3 + y^3 + z^3 has S = 0, T = 1.
 
-    `PlaneCubic` evaluates S and T once, on integers.  With n the lcm of
-    the denominators of the ten classical labels, n times each label is an
-    integer, and S and T are homogeneous of degrees 4 and 6, so
-    S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6 exactly.
+    `PlaneCubic` evaluates S and T once, on the integers it stores: each
+    label is an integer over one denominator n, and S and T are homogeneous
+    of degrees 4 and 6, so S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6
+    exactly.
     """
     return cubic.invariants
 
@@ -440,8 +440,9 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         raise DomainError("base point must have 3 coordinates")
     # on integers: the labels are A / n, p = P / dp and u = U / du, and T is
     # linear in the labels and in each argument, so
-    # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly
-    n, A = clear_denominators(cubic.coeffs)
+    # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly; u does
+    # not depend on which (n, A) the cubic stores, since U and du scale with it
+    n, A = cubic.den, cubic.ints
     dp, P = clear_denominators(pt.coords)
     if _polar(A, P, P, P) != 0:
         raise DomainError("base point does not lie on the cubic")

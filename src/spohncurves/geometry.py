@@ -123,29 +123,26 @@ class SpohnCubic:
         + c7 x y z           with (x, y, z) = (p11, p12, p21).
 
     There are never pure-cube terms, so the three coordinate points always
-    lie on the curve.  `game` keeps a handle on the source payoffs so the
-    reducibility verdict can evaluate the case predicates.  The `MultiPoly`
-    `f` is built on first access: most callers only read `c`.
+    lie on the curve.  The coefficients are stored as integers over one
+    denominator, c_k = ints[k] / den, the denominator not necessarily the
+    least; the Fractions `c` and the `MultiPoly` `f` are built on request.
+    `game` keeps a handle on the source payoffs so the reducibility verdict
+    can evaluate the case predicates.
     """
 
-    __slots__ = ("c", "_f", "game")
+    __slots__ = ("den", "ints", "game")
 
-    def __init__(self, c, game=None):
-        cs = tuple(rat(x) for x in c)
-        if len(cs) != 7:
+    def __init__(self, den: int, ints, game=None):
+        if len(ints) != 7:
             raise ValueError("need exactly seven coefficients")
-        self.c = cs
-        self._f = None
+        self.den, self.ints = den, tuple(ints)
         self.game = game
 
-    @property
-    def f(self) -> MultiPoly:
-        if self._f is None:
-            self._f = MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, self.c)))
-        return self._f
+    c = property(lambda self: tuple(Fraction(x, self.den) for x in self.ints))
+    f = property(lambda self: MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, self.c))))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.ints)
 
     def to_json(self) -> dict:
         return {
@@ -156,7 +153,7 @@ class SpohnCubic:
 
 def build_cubic(game) -> SpohnCubic:
     """The seven coefficients, straight from the payoff entries: computed on
-    the tables scaled to integers, then divided by the two scales."""
+    the tables scaled to integers, over the product of the two scales."""
     la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
     lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
     c1 = (a11 - a22) * (b11 - b12)
@@ -166,9 +163,7 @@ def build_cubic(game) -> SpohnCubic:
     c5 = (a12 - a22) * (b21 - b12)
     c6 = (a12 - a21) * (b22 - b21)
     c7 = (a12 - a21) * (b22 - b11) + (a11 - a22) * (b21 - b12)
-    scale = la * lb
-    return SpohnCubic(tuple(Fraction(x, scale) for x in (c1, c2, c3, c4, c5, c6, c7)),
-                      game=game)
+    return SpohnCubic(la * lb, (c1, c2, c3, c4, c5, c6, c7), game=game)
 
 
 def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
@@ -182,7 +177,7 @@ def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
         if f.coefficient(e) != 0:
             raise DomainError("cubic has a pure-cube term; not of the "
                               "no-coordinate-point-missed shape handled here")
-    return SpohnCubic(tuple(f.coefficient(e) for e in _CUBIC_EXPS))
+    return SpohnCubic(*clear_denominators([f.coefficient(e) for e in _CUBIC_EXPS]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +573,8 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
 
-    The cubic, scaled by the lcm of its denominators, is an integer vector,
-    the residual.  A candidate line divides the residual iff the residual
+    The cubic's stored integers (see `SpohnCubic`) are a 10-vector, the
+    residual.  A candidate line divides the residual iff the residual
     vanishes on it (`_vanishes_on_line`), and synthetic division then
     replaces the residual by the quotient: 10 -> 6 -> 3 coefficients.  A
     residual of degree 3 means no line divides f (irreducible: the candidate
@@ -604,13 +599,12 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
         raise DomainError("cannot decompose the zero cubic")
     cases = classify_cases(cubic.game) if cubic.game is not None else None
 
-    lcm, ints = clear_denominators(cubic.c)
     form = [0] * 10
-    for e, k in zip(_CUBIC_EXPS, ints):
+    for e, k in zip(_CUBIC_EXPS, cubic.ints):
         form[_INDEX[3][e]] = k
     residual = form
     found: dict = {}  # primitive line vector -> multiplicity, in order found
-    for v in _candidate_lines(ints):
+    for v in _candidate_lines(cubic.ints):
         while len(residual) > 1 and _vanishes_on_line(
                 list(zip(_MONOS[_DEGREE[len(residual)]], residual)), v):
             residual = _divide_by_line(residual, v)
@@ -649,7 +643,7 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     i = next(i for i in range(10) if product[i])
     if any(form[i] * p != product[i] * q for p, q in zip(product, form)):
         raise AssertionError("component product does not reproduce the cubic")
-    scalar = Fraction(form[i], product[i] * lcm)
+    scalar = Fraction(form[i], product[i] * cubic.den)
 
     components = [CurveComponent("line", MultiPoly(VARS3, dict(zip(_MONOS[1], v))), mult,
                                  _line_point(v)) for v, mult in found.items()]

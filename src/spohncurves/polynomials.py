@@ -135,16 +135,18 @@ class MultiPoly:
         n = len(self.vars)
         acc: dict[tuple, Fraction] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exp, coef in items:
-                exp = tuple(int(e) for e in exp)
+            for exp, coef in terms.items() if isinstance(terms, dict) else terms:
+                exp = tuple(map(int, exp))
                 if len(exp) != n:
                     raise ValueError("exponent tuple length != number of variables")
-                if any(e < 0 for e in exp):
+                if exp and min(exp) < 0:
                     raise ValueError("negative exponent")
-                c = rat(coef) if not isinstance(coef, Fraction) else coef
-                acc[exp] = acc.get(exp, Fraction(0)) + c
-        object.__setattr__(self, "terms", {e: c for e, c in acc.items() if c != 0})
+                c = coef if isinstance(coef, Fraction) else rat(coef)
+                if exp in acc:
+                    c += acc.pop(exp)
+                if c:
+                    acc[exp] = c
+        object.__setattr__(self, "terms", acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")

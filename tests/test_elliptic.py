@@ -397,6 +397,27 @@ def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
         _outcome(_reference_cubic_from_quadrics, pair)
 
 
+@settings(max_examples=150, deadline=None)
+@given(quadric_pair_inputs())
+@example(OFF_LATTICE_INPUTS)     # the pivot clears to -3: a negative denominator
+def test_plane_cubic_builders_agree(inputs):
+    """cubic_from_quadrics, from_poly of its poly and from_coeffs of its
+    coefficients may store different integers over different denominators;
+    every view of them, and the Weierstrass model, is the same."""
+    try:
+        cub = cubic_from_quadrics(build_pair(*inputs))
+    except DomainError:
+        assume(False)
+    points = [e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if cub.poly.evaluate(e) == 0]
+    for other in (PlaneCubic.from_poly(cub.poly), PlaneCubic.from_coeffs(*cub.coeffs)):
+        assert other.coeffs == cub.coeffs
+        assert other.poly == cub.poly
+        assert other.invariants == cub.invariants
+        if points and cub.invariants.disc != 0:
+            assert repr(weierstrass_from_cubic(other, points[0])) == \
+                repr(weierstrass_from_cubic(cub, points[0]))
+
+
 def test_zero_eliminant_is_a_domain_error():
     with pytest.raises(DomainError, match="vanishes identically"):
         cubic_from_quadrics(ZERO_ELIMINANT)

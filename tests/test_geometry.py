@@ -30,7 +30,8 @@ from spohncurves import (
 )
 from spohncurves import cli, geometry
 from spohncurves.geometry import _candidate_lines, _vanishes_on_line
-from spohncurves.polynomials import cross_product, det, primitive_vector, rational_sqrt
+from spohncurves.polynomials import (
+    clear_denominators, cross_product, det, primitive_vector, rational_sqrt)
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
 
 F = Fraction
@@ -368,6 +369,28 @@ def line_test_games(draw):
     mu, nu = _entries(draw), _entries(draw)
     return PayoffTables([[lam * x + mu for x in row] for row in g.A],
                         [[kap * x + nu for x in row] for row in g.B])
+
+
+# the stored denominator is 12 * 12 = 144, but no reduced c_k needs more than 48
+@settings(max_examples=150, deadline=None)
+@given(line_test_games())
+@example(PayoffTables([[F(1, 2), F(3, 4)], [0, F(5, 6)]], [[F(2, 3), 1], [F(-1, 4), 0]]))
+def test_spohn_cubic_stores_integers_over_the_table_scales(game):
+    """build_cubic stores the integer products over la lb, the scales that
+    clear the two tables; `c` gives the Fractions the division by la lb
+    gives, and a round trip through `f` gives them back."""
+    la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
+    lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
+    expected = tuple(F(x, la * lb) for x in (
+        (a11 - a22) * (b11 - b12), (a11 - a21) * (b22 - b11), (a12 - a22) * (b11 - b12),
+        (a11 - a21) * (b22 - b21), (a12 - a22) * (b21 - b12), (a12 - a21) * (b22 - b21),
+        (a12 - a21) * (b22 - b11) + (a11 - a22) * (b21 - b12)))
+    cubic = build_cubic(game)
+    assert cubic.den == la * lb
+    assert all(type(x) is int for x in cubic.ints)
+    assert cubic.c == expected
+    assert cubic_from_poly(cubic.f).c == expected
+    assert cubic.is_zero() == (not any(expected))
 
 
 def _integer_terms(p: MultiPoly) -> list:

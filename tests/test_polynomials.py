@@ -79,6 +79,25 @@ def test_zero_terms_are_dropped():
     assert P({}).degree() == -1
 
 
+def test_constructor_sums_repeated_exponents():
+    """A list of terms may repeat an exponent: the repeats are summed, and a
+    sum of zero drops the term, even when the exponent comes back later."""
+    p = MultiPoly(XYZ, [((1, 0, 0), 2), ((0, 1, 0), "1/3"), ((1, 0, 0), F(1, 2))])
+    assert p.terms == {(1, 0, 0): F(5, 2), (0, 1, 0): F(1, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    cancel = [((0, 0, 1), F(3, 4)), ((2, 0, 0), 1), ((0, 0, 1), "-3/4")]
+    assert MultiPoly(XYZ, cancel).terms == {(2, 0, 0): 1}
+    assert MultiPoly(XYZ, cancel[:1] + cancel[2:]).is_zero()
+    again = MultiPoly(XYZ, cancel + [((0, 0, 1), 5)])
+    assert again.terms == {(2, 0, 0): 1, (0, 0, 1): 5}
+    assert all(type(c) is Fraction for c in again.terms.values())
+    assert MultiPoly(XYZ, [([1.0, 0, True], 7)]).terms == {(1, 0, 1): 7}  # int(e)
+    with pytest.raises(ValueError, match=r"^exponent tuple length != number of variables$"):
+        MultiPoly(XYZ, [((1, 0), 1)])
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        MultiPoly(XYZ, [((1, -1, 3), 1)])
+
+
 def test_arithmetic_matches_direct_evaluation():
     rng = random.Random(7311)
     for _ in range(25):
