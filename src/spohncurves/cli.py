@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
 than Python's int-to-string digit limit, a request too large to allocate)
 or stdout closed before the output was written, 2 usage error (bad flags,
-unreadable input, malformed JSON).
+unreadable input, malformed JSON, a decimal exponent beyond the bound of
+`polynomials.rat`).
 """
 
 from __future__ import annotations

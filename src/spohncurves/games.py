@@ -385,9 +385,14 @@ _SWAPS = {                          # relabeling -> the cells it exchanges
 
 
 class WitnessLadderRow(NamedTuple):
+    """One rung of a witness ladder.  `point` is the exact p(r); `payoffs`
+    and `residuals` are the floats the report prints, each the exact value
+    rounded once (the exact payoffs are
+    `conditional_payoffs(game, JointDistribution(*row.point))`)."""
+
     r: int
     point: tuple            # exact Fractions
-    payoffs: ConditionalPayoffs
+    payoffs: ConditionalPayoffs  # floats
     residuals: tuple        # float inequality slacks, one per required inequality
 
 
@@ -408,6 +413,15 @@ class WitnessReport:
     10^3; `inequalities` are the DE conditions E_k^(i) >= E_l^(i) for the
     strategies played in the limit, and `ok` says whether every one holds
     within `_WITNESS_TOL` at the last rung.
+
+    All of it runs on integers.  At r the four cells are m_ij / (den r^D),
+    with den the lcm of the template's denominators and D its top degree,
+    so with the tables cleared to integers over la and lb each payoff is a
+    ratio of integers, E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)),
+    and each slack a cross-multiplied one, E_1^(1) - E_2^(1) =
+    (n1 s2 - n2 s1) / (la s1 s2).  One `int / int` division rounds each
+    exact value to its float, so the ladder prints `float()` of the exact
+    Fraction; the interior checks read the signs of the m_ij.
     """
 
     def __init__(self, game, kind, case, formula, threshold, template, relabeling="",
@@ -421,50 +435,60 @@ class WitnessReport:
         self.relabeling = relabeling
         self.lam = lam                    # cooperation only: the off-diagonal split
         self.payoff_limits = payoff_limits  # cooperation only: limits of E_k^(i)
-        self._cells = []  # (lcm, integer coefficients up to the last nonzero one)
-        for row in template:
-            den, ints = clear_denominators(row)
-            while len(ints) > 1 and ints[-1] == 0:
-                ints = ints[:-1]
-            self._cells.append((den, ints))
+        # the template over one denominator, without the powers of 1/r that
+        # no cell uses (column c0 sums to 1, so it always stays)
+        self._den, ints = clear_denominators([c for row in template for c in row])
+        self._rows = [ints[k:k + 4] for k in (0, 4, 8, 12)]
+        while not any(row[-1] for row in self._rows):
+            self._rows = [row[:-1] for row in self._rows]
         self.limit = tuple(Fraction(row[0]) for row in template)
 
         def interior(r):
-            return all(x > 0 for x in self.sequence(r))
+            return all(m > 0 for m in self._numerators(r))
         if not interior(threshold) or threshold > 1 and interior(threshold - 1):
             raise AssertionError("threshold is not the first interior r")  # pragma: no cover
         self.threshold = threshold
 
         lim = JointDistribution(*self.limit)
-        checks = []  # (label, f: payoffs -> float slack)
-        if lim.row1 != 0:
-            checks.append(("E_1^(1) >= E_2^(1)", lambda e: float(e.e11 - e.e21)))
-        if lim.row2 != 0:
-            checks.append(("E_2^(1) >= E_1^(1)", lambda e: float(e.e21 - e.e11)))
-        if lim.col1 != 0:
-            checks.append(("E_1^(2) >= E_2^(2)", lambda e: float(e.e12 - e.e22)))
-        if lim.col2 != 0:
-            checks.append(("E_2^(2) >= E_1^(2)", lambda e: float(e.e22 - e.e12)))
-        self.inequalities = [label for label, _ in checks]
+        checks = [(label, player, sign) for label, m, player, sign in (  # slack = sign * d_player
+            ("E_1^(1) >= E_2^(1)", lim.row1, 0, 1), ("E_2^(1) >= E_1^(1)", lim.row2, 0, -1),
+            ("E_1^(2) >= E_2^(2)", lim.col1, 1, 1), ("E_2^(2) >= E_1^(2)", lim.col2, 1, -1))
+            if m != 0]
+        self.inequalities = [label for label, _, _ in checks]
+        la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
+        lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
         self.ladder = []
         for r in (_LADDER if self.threshold <= _LADDER[0]
                   else tuple(self.threshold * 10 ** k for k in range(4))):
-            pt = self.sequence(r)
-            pay = conditional_payoffs(game, JointDistribution(*pt))
-            self.ladder.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
+            m11, m12, m21, m22 = self._numerators(r)
+            n1, s1 = a11 * m11 + a12 * m12, m11 + m12
+            n2, s2 = a21 * m21 + a22 * m22, m21 + m22
+            n3, s3 = b11 * m11 + b21 * m21, m11 + m21
+            n4, s4 = b12 * m12 + b22 * m22, m12 + m22
+            pay = ConditionalPayoffs(n1 / (la * s1), n2 / (la * s2),
+                                     n3 / (lb * s3), n4 / (lb * s4))
+            # d_0 = E_1^(1) - E_2^(1) and d_1 = E_1^(2) - E_2^(2) as (numerator, denominator)
+            d = ((n1 * s2 - n2 * s1, la * s1 * s2), (n3 * s4 - n4 * s3, lb * s3 * s4))
+            self.ladder.append(WitnessLadderRow(
+                r, self.sequence(r), pay,
+                tuple(sign * d[player][0] / d[player][1] for _, player, sign in checks)))
         self.ok = all(res >= -_WITNESS_TOL for res in self.ladder[-1].residuals)
 
-    def sequence(self, r: int) -> tuple:
-        """The exact point p(r): one Fraction per cell, numerator by Horner's
-        rule on the integer coefficients, denominator lcm * r^degree (the
-        lowest power keeps the gcd small when r is huge)."""
+    def _numerators(self, r: int) -> list:
+        """[m11, m12, m21, m22]: the cells at r times den * r^D, with D the
+        template's top degree, by Horner's rule on its integer rows."""
         out = []
-        for den, ints in self._cells:
-            num = 0
-            for c in ints:
-                num = num * r + c
-            out.append(Fraction(num, den * r ** (len(ints) - 1)))
-        return tuple(out)
+        for row in self._rows:
+            m = 0
+            for c in row:
+                m = m * r + c
+            out.append(m)
+        return out
+
+    def sequence(self, r: int) -> tuple:
+        """The exact point p(r), one Fraction m_ij / (den * r^D) per cell."""
+        d = self._den * r ** (len(self._rows[0]) - 1)
+        return tuple(Fraction(m, d) for m in self._numerators(r))
 
     def to_json(self) -> dict:
         out = {
@@ -630,16 +654,29 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
 # Pareto sweep along the Spohn curve (numeric)
 # ---------------------------------------------------------------------------
 
-def _unit_spread(table):
-    """(T - t11) / max|T - t11| in exact rationals: the shift and positive
-    scale that leave the Spohn curve alone bring the entries into [-1, 1].
-    A table with zero spread is returned as it is."""
-    t11 = table[0][0]
-    shifted = [[x - t11 for x in row] for row in table]
-    spread = max(abs(x) for row in shifted for x in row)
-    if spread == 0:
-        return table
-    return [[x / spread for x in row] for row in shifted]
+def _unit_floats(game: PayoffTables) -> tuple:
+    """(a, b, cubic): the sampler's tables, each flattened row by row, and
+    the seven coefficients of their Spohn cubic, in floats.
+
+    Each table is cleared to integers X over its scale once and becomes
+    (X - X11) / S with S = max|X - X11| (X / scale when S = 0): the shift and
+    positive scale that leave the Spohn curve alone bring the entries into
+    [-1, 1].  The cubic is bilinear in the two tables' differences, so its
+    coefficients on those tables are `build_cubic(game).ints[k] / (S_A S_B)`
+    exactly.  Every float is one `int / int`, the exact value rounded once.
+    """
+    from . import geometry
+
+    out = []
+    for T in (game.A, game.B):
+        scale, X = clear_denominators(T[0] + T[1])
+        S = max(abs(x - X[0]) for x in X)
+        if S:
+            out.append(([(x - X[0]) / S for x in X], S))
+        else:  # every difference is 0, and so is every coefficient of the cubic
+            out.append(([x / scale for x in X], scale))
+    (a, sa), (b, sb) = out
+    return a, b, [c / (sa * sb) for c in geometry.build_cubic(game).ints]
 
 
 def _residuals_and_jacobian(a, b, p):
@@ -687,17 +724,17 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
                         simplex_only: bool = True) -> list:
     """Sample float points on the Spohn curve of a generic game.
 
-    Each table T is first mapped to (T - t11)/max|T - t11| in exact
-    rationals (shift and positive scale move neither determinant's zero
-    set), so the tolerances below mean the same for every rescaling of a
-    game.  Draws `count` random lines through the (p11, p12, p21) face
-    coordinates, intersects each with the plane cubic of the game (the
-    image of the curve under dropping p22; the roots of all lines come from
-    one batched eigenvalue call on their companion matrices), lifts back to
-    p22 through the first determinant, normalizes the sum to 1 and polishes
-    with at most 12 Gauss-Newton steps, each the least-norm step
-    J^T (J J^T)^-1 F with the analytic Jacobian of the two quadric
-    residuals and the sum, until all three residuals are below 1e-14.
+    Each table T is first mapped to (T - t11)/max|T - t11| by
+    `_unit_floats`, on integers and rounded once (shift and positive scale
+    move neither determinant's zero set), so the tolerances below mean the
+    same for every rescaling of a game.  Draws `count` random lines through
+    the (p11, p12, p21) face coordinates, intersects each with the plane
+    cubic of the game (the image of the curve under dropping p22; the roots
+    of all lines come from one batched eigenvalue call on their companion
+    matrices), lifts back to p22 through the first determinant, normalizes
+    the sum to 1 and polishes with at most 12 Gauss-Newton steps, each the
+    least-norm step J^T (J J^T)^-1 F with the analytic Jacobian of the two
+    quadric residuals and the sum, until all three residuals are below 1e-14.
     A point is kept when its determinant residuals are at most 1e-8 and its
     sum is within 1e-10 of 1.  Returns 4-lists of floats; with simplex_only,
     points must be strictly inside the simplex.
@@ -705,10 +742,7 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
     import numpy as np
     from . import geometry
 
-    A, B = _unit_spread(game.A), _unit_spread(game.B)
-    a = [float(x) for row in A for x in row]
-    b = [float(x) for row in B for x in row]
-    cvec = [float(c) for c in geometry.build_cubic(PayoffTables(A, B)).c]
+    a, b, cvec = _unit_floats(game)
 
     # lines (1 - s) u + s v; ends[n] holds u and v of line n
     ends = np.random.default_rng(seed).random((max(count, 0), 2, 3)) + 1e-3
@@ -808,16 +842,17 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
         ref_kind = f"pure ({i},{j})"
     ref1, ref2 = expected_payoffs(game, ref_point)
 
-    a, bb = game.A, game.B
     pts = sample_curve_points(game, grid, seed=seed, simplex_only=True)
     sampled, dominating = [], []
+    if pts:  # an empty sweep converts nothing, so payoffs past the float range pass
+        fa = [float(x) for row in game.A for x in row]
+        fb = [float(x) for row in game.B for x in row]
+        r1, r2 = float(ref1), float(ref2)
     for p in pts:
-        pi1 = float(sum(float(a[i][j]) * p[i * 2 + j] for i in range(2) for j in range(2)))
-        pi2 = float(sum(float(bb[i][j]) * p[i * 2 + j] for i in range(2) for j in range(2)))
+        pi1, pi2 = sum(map(mul, fa, p)), sum(map(mul, fb, p))
         rec = {"point": p, "payoffs": [pi1, pi2]}
         sampled.append(rec)
-        if pi1 >= float(ref1) and pi2 >= float(ref2) and \
-                (pi1 > float(ref1) or pi2 > float(ref2)):
+        if pi1 >= r1 and pi2 >= r2 and (pi1 > r1 or pi2 > r2):
             dominating.append(rec)
     return {
         "numeric": True,

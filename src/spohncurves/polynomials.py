@@ -25,19 +25,43 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction or string like "3", "-5/7", "1.25" to a Fraction.
 
     Floats are rejected on purpose: they carry binary rounding noise and this
-    library is exact.  Decimal *strings* are fine (they are exact).  Bools are
-    rejected too, although Python counts them as ints: a JSON true is not 1.
+    library is exact.  Decimal *strings* are fine (they are exact), with an
+    exponent of at most twice Python's int-to-string digit limit in
+    magnitude, 8600 by default (`_refuse_long_exponent`).  Bools are rejected
+    too, although Python counts them as ints: a JSON true is not 1.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            _refuse_long_exponent(value, f"rational from {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
+
+
+def _refuse_long_exponent(text: str, what: str) -> None:
+    """ValueError "cannot parse <what>: ..." naming the bound if the decimal
+    exponent of `text` exceeds twice Python's int-to-string digit limit
+    (`sys.get_int_max_str_digits`, 4300 by default) in magnitude; no bound
+    when that limit is switched off (0).
+
+    `Fraction` expands the exponent before any limit applies: "1e10000000"
+    becomes a ten-million-digit integer, which the digit limit never sees.
+    Text with no integer after its last "e" is left to `Fraction` to reject.
+    """
+    limit = sys.get_int_max_str_digits()
+    try:
+        beyond = limit and abs(int(text.replace("E", "e").rpartition("e")[2])) > 2 * limit
+    except ValueError:
+        return
+    if beyond:
+        raise ValueError(f"cannot parse {what}: its decimal exponent exceeds {2 * limit} "
+                         "in magnitude, twice Python's int-to-string digit limit")
 
 
 def rat_str(q: Fraction) -> str:
@@ -562,14 +586,18 @@ class ContinuedFraction:
 def contfrac_approx(value_str: str, n_convergents: int) -> ContinuedFraction:
     """Approximate a decimal string by the first n convergents of its expansion.
 
-    The string is parsed exactly (a finite decimal is a rational); if the full
-    expansion has fewer than n partial quotients the whole expansion is
-    returned.  n_convergents must be >= 1.
+    The string is parsed exactly (a finite decimal is a rational, and its
+    exponent is bounded as in `rat`); if the full expansion has fewer than n
+    partial quotients the whole expansion is returned.  n_convergents must
+    be >= 1.
     """
     if n_convergents < 1:
         raise DomainError("n_convergents must be >= 1")
+    text = str(value_str)
+    if "e" in text or "E" in text:
+        _refuse_long_exponent(text, f"decimal value {value_str!r}")
     try:
-        x = Fraction(str(value_str).strip())
+        x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse decimal value {value_str!r}") from exc
     return ContinuedFraction.of_rational(x, max_quotients=n_convergents)

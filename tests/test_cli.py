@@ -304,6 +304,22 @@ def test_witness_threshold_beyond_the_digit_limit_fails_at_once(capsys, ne):
     assert err.startswith("domain error:") and "4300 decimal digits" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["j", "--game", '{"A": [["1e1000000",0],[1,2]], "B": [[1,0],[3,2]]}'],
+    ["j", "--game", '{"A": [["1e10000000",0],[1,2]], "B": [[1,0],[3,2]]}'],
+    ["approx", "--value", "1e3000000", "--convergents", "3"],
+])
+def test_decimal_exponent_beyond_the_bound_is_bad_input_at_once(capsys, argv):
+    # Fraction would expand the exponent to millions of digits before the
+    # 4300-digit limit applies; the parse refuses it first and names the bound
+    start = time.perf_counter()
+    out, err = run_ok(capsys, argv, code=2)
+    assert time.perf_counter() - start < 1
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("bad input: cannot parse") and \
+        f"exceeds {2 * sys.get_int_max_str_digits()} in magnitude" in err
+
+
 def test_allocation_beyond_memory_is_domain_error(capsys):
     # 10^14 sample lines ask numpy for 4.26 PiB, which it refuses at once
     out, err = run_ok(capsys, ["pareto", "--game", PD, "--grid", str(10 ** 14)], code=1)

@@ -33,7 +33,7 @@ from spohncurves.games import (
     WitnessReport,
     _min_norm_step,
     _residuals_and_jacobian,
-    _unit_spread,
+    _unit_floats,
 )
 from spohncurves.polynomials import rat_str
 from caselib import random_game
@@ -459,6 +459,18 @@ def _reference_sample_curve_points(game, count, seed=0, simplex_only=True):
     return found
 
 
+def _unit_spread(table):
+    """(T - t11) / max|T - t11| in exact rationals: the shift and positive
+    scale that leave the Spohn curve alone bring the entries into [-1, 1].
+    A table with zero spread is returned as it is."""
+    t11 = table[0][0]
+    shifted = [[x - t11 for x in row] for row in table]
+    spread = max(abs(x) for row in shifted for x in row)
+    if spread == 0:
+        return table
+    return [[x / spread for x in row] for row in shifted]
+
+
 def _fraction_game(rng):
     e = lambda: F(rng.randint(-60, 60), rng.randint(1, 12))
     return PayoffTables([[e(), e()], [e(), e()]], [[e(), e()], [e(), e()]])
@@ -555,6 +567,23 @@ def test_sample_curve_points_ignores_positive_affine_rescaling(A, B, alpha, beta
         assert abs(d1) / sa < F(1, 10**8) and abs(d2) / sb < F(1, 10**8), p
 
 
+@settings(max_examples=200, deadline=None)
+@given(_TABLES, _TABLES)
+@example([[3, 3], [3, 3]], [[1, -2], [0, F(1, 3)]])               # A has spread 0
+@example([[F(5, 7), F(5, 7)], [F(5, 7), F(5, 7)]], [[0, 0], [0, 0]])  # both constant
+@example([[10**12, -10**12], [10**12 - 1, F(1, 3)]], [[F(-7, 2), 5], [10**12, -10**12]])
+@example([[F(1, 3), F(2, 7)], [F(-5, 6), F(1, 3)]], [[0, F(1, 10**6)], [F(-1, 10**6), 0]])
+def test_sampler_setup_matches_the_exact_rescaling(A, B):
+    # the integer set-up rounds each exact value once, as float() of the
+    # rescaled Fractions does; repr tells -0.0 from 0.0
+    g = PayoffTables(A, B)
+    unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
+    expected = ([float(x) for row in unit.A for x in row],
+                [float(x) for row in unit.B for x in row],
+                [float(c) for c in build_cubic(unit).c])
+    assert repr(_unit_floats(g)) == repr(expected)
+
+
 def test_pareto_sweep_pd_finds_dominating_points(pd):
     report = pareto_sweep(pd, grid=40, seed=1)
     assert report["numeric"] is True
@@ -566,6 +595,22 @@ def test_pareto_sweep_pd_finds_dominating_points(pd):
         p1, p2 = rec["payoffs"]
         assert p1 >= r1 and p2 >= r2 and (p1 > r1 or p2 > r2)
         assert rec in report["points"]
+
+
+def test_pareto_payoffs_are_the_row_major_float_sums():
+    # the sweep's payoffs repeat the float expression the report has always
+    # printed: sum over the cells in the order 11, 12, 21, 22 from 0
+    games = [PayoffTables([[2, 0], [3, 1]], [[2, 3], [0, 1]]),
+             PayoffTables([[F(37, 8), F(-43, 3)], [F(10, 3), F(29, 4)]],
+                          [[-4, F(-10, 3)], [-142137178507, -249862427873]])]
+    for g in games:
+        report = pareto_sweep(g, grid=40, seed=3)
+        assert report["points"]
+        for rec in report["points"]:
+            p = rec["point"]
+            assert rec["payoffs"] == [
+                float(sum(float(T[i][j]) * p[i * 2 + j] for i in range(2) for j in range(2)))
+                for T in (g.A, g.B)]
 
 
 def test_pareto_sweep_mixed_reference(bos):
@@ -758,3 +803,42 @@ def test_cooperation_witnesses_match_the_lambda_route(values):
     a12, a22, a11, a21 = sorted(values)
     g = PayoffTables([[a11, a12], [a21, a22]], [[a11, a21], [a12, a22]])
     _assert_same_witness(cooperation_witness(g), _reference_cooperation_witness(g))
+
+
+_SLACKS = {"E_1^(1) >= E_2^(1)": lambda e: e.e11 - e.e21,
+           "E_2^(1) >= E_1^(1)": lambda e: e.e21 - e.e11,
+           "E_1^(2) >= E_2^(2)": lambda e: e.e12 - e.e22,
+           "E_2^(2) >= E_1^(2)": lambda e: e.e22 - e.e12}
+
+
+def _assert_ladder_is_rounded_once(game, rep):
+    for row in rep.ladder:
+        exact = conditional_payoffs(game, JointDistribution(*row.point))
+        assert repr(tuple(row.payoffs)) == repr(tuple(map(float, exact))), row.r
+        assert repr(row.residuals) == \
+            repr(tuple(float(_SLACKS[label](exact)) for label in rep.inequalities)), row.r
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TABLES, _TABLES, _MIXES, st.lists(_ENTRIES, min_size=4, max_size=4, unique=True))
+# entries near 10^12 with slacks of order 1: float(e11) - float(e21) is off
+# in the last places, so a route that subtracts rounded payoffs fails here
+@example([[10**12 + 1, 10**12], [10**12, 10**12 + 2]],
+         [[10**12 + 2, 10**12], [10**12, 10**12 + 1]], F(1, 3), [F(-1, 3), -10**12, 10**12, 7])
+def test_ladder_floats_are_the_exact_values_rounded_once(A, B, mix, values):
+    g = PayoffTables(A, B)
+    profiles = [MixedProfile(int(i == 1), int(j == 1)) for i, j in pure_nash(g)]
+    tm = totally_mixed_nash(g)
+    if isinstance(tm, MixedProfile):
+        profiles.append(tm)
+    checked = [(g, ne_witness_sequence(g, ne)) for ne in profiles]
+    # a semi-mixed witness: row 2 weakly dominant, player 2 indifferent on it
+    (a11, a12), (d1, d2) = A
+    semi = PayoffTables([[a11, a12], [a11 + abs(d1), a12 + abs(d2)]],
+                        [B[0], [B[1][0], B[1][0]]])
+    checked.append((semi, ne_witness_sequence(semi, MixedProfile(0, mix))))
+    a12, a22, a11, a21 = sorted(values)
+    coop = PayoffTables([[a11, a12], [a21, a22]], [[a11, a21], [a12, a22]])
+    checked.append((coop, cooperation_witness(coop)))
+    for game, rep in checked:
+        _assert_ladder_is_rounded_once(game, rep)

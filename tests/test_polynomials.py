@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def test_rat_rejects_floats_and_junk():
         rat(0.5)
     with pytest.raises(ValueError):
         rat("seven")
+
+
+def test_decimal_exponent_is_bounded_by_twice_the_digit_limit():
+    bound = 2 * sys.get_int_max_str_digits()
+    for ok in (f"1e{bound}", f"-2.5E-{bound}", f"3e+{bound}", " 7e1 "):
+        assert rat(ok) == Fraction(ok.strip())
+    assert contfrac_approx(f"1e-{bound}", 1).value == 0
+    for bad in (f"1e{bound + 1}", f"-2.5E-{bound + 1}", "1e10000000", "1e1_000_000"):
+        with pytest.raises(ValueError, match=f"^cannot parse rational from {bad!r}: its "
+                           f"decimal exponent exceeds {bound} in magnitude"):
+            rat(bad)
+        with pytest.raises(ValueError, match=f"^cannot parse decimal value {bad!r}: .*{bound}"):
+            contfrac_approx(bad, 3)
+    # an "e" with no integer after it is left to Fraction, which rejects it
+    for junk in ("1e", "e5", "1e5e5", "one"):
+        with pytest.raises(ValueError, match=f"^cannot parse rational from {junk!r}$"):
+            rat(junk)
 
 
 def test_rat_str_is_reduced():
