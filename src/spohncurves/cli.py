@@ -89,8 +89,8 @@ def _emit(payload: dict, fmt: str) -> None:
 # --- subcommand bodies ------------------------------------------------------
 
 def _cmd_cubic(args):
-    cubic = geometry.build_cubic(_load_game(args))
-    quad = geometry.build_quadrics(cubic.game)
+    game = _load_game(args)
+    cubic, quad = geometry.build_cubic(game), geometry.build_quadrics(game)
     return {"cubic": cubic.to_json(), "quadrics": quad.to_json(),
             "zero": cubic.is_zero()}
 

@@ -239,7 +239,8 @@ class PlaneCubic:
 
     @classmethod
     def from_coeffs(cls, *coeffs) -> "PlaneCubic":
-        return cls(*clear_denominators(TenCoeffs(*(rat(x) for x in coeffs))))
+        labels = TenCoeffs(*(rat(x) for x in coeffs))  # exactly ten, or TypeError
+        return cls(*clear_denominators(labels))
 
     def to_json(self) -> dict:
         return {

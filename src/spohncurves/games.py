@@ -18,7 +18,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .polynomials import DomainError, clear_denominators, det, json_list, rat, rat_str
+from . import geometry
+from .polynomials import DomainError, clear_denominators, json_list, rat, rat_str
 
 
 # ---------------------------------------------------------------------------
@@ -26,9 +27,17 @@ from .polynomials import DomainError, clear_denominators, det, json_list, rat, r
 # ---------------------------------------------------------------------------
 
 class PayoffTables:
-    """A pair of 2x2 rational payoff tables (A for player 1, B for player 2)."""
+    """A pair of 2x2 rational payoff tables (A for player 1, B for player 2).
 
-    __slots__ = ("A", "B")
+    `cleared` holds each table cleared to integers over its least scale,
+    computed once, at construction:
+    ((la, (A11, A12, A21, A22)), (lb, (B11, B12, B21, B22))) with
+    a_ij = A_ij / la and b_ij = B_ij / lb.  The Spohn cubic, the twelve case
+    predicates, the witness ladder and the sampler's unit tables all read
+    this form, so no table is cleared twice.
+    """
+
+    __slots__ = ("A", "B", "cleared")
 
     def __init__(self, A, B):
         """Raises ValueError unless A and B are 2x2 tables of exact
@@ -42,6 +51,7 @@ class PayoffTables:
         for M in (self.A, self.B):
             if len(M) != 2 or any(len(r) != 2 for r in M):
                 raise ValueError("payoff tables must be 2x2")
+        self.cleared = tuple(clear_denominators(M[0] + M[1]) for M in (self.A, self.B))
 
     # entry accessors named like the math (1-based)
     @property
@@ -293,6 +303,10 @@ class KonstanzMatrix:
         (0, 0, pi1-a21, pi1-a22)
         (pi2-b11, 0, pi2-b21, 0)
         (0, pi2-b12, 0, pi2-b22)
+
+    Only two of the 24 permutations avoid every zero entry, so
+    det K = (pi1-a12)(pi1-a21)(pi2-b11)(pi2-b22)
+            - (pi1-a11)(pi1-a22)(pi2-b12)(pi2-b21).
     """
 
     __slots__ = ("pi1", "pi2", "rows")
@@ -309,7 +323,8 @@ class KonstanzMatrix:
         )
 
     def det(self) -> Fraction:
-        return det(self.rows)
+        r = self.rows
+        return r[0][1] * r[1][2] * r[2][0] * r[3][3] - r[0][0] * r[1][3] * r[2][2] * r[3][1]
 
     def apply(self, vec) -> tuple:
         v = [rat(x) for x in vec]
@@ -416,10 +431,10 @@ class WitnessReport:
 
     All of it runs on integers.  At r the four cells are m_ij / (den r^D),
     with den the lcm of the template's denominators and D its top degree,
-    so with the tables cleared to integers over la and lb each payoff is a
-    ratio of integers, E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)),
-    and each slack a cross-multiplied one, E_1^(1) - E_2^(1) =
-    (n1 s2 - n2 s1) / (la s1 s2).  One `int / int` division rounds each
+    so with the tables' integers over la and lb (`PayoffTables.cleared`)
+    each payoff is a ratio of integers,
+    E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)), and each slack a
+    cross-multiplied one, E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).  One `int / int` division rounds each
     exact value to its float, so the ladder prints `float()` of the exact
     Fraction; the interior checks read the signs of the m_ij.
     """
@@ -455,8 +470,7 @@ class WitnessReport:
             ("E_1^(2) >= E_2^(2)", lim.col1, 1, 1), ("E_2^(2) >= E_1^(2)", lim.col2, 1, -1))
             if m != 0]
         self.inequalities = [label for label, _, _ in checks]
-        la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
-        lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
+        (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
         self.ladder = []
         for r in (_LADDER if self.threshold <= _LADDER[0]
                   else tuple(self.threshold * 10 ** k for k in range(4))):
@@ -658,18 +672,15 @@ def _unit_floats(game: PayoffTables) -> tuple:
     """(a, b, cubic): the sampler's tables, each flattened row by row, and
     the seven coefficients of their Spohn cubic, in floats.
 
-    Each table is cleared to integers X over its scale once and becomes
+    Each table's integers X over its scale (`PayoffTables.cleared`) become
     (X - X11) / S with S = max|X - X11| (X / scale when S = 0): the shift and
     positive scale that leave the Spohn curve alone bring the entries into
     [-1, 1].  The cubic is bilinear in the two tables' differences, so its
     coefficients on those tables are `build_cubic(game).ints[k] / (S_A S_B)`
     exactly.  Every float is one `int / int`, the exact value rounded once.
     """
-    from . import geometry
-
     out = []
-    for T in (game.A, game.B):
-        scale, X = clear_denominators(T[0] + T[1])
+    for scale, X in game.cleared:
         S = max(abs(x - X[0]) for x in X)
         if S:
             out.append(([(x - X[0]) / S for x in X], S))
@@ -740,7 +751,6 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
     points must be strictly inside the simplex.
     """
     import numpy as np
-    from . import geometry
 
     a, b, cvec = _unit_floats(game)
 

@@ -125,18 +125,16 @@ class SpohnCubic:
     There are never pure-cube terms, so the three coordinate points always
     lie on the curve.  The coefficients are stored as integers over one
     denominator, c_k = ints[k] / den, the denominator not necessarily the
-    least; the Fractions `c` and the `MultiPoly` `f` are built on request.
-    `game` keeps a handle on the source payoffs so the reducibility verdict
-    can evaluate the case predicates.
+    least, and that is all a SpohnCubic holds; the Fractions `c` and the
+    `MultiPoly` `f` are built on request.
     """
 
-    __slots__ = ("den", "ints", "game")
+    __slots__ = ("den", "ints")
 
-    def __init__(self, den: int, ints, game=None):
+    def __init__(self, den: int, ints):
         if len(ints) != 7:
             raise ValueError("need exactly seven coefficients")
         self.den, self.ints = den, tuple(ints)
-        self.game = game
 
     c = property(lambda self: tuple(Fraction(x, self.den) for x in self.ints))
     f = property(lambda self: MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, self.c))))
@@ -153,9 +151,9 @@ class SpohnCubic:
 
 def build_cubic(game) -> SpohnCubic:
     """The seven coefficients, straight from the payoff entries: computed on
-    the tables scaled to integers, over the product of the two scales."""
-    la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
-    lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
+    the tables' integers (`PayoffTables.cleared`), over the product of the
+    two scales."""
+    (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
     c1 = (a11 - a22) * (b11 - b12)
     c2 = (a11 - a21) * (b22 - b11)
     c3 = (a12 - a22) * (b11 - b12)
@@ -163,7 +161,7 @@ def build_cubic(game) -> SpohnCubic:
     c5 = (a12 - a22) * (b21 - b12)
     c6 = (a12 - a21) * (b22 - b21)
     c7 = (a12 - a21) * (b22 - b11) + (a11 - a22) * (b21 - b12)
-    return SpohnCubic(la * lb, (c1, c2, c3, c4, c5, c6, c7), game=game)
+    return SpohnCubic(la * lb, (c1, c2, c3, c4, c5, c6, c7))
 
 
 def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
@@ -215,12 +213,13 @@ def classify_cases(game) -> frozenset:
     """Evaluate the twelve case predicates exactly; return every match.
 
     Cases 1-8 are entry equalities inside one table; cases 9-12 each require
-    three bilinear equations in (A, B) to vanish simultaneously.  So they
-    run on each table scaled to integers.  By the paper's theorem a nonzero
-    cubic has a linear component iff at least one case holds (`classify`).
+    three bilinear equations in (A, B) to vanish simultaneously.  Each is
+    homogeneous in each table, so they run on the tables' integers
+    (`PayoffTables.cleared`) and ignore the scales.  By the paper's theorem
+    a nonzero cubic has a linear component iff at least one case holds
+    (`classify`).
     """
-    a11, a12, a21, a22 = clear_denominators(game.A[0] + game.A[1])[1]
-    b11, b12, b21, b22 = clear_denominators(game.B[0] + game.B[1])[1]
+    (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
     cases = set()
     if a11 == a12:
         cases.add(1)
@@ -569,7 +568,7 @@ def smooth_rational_point(component: CurveComponent) -> ProjPoint:
                       "the height-100 search budget")
 
 
-def decompose_cubic(cubic) -> ReducibilityVerdict:
+def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
 
@@ -589,15 +588,13 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     conjugate irrational lines gets a null point, since its only rational
     point is the singular vertex.
 
-    Accepts a SpohnCubic or a raw MultiPoly, and decides the kind itself.
-    Raises DomainError on the zero cubic.  When the cubic came from a game,
-    the twelve case predicates are reported alongside.
+    Takes a SpohnCubic only (wrap a raw MultiPoly with `cubic_from_poly`)
+    and decides the kind itself.  Raises DomainError on the zero cubic.  The
+    verdict's `cases` is None: a cubic knows no payoffs, and
+    `reducibility_verdict` attaches the cases that `classify` decided.
     """
-    if isinstance(cubic, MultiPoly):
-        cubic = cubic_from_poly(cubic)
     if cubic.is_zero():
         raise DomainError("cannot decompose the zero cubic")
-    cases = classify_cases(cubic.game) if cubic.game is not None else None
 
     form = [0] * 10
     for e, k in zip(_CUBIC_EXPS, cubic.ints):
@@ -612,7 +609,7 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
 
     degree = _DEGREE[len(residual)]
     if degree == 3:
-        return ReducibilityVerdict("Irreducible", cases=cases)
+        return ReducibilityVerdict("Irreducible")
 
     conic = conic_point = None
     if degree == 2:
@@ -650,14 +647,14 @@ def decompose_cubic(cubic) -> ReducibilityVerdict:
     if conic is not None:
         components.append(CurveComponent(
             "conic", MultiPoly(VARS3, dict(zip(_MONOS[2], conic))), point=conic_point))
-    return ReducibilityVerdict("Reducible", cases=cases, components=components,
-                               scalar=scalar)
+    return ReducibilityVerdict("Reducible", components=components, scalar=scalar)
 
 
 def reducibility_verdict(game) -> ReducibilityVerdict:
     """Game-level report: kind and cases from `classify` (an irreducible
     verdict involves no search), the zero-cubic condition, and the
-    components of a reducible cubic.  AssertionError if no rational line
+    components of a reducible cubic from `decompose_cubic`, whose verdict
+    gets the cases `classify` decided.  AssertionError if no rational line
     divides a reducible one: the twelve-case theorem would be contradicted.
     """
     kind, cases = classify(game)
@@ -672,4 +669,5 @@ def reducibility_verdict(game) -> ReducibilityVerdict:
     if verdict.kind != "Reducible":
         raise AssertionError("a case of the twelve-case theorem holds, but no "
                              "rational line divides the cubic")
+    verdict.cases = cases
     return verdict

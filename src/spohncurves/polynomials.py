@@ -505,22 +505,6 @@ def primitive_vector(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a small square matrix (the 3x3 and 4x4 ones of
-    this package) by Laplace expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * rows[0][j] * det(minor)
-    return total
-
-
 def cross_product(a, b) -> tuple:
     """Cross product of two rational 3-vectors (line through two points, etc.).
 

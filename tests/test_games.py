@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -547,6 +548,26 @@ _SHIFT = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**1
 
 def _spread(T):
     return max(abs(x - T[0][0]) for row in T for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES, _TABLES)
+@example([[F(1, 2), F(3, 4)], [0, F(5, 6)]], [[F(2, 3), 1], [F(-1, 4), 0]])
+@example([[10**12, -10**12], [10**12 - 1, F(1, 3)]], [[F(-7, 2), 5], [0, 0]])
+def test_payoff_tables_store_each_table_over_its_least_scale(A, B):
+    """`cleared` holds (l, l x table) per table, row by row, with l the
+    least positive integer that clears the table (so gcd(l, l x table) is
+    1); each relabelling permutes those integers and keeps the scales."""
+    g = PayoffTables(A, B)
+    for (scale, ints), T in zip(g.cleared, (g.A, g.B)):
+        assert scale >= 1 and all(type(x) is int for x in ints)
+        assert ints == tuple(scale * x for x in T[0] + T[1])
+        assert math.gcd(scale, *ints) == 1
+    (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = g.cleared
+    assert g.transpose_players().cleared == ((lb, (b11, b21, b12, b22)),
+                                             (la, (a11, a21, a12, a22)))
+    assert g.swap_rows().cleared == ((la, (a21, a22, a11, a12)), (lb, (b21, b22, b11, b12)))
+    assert g.swap_cols().cleared == ((la, (a12, a11, a22, a21)), (lb, (b12, b11, b22, b21)))
 
 
 @settings(max_examples=60, deadline=None)

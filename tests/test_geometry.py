@@ -31,7 +31,7 @@ from spohncurves import (
 from spohncurves import cli, geometry
 from spohncurves.geometry import _candidate_lines, _vanishes_on_line
 from spohncurves.polynomials import (
-    clear_denominators, cross_product, det, primitive_vector, rational_sqrt)
+    clear_denominators, cross_product, primitive_vector, rational_sqrt)
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
 
 F = Fraction
@@ -242,13 +242,13 @@ def test_worked_example_is_irreducible(g44):
 
 
 def test_decompose_coordinate_monomials():
-    verdict = decompose_cubic(q3({(1, 1, 1): 1}))               # xyz
+    verdict = decompose_cubic(cubic_from_poly(q3({(1, 1, 1): 1})))  # xyz
     assert verdict.kind == "Reducible"
     assert sorted(str(c.poly) for c in verdict.components) == ["x", "y", "z"]
     assert all(c.multiplicity == 1 for c in verdict.components)
     assert verdict.scalar == 1
 
-    verdict = decompose_cubic(q3({(2, 1, 0): 1}))               # x^2 y
+    verdict = decompose_cubic(cubic_from_poly(q3({(2, 1, 0): 1})))  # x^2 y
     by_poly = {str(c.poly): c.multiplicity for c in verdict.components}
     assert by_poly == {"x": 2, "y": 1}
 
@@ -295,6 +295,18 @@ def test_components_carry_smooth_points():
                 coords = comp.point.coords
                 assert comp.poly.evaluate(coords) == 0
                 assert any(v != 0 for v in comp.poly.gradient_at(coords))
+
+
+def test_cases_come_from_classify_not_from_the_cubic():
+    """A cubic knows no payoffs: `decompose_cubic` reports no cases, and
+    `reducibility_verdict` attaches the ones `classify` decided."""
+    rng = random.Random(4015)
+    for case in range(1, 13):
+        g = game_for_case(case, rng)
+        assert decompose_cubic(build_cubic(g)).cases is None
+        verdict = reducibility_verdict(g)
+        assert verdict.cases == classify_cases(g)
+        assert case in verdict.cases
 
 
 def test_smooth_point_search_on_conic_without_coordinate_points():
@@ -437,7 +449,7 @@ def test_irrational_line_pair_gets_a_null_point_at_once():
     vertex [1:0:0], so it is reported null without a search."""
     from spohncurves.geometry import CurveComponent
     start = time.perf_counter()
-    verdict = decompose_cubic(q3({(1, 2, 0): 1, (1, 0, 2): -2}))
+    verdict = decompose_cubic(cubic_from_poly(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
     assert time.perf_counter() - start < 0.5
     line, conic = verdict.components
     assert (line.kind, line.poly, line.multiplicity) == ("line", q3({(1, 0, 0): 1}), 1)
@@ -534,7 +546,7 @@ def test_decomposition_matches_sympy_factorization(factors):
     for form, mult in factors:
         f = f * form ** mult
     start = time.perf_counter()
-    verdict = decompose_cubic(f)
+    verdict = decompose_cubic(cubic_from_poly(f))
     assert time.perf_counter() - start < 0.5
     expected = _sympy_factors(f)
     irreducible = len(expected) == 1 and expected[0][0] == 3
@@ -595,7 +607,7 @@ def _ref_split_conic(g):
     """("irreducible",), ("irrational",) or ("lines", v1, v2, ratio) with
     g == ratio (v1 . x)(v2 . x), on the rational matrix of g."""
     M = _ref_conic_matrix(g)
-    if det(M) != 0:
+    if sum(x * y for x, y in zip(M[0], cross_product(M[1], M[2]))) != 0:  # det M
         return ("irreducible",)
     k = next(k for k in range(3) if M[k][k] != 0)
     if _ref_matrix_rank(M) == 1:
@@ -663,7 +675,6 @@ def _reference_decompose(cubic):
     is split on its rational matrix, and the product is multiplied back."""
     if isinstance(cubic, MultiPoly):
         cubic = cubic_from_poly(cubic)
-    cases = classify_cases(cubic.game) if cubic.game is not None else None
     work = f = cubic.f
     found = {}
     for v in _candidate_lines(cubic.c):
@@ -672,7 +683,7 @@ def _reference_decompose(cubic):
             found[v] = found.get(v, 0) + 1
     components, scalar = [], Fraction(1)
     if work.degree() == 3:
-        return ReducibilityVerdict("Irreducible", cases=cases)
+        return ReducibilityVerdict("Irreducible")
     if work.degree() == 2:
         split = _ref_split_conic(work)
         if split[0] == "lines":
@@ -698,8 +709,7 @@ def _reference_decompose(cubic):
     for comp in components:
         prod = prod * comp.poly ** comp.multiplicity
     assert prod == f
-    return ReducibilityVerdict("Reducible", cases=cases, components=components,
-                               scalar=scalar)
+    return ReducibilityVerdict("Reducible", components=components, scalar=scalar)
 
 
 def _reference_verdict(game):
@@ -707,7 +717,9 @@ def _reference_verdict(game):
     if cubic.is_zero():
         return ReducibilityVerdict("ZeroCubic", cases=classify_cases(game),
                                    zero_condition=zero_cubic_classify(game))
-    return _reference_decompose(cubic)
+    verdict = _reference_decompose(cubic)
+    verdict.cases = classify_cases(game)
+    return verdict
 
 
 def _product(factors):
@@ -729,11 +741,12 @@ def test_decomposition_matches_the_reference_route(source):
     ~10^12 and non-integer entries."""
     if isinstance(source, MultiPoly):
         expected = _reference_decompose(source).to_json()
-        assert decompose_cubic(source).to_json() == expected
+        assert decompose_cubic(cubic_from_poly(source)).to_json() == expected
         return
     expected = _reference_verdict(source)
     assert reducibility_verdict(source).to_json() == expected.to_json()
     if expected.kind != "ZeroCubic":
+        expected.cases = None
         assert decompose_cubic(build_cubic(source)).to_json() == expected.to_json()
 
 
