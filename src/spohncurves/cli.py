@@ -8,10 +8,10 @@ carry a "numeric": true marker.
 
 Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
-than Python's int-to-string digit limit, a request too large to allocate)
-or stdout closed before the output was written, 2 usage error (bad flags,
-unreadable input, malformed JSON, a decimal exponent beyond the bound of
-`polynomials.rat`).
+than Python's int-to-string digit limit, a pareto grid above 10^7 sample
+lines) or stdout closed before the output was written, 2 usage error (bad
+flags, unreadable input, malformed JSON, a decimal exponent beyond the bound
+of `polynomials.rat`).
 """
 
 from __future__ import annotations
@@ -267,7 +267,8 @@ def run(argv=None) -> int:
         return 1
     except (OverflowError, MemoryError) as exc:
         # exact input whose numeric report (witness, pareto) leaves the float
-        # range, or a request too large to allocate (pareto --grid 10^14)
+        # range, or memory running out (a pareto grid above 10^7 sample lines
+        # is a DomainError before any line is drawn)
         print(f"domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -14,6 +14,7 @@ exact sequence generation with float summaries (tagged "numeric" in JSON).
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -668,9 +669,13 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
 # Pareto sweep along the Spohn curve (numeric)
 # ---------------------------------------------------------------------------
 
+_MAX_LINES = 10 ** 7  # sample lines per call; a larger grid is a domain error
+
+
 def _unit_floats(game: PayoffTables) -> tuple:
     """(a, b, cubic): the sampler's tables, each flattened row by row, and
-    the seven coefficients of their Spohn cubic, in floats.
+    the seven coefficients c1..c7 of their Spohn cubic (in the order of
+    `geometry._CUBIC_EXPS`, x^2 y first), in floats.
 
     Each table's integers X over its scale (`PayoffTables.cleared`) become
     (X - X11) / S with S = max|X - X11| (X / scale when S = 0): the shift and
@@ -731,79 +736,58 @@ def _min_norm_step(J, F):
     return [w1 * x + w2 * y + w3 * z for x, y, z in zip(r1, r2, r3)]
 
 
-def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
-                        simplex_only: bool = True) -> list:
-    """Sample float points on the Spohn curve of a generic game.
+def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
+    """Sample float points of the Spohn curve of a generic game strictly
+    inside the simplex, as 4-lists.
 
     Each table T is first mapped to (T - t11)/max|T - t11| by
     `_unit_floats`, on integers and rounded once (shift and positive scale
     move neither determinant's zero set), so the tolerances below mean the
-    same for every rescaling of a game.  Draws `count` random lines through
-    the (p11, p12, p21) face coordinates, intersects each with the plane
-    cubic of the game (the image of the curve under dropping p22; the roots
-    of all lines come from one batched eigenvalue call on their companion
-    matrices), lifts back to p22 through the first determinant, normalizes
-    the sum to 1 and polishes with at most 12 Gauss-Newton steps, each the
-    least-norm step J^T (J J^T)^-1 F with the analytic Jacobian of the two
-    quadric residuals and the sum, until all three residuals are below 1e-14.
-    A point is kept when its determinant residuals are at most 1e-8 and its
-    sum is within 1e-10 of 1.  Returns 4-lists of floats; with simplex_only,
-    points must be strictly inside the simplex.
+    same for every rescaling of a game.  The plane cubic (the curve with p22
+    dropped) has no pure cubes, so it passes through O = [1:0:0].  Each of
+    the `count` lines joins O to [0:1:u], u = tan(theta) with theta uniform
+    in [0, pi/2) from `random.Random(seed)`, and meets the cubic at [t:1:u]
+    where A t^2 + B t + C = 0, solved by the stable quadratic formula.  Each
+    root t > 0 is lifted to p22 through the first determinant, normalized
+    to sum 1 and polished with at most 12 Gauss-Newton steps (the least-norm
+    step J^T (J J^T)^-1 F on the analytic Jacobian) until all three
+    residuals are below 1e-14.  A point is kept when its determinant
+    residuals are at most 1e-8, its sum is within 1e-10 of 1 and each
+    coordinate is in (1e-9, 1 - 1e-9).  DomainError above `_MAX_LINES`.
     """
-    import numpy as np
-
-    a, b, cvec = _unit_floats(game)
-
-    # lines (1 - s) u + s v; ends[n] holds u and v of line n
-    ends = np.random.default_rng(seed).random((max(count, 0), 2, 3)) + 1e-3
-    ends /= ends.sum(axis=2, keepdims=True)
-    u, v = ends[:, 0], ends[:, 1]
-    du = v - u
-    # the cubic restricted to u + s du, highest power of s first: the
-    # monomial x_i x_j x_k is the product of three linear forms a s + b
-    coeffs = np.zeros((len(ends), 4))
-    for e, c in zip(geometry._CUBIC_EXPS, cvec):
-        if c == 0.0:
-            continue
-        i, j, k = (n for n in range(3) for _ in range(e[n]))
-        a1, a2, a3, b1, b2, b3 = du[:, i], du[:, j], du[:, k], u[:, i], u[:, j], u[:, k]
-        a12, ab12, b12 = a1 * a2, a1 * b2 + b1 * a2, b1 * b2
-        coeffs[:, 0] += c * (a12 * a3)
-        coeffs[:, 1] += c * (a12 * b3 + ab12 * a3)
-        coeffs[:, 2] += c * (ab12 * b3 + b12 * a3)
-        coeffs[:, 3] += c * (b12 * b3)
-    # roots of every line whose leading coefficient exceeds 1e-14 from one
-    # eigenvalue call on the stacked companion matrices (as np.roots builds
-    # them); a line of lower degree keeps its own np.roots call
-    big = np.abs(coeffs) > 1e-14
-    lead = big.argmax(axis=1)
-    roots = [[] for _ in range(len(ends))]
-    cubic = np.flatnonzero(big[:, 0])
-    companion = np.zeros((len(cubic), 3, 3))
-    companion[:, 0] = -coeffs[cubic, 1:] / coeffs[cubic, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    for n, r in zip(cubic.tolist(), np.linalg.eigvals(companion).tolist()):
-        roots[n] = r
-    for n in np.flatnonzero((lead == 1) | (lead == 2)).tolist():
-        roots[n] = np.roots(coeffs[n, lead[n]:]).tolist()
-
+    if count > _MAX_LINES:
+        raise DomainError(f"at most {_MAX_LINES} sample lines")
+    a, b, (c1, c2, c3, c4, c5, c6, c7) = _unit_floats(game)
     a11, a12, a21, a22 = a
+    rng = random.Random(seed)
     found = []
     seen = set()
-    for line_roots, (u1, u2, u3), (v1, v2, v3) in zip(roots, u.tolist(), v.tolist()):
-        for s in line_roots:
-            if abs(s.imag) > 1e-9:
+    for _ in range(count):
+        u = math.tan(rng.random() * (math.pi / 2))
+        # the cubic at [t:1:u]: c1 x^2 y + ... + c7 x y z
+        qa, qb, qc = c1 + c2 * u, c3 + (c7 + c4 * u) * u, u * (c5 + c6 * u)
+        if qa == 0.0:
+            roots = (-qc / qb,) if qb else ()
+        else:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0.0:
                 continue
-            s = s.real
-            x, y, z = (1 - s) * u1 + s * v1, (1 - s) * u2 + s * v2, (1 - s) * u3 + s * v3
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = (q / qa, qc / q) if q else ()
+        for t in roots:
+            if t <= 0.0:
+                continue
+            # scaled to x + y + z = 1, the scale the thresholds below assume
+            s = t + 1.0 + u
+            x, y, z = t / s, 1.0 / s, u / s
             l1 = (a22 - a11) * x + (a22 - a12) * y
             if abs(l1) < 1e-9:
                 continue
-            t = -(z * ((a21 - a11) * x + (a21 - a12) * y)) / l1
-            tot = x + y + z + t
+            w = -(z * ((a21 - a11) * x + (a21 - a12) * y)) / l1
+            tot = 1.0 + w
             if abs(tot) < 1e-9:
                 continue
-            p = [x / tot, y / tot, z / tot, t / tot]
+            p = [x / tot, y / tot, z / tot, w / tot]
             F, J = _residuals_and_jacobian(a, b, p)
             for _ in range(12):
                 if max(map(abs, F)) < 1e-14:
@@ -815,9 +799,9 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0,
                 F, J = _residuals_and_jacobian(a, b, p)
             if not (abs(F[0]) <= 1e-8 and abs(F[1]) <= 1e-8 and abs(F[2]) <= 1e-10):
                 continue
-            if simplex_only and not all(1e-9 < x < 1 - 1e-9 for x in p):
+            if not all(1e-9 < x < 1 - 1e-9 for x in p):
                 continue
-            key = tuple(round(x * 1e9) / 1e9 for x in p)  # numpy.round(p, 9)
+            key = tuple(round(x * 1e9) / 1e9 for x in p)
             if key in seen:
                 continue
             seen.add(key)
@@ -830,7 +814,9 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
     reference Nash equilibrium.
 
     The reference is the totally mixed Nash equilibrium when one exists,
-    else the unique pure one; DomainError if neither is available.  Returns
+    else the unique pure one; DomainError if neither is available.  The
+    points are the totally mixed ones that `sample_curve_points` finds on
+    `grid` lines through [1:0:0] (DomainError above `_MAX_LINES`).  Returns
     a numeric report with all sampled points, their payoff pairs, and the
     subset weakly dominating the reference (strictly better for at least one
     player).  grid = 0 yields an empty sweep.
@@ -852,7 +838,7 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
         ref_kind = f"pure ({i},{j})"
     ref1, ref2 = expected_payoffs(game, ref_point)
 
-    pts = sample_curve_points(game, grid, seed=seed, simplex_only=True)
+    pts = sample_curve_points(game, grid, seed=seed)
     sampled, dominating = [], []
     if pts:  # an empty sweep converts nothing, so payoffs past the float range pass
         fa = [float(x) for row in game.A for x in row]

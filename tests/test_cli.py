@@ -321,11 +321,30 @@ def test_decimal_exponent_beyond_the_bound_is_bad_input_at_once(capsys, argv):
 
 
 def test_allocation_beyond_memory_is_domain_error(capsys):
-    # 10^14 sample lines ask numpy for 4.26 PiB, which it refuses at once
+    # the sampler refuses more than 10^7 lines before it draws one, so
+    # 10^14 lines end at once rather than run for days
+    start = time.perf_counter()
     out, err = run_ok(capsys, ["pareto", "--game", PD, "--grid", str(10 ** 14)], code=1)
+    assert time.perf_counter() - start < 1
     assert out == ""
     assert err.startswith("domain error:") and "Traceback" not in err
+    assert "at most 10000000 sample lines" in err
     assert len(err.splitlines()) == 1
+
+
+def test_pareto_runs_with_numpy_blocked():
+    # the package has no runtime dependency: a None entry in sys.modules
+    # makes any `import numpy` raise ImportError
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from spohncurves import cli\n"
+            f"sys.exit(cli.run(['pareto', '--game', {PD!r}, '--grid', '30', '--seed', '1']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["points"]
 
 
 @pytest.mark.parametrize("game", [

@@ -30,6 +30,7 @@ from spohncurves import (
     totally_mixed_nash,
 )
 from spohncurves.games import (
+    _MAX_LINES,
     WitnessLadderRow,
     WitnessReport,
     _min_norm_step,
@@ -383,33 +384,90 @@ def test_sample_curve_points_deterministic(pd):
     assert sample_curve_points(pd, 12, seed=9) == sample_curve_points(pd, 12, seed=9)
 
 
-# The finite-difference / least-squares sampler that `sample_curve_points`
-# replaced, kept as an independent route: same lines and roots (one
-# np.roots call per line on coefficients expanded by np.convolve), a
-# forward-difference Jacobian and np.linalg.lstsq for each step.
-def _reference_sample_curve_points(game, count, seed=0, simplex_only=True):
-    cvec = [float(c) for c in build_cubic(game).c]
-    a = [[float(x) for x in row] for row in game.A]
-    b = [[float(x) for x in row] for row in game.B]
-    exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
+def test_sample_curve_points_refuses_more_lines_than_the_cap(pd):
+    with pytest.raises(DomainError, match=f"at most {_MAX_LINES} sample lines"):
+        sample_curve_points(pd, _MAX_LINES + 1)
 
-    def residuals(p):
-        d1 = (p[0] + p[1]) * (a[1][0] * p[2] + a[1][1] * p[3]) \
-            - (a[0][0] * p[0] + a[0][1] * p[1]) * (p[2] + p[3])
-        d2 = (p[0] + p[2]) * (b[0][1] * p[1] + b[1][1] * p[3]) \
-            - (b[0][0] * p[0] + b[1][0] * p[2]) * (p[1] + p[3])
-        return np.array([d1, d2, p.sum() - 1.0])
 
-    def jacobian(p):
-        eps = 1e-7
+def _reference_tables(game):
+    return ([[float(x) for x in row] for row in game.A],
+            [[float(x) for x in row] for row in game.B])
+
+
+def _reference_residuals(a, b, p):
+    d1 = (p[0] + p[1]) * (a[1][0] * p[2] + a[1][1] * p[3]) \
+        - (a[0][0] * p[0] + a[0][1] * p[1]) * (p[2] + p[3])
+    d2 = (p[0] + p[2]) * (b[0][1] * p[1] + b[1][1] * p[3]) \
+        - (b[0][0] * p[0] + b[1][0] * p[2]) * (p[1] + p[3])
+    return np.array([d1, d2, p.sum() - 1.0])
+
+
+def _reference_polish(a, b, x, y, z):
+    """The plane point (x, y, z) lifted to p22 through the first
+    determinant, normalized to sum 1 and polished by at most 12 steps with a
+    forward-difference Jacobian and np.linalg.lstsq; the point if it passes
+    the sampler's residual and simplex tests, else None."""
+    l1 = (a[1][1] - a[0][0]) * x + (a[1][1] - a[0][1]) * y
+    if abs(l1) < 1e-9:
+        return None
+    p = np.array([x, y, z, -z * ((a[1][0] - a[0][0]) * x + (a[1][0] - a[0][1]) * y) / l1])
+    tot = p.sum()
+    if abs(tot) < 1e-9:
+        return None
+    p /= tot
+    for _ in range(12):
+        F_ = _reference_residuals(a, b, p)
+        if np.max(np.abs(F_)) < 1e-14:
+            break
         J = np.zeros((3, 4))
-        base = residuals(p)
         for k in range(4):
             q = p.copy()
-            q[k] += eps
-            J[:, k] = (residuals(q) - base) / eps
-        return J
+            q[k] += 1e-7
+            J[:, k] = (_reference_residuals(a, b, q) - F_) / 1e-7
+        step, *_ = np.linalg.lstsq(J, F_, rcond=None)
+        p = p - step
+    F_ = _reference_residuals(a, b, p)
+    if np.max(np.abs(F_[:2])) > 1e-8 or abs(F_[2]) > 1e-10:
+        return None
+    if np.any(p <= 1e-9) or np.any(p >= 1 - 1e-9):
+        return None
+    return p
 
+
+def _keep_new(found, seen, p):
+    if p is not None:
+        key = tuple(np.round(p, 9))
+        if key not in seen:
+            seen.add(key)
+            found.append([float(x) for x in p])
+
+
+# The pencil sampler of `sample_curve_points` on numpy: the same slopes u
+# from random.Random(seed), the roots of A t^2 + B t + C from np.roots, and
+# the polish of `_reference_polish`.
+def _reference_pencil_points(game, count, seed=0):
+    c1, c2, c3, c4, c5, c6, c7 = [float(c) for c in build_cubic(game).c]
+    a, b = _reference_tables(game)
+    rng = random.Random(seed)
+    found, seen = [], set()
+    for _ in range(count):
+        u = math.tan(rng.random() * (math.pi / 2))
+        for t in np.roots([c1 + c2 * u, c3 + c7 * u + c4 * u * u, u * (c5 + c6 * u)]):
+            if t.imag != 0 or t.real <= 0:
+                continue
+            s = t.real + 1 + u
+            _keep_new(found, seen, _reference_polish(a, b, t.real / s, 1 / s, u / s))
+    return found
+
+
+# A random-line sampler, kept as an independent source of curve points: the
+# cubic on random lines through the (p11, p12, p21) face coordinates (one
+# np.roots call per line on coefficients expanded by np.convolve), and the
+# polish of `_reference_polish`.
+def _reference_sample_curve_points(game, count, seed=0):
+    cvec = [float(c) for c in build_cubic(game).c]
+    a, b = _reference_tables(game)
+    exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
     rng = np.random.default_rng(seed)
     found, seen = [], set()
     for _ in range(count):
@@ -433,30 +491,7 @@ def _reference_sample_curve_points(game, count, seed=0, simplex_only=True):
         for s in (np.roots(coeffs[lead:]) if lead < 3 else []):
             if abs(s.imag) > 1e-9:
                 continue
-            x, y, z = (1 - s.real) * u + s.real * v
-            l1 = (a[1][1] - a[0][0]) * x + (a[1][1] - a[0][1]) * y
-            if abs(l1) < 1e-9:
-                continue
-            p = np.array([x, y, z, -z * ((a[1][0] - a[0][0]) * x + (a[1][0] - a[0][1]) * y) / l1])
-            tot = p.sum()
-            if abs(tot) < 1e-9:
-                continue
-            p /= tot
-            for _ in range(12):
-                F_ = residuals(p)
-                if np.max(np.abs(F_)) < 1e-14:
-                    break
-                step, *_ = np.linalg.lstsq(jacobian(p), F_, rcond=None)
-                p = p - step
-            F_ = residuals(p)
-            if np.max(np.abs(F_[:2])) > 1e-8 or abs(F_[2]) > 1e-10:
-                continue
-            if simplex_only and (np.any(p <= 1e-9) or np.any(p >= 1 - 1e-9)):
-                continue
-            key = tuple(np.round(p, 9))
-            if key not in seen:
-                seen.add(key)
-                found.append([float(x) for x in p])
+            _keep_new(found, seen, _reference_polish(a, b, *((1 - s.real) * u + s.real * v)))
     return found
 
 
@@ -477,22 +512,42 @@ def _fraction_game(rng):
     return PayoffTables([[e(), e()], [e(), e()]], [[e(), e()], [e(), e()]])
 
 
-def test_sample_curve_points_matches_finite_difference_reference():
+def _sampler_pool():
     rng = random.Random(2024)
-    pool = [random_game(rng) for _ in range(25)] + [_fraction_game(rng) for _ in range(15)]
+    return [random_game(rng) for _ in range(25)] + [_fraction_game(rng) for _ in range(15)]
+
+
+def test_sample_curve_points_matches_finite_difference_reference():
     total = 0
-    for g in pool:
+    for g in _sampler_pool():
         unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
         for seed in (0, 1, 5):
-            for simplex_only in (True, False):
-                new = sample_curve_points(g, 20, seed=seed, simplex_only=simplex_only)
-                old = _reference_sample_curve_points(unit, 20, seed=seed,
-                                                     simplex_only=simplex_only)
-                assert len(new) == len(old), (g, seed, simplex_only)
-                for p, q in zip(new, old):
-                    assert max(abs(x - y) for x, y in zip(p, q)) < 1e-9, (g, seed, p, q)
-                total += len(new)
-    assert total > 1000
+            new = sample_curve_points(g, 20, seed=seed)
+            old = _reference_pencil_points(unit, 20, seed=seed)
+            assert len(new) == len(old), (g, seed)
+            for p, q in zip(new, old):
+                assert max(abs(x - y) for x, y in zip(p, q)) < 1e-9, (g, seed, p, q)
+            total += len(new)
+    assert total > 500  # 543 points
+
+
+def test_pencil_through_the_x_vertex_reaches_every_interior_point():
+    # each interior point lies on the line through [1:0:0] and [0:1:u] with
+    # u = p21/p12 > 0, at t = p11/p12 > 0, so it is a root of the pencil's
+    # quadratic there; the points come from the independent random lines
+    worst, count = 0.0, 0
+    for g in _sampler_pool():
+        unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
+        c1, c2, c3, c4, c5, c6, c7 = _unit_floats(g)[2]
+        for seed in (0, 1, 5):
+            for p11, p12, p21, _ in _reference_sample_curve_points(unit, 20, seed=seed):
+                u, t = p21 / p12, p11 / p12
+                terms = (c1 * t * t, c2 * u * t * t, c3 * t, c7 * u * t, c4 * u * u * t,
+                         c5 * u, c6 * u * u)
+                worst = max(worst, abs(sum(terms)) / sum(map(abs, terms)))
+                count += 1
+    assert count > 500  # 582 points
+    assert worst < 1e-9
 
 
 _UNIT = st.floats(-2, 2, allow_nan=False)
