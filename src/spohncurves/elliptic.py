@@ -15,7 +15,9 @@ Jacobians of plane cubics", Adv. Math. 198 (2005)).  A smooth cubic with a
 rational point is Q-isomorphic to J_C, so J_C alone decides Q-isomorphism of
 two such cubics.  An exact two-branch reduction produces a Weierstrass model
 through a given point, certified Q-isomorphic to J_C, which tells quadratic
-twists apart where equal j cannot.
+twists apart where equal j cannot.  The model, J_C and the certificate are
+computed on weighted integers, a_w = A_w / n^w (see `WeierstrassCurve`);
+`Fraction`s are built only for output.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .polynomials import (
     ProjPoint,
     clear_denominators,
     cross_product,
-    is_rational_nth_power,
-    is_rational_square,
+    is_nth_power_ratio,
     json_list,
     rat,
     rat_str,
@@ -212,18 +213,25 @@ class PlaneCubic:
     `TenCoeffs`) as integers over one nonzero denominator: label k is
     ints[k] / den, and a coefficient C / n with multiplier m gives the label
     (6 / m) C over 6 n.  The Aronhold invariants are computed once, at
-    construction (see `aronhold`); `coeffs` and `poly` are built on request."""
+    construction, as the integers S and T of the stored labels, so the
+    cubic's own invariants are S / den^4 and T / den^6 (see `aronhold`); the
+    cubic is singular iff 64 S^3 = T^2.  `invariants`, `coeffs` and `poly`
+    are `Fraction`s built on request."""
 
-    __slots__ = ("den", "ints", "invariants")
+    __slots__ = ("den", "ints", "S", "T")
 
     def __init__(self, den: int, ints):
         if not any(ints):
             raise DomainError("expected a nonzero cubic")
         self.den, self.ints = den, tuple(ints)
-        S, T = _aronhold_st(*self.ints)
-        self.invariants = AronholdInvariants(Fraction(S, den**4), Fraction(T, den**6),
-                                             Fraction(64 * S**3 - T**2, 1728 * den**12))
+        self.S, self.T = _aronhold_st(*self.ints)
 
+    def is_singular(self) -> bool:
+        return 64 * self.S**3 == self.T**2
+
+    invariants = property(lambda self: AronholdInvariants(
+        Fraction(self.S, self.den**4), Fraction(self.T, self.den**6),
+        Fraction(64 * self.S**3 - self.T**2, 1728 * self.den**12)))
     coeffs = property(lambda self: TenCoeffs._make(Fraction(x, self.den) for x in self.ints))
     poly = property(lambda self: MultiPoly(VARS3, [
         (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
@@ -264,7 +272,7 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     `PlaneCubic` evaluates S and T once, on the integers it stores: each
     label is an integer over one denominator n, and S and T are homogeneous
     of degrees 4 and 6, so S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6
-    exactly.
+    exactly.  These `Fraction`s are built on each call.
     """
     return cubic.invariants
 
@@ -333,12 +341,14 @@ class JResult(NamedTuple):
 def j_invariant(cubic: PlaneCubic) -> JResult:
     """j = 64 S^3 / disc; "singular" when the discriminant vanishes.
 
-    The exact identity j * disc == 64 S^3 holds whenever j is defined.
+    The exact identity j * disc == 64 S^3 holds whenever j is defined; on
+    the cubic's integer S and T the powers of its denominator cancel, and
+    j = 110592 S^3 / (64 S^3 - T^2).
     """
-    S, T, disc = cubic.invariants
-    if disc == 0:
-        return JResult(None, S, T, disc)
-    return JResult(64 * S**3 / disc, S, T, disc)
+    if cubic.is_singular():
+        return JResult(None, *cubic.invariants)
+    S, T = cubic.S, cubic.T
+    return JResult(Fraction(110592 * S**3, 64 * S**3 - T**2), *cubic.invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +358,51 @@ def j_invariant(cubic: PlaneCubic) -> JResult:
 class WeierstrassCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
 
-    Fixed at construction: stores a1 ... a6, b2 = a1^2 + 4 a2,
-    b4 = 2 a4 + a1 a3, b6 = a3^2 + 4 a6, c4 = b2^2 - 24 b4 and
-    c6 = -b2^3 + 36 b2 b4 - 216 b6, and derives b8 and disc once by
-    4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2 (Silverman, The
-    Arithmetic of Elliptic Curves, III.1), on the integers n^w a_w (n the
-    lcm of the denominators, w the weight), each divided once by n^w.
+    Stored as weighted integers (n, (A1, A2, A3, A4, A6)) with
+    a_w = A_w / n^w.  Fixed at construction, on those integers:
+    B2 = A1^2 + 4 A2, B4 = 2 A4 + A1 A3, B6 = A3^2 + 4 A6,
+    C4 = B2^2 - 24 B4, C6 = -B2^3 + 36 B2 B4 - 216 B6 and
+    D = (C4^3 - C6^2) / 1728 (Silverman, The Arithmetic of Elliptic Curves,
+    III.1), so that b_w = B_w / n^w, c_w = C_w / n^w and disc = D / n^12.
+    a1 ... a6, b2 ... b8 (4 b8 = b2 b6 - b4^2), c4, c6 and disc are
+    `Fraction`s built on request, and j = C4^3 / D, since the powers of n
+    cancel.  The constructor takes rationals and clears them once; the
+    library's own models are built from weighted integers directly.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8", "c4", "c6", "disc")
+    __slots__ = ("n", "A", "B2", "B4", "B6", "C4", "C6", "D")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        a = self.a1, self.a2, self.a3, self.a4, self.a6 = (
-            rat(a1), rat(a2), rat(a3), rat(a4), rat(a6))
-        n, (a1, a2, a3, a4, a6) = clear_denominators(a)
-        a2, a3, a4, a6 = a2 * n, a3 * n**2, a4 * n**3, a6 * n**5
-        b2, b4, b6 = a1**2 + 4*a2, 2*a4 + a1*a3, a3**2 + 4*a6
-        c4, c6 = b2**2 - 24*b4, -b2**3 + 36*b2*b4 - 216*b6
-        self.b2, self.b4, self.b6 = Fraction(b2, n**2), Fraction(b4, n**4), Fraction(b6, n**6)
-        self.b8 = Fraction((b2*b6 - b4**2) // 4, n**8)
-        self.c4, self.c6 = Fraction(c4, n**4), Fraction(c6, n**6)
-        self.disc = Fraction((c4**3 - c6**2) // 1728, n**12)
+        n, (A1, A2, A3, A4, A6) = clear_denominators(
+            (rat(a1), rat(a2), rat(a3), rat(a4), rat(a6)))
+        self._weigh(n, (A1, A2 * n, A3 * n**2, A4 * n**3, A6 * n**5))
+
+    @classmethod
+    def _weighted(cls, n: int, A) -> "WeierstrassCurve":
+        """The curve with a_w = A_w / n^w, n a nonzero integer."""
+        E = cls.__new__(cls)
+        E._weigh(n, A)
+        return E
+
+    def _weigh(self, n, A):
+        self.n, self.A = n, tuple(A)
+        A1, A2, A3, A4, A6 = self.A
+        self.B2, self.B4, self.B6 = B2, B4, B6 = A1**2 + 4*A2, 2*A4 + A1*A3, A3**2 + 4*A6
+        self.C4, self.C6 = C4, C6 = B2**2 - 24*B4, -B2**3 + 36*B2*B4 - 216*B6
+        self.D = (C4**3 - C6**2) // 1728
+
+    a1 = property(lambda self: Fraction(self.A[0], self.n))
+    a2 = property(lambda self: Fraction(self.A[1], self.n**2))
+    a3 = property(lambda self: Fraction(self.A[2], self.n**3))
+    a4 = property(lambda self: Fraction(self.A[3], self.n**4))
+    a6 = property(lambda self: Fraction(self.A[4], self.n**6))
+    b2 = property(lambda self: Fraction(self.B2, self.n**2))
+    b4 = property(lambda self: Fraction(self.B4, self.n**4))
+    b6 = property(lambda self: Fraction(self.B6, self.n**6))
+    b8 = property(lambda self: Fraction((self.B2 * self.B6 - self.B4**2) // 4, self.n**8))
+    c4 = property(lambda self: Fraction(self.C4, self.n**4))
+    c6 = property(lambda self: Fraction(self.C6, self.n**6))
+    disc = property(lambda self: Fraction(self.D, self.n**12))
 
     @classmethod
     def from_short(cls, A, B) -> "WeierstrassCurve":
@@ -376,12 +410,12 @@ class WeierstrassCurve:
         return cls(0, 0, 0, A, B)
 
     def is_singular(self) -> bool:
-        return self.disc == 0
+        return self.D == 0
 
     def j(self) -> Fraction | None:
-        if self.disc == 0:
+        if self.D == 0:
             return None
-        return self.c4**3 / self.disc
+        return Fraction(self.C4**3, self.D)
 
     def to_json(self) -> dict:
         jv = self.j()
@@ -428,13 +462,15 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     from the point expresses the curve as a double cover of P^1 branched
     along a quartic G(t) with G(0) a nonzero square, and the curve is
     Q-isomorphic to the Jacobian y^2 = x^3 - 27 I x - 27 J of v^2 = G(u)
-    (classical binary-quartic invariants I, J).  Either way the result is
-    certified Q-isomorphic to the cubic's Jacobian J_C (see `jacobian`).
-    The certificate is twist-aware: a model with the right j but the wrong
-    quadratic twist fails it, and a failed certification raises instead of
-    returning a wrong model.
+    (classical binary-quartic invariants I, J).  Every coefficient, the
+    quartic and I, J are integers over powers of one base s, and the model
+    is built from weighted integers (see `WeierstrassCurve`): no `Fraction`
+    is formed.  Either way the result is certified Q-isomorphic to the
+    cubic's Jacobian J_C (see `jacobian`).  The certificate is twist-aware:
+    a model with the right j but the wrong quadratic twist fails it, and a
+    failed certification raises instead of returning a wrong model.
     """
-    if cubic.invariants.disc == 0:
+    if cubic.is_singular():
         raise DomainError("singular cubic: no Weierstrass model")
     pt = pt if isinstance(pt, ProjPoint) else ProjPoint(pt)
     if len(pt.coords) != 3:
@@ -460,34 +496,33 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     w = geometry._MONOS[1][next(k for k in range(3) if normal[k] != 0)]
     du = n * dp * dp
 
-    def coefficient(a, b, c) -> Fraction:
-        """Of X^a Y^b Z^c: the multinomial (3; a, b, c) times T(u^a, p^b, w^c)."""
+    def scaled(a, b, c) -> int:
+        """s = n du^3 dp^2 times the coefficient of X^a Y^b Z^c (b <= 2)."""
         multinomial = 6 // (math.factorial(a) * math.factorial(b) * math.factorial(c))
-        return Fraction(multinomial * _polar(A, *[U] * a, *[P] * b, *[w] * c),
-                        n * du**a * dp**b)
+        return (multinomial * _polar(A, *[U] * a, *[P] * b, *[w] * c)
+                * du**(3 - a) * dp**(2 - b))
 
-    beta = coefficient(0, 2, 1)
+    beta = scaled(0, 2, 1)
     if _polar(A, U, P, P) != 0 or beta == 0:  # X Y^2 and Y^2 Z
         raise AssertionError("normalization failed")  # pragma: no cover
-    q1, q2, q3 = coefficient(2, 1, 0), coefficient(1, 1, 1), coefficient(0, 1, 2)
-    k0, k1 = coefficient(3, 0, 0), coefficient(2, 0, 1)
-    k2, k3 = coefficient(1, 0, 2), coefficient(0, 0, 3)
+    q1, q2, q3 = scaled(2, 1, 0), scaled(1, 1, 1), scaled(0, 1, 2)
+    k0, k1 = scaled(3, 0, 0), scaled(2, 0, 1)
+    k2, k3 = scaled(1, 0, 2), scaled(0, 0, 3)
 
     if q1 == 0:
-        # flex: the tangent meets the curve three times at pt
+        # flex: the tangent meets the curve three times at pt, and the model
+        # a1 = q2/beta, a2 = -k1/beta, a3 = -k0 q3/beta^2, a4 = k0 k2/beta^2,
+        # a6 = -k0^2 k3/beta^3 (the same ratios of the scaled coefficients)
+        # is a_w = A_w / beta^w
         if k0 == 0:  # pragma: no cover — the tangent would lie in the cubic
             raise AssertionError("degenerate flex normalization")
-        E = WeierstrassCurve(
-            q2 / beta,
-            -k1 / beta,
-            -k0 * q3 / beta**2,
-            k0 * k2 / beta**2,
-            -k0**2 * k3 / beta**3,
-        )
+        E = WeierstrassCurve._weighted(beta, (
+            q2, -k1 * beta, -k0 * q3 * beta, k0 * k2 * beta**2, -k0**2 * k3 * beta**3))
     else:
         # projection from pt: on the line z = t x the curve reads
         # beta t Y^2 + (q1 + q2 t + q3 t^2) Y + (k0 + k1 t + k2 t^2 + k3 t^3)
-        # (affine Y = y/x); its discriminant is the branch quartic
+        # (affine Y = y/x); its discriminant is the branch quartic, here
+        # s^2 times it, so I and J are s^4 and s^6 times theirs
         A4 = q3**2 - 4 * beta * k3
         B4 = 2 * q2 * q3 - 4 * beta * k2
         C4 = q2**2 + 2 * q1 * q3 - 4 * beta * k1
@@ -495,7 +530,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         E4 = q1**2
         I = 12*A4*E4 - 3*B4*D4 + C4**2
         J = 72*A4*C4*E4 + 9*B4*C4*D4 - 27*A4*D4**2 - 27*B4**2*E4 - 2*C4**3
-        E = WeierstrassCurve(0, 0, 0, -27 * I, -27 * J)
+        E = WeierstrassCurve._weighted(n * du**3 * dp**2, (0, 0, 0, -27 * I, -27 * J))
 
     if not q_isomorphic(E, jacobian(cubic)):
         raise AssertionError("Weierstrass reduction failed certification: "
@@ -508,12 +543,13 @@ def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
 
     S, T are the Aronhold invariants of `aronhold`; the Fermat cubic gives
     y^2 = x^3 - 432.  A smooth cubic with a rational point is Q-isomorphic
-    to J_C.  Raises DomainError when the cubic is singular (disc = 0).
+    to J_C.  Built from the cubic's integer S and T over its denominator n
+    as the weighted integers (n, (0, 0, 0, -432 S, -432 T)).  Raises
+    DomainError when the cubic is singular (disc = 0).
     """
-    inv = cubic.invariants
-    if inv.disc == 0:
+    if cubic.is_singular():
         raise DomainError("singular cubic: no Jacobian")
-    return WeierstrassCurve.from_short(-432 * inv.S, -432 * inv.T)
+    return WeierstrassCurve._weighted(cubic.den, (0, 0, 0, -432 * cubic.S, -432 * cubic.T))
 
 
 # ---------------------------------------------------------------------------
@@ -524,20 +560,24 @@ def q_isomorphic(E1: WeierstrassCurve, E2: WeierstrassCurve) -> bool:
     """Are two nonsingular Weierstrass curves isomorphic over Q?
 
     Curves are Q-isomorphic iff (c4', c6') = (u^4 c4, u^6 c6) for a rational
-    u.  Generically u^2 = (c6'/c6)/(c4'/c4) must be a rational square; for
-    j = 0 (c4 = 0) the criterion is c6'/c6 a sixth power, for j = 1728
-    (c6 = 0) it is c4'/c4 a fourth power.
+    u.  It is decided on the integers C4, C6 of `WeierstrassCurve`: with
+    weights n1, n2 and v = u n2 / n1 the condition reads
+    (C4', C6') = (v^4 C4, v^6 C6).  Generically v^2 = C6' C4 / (C6 C4') must
+    be a rational square satisfying both equations; for j = 0 (c4 = 0) the
+    criterion is C6'/C6 a sixth power, for j = 1728 (c6 = 0) it is C4'/C4 a
+    fourth power.
     """
-    if E1.disc == 0 or E2.disc == 0:
+    if E1.D == 0 or E2.D == 0:
         raise DomainError("q_isomorphic needs nonsingular curves")
-    c4, c6 = E1.c4, E1.c6
-    c4p, c6p = E2.c4, E2.c6
+    c4, c6 = E1.C4, E1.C6
+    c4p, c6p = E2.C4, E2.C6
     if c4 == 0 or c4p == 0:  # j = 0 needs both
-        return c4 == c4p and is_rational_nth_power(c6p / c6, 6)
+        return c4 == c4p and is_nth_power_ratio(c6p, c6, 6)
     if c6 == 0 or c6p == 0:  # j = 1728 needs both
-        return c6 == c6p and is_rational_nth_power(c4p / c4, 4)
-    s = (c6p / c6) / (c4p / c4)  # = u^2 if isomorphic
-    return c4p == s**2 * c4 and c6p == s**3 * c6 and is_rational_square(s)
+        return c6 == c6p and is_nth_power_ratio(c4p, c4, 4)
+    num, den = c6p * c4, c6 * c4p  # v^2 = num / den if isomorphic
+    return (c4p * den**2 == c4 * num**2 and c6p * den**3 == c6 * num**3
+            and is_nth_power_ratio(num, den, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +602,7 @@ def game_equivalence(game1, game2) -> dict:
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
         cubic = PlaneCubic.from_poly(spohn.f)
-        if cubic.invariants.disc == 0:
+        if cubic.is_singular():
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(
                 f"the {tag} game has a singular cubic (matched reducibility "

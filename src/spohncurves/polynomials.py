@@ -112,16 +112,22 @@ def is_rational_nth_power(q: Fraction, k: int) -> bool:
     For even k the sign must be nonnegative; q = 0 counts as a power.
     """
     q = Fraction(q)
-    if q == 0:
-        return True
+    return is_nth_power_ratio(q.numerator, q.denominator, k)
+
+
+def is_nth_power_ratio(p: int, q: int, k: int) -> bool:
+    """True iff the ratio p/q of two integers, q != 0, is r^k for some
+    rational r, decided on the integers: p/q in lowest terms is a k-th power
+    iff numerator and denominator are.  Signs as in `is_rational_nth_power`."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
     if q < 0:
+        p, q = -p, -q
+    if p < 0:
         if k % 2 == 0:
             return False
-        return is_rational_nth_power(-q, k)
-    num, den = q.numerator, q.denominator
-    rn = _int_nth_root(num, k)
-    rd = _int_nth_root(den, k)
-    return rn ** k == num and rd ** k == den
+        p = -p
+    return _int_nth_root(p, k) ** k == p and _int_nth_root(q, k) ** k == q
 
 
 def rational_sqrt(q) -> Fraction | None:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -28,7 +29,7 @@ from spohncurves import (
     weierstrass_from_cubic,
 )
 from spohncurves.elliptic import _aronhold_st, _polar
-from spohncurves.polynomials import cross_product
+from spohncurves.polynomials import cross_product, is_rational_nth_power, is_rational_square
 from caselib import random_game
 
 F = Fraction
@@ -532,6 +533,30 @@ def test_reduction_bytes_at_non_integer_points():
         "-782972023284187454531243344917494076261006571/17921925664157559815130002227200000000)")
 
 
+# Models recorded from the Fraction reduction, before it moved to weighted
+# integers: smooth `caselib.random_game` games and games with denominators at
+# each coordinate point, and flex and non-flex base points of cubics with
+# denominators (short forms, and short forms under rational coordinate changes).
+GOLDEN_WEIERSTRASS = json.loads(
+    (Path(__file__).parent / "golden_weierstrass.json").read_text(encoding="utf-8"))
+
+
+def _golden_cubic(entry) -> PlaneCubic:
+    if "game" in entry:
+        game = PayoffTables(entry["game"]["A"], entry["game"]["B"])
+        return PlaneCubic.from_poly(build_cubic(game).f)
+    return PlaneCubic.from_coeffs(*entry["coefficients"])
+
+
+def test_weierstrass_models_match_the_golden_bytes():
+    """Each model's JSON, byte for byte, for 41 cubics and base points, 13 of
+    them flexes (`flex` in the file is the branch the reduction takes)."""
+    assert sum(e["flex"] for e in GOLDEN_WEIERSTRASS) == 13
+    got = [json.dumps(weierstrass_from_cubic(_golden_cubic(e), [rat(x) for x in e["point"]])
+                      .to_json(), sort_keys=True) for e in GOLDEN_WEIERSTRASS]
+    assert got == [e["model"] for e in GOLDEN_WEIERSTRASS]
+
+
 def test_reduction_certifies_on_random_cubics():
     # every reduction is re-checked internally against the Aronhold j
     rng = random.Random(995521)
@@ -665,6 +690,96 @@ def test_q_isomorphic_is_an_equivalence_relation():
                     assert q_isomorphic(Ea, Ec)
 
 
+# The Fraction decision that `q_isomorphic` replaced, kept as the tests'
+# reference: the same criteria on the rational c4, c6 of each curve.
+
+def _reference_q_isomorphic(E1, E2) -> bool:
+    if E1.disc == 0 or E2.disc == 0:
+        raise DomainError("q_isomorphic needs nonsingular curves")
+    c4, c6 = E1.c4, E1.c6
+    c4p, c6p = E2.c4, E2.c6
+    if c4 == 0 or c4p == 0:  # j = 0 needs both
+        return c4 == c4p and is_rational_nth_power(c6p / c6, 6)
+    if c6 == 0 or c6p == 0:  # j = 1728 needs both
+        return c6 == c6p and is_rational_nth_power(c4p / c4, 4)
+    s = (c6p / c6) / (c4p / c4)  # = u^2 if isomorphic
+    return c4p == s**2 * c4 and c6p == s**3 * c6 and is_rational_square(s)
+
+
+def _changed_model(a, u, r, s, t):
+    """The model of the curve a under x = u^2 x' + r, y = u^3 y' + s u^2 x' + t
+    (Silverman, Table 3.1): Q-isomorphic to it for every rational u != 0."""
+    a1, a2, a3, a4, a6 = a
+    return WeierstrassCurve(
+        (a1 + 2*s) / u,
+        (a2 - s*a1 + 3*r - s**2) / u**2,
+        (a3 + r*a1 + 2*t) / u**3,
+        (a4 - s*a3 + 2*r*a2 - (t + r*s)*a1 + 3*r**2 - 2*s*t) / u**4,
+        (a6 + r*a4 + r**2*a2 + r**3 - t*a3 - t**2 - r*t*a1) / u**6)
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def weierstrass_pairs(draw):
+    """(E1, E2, expected): a general curve, its denominators different per
+    weight, with a rescaled and moved copy (expected True), its twist by a
+    non-square or an unrelated curve (expected None: only the reference
+    decides); or j = 0 and j = 1728 pairs whose ratio is a power, a power
+    times -1, or any rational."""
+    kind = draw(st.sampled_from(("scaled", "twist", "general", "j=0", "j=1728")))
+    if kind in ("j=0", "j=1728"):
+        k = 6 if kind == "j=0" else 4
+        c = draw(nonzero_rationals)
+        ratio = draw(st.sampled_from((c**k, -c**k, c**2, c)))
+        base = draw(nonzero_rationals)
+        if kind == "j=0":
+            return WeierstrassCurve.from_short(0, base), \
+                WeierstrassCurve.from_short(0, ratio * base), None
+        return WeierstrassCurve.from_short(base, 0), \
+            WeierstrassCurve.from_short(ratio * base, 0), None
+    a = [rat(draw(st.one_of(st.integers(-9, 9),
+                             st.fractions(min_value=-50, max_value=50, max_denominator=m))))
+         for m in (2, 9, 25, 49, 121)]
+    E = WeierstrassCurve(*a)
+    if kind == "scaled":
+        u = draw(nonzero_rationals)
+        r, s, t = draw(small_rationals), draw(small_rationals), draw(small_rationals)
+        return E, _changed_model(a, u, r, s, t), True
+    if kind == "twist":
+        d = draw(st.sampled_from(NON_SQUARES))
+        return E, WeierstrassCurve.from_short(-d**2 * E.c4 / 48, -d**3 * E.c6 / 864), None
+    return E, WeierstrassCurve(*(rat(draw(pair_entries)) for _ in range(5))), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(weierstrass_pairs())
+@example((WeierstrassCurve.from_short(0, 0), WeierstrassCurve.from_short(0, 1), None))
+@example((WeierstrassCurve(0, 0, 0, -3, 2), WeierstrassCurve.from_short(1, 0), None))
+@example((WeierstrassCurve.from_short(0, F(1, 3)),
+          WeierstrassCurve.from_short(0, F(64, 3 * 729)), True))
+@example((WeierstrassCurve.from_short(F(-2, 5), 0),
+          WeierstrassCurve.from_short(F(-2 * 81, 5 * 16), 0), True))
+@example((WeierstrassCurve.from_short(F(-2, 5), 0),
+          WeierstrassCurve.from_short(F(2, 5), 0), False))
+def test_q_isomorphic_matches_the_fraction_reference(pair):
+    """The decision on the weighted integers C4, C6 equals the Fraction
+    criteria on c4, c6, both ways round; a singular curve raises in both."""
+    E1, E2, expected = pair
+    if E1.is_singular() or E2.is_singular():
+        for decide in (q_isomorphic, _reference_q_isomorphic):
+            with pytest.raises(DomainError):
+                decide(E1, E2)
+        return
+    verdict = _reference_q_isomorphic(E1, E2)
+    assert q_isomorphic(E1, E2) is verdict
+    assert q_isomorphic(E2, E1) is _reference_q_isomorphic(E2, E1) is verdict
+    if expected is not None:
+        assert verdict is expected
+
+
 def test_q_isomorphic_rejects_singular_curves():
     with pytest.raises(DomainError):
         q_isomorphic(WeierstrassCurve.from_short(0, 0), WeierstrassCurve.from_short(0, 1))
@@ -684,6 +799,43 @@ def test_affine_payoff_rescaling_is_equivalence(g44):
     h = PayoffTables([[F(3, 2) * x + 7 for x in row] for row in g44.A],
                      [[-2 * x + F(1, 3) for x in row] for row in g44.B])
     r = game_equivalence(g44, h)
+    assert r["same_j"] and r["fully_equivalent"]
+
+
+def _relabel(game, rows, cols, players):
+    if rows:
+        game = game.swap_rows()
+    if cols:
+        game = game.swap_cols()
+    return game.transpose_players() if players else game
+
+
+RELABELINGS = [(r, c, t) for r in (0, 1) for c in (0, 1) for t in (0, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pair_entries, min_size=8, max_size=8),
+       st.fractions(min_value=-50, max_value=-F(1, 50), max_denominator=50),
+       st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+       pair_entries, pair_entries)
+@example([1, 2, 0, 3, 6, 1, 4, 0], F(-3, 2), F(2), F(7), F(-1, 3))
+def test_j_and_equivalence_are_invariant_under_relabeling(e, alpha, gamma, beta, delta):
+    """Every composition of swap_rows, swap_cols and transpose_players keeps
+    j, and game_equivalence finds the relabelled game the same curve up to
+    Q-isomorphism; so does an affine map of the payoffs with alpha < 0."""
+    g = PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]])
+    spohn = build_cubic(g)
+    assume(not spohn.is_zero())
+    j = j_invariant(PlaneCubic.from_poly(spohn.f)).value
+    assume(j is not None)
+    for ops in RELABELINGS:
+        h = _relabel(g, *ops)
+        assert j_invariant(PlaneCubic.from_poly(build_cubic(h).f)).value == j, ops
+        r = game_equivalence(g, h)
+        assert r["same_j"] and r["fully_equivalent"], ops
+    h = PayoffTables([[alpha * x + beta for x in row] for row in g.A],
+                     [[gamma * x + delta for x in row] for row in g.B])
+    r = game_equivalence(g, h)
     assert r["same_j"] and r["fully_equivalent"]
 
 
