@@ -326,9 +326,6 @@ class JResult(NamedTuple):
     """j-invariant of a plane cubic; value is None when the cubic is singular."""
 
     value: Fraction | None
-    S: Fraction
-    T: Fraction
-    disc: Fraction
 
     @property
     def is_singular(self) -> bool:
@@ -346,9 +343,9 @@ def j_invariant(cubic: PlaneCubic) -> JResult:
     j = 110592 S^3 / (64 S^3 - T^2).
     """
     if cubic.is_singular():
-        return JResult(None, *cubic.invariants)
+        return JResult(None)
     S, T = cubic.S, cubic.T
-    return JResult(Fraction(110592 * S**3, 64 * S**3 - T**2), *cubic.invariants)
+    return JResult(Fraction(110592 * S**3, 64 * S**3 - T**2))
 
 
 # ---------------------------------------------------------------------------

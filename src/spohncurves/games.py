@@ -695,45 +695,19 @@ def _unit_floats(game: PayoffTables) -> tuple:
     return a, b, [c / (sa * sb) for c in geometry.build_cubic(game).ints]
 
 
-def _residuals_and_jacobian(a, b, p):
+def _residuals(a, b, p):
     """The sampler's residuals (det M1, det M2, sum - 1) at the float point
-    p, and their exact 3x4 Jacobian; a and b hold the tables row by row.
+    p; a and b hold the tables row by row.
 
-    Both determinants are quadrics, det M1 = s (a21 p21 + a22 p22)
-    - (a11 p11 + a12 p12) t with s = p11 + p12, t = p21 + p22, so each
-    partial derivative is one linear form (det M2 likewise by columns).
+    det M1 = s (a21 p21 + a22 p22) - (a11 p11 + a12 p12) t with s = p11 + p12,
+    t = p21 + p22 (det M2 likewise by columns).
     """
     a11, a12, a21, a22 = a
     b11, b12, b21, b22 = b
     p11, p12, p21, p22 = p
-    s1, t1 = p11 + p12, p21 + p22
-    l1, m1 = a21 * p21 + a22 * p22, a11 * p11 + a12 * p12
-    s2, t2 = p11 + p21, p12 + p22
-    l2, m2 = b12 * p12 + b22 * p22, b11 * p11 + b21 * p21
-    F = (s1 * l1 - m1 * t1, s2 * l2 - m2 * t2, p11 + p12 + p21 + p22 - 1.0)
-    J = ((l1 - a11 * t1, l1 - a12 * t1, a21 * s1 - m1, a22 * s1 - m1),
-         (l2 - b11 * t2, b12 * s2 - m2, l2 - b21 * t2, b22 * s2 - m2),
-         (1.0, 1.0, 1.0, 1.0))
-    return F, J
-
-
-def _min_norm_step(J, F):
-    """J^T (J J^T)^-1 F, the least-norm solution of J step = F for a 3x4 J
-    of rank 3 (what a least-squares solver returns), with the symmetric 3x3
-    system solved by cofactors; None if det(J J^T) = 0."""
-    r1, r2, r3 = J
-    g11, g12, g13 = sum(map(mul, r1, r1)), sum(map(mul, r1, r2)), sum(map(mul, r1, r3))
-    g22, g23, g33 = sum(map(mul, r2, r2)), sum(map(mul, r2, r3)), sum(map(mul, r3, r3))
-    c11, c12, c13 = g22 * g33 - g23 * g23, g13 * g23 - g12 * g33, g12 * g23 - g13 * g22
-    det = g11 * c11 + g12 * c12 + g13 * c13
-    if det == 0.0:
-        return None
-    c22, c23, c33 = g11 * g33 - g13 * g13, g12 * g13 - g11 * g23, g11 * g22 - g12 * g12
-    f1, f2, f3 = F
-    w1 = (c11 * f1 + c12 * f2 + c13 * f3) / det
-    w2 = (c12 * f1 + c22 * f2 + c23 * f3) / det
-    w3 = (c13 * f1 + c23 * f2 + c33 * f3) / det
-    return [w1 * x + w2 * y + w3 * z for x, y, z in zip(r1, r2, r3)]
+    return ((p11 + p12) * (a21 * p21 + a22 * p22) - (a11 * p11 + a12 * p12) * (p21 + p22),
+            (p11 + p21) * (b12 * p12 + b22 * p22) - (b11 * p11 + b21 * p21) * (p12 + p22),
+            p11 + p12 + p21 + p22 - 1.0)
 
 
 def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
@@ -748,12 +722,11 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
     the `count` lines joins O to [0:1:u], u = tan(theta) with theta uniform
     in [0, pi/2) from `random.Random(seed)`, and meets the cubic at [t:1:u]
     where A t^2 + B t + C = 0, solved by the stable quadratic formula.  Each
-    root t > 0 is lifted to p22 through the first determinant, normalized
-    to sum 1 and polished with at most 12 Gauss-Newton steps (the least-norm
-    step J^T (J J^T)^-1 F on the analytic Jacobian) until all three
-    residuals are below 1e-14.  A point is kept when its determinant
-    residuals are at most 1e-8, its sum is within 1e-10 of 1 and each
-    coordinate is in (1e-9, 1 - 1e-9).  DomainError above `_MAX_LINES`.
+    root t > 0 is lifted to p22 > 0 through the first determinant and
+    normalized to sum 1, with no refinement: the root is on the curve up to
+    rounding.  A point is kept when its determinant residuals are at most
+    1e-8, its sum is within 1e-10 of 1 and each coordinate is in
+    (1e-9, 1 - 1e-9).  DomainError above `_MAX_LINES`.
     """
     if count > _MAX_LINES:
         raise DomainError(f"at most {_MAX_LINES} sample lines")
@@ -784,19 +757,11 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
             if abs(l1) < 1e-9:
                 continue
             w = -(z * ((a21 - a11) * x + (a21 - a12) * y)) / l1
-            tot = 1.0 + w
-            if abs(tot) < 1e-9:
+            if w <= 0.0:  # p22 <= 0; else 1 + w > 1
                 continue
+            tot = 1.0 + w
             p = [x / tot, y / tot, z / tot, w / tot]
-            F, J = _residuals_and_jacobian(a, b, p)
-            for _ in range(12):
-                if max(map(abs, F)) < 1e-14:
-                    break
-                step = _min_norm_step(J, F)
-                if step is None:
-                    break
-                p = [pk - sk for pk, sk in zip(p, step)]
-                F, J = _residuals_and_jacobian(a, b, p)
+            F = _residuals(a, b, p)
             if not (abs(F[0]) <= 1e-8 and abs(F[1]) <= 1e-8 and abs(F[2]) <= 1e-10):
                 continue
             if not all(1e-9 < x < 1 - 1e-9 for x in p):

@@ -106,19 +106,11 @@ def _int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def is_rational_nth_power(q: Fraction, k: int) -> bool:
-    """True iff q = r^k for some rational r.
-
-    For even k the sign must be nonnegative; q = 0 counts as a power.
-    """
-    q = Fraction(q)
-    return is_nth_power_ratio(q.numerator, q.denominator, k)
-
-
 def is_nth_power_ratio(p: int, q: int, k: int) -> bool:
     """True iff the ratio p/q of two integers, q != 0, is r^k for some
     rational r, decided on the integers: p/q in lowest terms is a k-th power
-    iff numerator and denominator are.  Signs as in `is_rational_nth_power`."""
+    iff numerator and denominator are.  For even k the ratio must be
+    nonnegative; p = 0 counts as a power."""
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if q < 0:
@@ -139,10 +131,6 @@ def rational_sqrt(q) -> Fraction | None:
     if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
-
-
-def is_rational_square(q: Fraction) -> bool:
-    return rational_sqrt(q) is not None
 
 
 # ---------------------------------------------------------------------------

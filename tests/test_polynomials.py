@@ -12,8 +12,7 @@ from spohncurves.polynomials import (
     clear_denominators,
     contfrac_approx,
     cross_product,
-    is_rational_nth_power,
-    is_rational_square,
+    is_nth_power_ratio,
     rat,
     rat_str,
     rational_sqrt,
@@ -67,17 +66,21 @@ def test_rat_str_is_reduced():
 
 
 def test_rational_power_tests():
-    assert is_rational_square(F(9, 4))
-    assert is_rational_square(F(0))
-    assert not is_rational_square(F(5))
-    assert not is_rational_square(F(-4))
-    assert is_rational_nth_power(F(64), 6)
-    assert is_rational_nth_power(F(-27, 8), 3)
-    assert not is_rational_nth_power(F(-16), 4)
-    assert not is_rational_nth_power(F(2), 6)
+    assert is_nth_power_ratio(9, 4, 2)
+    assert is_nth_power_ratio(0, 1, 2)
+    assert not is_nth_power_ratio(5, 1, 2)
+    assert not is_nth_power_ratio(-4, 1, 2)
+    assert is_nth_power_ratio(64, 1, 6)
+    assert is_nth_power_ratio(-27, 8, 3)
+    assert not is_nth_power_ratio(-16, 1, 4)
+    assert not is_nth_power_ratio(2, 1, 6)
+    # not in lowest terms, and a negative denominator
+    assert is_nth_power_ratio(18, 8, 2) and is_nth_power_ratio(27, -8, 3)
+    assert not is_nth_power_ratio(9, -4, 2)
     # large exact case: (123/457)^4
-    assert is_rational_nth_power(F(123, 457) ** 4, 4)
-    assert not is_rational_nth_power(F(123, 457) ** 4 + 1, 4)
+    q = F(123, 457) ** 4
+    assert is_nth_power_ratio(q.numerator, q.denominator, 4)
+    assert not is_nth_power_ratio(q.numerator + q.denominator, q.denominator, 4)
     assert rational_sqrt(F(9, 4)) == F(3, 2)
     assert rational_sqrt(0) == 0
     assert rational_sqrt(F(10**24 + 2 * 10**12 + 1, 49)) == F(10**12 + 1, 7)
