@@ -108,7 +108,7 @@ def _cmd_j(args):
     spohn = geometry.build_cubic(_load_game(args))
     if spohn.is_zero():
         raise DomainError("the cubic vanishes identically; j is undefined")
-    return elliptic.j_invariant(elliptic.PlaneCubic.from_poly(spohn.f)).to_json()
+    return elliptic.j_invariant(elliptic.PlaneCubic.from_spohn(spohn)).to_json()
 
 
 def _cmd_reduce(args):

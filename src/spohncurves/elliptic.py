@@ -206,6 +206,9 @@ class TenCoeffs(NamedTuple):
 _TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
                   ((2, 1, 0), 3), ((0, 2, 1), 3), ((1, 0, 2), 3),
                   ((1, 2, 0), 3), ((0, 1, 2), 3), ((2, 0, 1), 3), ((1, 1, 1), 6))
+# (label index, monomial, multiplier), monomials in descending order
+_DESCENDING_TERMS = tuple(sorted(((n, e, k) for n, (e, k) in enumerate(_TEN_MONOMIALS)),
+                                 key=lambda t: t[1], reverse=True))
 
 
 class PlaneCubic:
@@ -215,8 +218,10 @@ class PlaneCubic:
     (6 / m) C over 6 n.  The Aronhold invariants are computed once, at
     construction, as the integers S and T of the stored labels, so the
     cubic's own invariants are S / den^4 and T / den^6 (see `aronhold`); the
-    cubic is singular iff 64 S^3 = T^2.  `invariants`, `coeffs` and `poly`
-    are `Fraction`s built on request."""
+    cubic is singular iff 64 S^3 = T^2.  A Spohn cubic's plane cubic comes
+    from its integers (`from_spohn`), and `to_json` prints the stored
+    integers; `invariants`, `coeffs` and `poly` are `Fraction`s built on
+    request."""
 
     __slots__ = ("den", "ints", "S", "T")
 
@@ -237,7 +242,25 @@ class PlaneCubic:
         (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
 
     @classmethod
+    def from_spohn(cls, spohn: geometry.SpohnCubic) -> "PlaneCubic":
+        """The plane cubic of a `geometry.SpohnCubic`, read off its seven
+        integers: c1 x^2 y + c2 x^2 z + c3 x y^2 + c4 x z^2 + c5 y^2 z
+        + c6 y z^2 + c7 x y z has a = b = c = 0,
+        (d, e, f, g, h, i) = 2 (c1, c5, c4, c3, c6, c2) and m = c7 over 6 den.
+        Dividing den and the c_k by g = gcd(den, c1, ..., c7), with the sign
+        of den, leaves the least positive denominator: the integers that
+        clearing the polynomial `spohn.f` gives, with no polynomial built.
+        The zero cubic is a DomainError."""
+        den, (c1, c2, c3, c4, c5, c6, c7) = spohn.den, spohn.ints
+        g = math.gcd(den, c1, c2, c3, c4, c5, c6, c7)
+        if den < 0:
+            g = -g
+        return cls(6 * den // g, (0, 0, 0, 2 * c1 // g, 2 * c5 // g, 2 * c4 // g,
+                                  2 * c3 // g, 2 * c6 // g, 2 * c2 // g, c7 // g))
+
+    @classmethod
     def from_poly(cls, poly: MultiPoly) -> "PlaneCubic":
+        """The plane cubic of a raw homogeneous ternary cubic polynomial."""
         if len(poly.vars) != 3:
             raise DomainError("plane cubic needs exactly 3 variables")
         if poly.is_zero() or poly.degree() != 3 or not poly.is_homogeneous():
@@ -251,9 +274,15 @@ class PlaneCubic:
         return cls(*clear_denominators(labels))
 
     def to_json(self) -> dict:
+        """The bytes of `poly.to_json()` and of the `coeffs`, from the stored
+        integers: each label is reduced once, and each nonzero term is its
+        multiplier times the label, in descending exponent order."""
+        labels = [Fraction(x, self.den) for x in self.ints]
         return {
-            "poly": self.poly.to_json(),
-            "coefficients": {k: rat_str(v) for k, v in self.coeffs._asdict().items()},
+            "poly": {"vars": list(VARS3), "terms": [
+                {"exp": list(e), "coef": rat_str(labels[n] * k)}
+                for n, e, k in _DESCENDING_TERMS if self.ints[n]]},
+            "coefficients": dict(zip(TenCoeffs._fields, map(rat_str, labels))),
         }
 
 
@@ -588,9 +617,10 @@ def game_equivalence(game1, game2) -> dict:
     actually Q-isomorphic (same j is necessary, not sufficient: a quadratic
     twist has the same j).  Q-isomorphism is decided on the Jacobians J_C1,
     J_C2 built from each cubic's S and T, which is twist-aware and needs no
-    rational point or coordinate change.  Raises DomainError naming the
-    matched reducibility cases if a cubic is singular, since j is undefined
-    there.
+    rational point or coordinate change.  Each plane cubic is read off the
+    integers of the game's `SpohnCubic` (`PlaneCubic.from_spohn`).  Raises
+    DomainError naming the matched reducibility cases if a cubic is
+    singular, since j is undefined there.
     """
     cubics = []
     for tag, game in (("first", game1), ("second", game2)):
@@ -598,7 +628,7 @@ def game_equivalence(game1, game2) -> dict:
         if spohn.is_zero():
             raise DomainError(f"the {tag} game has the zero cubic; "
                               "no elliptic invariants exist")
-        cubic = PlaneCubic.from_poly(spohn.f)
+        cubic = PlaneCubic.from_spohn(spohn)
         if cubic.is_singular():
             cases = sorted(geometry.classify_cases(game))
             raise DomainError(

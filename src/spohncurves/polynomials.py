@@ -30,17 +30,17 @@ def rat(value) -> Fraction:
     magnitude, 8600 by default (`_refuse_long_exponent`).  Bools are rejected
     too, although Python counts them as ints: a JSON true is not 1.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):  # before Fraction, an ABC instance check
         if "e" in value or "E" in value:
             _refuse_long_exponent(value, f"rational from {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
@@ -68,7 +68,8 @@ def rat_str(q: Fraction) -> str:
     """Canonical string: "n" for integers, "n/d" otherwise (lowest terms).
     DomainError if a part is longer than Python's process-wide int-to-str
     digit limit (`sys.get_int_max_str_digits`), which is left alone."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)

@@ -15,6 +15,7 @@ from spohncurves import (
     PayoffTables,
     PlaneCubic,
     QuadricPair,
+    SpohnCubic,
     WeierstrassCurve,
     aronhold,
     build_cubic,
@@ -399,17 +400,26 @@ def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
         _outcome(_reference_cubic_from_quadrics, pair)
 
 
+def _reference_plane_cubic_json(cubic: PlaneCubic) -> dict:
+    """`PlaneCubic.to_json` through the `MultiPoly` and the `Fraction` labels."""
+    return {"poly": cubic.poly.to_json(),
+            "coefficients": {k: rat_str(v) for k, v in cubic.coeffs._asdict().items()}}
+
+
 @settings(max_examples=150, deadline=None)
 @given(quadric_pair_inputs())
 @example(OFF_LATTICE_INPUTS)     # the pivot clears to -3: a negative denominator
 def test_plane_cubic_builders_agree(inputs):
     """cubic_from_quadrics, from_poly of its poly and from_coeffs of its
     coefficients may store different integers over different denominators;
-    every view of them, and the Weierstrass model, is the same."""
+    every view of them, and the Weierstrass model, is the same.  The JSON
+    printed from the stored integers has the bytes of the reference built
+    from the polynomial, key and term order included."""
     try:
         cub = cubic_from_quadrics(build_pair(*inputs))
     except DomainError:
         assume(False)
+    assert json.dumps(cub.to_json()) == json.dumps(_reference_plane_cubic_json(cub))
     points = [e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if cub.poly.evaluate(e) == 0]
     for other in (PlaneCubic.from_poly(cub.poly), PlaneCubic.from_coeffs(*cub.coeffs)):
         assert other.coeffs == cub.coeffs
@@ -418,6 +428,42 @@ def test_plane_cubic_builders_agree(inputs):
         if points and cub.invariants.disc != 0:
             assert repr(weierstrass_from_cubic(other, points[0])) == \
                 repr(weierstrass_from_cubic(cub, points[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_entries, min_size=8, max_size=8), st.integers(-6, 6).filter(bool))
+@example([1, 2, 0, 3, 6, 1, 4, 0], 1)
+# A over 2 with even differences: the stored denominator 2 is not the least, 1
+@example([F(1, 2), F(3, 2), F(-1, 2), F(5, 2), 6, 1, 4, 0], -5)
+@example([1, 1, 1, 1, 0, 1, 2, 3], -1)    # the zero cubic
+def test_from_spohn_stores_the_integers_of_from_poly(e, k):
+    """Reading the labels off a SpohnCubic's seven integers stores the same
+    (den, ints) as clearing its polynomial, also when the SpohnCubic's
+    denominator is scaled by k, negative included, and prints the same
+    bytes; the zero cubic is a DomainError either way."""
+    spohn = build_cubic(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
+    for s in (spohn, SpohnCubic(k * spohn.den, [k * x for x in spohn.ints])):
+        if s.is_zero():
+            with pytest.raises(DomainError):
+                PlaneCubic.from_spohn(s)
+            with pytest.raises(DomainError):
+                PlaneCubic.from_poly(s.f)
+            continue
+        new, ref = PlaneCubic.from_spohn(s), PlaneCubic.from_poly(s.f)
+        assert (new.den, new.ints) == (ref.den, ref.ints)
+        assert json.dumps(new.to_json()) == json.dumps(_reference_plane_cubic_json(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(0), coefficients), min_size=10, max_size=10))
+@example([0, 0, 0, 0, 0, 0, 0, 0, 0, F(-1, 6)])
+@example([F(1, 2), 0, F(-5, 3), 0, 0, 0, 0, F(7, 11), 0, 0])
+def test_plane_cubic_json_drops_zero_labels(ten):
+    """A cubic with zero labels prints only its nonzero terms, as the
+    reference does, and every label."""
+    assume(any(ten))
+    cub = PlaneCubic.from_coeffs(*ten)
+    assert json.dumps(cub.to_json()) == json.dumps(_reference_plane_cubic_json(cub))
 
 
 def test_zero_eliminant_is_a_domain_error():
