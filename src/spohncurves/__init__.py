@@ -47,7 +47,6 @@ from .geometry import (
     cubic_from_poly,
     decompose_cubic,
     reducibility_verdict,
-    smooth_rational_point,
     variety_membership,
     w_membership,
     zero_cubic_classify,

@@ -280,8 +280,8 @@ class CurveComponent:
     kind is "line" or "conic"; `poly` is primitive (integer coefficients,
     content 1, first nonzero coefficient positive); `multiplicity` counts
     repeated factors; `point` is a smooth rational point of the component,
-    or None if it has none (a pair of conjugate irrational lines, whose only
-    rational point is singular).
+    read off exactly by `decompose_cubic`, or None if it has none (a pair of
+    conjugate irrational lines, whose only rational point is singular).
     """
 
     __slots__ = ("kind", "poly", "multiplicity", "point")
@@ -460,7 +460,8 @@ def _split_conic(N):
     which is when all 2x2 minors vanish) with v1, v2 primitive integer
     3-vectors and N a verified multiple of v1 v2^T + v2 v1^T, or
     ("irrational",) for a degenerate conic whose two conjugate lines are not
-    defined over Q.
+    defined over Q, decided exactly, so the null point that
+    `decompose_cubic` reports for such a conic is a fact.
 
     The conic must have a squared variable.  A degenerate d1 xy + d2 xz + d3 yz
     (det = d1 d2 d3 / 4 = 0) is a coordinate line times a linear form, and
@@ -516,58 +517,6 @@ def _coordinate_point(N):
     return None
 
 
-def smooth_rational_point(component: CurveComponent) -> ProjPoint:
-    """A rational point of the component where its gradient does not vanish.
-
-    Lines: cross the coefficient vector with a coordinate vector.  Conics:
-    try the three coordinate points first.  Then `_split_conic` decides a
-    degenerate conic exactly: a double line, and a pair of conjugate
-    irrational lines (one rational point, their vertex), have no smooth
-    rational point and raise DomainError at once; a rational line pair
-    v1 v2 gets the first v1 x e_k off v2.  A smooth conic is searched on
-    coordinate-line slices at heights <= 100; DomainError if none is found.
-    """
-    g = component.poly
-    if component.kind == "line":
-        return _line_point([g.coefficient(e) for e in _MONOS[1]])
-
-    N = _conic_matrix([g.coefficient(e) for e in _MONOS[2]])
-    point = _coordinate_point(N)
-    if point is not None:
-        return point
-
-    split = _split_conic(N)
-    if split[0] == "irrational":
-        raise DomainError("the conic is a pair of conjugate irrational lines: "
-                          "its only rational point is singular")
-    if split[0] == "lines":
-        _, v1, v2 = split
-        if v1 == v2:
-            raise DomainError("the conic is a double line: every point of it "
-                              "is singular")
-        return next(ProjPoint(p) for p in (cross_product(v1, e) for e in _MONOS[1])
-                    if sum(a * b for a, b in zip(v2, p)))
-
-    # a smooth conic: fix x_i = h1, x_j = h2 and solve x^T N x = a w^2 +
-    # 2 b w + c = 0 for w = x_s; a != 0 (else e_s was returned above), and
-    # every point of a smooth conic is smooth
-    for s in range(3):
-        i, j = (k for k in range(3) if k != s)
-        for h1 in range(0, 101):
-            for h2 in range(1, 101):
-                for hi in ((h1, -h1) if h1 else (0,)):
-                    a = N[s][s]
-                    b = N[s][i] * hi + N[s][j] * h2
-                    c = N[i][i] * hi * hi + 2 * N[i][j] * hi * h2 + N[j][j] * h2 * h2
-                    r = rational_sqrt(b * b - a * c)
-                    if r is not None:
-                        x = [Fraction(0)] * 3
-                        x[s], x[i], x[j] = (-b + r) / a, Fraction(hi), Fraction(h2)
-                        return ProjPoint(x)
-    raise DomainError("no smooth rational point found on the conic within "
-                      "the height-100 search budget")
-
-
 def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
@@ -586,7 +535,8 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     Every residual conic passes through a coordinate point (a line holds at
     most two of them), which is smooth on a smooth conic; a pair of
     conjugate irrational lines gets a null point, since its only rational
-    point is the singular vertex.
+    point is the singular vertex.  These read-offs are the library's only
+    route to component points: there is no point search.
 
     Takes a SpohnCubic only (wrap a raw MultiPoly with `cubic_from_poly`)
     and decides the kind itself.  Raises DomainError on the zero cubic.  The

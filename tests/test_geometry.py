@@ -22,7 +22,6 @@ from spohncurves import (
     decompose_cubic,
     ReducibilityVerdict,
     reducibility_verdict,
-    smooth_rational_point,
     spohn_determinants,
     variety_membership,
     w_membership,
@@ -309,42 +308,6 @@ def test_cases_come_from_classify_not_from_the_cubic():
         assert case in verdict.cases
 
 
-def test_smooth_point_search_on_conic_without_coordinate_points():
-    from spohncurves.geometry import CurveComponent
-    conic = CurveComponent("conic", q3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2}))
-    pt = smooth_rational_point(conic)
-    assert conic.poly.evaluate(pt.coords) == 0
-    assert any(v != 0 for v in conic.poly.gradient_at(pt.coords))
-
-
-def test_double_line_has_no_smooth_point_at_once():
-    # every point of (x + y + z)^2 is singular: no search budget is spent
-    conic = CurveComponent("conic", q3({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) ** 2)
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="double line"):
-        smooth_rational_point(conic)
-    assert time.perf_counter() - start < 0.5
-
-
-@pytest.mark.parametrize("v1, v2", [((1, 1, 1), (1, -2, 3)), ((2, 3, -1), (1, 1, 1)),
-                                    ((1, 1, 1), (2, 1, 1)), ((3, -1, 5), (-2, 7, 1))])
-def test_rational_line_pair_gets_a_smooth_point(v1, v2):
-    # no coordinate point lies on these pairs, so the point comes from the
-    # split; on (x+y+z)(2x+y+z) the first candidate [0:1:-1] is the vertex
-    conic = CurveComponent("conic", _linear(v1) * _linear(v2) * Fraction(-3, 2))
-    pt = smooth_rational_point(conic)
-    assert conic.poly.evaluate(pt.coords) == 0
-    assert any(v != 0 for v in conic.poly.gradient_at(pt.coords))
-
-
-def test_conic_with_no_rational_points_is_reported():
-    from spohncurves.geometry import CurveComponent
-    # x^2 + y^2 = 3 z^2 has no rational solutions
-    conic = CurveComponent("conic", q3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -3}))
-    with pytest.raises(DomainError):
-        smooth_rational_point(conic)
-
-
 def test_verdict_json_shape(pd):
     data = reducibility_verdict(pd).to_json()
     assert data["kind"] == "Reducible"
@@ -446,8 +409,7 @@ def test_four_point_line_test_matches_restriction(game):
 
 def test_irrational_line_pair_gets_a_null_point_at_once():
     """x (y^2 - 2 z^2): the conic's only rational point is its singular
-    vertex [1:0:0], so it is reported null without a search."""
-    from spohncurves.geometry import CurveComponent
+    vertex [1:0:0], so the split reports it null at once."""
     start = time.perf_counter()
     verdict = decompose_cubic(cubic_from_poly(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
     assert time.perf_counter() - start < 0.5
@@ -456,8 +418,6 @@ def test_irrational_line_pair_gets_a_null_point_at_once():
     assert line.point == ProjPoint((0, 0, 1))
     assert (conic.kind, conic.poly, conic.point) == (
         "conic", q3({(0, 2, 0): 1, (0, 0, 2): -2}), None)
-    with pytest.raises(DomainError):
-        smooth_rational_point(CurveComponent("conic", conic.poly))
 
 
 # the coordinate points e_k a factor passes through: a line through e_k has
@@ -641,7 +601,8 @@ def _ref_split_conic(g):
 
 
 def _ref_point(comp):
-    """A smooth rational point of a component, or None."""
+    """A smooth rational point of a component, or None for a pair of
+    conjugate irrational lines; a conic gets a coordinate point or fails."""
     g = comp.poly
     if comp.kind == "line":
         coeffs = [g.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -652,10 +613,8 @@ def _ref_point(comp):
             return ProjPoint(coords)
     if _ref_split_conic(g)[0] == "irrational":
         return None
-    try:
-        return smooth_rational_point(comp)
-    except DomainError:
-        return None
+    raise AssertionError("every residual conic holds a coordinate point, but "
+                         f"none is a smooth point of the conic {g}")
 
 
 def _primitive_poly(p):
