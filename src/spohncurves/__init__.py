@@ -27,7 +27,6 @@ from .games import (
     de_membership,
     expected_payoffs,
     is_nash,
-    konstanz_matrix,
     ne_witness_sequence,
     pareto_sweep,
     pure_nash,
@@ -47,7 +46,6 @@ from .geometry import (
     cubic_from_poly,
     decompose_cubic,
     reducibility_verdict,
-    variety_membership,
     w_membership,
     zero_cubic_classify,
 )

@@ -139,7 +139,7 @@ def _cmd_nash(args):
 def _cmd_konstanz(args):
     game = _load_game(args)
     pi1, pi2 = _rat_csv(args.payoffs, 2, "--payoffs")
-    return games.konstanz_matrix(game, pi1, pi2).to_json()
+    return games.KonstanzMatrix(game, pi1, pi2).to_json()
 
 
 def _cmd_de_check(args):

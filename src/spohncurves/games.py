@@ -27,50 +27,53 @@ from .polynomials import DomainError, clear_denominators, json_list, rat, rat_st
 # payoff tables and distributions
 # ---------------------------------------------------------------------------
 
+# cell k of (11, 12, 21, 22) after a relabeling is cell perm[k] before it;
+# swapping the players also exchanges the two tables
+_SWAPS = {                          # relabeling -> the cells it exchanges
+    "players swapped": (0, 2, 1, 3),   # transpose: 12<->21
+    "rows swapped": (2, 3, 0, 1),      # 11<->21, 12<->22
+    "columns swapped": (1, 0, 3, 2),   # 11<->12, 21<->22
+}
+
+
+def _not_str(value):
+    """`value`, or TypeError for a string, which would be read char by char."""
+    if isinstance(value, str):
+        raise TypeError(f"got the string {value!r} for a table or row")
+    return value
+
+
 class PayoffTables:
     """A pair of 2x2 rational payoff tables (A for player 1, B for player 2).
 
-    `cleared` holds each table cleared to integers over its least scale,
-    computed once, at construction:
+    `cleared` is the one stored form: each table cleared to integers over
+    its least scale, once, at construction:
     ((la, (A11, A12, A21, A22)), (lb, (B11, B12, B21, B22))) with
-    a_ij = A_ij / la and b_ij = B_ij / lb.  The Spohn cubic, the twelve case
-    predicates, the witness ladder and the sampler's unit tables all read
-    this form, so no table is cleared twice.
+    a_ij = A_ij / la and b_ij = B_ij / lb.  Every routine reads it.  What is
+    homogeneous in one table (comparisons, ratios, the cubic, the case
+    predicates) uses the integers as they are; a value divides by the scale
+    once.  The relabelings permute the integers by `_SWAPS`.  `A` and `B`,
+    the tables as rows of Fractions, are views built on request.
     """
 
-    __slots__ = ("A", "B", "cleared")
+    __slots__ = ("cleared",)
 
     def __init__(self, A, B):
         """Raises ValueError unless A and B are 2x2 tables of exact
-        rationals (int, Fraction or string; floats are rejected)."""
+        rationals (int, Fraction or string; floats are rejected, and so are
+        tables and rows given as strings)."""
         try:
-            self.A = tuple(tuple(rat(x) for x in row) for row in A)
-            self.B = tuple(tuple(rat(x) for x in row) for row in B)
+            tables = [[[rat(x) for x in _not_str(row)] for row in _not_str(M)] for M in (A, B)]
         except TypeError as exc:
             raise ValueError(f"payoff tables must be 2x2 tables of exact "
                              f"rationals: {exc}") from None
-        for M in (self.A, self.B):
+        for M in tables:
             if len(M) != 2 or any(len(r) != 2 for r in M):
                 raise ValueError("payoff tables must be 2x2")
-        self.cleared = tuple(clear_denominators(M[0] + M[1]) for M in (self.A, self.B))
+        self.cleared = tuple(clear_denominators(M[0] + M[1]) for M in tables)
 
-    # entry accessors named like the math (1-based)
-    @property
-    def a11(self): return self.A[0][0]
-    @property
-    def a12(self): return self.A[0][1]
-    @property
-    def a21(self): return self.A[1][0]
-    @property
-    def a22(self): return self.A[1][1]
-    @property
-    def b11(self): return self.B[0][0]
-    @property
-    def b12(self): return self.B[0][1]
-    @property
-    def b21(self): return self.B[1][0]
-    @property
-    def b22(self): return self.B[1][1]
+    A = property(lambda self: _fraction_rows(*self.cleared[0]))
+    B = property(lambda self: _fraction_rows(*self.cleared[1]))
 
     @classmethod
     def from_json(cls, data) -> "PayoffTables":
@@ -112,25 +115,36 @@ class PayoffTables:
             "B": [[rat_str(x) for x in row] for row in self.B],
         }
 
+    def _relabeled(self, step: str) -> "PayoffTables":
+        """The game relabeled by one of the `_SWAPS` steps."""
+        perm, tables = _SWAPS[step], self.cleared
+        out = object.__new__(PayoffTables)
+        out.cleared = tuple((scale, tuple(X[k] for k in perm)) for scale, X in
+                            (tables[::-1] if step == "players swapped" else tables))
+        return out
+
     def transpose_players(self) -> "PayoffTables":
         """Swap the two players (new A = B^T, new B = A^T)."""
-        t = lambda M: ((M[0][0], M[1][0]), (M[0][1], M[1][1]))
-        return PayoffTables(t(self.B), t(self.A))
+        return self._relabeled("players swapped")
 
     def swap_rows(self) -> "PayoffTables":
-        return PayoffTables((self.A[1], self.A[0]), (self.B[1], self.B[0]))
+        return self._relabeled("rows swapped")
 
     def swap_cols(self) -> "PayoffTables":
-        f = lambda M: ((M[0][1], M[0][0]), (M[1][1], M[1][0]))
-        return PayoffTables(f(self.A), f(self.B))
+        return self._relabeled("columns swapped")
 
     def __eq__(self, other):
         if not isinstance(other, PayoffTables):
             return NotImplemented
-        return self.A == other.A and self.B == other.B
+        return self.cleared == other.cleared
 
     def __repr__(self):
         return f"PayoffTables(A={self.A}, B={self.B})"
+
+
+def _fraction_rows(scale, X) -> tuple:
+    """((x11, x12), (x21, x22)): the table X / scale as rows of Fractions."""
+    return tuple((Fraction(X[k], scale), Fraction(X[k + 1], scale)) for k in (0, 2))
 
 
 class JointDistribution:
@@ -207,7 +221,9 @@ class ConditionalPayoffs(NamedTuple):
 
 
 def conditional_payoffs(game: PayoffTables, p: JointDistribution) -> ConditionalPayoffs:
-    """E_1^(1) = (a11 p11 + a12 p12)/(p11+p12) and its three siblings.
+    """E_1^(1) = (a11 p11 + a12 p12)/(p11+p12) and its three siblings, exact:
+    on the tables' integers (`PayoffTables.cleared`), each divided by its
+    table's scale once, E_1^(1) = (A11 p11 + A12 p12) / (la (p11+p12)).
 
     Raises DomainError naming the offending marginal if one vanishes.
     """
@@ -216,19 +232,19 @@ def conditional_payoffs(game: PayoffTables, p: JointDistribution) -> Conditional
     for m, n, l in zip(p.marginals(), names, labels):
         if m == 0:
             raise DomainError(f"{l} undefined: marginal {n} = 0")
+    (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
     return ConditionalPayoffs(
-        (game.a11 * p.p11 + game.a12 * p.p12) / p.row1,
-        (game.a21 * p.p21 + game.a22 * p.p22) / p.row2,
-        (game.b11 * p.p11 + game.b21 * p.p21) / p.col1,
-        (game.b12 * p.p12 + game.b22 * p.p22) / p.col2,
+        (a11 * p.p11 + a12 * p.p12) / (la * p.row1),
+        (a21 * p.p21 + a22 * p.p22) / (la * p.row2),
+        (b11 * p.p11 + b21 * p.p21) / (lb * p.col1),
+        (b12 * p.p12 + b22 * p.p22) / (lb * p.col2),
     )
 
 
 def expected_payoffs(game: PayoffTables, p: JointDistribution) -> tuple:
     """(pi1, pi2) = (sum a_ij p_ij, sum b_ij p_ij), exact."""
-    pi1 = (game.a11 * p.p11 + game.a12 * p.p12 + game.a21 * p.p21 + game.a22 * p.p22)
-    pi2 = (game.b11 * p.p11 + game.b12 * p.p12 + game.b21 * p.p21 + game.b22 * p.p22)
-    return pi1, pi2
+    cells = p.as_tuple()
+    return tuple(sum(map(mul, X, cells)) / scale for scale, X in game.cleared)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +257,9 @@ def pure_nash(game: PayoffTables) -> list:
     Best responses are weak; a game with both tables constant returns all
     four cells.
     """
-    out = []
-    for i in (0, 1):
-        for j in (0, 1):
-            if game.A[i][j] >= game.A[1 - i][j] and game.B[i][j] >= game.B[i][1 - j]:
-                out.append((i + 1, j + 1))
-    return out
+    (_, A), (_, B) = game.cleared
+    # cell k = 2 (row - 1) + (col - 1): k ^ 2 is the other row, k ^ 1 the other column
+    return [(k // 2 + 1, k % 2 + 1) for k in range(4) if A[k] >= A[k ^ 2] and B[k] >= B[k ^ 1]]
 
 
 def totally_mixed_nash(game: PayoffTables):
@@ -256,39 +269,33 @@ def totally_mixed_nash(game: PayoffTables):
     outside the open square), or "degenerate" (an indifference denominator
     vanishes, so no isolated interior equilibrium exists).
     """
-    den_q = game.b11 - game.b12 - game.b21 + game.b22
-    den_r = game.a11 - game.a12 - game.a21 + game.a22
+    (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
+    den_q = b11 - b12 - b21 + b22
+    den_r = a11 - a12 - a21 + a22
     if den_q == 0 or den_r == 0:
         return "degenerate"
-    q = (game.b22 - game.b21) / den_q
-    r = (game.a22 - game.a12) / den_r
+    q = Fraction(b22 - b21, den_q)
+    r = Fraction(a22 - a12, den_r)
     if not (0 < q < 1 and 0 < r < 1):
         return "none"
     return MixedProfile(q, r)
 
 
 def is_nash(game: PayoffTables, ne: MixedProfile) -> bool:
-    """Exact best-response check for a mixed profile (q, r)."""
+    """Exact best-response check for a mixed profile (q, r), on integers.
+
+    With r = n/d, player 1's row 1 payoff minus row 2's is
+    ((A11 - A21) n + (A12 - A22)(d - n)) / (la d), so the integer numerator
+    has its sign; likewise for player 2's columns at q.
+    """
     q, r = rat(ne.q), rat(ne.r)
     if not (0 <= q <= 1 and 0 <= r <= 1):
         return False
-    row1 = game.a11 * r + game.a12 * (1 - r)
-    row2 = game.a21 * r + game.a22 * (1 - r)
-    col1 = game.b11 * q + game.b21 * (1 - q)
-    col2 = game.b12 * q + game.b22 * (1 - q)
-    if 0 < q < 1 and row1 != row2:
-        return False
-    if q == 1 and row1 < row2:
-        return False
-    if q == 0 and row2 < row1:
-        return False
-    if 0 < r < 1 and col1 != col2:
-        return False
-    if r == 1 and col1 < col2:
-        return False
-    if r == 0 and col2 < col1:
-        return False
-    return True
+    (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
+    rows = (a11 - a21) * r.numerator + (a12 - a22) * (r.denominator - r.numerator)
+    cols = (b11 - b12) * q.numerator + (b21 - b22) * (q.denominator - q.numerator)
+    return all(gap >= 0 if p == 1 else gap <= 0 if p == 0 else gap == 0
+               for p, gap in ((q, rows), (r, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +323,12 @@ class KonstanzMatrix:
         p1, p2 = rat(pi1), rat(pi2)
         self.pi1, self.pi2 = p1, p2
         z = Fraction(0)
+        ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = game.A, game.B
         self.rows = (
-            (p1 - game.a11, p1 - game.a12, z, z),
-            (z, z, p1 - game.a21, p1 - game.a22),
-            (p2 - game.b11, z, p2 - game.b21, z),
-            (z, p2 - game.b12, z, p2 - game.b22),
+            (p1 - a11, p1 - a12, z, z),
+            (z, z, p1 - a21, p1 - a22),
+            (p2 - b11, z, p2 - b21, z),
+            (z, p2 - b12, z, p2 - b22),
         )
 
     def det(self) -> Fraction:
@@ -340,10 +348,6 @@ class KonstanzMatrix:
         }
 
 
-def konstanz_matrix(game: PayoffTables, pi1, pi2) -> KonstanzMatrix:
-    return KonstanzMatrix(game, pi1, pi2)
-
-
 # ---------------------------------------------------------------------------
 # dependency-equilibrium membership
 # ---------------------------------------------------------------------------
@@ -356,14 +360,15 @@ def spohn_determinants(game: PayoffTables, p) -> tuple:
 
     These vanish simultaneously exactly on the Spohn variety of the game;
     the geometry module builds the same two quadrics as polynomials, which
-    tests compare against this direct route.
+    tests compare against this direct route.  Each is linear in its table,
+    so it is evaluated on the table's integers (`PayoffTables.cleared`) and
+    divided by the scale once.
     """
     p11, p12, p21, p22 = (rat(x) for x in p)
-    d1 = (p11 + p12) * (game.a21 * p21 + game.a22 * p22) \
-        - (game.a11 * p11 + game.a12 * p12) * (p21 + p22)
-    d2 = (p11 + p21) * (game.b12 * p12 + game.b22 * p22) \
-        - (game.b11 * p11 + game.b21 * p21) * (p12 + p22)
-    return d1, d2
+    (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
+    d1 = (p11 + p12) * (a21 * p21 + a22 * p22) - (a11 * p11 + a12 * p12) * (p21 + p22)
+    d2 = (p11 + p21) * (b12 * p12 + b22 * p22) - (b11 * p11 + b21 * p21) * (p12 + p22)
+    return d1 / la, d2 / lb
 
 
 def de_membership(game: PayoffTables, p: JointDistribution) -> str:
@@ -390,15 +395,8 @@ def de_membership(game: PayoffTables, p: JointDistribution) -> str:
 # (11, 12, 21, 22), each a row (c0, c1, c2, c3) meaning
 # c0 + c1/r + c2/r^2 + c3/r^3.  Boundary templates are stated for the
 # normalized position "player 1 plays their second strategy"; an arbitrary
-# equilibrium is moved there by the relabelings below, and the template's
-# rows are permuted back through them.
-
-_SWAPS = {                          # relabeling -> the cells it exchanges
-    "players swapped": (0, 2, 1, 3),   # transpose: 12<->21
-    "rows swapped": (2, 3, 0, 1),      # 11<->21, 12<->22
-    "columns swapped": (1, 0, 3, 2),   # 11<->12, 21<->22
-}
-
+# equilibrium is moved there by the relabelings of `_SWAPS`, and the
+# template's rows are permuted back through them.
 
 class WitnessLadderRow(NamedTuple):
     """One rung of a witness ladder.  `point` is the exact p(r); `payoffs`
@@ -549,14 +547,15 @@ def _pure_corner_template(game: PayoffTables):
     Returns (case label, formula string, threshold, template); the
     threshold is the least integer r > 0 at which the last cell is positive.
     """
-    if game.a11 <= game.a12 and game.b11 <= game.b21:  # r^2 - r - 2 = (r - 2)(r + 1)
+    (_, (a11, a12, _, _)), (_, (b11, _, b21, _)) = game.cleared
+    if a11 <= a12 and b11 <= b21:  # r^2 - r - 2 = (r - 2)(r + 1)
         return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)", 3,
                 ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (1, -1, -2, 0)))
-    if game.a11 >= game.a12 and game.b11 >= game.b21:  # r > 1 + sqrt(2)
+    if a11 >= a12 and b11 >= b21:  # r > 1 + sqrt(2)
         return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)", 3,
                 ((0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 0), (1, -2, -1, 0)))
     # r^3 - r^2 - r - 1 is -2 at r = 1 and 1 at r = 2
-    if game.a11 <= game.a12 and game.b11 >= game.b21:
+    if a11 <= a12 and b11 >= b21:
         return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)", 2,
                 ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, -1, -1, -1)))
     return ("a11>=a12 and b11<=b21", "(1/r^2, 1/r, 1/r^3, 1 - 1/r - 1/r^2 - 1/r^3)", 2,
@@ -568,13 +567,14 @@ def _semi_mixed_template(game: PayoffTables, p1: Fraction):
     ((0,1), (p1, p2)) with p2 = 1 - p1; needs b21 == b22 (player 2
     indifference).  The threshold is the least integer r with r > 1/p1 and
     r^2 > 1/p2."""
-    if game.b21 != game.b22:
+    (_, (a11, a12, _, _)), (_, (_, _, b21, b22)) = game.cleared
+    if b21 != b22:
         raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
     p2 = 1 - p1
     threshold = max(p1.denominator // p1.numerator + 1,
                     math.isqrt(p2.denominator // p2.numerator) + 1)
     row2 = ((p1, -1, 0, 0), (p2, 0, -1, 0))  # p1 - 1/r, p2 - 1/r^2
-    if game.a11 <= game.a12:
+    if a11 <= a12:
         return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)", threshold,
                 ((0, 1, 0, 0), (0, 0, 1, 0)) + row2)
     return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)", threshold,
@@ -643,26 +643,20 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
     (a11, a11, a11, a22); the off-diagonal mass is split so that
     E_2^(1) = lam a21 + (1-lam) a22 = a11 exactly for every r.
     """
-    bt = (
-        (game.A[0][0], game.A[1][0]),
-        (game.A[0][1], game.A[1][1]),
-    )
-    if game.B != bt:
+    if game.transpose_players() != game:  # (A, B) -> (B^T, A^T) fixes it iff B = A^T
         raise DomainError("cooperation witness requires B = transpose(A)")
-    checks = (
-        ("a21 > a11", game.a21 > game.a11),
-        ("a11 > a22", game.a11 > game.a22),
-        ("a22 > a12", game.a22 > game.a12),
-    )
-    for label, holds in checks:
+    la, (a11, a12, a21, a22) = game.cleared[0]
+    for label, holds in (("a21 > a11", a21 > a11), ("a11 > a22", a11 > a22),
+                         ("a22 > a12", a22 > a12)):
         if not holds:
             raise DomainError(f"cooperation witness requires {label}")
 
-    lam = (game.a11 - game.a22) / (game.a21 - game.a22)
+    lam = Fraction(a11 - a22, a21 - a22)
+    v11, v22 = Fraction(a11, la), Fraction(a22, la)
     return WitnessReport(game, "cooperation", f"lambda = {rat_str(lam)}",
                          "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)", 2,  # r^2 > r + 1
                          ((1, -1, -1, 0), (0, 0, 1, 0), (0, lam, 0, 0), (0, 1 - lam, 0, 0)),
-                         lam=lam, payoff_limits=(game.a11, game.a11, game.a11, game.a22))
+                         lam=lam, payoff_limits=(v11, v11, v11, v22))
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +800,8 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
     pts = sample_curve_points(game, grid, seed=seed)
     sampled, dominating = [], []
     if pts:  # an empty sweep converts nothing, so payoffs past the float range pass
-        fa = [float(x) for row in game.A for x in row]
-        fb = [float(x) for row in game.B for x in row]
+        # each entry X / scale rounded once, as float() of its Fraction
+        fa, fb = ([x / scale for x in X] for scale, X in game.cleared)
         r1, r2 = float(ref1), float(ref2)
     for p in pts:
         pi1, pi2 = sum(map(mul, fa, p)), sum(map(mul, fb, p))

@@ -68,28 +68,24 @@ def build_quadrics(game) -> SpohnQuadrics:
            + (a21-a12) p12p21 + (a22-a12) p12p22
     det M2 = (b12-b11) p11p12 + (b22-b11) p11p22
            + (b12-b21) p12p21 + (b22-b21) p21p22
+
+    Each difference is taken on the tables' integers
+    (`PayoffTables.cleared`) and divided by its table's scale once.
     """
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
     q1 = MultiPoly(VARS4, {
-        _mono4(0, 2): a21 - a11,
-        _mono4(0, 3): a22 - a11,
-        _mono4(1, 2): a21 - a12,
-        _mono4(1, 3): a22 - a12,
+        _mono4(0, 2): Fraction(a21 - a11, la),
+        _mono4(0, 3): Fraction(a22 - a11, la),
+        _mono4(1, 2): Fraction(a21 - a12, la),
+        _mono4(1, 3): Fraction(a22 - a12, la),
     })
     q2 = MultiPoly(VARS4, {
-        _mono4(0, 1): b12 - b11,
-        _mono4(0, 3): b22 - b11,
-        _mono4(1, 2): b12 - b21,
-        _mono4(2, 3): b22 - b21,
+        _mono4(0, 1): Fraction(b12 - b11, lb),
+        _mono4(0, 3): Fraction(b22 - b11, lb),
+        _mono4(1, 2): Fraction(b12 - b21, lb),
+        _mono4(2, 3): Fraction(b22 - b21, lb),
     })
     return SpohnQuadrics(q1, q2)
-
-
-def variety_membership(quadrics: SpohnQuadrics, point) -> bool:
-    """Exact test: does a projective point lie on both quadrics?"""
-    v1, v2 = quadrics.evaluate(point)
-    return v1 == 0 and v2 == 0
 
 
 def w_membership(p) -> bool:
@@ -190,10 +186,10 @@ def zero_cubic_classify(game) -> int | None:
     3: a11=a12=a22 and b11=b21=b22
     4: a11=a12=a21 and b11=b12=b21
 
-    Returns the first matching condition number, or None.
+    Returns the first matching condition number, or None.  The equalities
+    are inside one table, so they read the tables' integers.
     """
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
     if a11 == a12 == a21 == a22 or b11 == b12 == b21 == b22:
         return 1
     if a11 == a21 and a12 == a22 and b11 == b12 and b21 == b22:

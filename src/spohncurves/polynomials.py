@@ -464,10 +464,6 @@ class ProjPoint:
                 return tuple(x / c for x in self.coords)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def primitive(self) -> tuple:
-        """Integer coordinates with content 1 and first nonzero entry > 0."""
-        return primitive_vector(self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented

@@ -20,6 +20,8 @@ PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
 G44 = '{"A": [[1,2],[0,3]], "B": [[6,1],[4,0]]}'
 GOLDEN_DECOMPOSE = json.loads(
     (Path(__file__).parent / "golden_decompose.json").read_text(encoding="utf-8"))
+GOLDEN_GAME_REPORTS = json.loads(
+    (Path(__file__).parent / "golden_game_reports.json").read_text(encoding="utf-8"))
 PAIR = json.dumps({
     "A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
     "B": [[0, 0, "1/2", 0], [0, 0, "-1/2", "1/2"],
@@ -132,6 +134,19 @@ def test_decompose_golden_bytes(capsys, case):
     assert game_for_case(case, random.Random(rec["seed"])).to_json() == rec["game"]
     out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
     assert out == rec["stdout"]
+
+
+@pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness"])
+def test_game_report_golden_bytes(capsys, command):
+    """Stdout and exit code of calls on integer, fractional and ~10^12
+    games, recorded before the payoff tables were kept only as integers:
+    the quadrics, Nash equilibria, Konstanz matrices, conditional payoffs,
+    and pure, mixed and semi-mixed witnesses under every relabeling."""
+    entries = [e for e in GOLDEN_GAME_REPORTS if e["argv"][0] == command]
+    assert len(entries) >= 14
+    for entry in entries:
+        out, _ = run_ok(capsys, entry["argv"], entry["code"])
+        assert out == entry["stdout"], entry["argv"]
 
 
 # --- input channels ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from spohncurves import (
     DomainError,
     JointDistribution,
+    KonstanzMatrix,
     MixedProfile,
     PayoffTables,
     build_cubic,
@@ -21,7 +22,6 @@ from spohncurves import (
     de_membership,
     expected_payoffs,
     is_nash,
-    konstanz_matrix,
     ne_witness_sequence,
     pareto_sweep,
     pure_nash,
@@ -47,7 +47,7 @@ F = Fraction
 def test_from_json_string_rationals():
     g = PayoffTables.from_json({"A": [["1/2", "2"], ["0", "3"]],
                                 "B": [["6", "1"], ["4", "0"]]})
-    assert g.a11 == F(1, 2) and g.b21 == 4
+    assert g.A[0][0] == F(1, 2) and g.B[1][0] == 4
 
 
 def test_bimatrix_round_trip(pd):
@@ -60,6 +60,16 @@ def test_bimatrix_rejects_malformed():
     for bad in ("2,2 0,3", "2,2 0,3; 3,0", "x,y a,b; c,d e,f"):
         with pytest.raises(ValueError):
             PayoffTables.from_bimatrix(bad)
+
+
+def test_string_tables_and_rows_are_rejected():
+    # iterated, "12" would be the row (1, 2)
+    for A in (["12", "34"], [[1, 2], "34"], "1234"):
+        with pytest.raises(ValueError, match="^payoff tables must be 2x2 tables of exact "
+                                             "rationals: got the string"):
+            PayoffTables(A, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^payoff tables must be 2x2 tables of exact rationals"):
+        PayoffTables([[1, 2], [3, 4]], [[1, 2], "34"])
 
 
 def test_relabelings_are_involutions(pd):
@@ -165,7 +175,7 @@ def test_konstanz_det_matches_permutation_expansion():
         g = random_game(rng)
         pi1 = F(rng.randint(-6, 6), rng.randint(1, 4))
         pi2 = F(rng.randint(-6, 6), rng.randint(1, 4))
-        K = konstanz_matrix(g, pi1, pi2)
+        K = KonstanzMatrix(g, pi1, pi2)
         assert K.det() == _det_by_permutations(K.rows)
 
 
@@ -174,7 +184,7 @@ def test_konstanz_kernel_at_mixed_equilibrium(bos):
     ne = totally_mixed_nash(g)
     p = ne.segre()
     pi1, pi2 = expected_payoffs(g, p)
-    K = konstanz_matrix(g, pi1, pi2)
+    K = KonstanzMatrix(g, pi1, pi2)
     assert K.apply(p.as_tuple()) == (0, 0, 0, 0)
     assert K.det() == 0
     data = K.to_json()
@@ -339,7 +349,7 @@ def test_cooperation_witness_pd(pd):
     # the off-diagonal split keeps E_2^(1) pinned to a11 for every finite r
     for r in (2, 5, 17, 1000):
         cp = conditional_payoffs(pd, JointDistribution(*rep.sequence(r)))
-        assert cp.e21 == pd.a11
+        assert cp.e21 == pd.A[0][0]
     assert rep.to_json()["lambda"] == "1/2"
 
 
@@ -360,8 +370,8 @@ def test_cooperation_witness_gap_shrinks(pd):
     gaps = []
     for row in rep.ladder:
         cp = row.payoffs
-        gaps.append(max(abs(float(cp.e11) - float(pd.a11)),
-                        abs(float(cp.e12) - float(pd.a11))))
+        gaps.append(max(abs(float(cp.e11) - float(pd.A[0][0])),
+                        abs(float(cp.e12) - float(pd.A[0][0]))))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0] / 100
     assert rep.ok  # the r = 10^6 inequalities clear the 1e-6 tolerance
@@ -527,8 +537,8 @@ def test_sample_curve_points_residuals(pd):
     assert len(sample_curve_points(pd, 30, seed=3)) >= 5
     total = 0
     for g in [pd] + _sampler_pool():
-        spread_a = max(abs(x - g.a11) for row in g.A for x in row) or 1
-        spread_b = max(abs(x - g.b11) for row in g.B for x in row) or 1
+        spread_a = _spread(g.A) or 1
+        spread_b = _spread(g.B) or 1
         for grid, seed in itertools.product((20, 500), (0, 1, 5)):
             for p in sample_curve_points(g, grid, seed=seed):
                 assert abs(sum(p) - 1) <= 1e-10
@@ -604,6 +614,69 @@ def test_payoff_tables_store_each_table_over_its_least_scale(A, B):
                                              (la, (a11, a21, a12, a22)))
     assert g.swap_rows().cleared == ((la, (a21, a22, a11, a12)), (lb, (b21, b22, b11, b12)))
     assert g.swap_cols().cleared == ((la, (a12, a11, a22, a21)), (lb, (b12, b11, b22, b21)))
+
+
+def _relabel_views(A, B, transpose, rows, cols):
+    """The relabeling on the Fraction tables themselves: transpose_players
+    (new A = B^T, new B = A^T), then swap_rows, then swap_cols."""
+    if transpose:
+        A, B = tuple(zip(*B)), tuple(zip(*A))
+    if rows:
+        A, B = A[::-1], B[::-1]
+    if cols:
+        A, B = [row[::-1] for row in A], [row[::-1] for row in B]
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES, _TABLES)
+@example([[1, 2], [3, 4]], [[1, 3], [2, 4]])                      # B = A^T: transposing fixes it
+@example([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [[0, 1], [0, 1]])  # swapping rows fixes it
+@example([[10**12, -10**12], [10**12 - 1, F(1, 3)]], [[F(-7, 2), 5], [0, 0]])
+def test_relabeling_by_permutation_matches_the_validated_route(A, B):
+    """Each of the 8 compositions of the relabelings permutes `cleared` to
+    what the constructor builds from the permuted Fraction tables, and ==
+    agrees with equality of those tables."""
+    g = PayoffTables(A, B)
+    assert PayoffTables(g.A, g.B).cleared == g.cleared
+    for transpose, rows, cols in itertools.product((False, True), repeat=3):
+        moved = g.transpose_players() if transpose else g
+        moved = moved.swap_rows() if rows else moved
+        moved = moved.swap_cols() if cols else moved
+        rebuilt = PayoffTables(*_relabel_views(g.A, g.B, transpose, rows, cols))
+        assert moved.cleared == rebuilt.cleared and moved == rebuilt
+        assert moved.to_json() == rebuilt.to_json()
+        assert (moved == g) == (moved.A == g.A and moved.B == g.B)
+
+
+def _reference_is_nash(game, q, r):
+    """The best-response check on the Fraction tables: each player's two
+    expected payoffs against the other's mix, compared."""
+    if not (0 <= q <= 1 and 0 <= r <= 1):
+        return False
+    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = game.A, game.B
+    row1, row2 = a11 * r + a12 * (1 - r), a21 * r + a22 * (1 - r)
+    col1, col2 = b11 * q + b21 * (1 - q), b12 * q + b22 * (1 - q)
+    return all(hi >= lo if p == 1 else lo >= hi if p == 0 else hi == lo
+               for p, hi, lo in ((q, row1, row2), (r, col1, col2)))
+
+
+_PROBS = st.one_of(st.sampled_from([F(0), F(1), F(-1, 2), F(3, 2)]),
+                   st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES, _TABLES, _PROBS, _PROBS)
+@example([[3, 0], [0, 2]], [[2, 1], [0, 3]], F(3, 4), F(2, 5))   # the mixed equilibrium
+@example([[0, 0], [1, 1]], [[3, 5], [3, 3]], F(0), F(1, 3))      # a semi-mixed one
+def test_is_nash_matches_the_fraction_route(A, B, q, r):
+    g = PayoffTables(A, B)
+    profiles = [MixedProfile(q, r)] + [MixedProfile(F(i), F(j)) for i in (0, 1) for j in (0, 1)]
+    tm = totally_mixed_nash(g)
+    if isinstance(tm, MixedProfile):
+        profiles.append(tm)
+    for ne in profiles:
+        assert is_nash(g, ne) == _reference_is_nash(g, ne.q, ne.r), ne
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,13 +768,15 @@ def _ref_compose(p, q):
 
 
 def _reference_pure_corner_sequence(game):
-    if game.a11 <= game.a12 and game.b11 <= game.b21:
+    (a11, a12), _ = game.A
+    (b11, _), (b21, _) = game.B
+    if a11 <= a12 and b11 <= b21:
         return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)",
                 lambda r: (F(1, r), F(1, r ** 2), F(1, r ** 2), 1 - F(1, r) - 2 * F(1, r ** 2)))
-    if game.a11 >= game.a12 and game.b11 >= game.b21:
+    if a11 >= a12 and b11 >= b21:
         return ("a11>=a12 and b11>=b21", "(1/r^2, 1/r, 1/r, 1 - 2/r - 1/r^2)",
                 lambda r: (F(1, r ** 2), F(1, r), F(1, r), 1 - 2 * F(1, r) - F(1, r ** 2)))
-    if game.a11 <= game.a12 and game.b11 >= game.b21:
+    if a11 <= a12 and b11 >= b21:
         return ("a11<=a12 and b11>=b21", "(1/r^2, 1/r^3, 1/r, 1 - 1/r - 1/r^2 - 1/r^3)",
                 lambda r: (F(1, r ** 2), F(1, r ** 3), F(1, r),
                            1 - F(1, r) - F(1, r ** 2) - F(1, r ** 3)))
@@ -711,10 +786,12 @@ def _reference_pure_corner_sequence(game):
 
 
 def _reference_semi_mixed_sequence(game, p1):
-    if game.b21 != game.b22:
+    (a11, a12), _ = game.A
+    _, (b21, b22) = game.B
+    if b21 != b22:
         raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
     p2 = 1 - p1
-    if game.a11 <= game.a12:
+    if a11 <= a12:
         return ("a11<=a12", "(1/r, 1/r^2, p1 - 1/r, p2 - 1/r^2)",
                 lambda r: (F(1, r), F(1, r ** 2), p1 - F(1, r), p2 - F(1, r ** 2)))
     return ("a11>=a12", "(1/r^2, 1/r, p1 - 1/r, p2 - 1/r^2)",
@@ -791,13 +868,14 @@ def _reference_ne_witness(game, ne):
 
 
 def _reference_cooperation_witness(game):
-    lam = (game.a11 - game.a22) / (game.a21 - game.a22)
+    (a11, _), (a21, a22) = game.A
+    lam = (a11 - a22) / (a21 - a22)
     return _reference_report(
         game, "cooperation", f"lambda = {rat_str(lam)}",
         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)",
         lambda r: (1 - F(1, r) - F(1, r ** 2), F(1, r ** 2), lam / r, (1 - lam) / r),
         (F(1), F(0), F(0), F(0)), lam=lam,
-        payoff_limits=(game.a11, game.a11, game.a11, game.a22))
+        payoff_limits=(a11, a11, a11, a22))
 
 
 def _assert_same_witness(rep, ref):

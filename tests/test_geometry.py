@@ -23,7 +23,6 @@ from spohncurves import (
     ReducibilityVerdict,
     reducibility_verdict,
     spohn_determinants,
-    variety_membership,
     w_membership,
     zero_cubic_classify,
 )
@@ -90,11 +89,11 @@ def test_quadrics_agree_with_determinant_route():
 
 def test_variety_and_w_membership(pd):
     quad = build_quadrics(pd)
-    assert variety_membership(quad, ProjPoint((0, 0, 0, 1)))
+    assert quad.evaluate(ProjPoint((0, 0, 0, 1))) == (0, 0)
     # points of the line component y = z, lifted back through det M1 = 0
-    assert variety_membership(quad, (0, 1, 1, -3))
-    assert variety_membership(quad, (2, 1, 1, 5))
-    assert not variety_membership(quad, (1, 1, 1, 1))
+    assert quad.evaluate((0, 1, 1, -3)) == (0, 0)
+    assert quad.evaluate((2, 1, 1, 5)) == (0, 0)
+    assert quad.evaluate((1, 1, 1, 1)) != (0, 0)
     assert w_membership((1, -1, 2, 3))        # p11 + p12 == 0
     assert not w_membership((F(1, 4),) * 4)
 

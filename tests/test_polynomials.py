@@ -13,6 +13,7 @@ from spohncurves.polynomials import (
     contfrac_approx,
     cross_product,
     is_nth_power_ratio,
+    primitive_vector,
     rat,
     rat_str,
     rational_sqrt,
@@ -210,7 +211,7 @@ def test_projpoint_scaling_equality():
 def test_projpoint_canonical_and_primitive():
     pt = ProjPoint((0, F(3, 4), F(9, 2)))
     assert pt.canonical() == (0, 1, 6)
-    assert pt.primitive() == (0, 1, 6)
+    assert primitive_vector(pt.coords) == (0, 1, 6)
     with pytest.raises(ValueError):
         ProjPoint((0, 0, 0))
 
