@@ -75,6 +75,24 @@ def _rat_csv(text: str, n: int, what: str) -> list:
         raise UsageError(f"bad {what}: {exc}")
 
 
+# flags whose value is comma-separated rationals
+_CSV_FLAGS = ("--payoffs", "--point", "--ne")
+
+
+def _attach_csv_values(argv) -> list:
+    """argv with `FLAG VALUE` written `FLAG=VALUE` for each flag of
+    `_CSV_FLAGS` whose value starts with "-" and holds a comma: argparse
+    reads such a value ("-3,2") as an unknown option, not as the flag's
+    value.  No option holds a comma, and every valid value does."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _CSV_FLAGS and arg.startswith("-") and "," in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "text":
         for key in sorted(payload):
@@ -253,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_csv_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2

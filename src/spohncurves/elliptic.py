@@ -33,11 +33,14 @@ from .polynomials import (
     MultiPoly,
     ProjPoint,
     clear_denominators,
+    clear_pairs,
     cross_product,
     is_nth_power_ratio,
     json_list,
+    parse_rational,
     rat,
     rat_str,
+    terms_from_json,
 )
 
 VARS4 = ("x", "y", "z", "t")
@@ -52,37 +55,48 @@ class QuadricPair:
 
     Each quadric P is stored as (d, N), N the integer symmetric 4x4 matrix
     with P(v) = v^T N v / d, read off P's terms by position.  The point is
-    verified at construction: P^T N P = 0 on its cleared coordinates.  `P1`
-    and `P2` rebuild the polynomials in (x, y, z, t).
+    stored as P, its coordinates cleared to integers, and verified at
+    construction: P^T N P = 0.  `P1`, `P2` and `point` rebuild the
+    polynomials in (x, y, z, t) and the ProjPoint on request.
     """
 
-    __slots__ = ("quadrics", "point")
+    __slots__ = ("quadrics", "P")
 
-    def __init__(self, P1: MultiPoly, P2: MultiPoly, point):
+    def __init__(self, P1, P2, point):
+        """P1 and P2 are MultiPolys, or (vars, [(exponent, n, d), ...]) as
+        `from_json` reads them; `point` is a ProjPoint or its coordinates."""
         self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
-        pt = point if isinstance(point, ProjPoint) else ProjPoint(point)
-        if len(pt.coords) != 4:
+        coords = point.coords if isinstance(point, ProjPoint) else point
+        P = clear_pairs([parse_rational(c) for c in coords])[1]
+        if not any(P):
+            raise ValueError("projective point needs a nonzero coordinate")
+        if len(P) != 4:
             raise DomainError("common point must have 4 coordinates")
-        P = clear_denominators(pt.coords)[1]
         if any(_times([P], _times(N, P))[0] for _, N in self.quadrics):  # P^T N P
             raise DomainError("the common point does not lie on both quadrics")
-        self.point = pt
+        self.P = P
 
     P1 = property(lambda self: _poly_from_cleared(*self.quadrics[0]))
     P2 = property(lambda self: _poly_from_cleared(*self.quadrics[1]))
+    point = property(lambda self: ProjPoint(self.P))
 
     @classmethod
     def from_json(cls, data) -> "QuadricPair":
         """Accepts {"P1": poly, "P2": poly, "point": [...]} with polys in the
-        sparse-term format, or {"A": 4x4, "B": 4x4, "point": [...]} giving
-        the quadrics as v^T A v and v^T B v.  Raises ValueError on any
-        other shape, a string where an array belongs included."""
+        sparse-term format (`terms_from_json`), or {"A": 4x4, "B": 4x4,
+        "point": [...]} giving the quadrics as v^T A v and v^T B v.  Every
+        entry is read once by `parse_rational` and the pair is cleared to
+        integers from the (n, d) pairs: no `Fraction` or `MultiPoly` is
+        built.  Raises ValueError on any other shape, a string where an
+        array belongs included, and on every parse fault of P1, P2 and the
+        point before the DomainError of a quadric that is not one."""
         try:
             if "A" in data and "B" in data:
-                P1, P2 = _poly_from_matrix(data["A"]), _poly_from_matrix(data["B"])
+                P1, P2 = _matrix_terms(data["A"]), _matrix_terms(data["B"])
             else:
-                P1, P2 = MultiPoly.from_json(data["P1"]), MultiPoly.from_json(data["P2"])
-            point = [rat(c) for c in json_list(data["point"], "the common point")]
+                P1, P2 = terms_from_json(data["P1"]), terms_from_json(data["P2"])
+            point = clear_pairs([parse_rational(c) for c in
+                                 json_list(data["point"], "the common point")])[1]
         except (TypeError, KeyError) as exc:
             raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point: "
                              f"{exc!r}") from None
@@ -93,20 +107,31 @@ class QuadricPair:
                 "point": self.point.to_json()}
 
 
-def _cleared_matrix(P: MultiPoly) -> tuple:
-    """(d, N) with P(v) = v^T N v / d.  N is 2 M cleared to integers, M the
-    symmetric matrix of P (off-diagonal entries half the coefficients), and
-    d is twice the lcm that cleared it."""
-    if len(P.vars) != 4:
+def _cleared_matrix(P) -> tuple:
+    """(d, N) with P(v) = v^T N v / d, for a MultiPoly P or P = (vars,
+    [(exponent, n, d), ...]), whose repeated exponents are summed.  N is
+    2 M cleared to integers over their least denominator, M the symmetric
+    matrix of P (off-diagonal entries half the coefficients), and d is twice
+    that denominator."""
+    if isinstance(P, MultiPoly):
+        P = P.vars, [(e, c.numerator, c.denominator) for e, c in P.terms.items()]
+    variables, terms = P
+    if len(variables) != 4:
         raise DomainError("quadrics must use exactly 4 variables")
-    if P.is_zero() or P.degree() != 2 or not P.is_homogeneous():
+    L = math.lcm(*[d for _, _, d in terms])
+    acc = {}  # exponent -> L times its coefficient
+    for exp, n, d in terms:
+        acc[exp] = acc.get(exp, 0) + n * (L // d)
+    if not any(acc.values()) or any(c and sum(e) != 2 for e, c in acc.items()):
         raise DomainError("expected nonzero homogeneous quadrics")
-    M2 = [0] * 16  # 2 M, row by row
-    for exp, c in P.terms.items():
-        i, j = (k for k in range(4) for _ in range(exp[k]))
-        M2[4 * i + j] = M2[4 * j + i] = 2 * c if i == j else c
-    lcm, N = clear_denominators(M2)
-    return 2 * lcm, (N[0:4], N[4:8], N[8:12], N[12:16])
+    M2 = [0] * 16  # 2 M L, row by row
+    for exp, c in acc.items():
+        if c:
+            i, j = (k for k in range(4) for _ in range(exp[k]))
+            M2[4 * i + j] = M2[4 * j + i] = 2 * c if i == j else c
+    g = math.gcd(L, *M2)  # 2 M's least denominator is L / g
+    N = [x // g for x in M2]
+    return 2 * L // g, (tuple(N[0:4]), tuple(N[4:8]), tuple(N[8:12]), tuple(N[12:16]))
 
 
 def _times(N, v) -> list:
@@ -116,16 +141,17 @@ def _times(N, v) -> list:
 
 def _poly_from_cleared(d: int, N) -> MultiPoly:
     """v^T N v / d in (x, y, z, t)."""
-    return _poly_from_matrix([[Fraction(x, d) for x in row] for row in N])
+    return MultiPoly(VARS4, [(geometry._mono4(i, j), Fraction(N[i][j], d))
+                             for i in range(4) for j in range(4)])
 
 
-def _poly_from_matrix(M) -> MultiPoly:
-    rows = [[rat(x) for x in json_list(row, "a quadric matrix row")]
+def _matrix_terms(M) -> tuple:
+    """(vars, [(exponent, n, d), ...]) of v^T M v, M a 4x4 JSON matrix."""
+    rows = [[parse_rational(x) for x in json_list(row, "a quadric matrix row")]
             for row in json_list(M, "a quadric matrix")]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("quadric matrix must be 4x4")
-    return MultiPoly(VARS4, [(geometry._mono4(i, j), rows[i][j])
-                             for i in range(4) for j in range(4)])
+    return VARS4, [(geometry._mono4(i, j), *rows[i][j]) for i in range(4) for j in range(4)]
 
 
 def spohn_pair(game) -> QuadricPair:
@@ -153,7 +179,7 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     if L1 and L2 are proportional (the pencil degenerates to genus 0) or the
     eliminant vanishes.
     """
-    P = clear_denominators(pair.point.coords)[1]
+    P = pair.P
     k = 3 if P[3] else next(i for i in range(4) if P[i])
     rest = [i if i != k else 3 for i in range(3)]
     L, Q = [], []

@@ -20,7 +20,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import geometry
-from .polynomials import DomainError, clear_denominators, json_list, rat, rat_str
+from .polynomials import (DomainError, clear_denominators, clear_pairs, json_list,
+                          parse_rational, rat, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,8 @@ class PayoffTables:
     """A pair of 2x2 rational payoff tables (A for player 1, B for player 2).
 
     `cleared` is the one stored form: each table cleared to integers over
-    its least scale, once, at construction:
+    its least scale, once, at construction, from the `parse_rational` pairs
+    of its entries by an integer lcm, with no `Fraction` on the way:
     ((la, (A11, A12, A21, A22)), (lb, (B11, B12, B21, B22))) with
     a_ij = A_ij / la and b_ij = B_ij / lb.  Every routine reads it.  What is
     homogeneous in one table (comparisons, ratios, the cubic, the case
@@ -63,14 +65,15 @@ class PayoffTables:
         rationals (int, Fraction or string; floats are rejected, and so are
         tables and rows given as strings)."""
         try:
-            tables = [[[rat(x) for x in _not_str(row)] for row in _not_str(M)] for M in (A, B)]
+            tables = [[[parse_rational(x) for x in _not_str(row)] for row in _not_str(M)]
+                      for M in (A, B)]
         except TypeError as exc:
             raise ValueError(f"payoff tables must be 2x2 tables of exact "
                              f"rationals: {exc}") from None
         for M in tables:
             if len(M) != 2 or any(len(r) != 2 for r in M):
                 raise ValueError("payoff tables must be 2x2")
-        self.cleared = tuple(clear_denominators(M[0] + M[1]) for M in tables)
+        self.cleared = tuple(clear_pairs(M[0] + M[1]) for M in tables)
 
     A = property(lambda self: _fraction_rows(*self.cleared[0]))
     B = property(lambda self: _fraction_rows(*self.cleared[1]))
@@ -89,7 +92,8 @@ class PayoffTables:
 
     @classmethod
     def from_bimatrix(cls, text: str) -> "PayoffTables":
-        """Parse "a11,b11 a12,b12; a21,b21 a22,b22" (rows split by ';')."""
+        """Parse "a11,b11 a12,b12; a21,b21 a22,b22" (rows split by ';').  The
+        text is split here; the constructor reads each entry, A before B."""
         rows = [r.strip() for r in text.strip().split(";")]
         if len(rows) != 2:
             raise ValueError("bimatrix text needs exactly 2 rows split by ';'")
@@ -103,8 +107,8 @@ class PayoffTables:
                 parts = cell.split(",")
                 if len(parts) != 2:
                     raise ValueError(f"bimatrix cell {cell!r} must be 'a,b'")
-                arow.append(rat(parts[0]))
-                brow.append(rat(parts[1]))
+                arow.append(parts[0])
+                brow.append(parts[1])
             A.append(arow)
             B.append(brow)
         return cls(A, B)

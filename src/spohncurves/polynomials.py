@@ -21,34 +21,47 @@ class DomainError(ValueError):
 # rationals
 # ---------------------------------------------------------------------------
 
-def rat(value) -> Fraction:
-    """Coerce an int, Fraction or string like "3", "-5/7", "1.25" to a Fraction.
-
-    Floats are rejected on purpose: they carry binary rounding noise and this
-    library is exact.  Decimal *strings* are fine (they are exact), with an
-    exponent of at most twice Python's int-to-string digit limit in
-    magnitude, 8600 by default (`_refuse_long_exponent`).  Bools are rejected
-    too, although Python counts them as ints: a JSON true is not 1.
+def parse_rational(value) -> tuple:
+    """(n, d) with d > 0 in lowest terms, of an int, a Fraction or a string
+    such as "3", "-5/7", "1.25" or "2e-3": the one place where text becomes
+    a number.  An integer string with no underscore is read by `int` alone,
+    whose grammar there is the integer part of `Fraction`'s; any other
+    string by `Fraction`, its decimal exponent bounded by
+    `_refuse_long_exponent`.  ValueError "cannot parse rational from ..." if
+    neither reads it.  Floats are rejected (TypeError): they carry binary
+    rounding noise and this library is exact.  Bools are rejected too,
+    although Python counts them as ints: a JSON true is not 1.
     """
-    if isinstance(value, str):  # before Fraction, an ABC instance check
+    if isinstance(value, str):
+        if "_" not in value:  # Fraction reads underscores only from Python 3.11 on
+            try:
+                return int(value), 1
+            except ValueError:
+                pass
         if "e" in value or "E" in value:
-            _refuse_long_exponent(value, f"rational from {value!r}")
+            _refuse_long_exponent(value)
         try:
-            return Fraction(value.strip())
+            q = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return q.numerator, q.denominator
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
-def _refuse_long_exponent(text: str, what: str) -> None:
-    """ValueError "cannot parse <what>: ..." naming the bound if the decimal
-    exponent of `text` exceeds twice Python's int-to-string digit limit
-    (`sys.get_int_max_str_digits`, 4300 by default) in magnitude; no bound
-    when that limit is switched off (0).
+def rat(value) -> Fraction:
+    """`parse_rational`'s value as a Fraction; a Fraction is returned as it is."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*parse_rational(value))
+
+
+def _refuse_long_exponent(text: str) -> None:
+    """ValueError "cannot parse rational from <text>: ..." naming the bound if
+    the decimal exponent of `text` exceeds twice Python's int-to-string
+    digit limit (`sys.get_int_max_str_digits`, 4300 by default) in
+    magnitude; no bound when that limit is switched off (0).
 
     `Fraction` expands the exponent before any limit applies: "1e10000000"
     becomes a ten-million-digit integer, which the digit limit never sees.
@@ -60,8 +73,8 @@ def _refuse_long_exponent(text: str, what: str) -> None:
     except ValueError:
         return
     if beyond:
-        raise ValueError(f"cannot parse {what}: its decimal exponent exceeds {2 * limit} "
-                         "in magnitude, twice Python's int-to-string digit limit")
+        raise ValueError(f"cannot parse rational from {text!r}: its decimal exponent exceeds "
+                         f"{2 * limit} in magnitude, twice Python's int-to-string digit limit")
 
 
 def rat_str(q: Fraction) -> str:
@@ -190,14 +203,9 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, obj) -> "MultiPoly":
-        """Inverse of to_json: {"vars": [...], "terms": [{"exp": [...], "coef": "n/d"}, ...]}.
-        An exponent that is not an integer (1.9, "1", true) is a ValueError."""
-        if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
-            raise ValueError("polynomial JSON needs 'vars' and 'terms'")
-        terms = [(tuple(t["exp"]), rat(t["coef"])) for t in obj["terms"]]
-        if any(type(e) is not int for exp, _ in terms for e in exp):
-            raise ValueError("polynomial exponents must be JSON integers")
-        return cls(json_list(obj["vars"], "polynomial vars"), terms)
+        """Inverse of to_json; see `terms_from_json`."""
+        variables, terms = terms_from_json(obj)
+        return cls(variables, [(e, Fraction(n, d)) for e, n, d in terms])
 
     # -- serialization ------------------------------------------------------
 
@@ -418,6 +426,26 @@ class MultiPoly:
         return quo
 
 
+def terms_from_json(obj) -> tuple:
+    """(vars, [(exponent, n, d), ...]) of a polynomial in the JSON of
+    `MultiPoly.to_json`, coefficients read by `parse_rational`, terms kept as
+    written (repeated or zero).  ValueError on the first fault, in this
+    order: shape, coefficient, an exponent that is not a JSON integer (1.9,
+    "1", true), vars not an array, an exponent of the wrong length or sign."""
+    if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
+        raise ValueError("polynomial JSON needs 'vars' and 'terms'")
+    terms = [(tuple(t["exp"]), *parse_rational(t["coef"])) for t in obj["terms"]]
+    if any(type(e) is not int for exp, _, _ in terms for e in exp):
+        raise ValueError("polynomial exponents must be JSON integers")
+    variables = json_list(obj["vars"], "polynomial vars")
+    for exp, _, _ in terms:
+        if len(exp) != len(variables):
+            raise ValueError("exponent tuple length != number of variables")
+        if exp and min(exp) < 0:
+            raise ValueError("negative exponent")
+    return variables, terms
+
+
 def _point_coords(p, n: int) -> tuple:
     coords = p.coords if isinstance(p, ProjPoint) else tuple(rat(c) for c in p)
     if len(coords) != n:
@@ -479,11 +507,16 @@ class ProjPoint:
         return [rat_str(c) for c in self.canonical()]
 
 
+def clear_pairs(pairs) -> tuple:
+    """(lcm, ints): the lcm of the denominators of a rational vector given
+    as `parse_rational` pairs (n, d), and the vector times it."""
+    lcm = math.lcm(*[d for _, d in pairs])
+    return lcm, tuple([n * (lcm // d) for n, d in pairs])
+
+
 def clear_denominators(v) -> tuple:
-    """(lcm, ints): the lcm of the denominators of a rational vector (ints
-    or Fractions), and the vector times it, as a tuple of ints."""
-    lcm = math.lcm(*[c.denominator for c in v])
-    return lcm, tuple([c.numerator * (lcm // c.denominator) for c in v])
+    """`clear_pairs` of a vector of ints or Fractions."""
+    return clear_pairs([(c.numerator, c.denominator) for c in v])
 
 
 def primitive_vector(v) -> tuple:
@@ -561,18 +594,18 @@ class ContinuedFraction:
 def contfrac_approx(value_str: str, n_convergents: int) -> ContinuedFraction:
     """Approximate a decimal string by the first n convergents of its expansion.
 
-    The string is parsed exactly (a finite decimal is a rational, and its
-    exponent is bounded as in `rat`); if the full expansion has fewer than n
+    The string is read by `parse_rational` (a finite decimal is a rational,
+    and its exponent is bounded); if the full expansion has fewer than n
     partial quotients the whole expansion is returned.  n_convergents must
     be >= 1.
     """
     if n_convergents < 1:
         raise DomainError("n_convergents must be >= 1")
     text = str(value_str)
-    if "e" in text or "E" in text:
-        _refuse_long_exponent(text, f"decimal value {value_str!r}")
     try:
-        x = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse decimal value {value_str!r}") from exc
-    return ContinuedFraction.of_rational(x, max_quotients=n_convergents)
+        n, d = parse_rational(text)
+    except ValueError as exc:
+        # the parser's reason, if it gives one, after its naming of the text
+        reason = str(exc)[len(f"cannot parse rational from {text!r}"):]
+        raise ValueError(f"cannot parse decimal value {value_str!r}{reason}") from exc
+    return ContinuedFraction.of_rational(Fraction(n, d), max_quotients=n_convergents)

@@ -444,6 +444,54 @@ def test_de_check_rejects_non_distribution(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["konstanz", "--game", PD, "--payoffs", "-3,2"],
+    ["reduce", "--pair", PAIR, "--point", "-1,-1,-1"],
+    ["de-check", "--game", PD, "--point", "-0,0,0,1"],
+    ["de-check", "--game", PD, "--point", "-1/2,1/2,1/2,1/2"],
+    ["witness", "--game", PD, "--ne", "-0,0"],
+])
+def test_comma_values_may_start_with_a_minus(capsys, argv):
+    """A comma-separated value after a space is the flag's value even when
+    it starts with "-": the same bytes and exit code as FLAG=VALUE."""
+    spaced = cli.run(argv), capsys.readouterr()
+    joined = cli.run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
+    assert spaced == joined
+    assert "expected one argument" not in spaced[1].err
+
+
+_V3 = {"vars": ["x", "y", "z"], "terms": [{"exp": [2, 0, 0], "coef": 1}]}
+_V4 = {"vars": ["x", "y", "z", "t"],
+       "terms": [{"exp": [0, 1, 0, 1], "coef": 1}, {"exp": [1, 0, 1, 0], "coef": 1}]}
+
+
+@pytest.mark.parametrize("pair, code, err", [
+    ({"P1": _V3, "P2": {"vars": _V4["vars"], "terms": [{"exp": [1, 1], "coef": 1}]},
+      "point": [0, 0, 0, 1]}, 2, "bad input: exponent tuple length != number of variables"),
+    ({"P1": _V3, "P2": {"vars": _V4["vars"]}, "point": [0, 0, 0, 1]},
+     2, "bad input: polynomial JSON needs 'vars' and 'terms'"),
+    ({"P1": _V3, "P2": _V4, "point": [0, "x", 0, 1]},
+     2, "bad input: cannot parse rational from 'x'"),
+    ({"P1": _V3, "P2": _V4, "point": [0, 0, 0, 0]},
+     1, "domain error: quadrics must use exactly 4 variables"),
+    ({"P1": {"vars": _V4["vars"], "terms": [{"exp": [3, 0, 0, 0], "coef": 1}]}, "P2": _V4,
+      "point": [0, 0, 1]}, 1, "domain error: expected nonzero homogeneous quadrics"),
+    ({"A": [[0] * 4] * 4, "B": [[0] * 3] * 4, "point": [0, 0, 0, 1]},
+     2, "bad input: quadric matrix must be 4x4"),
+    ({"A": [[0] * 4] * 4, "B": [[0.5] * 4] * 4, "point": [0, 0, 0, 1]},
+     2, "bad input: quadric-pair JSON needs P1/P2 or A/B plus point: "
+        "TypeError('expected int, str or Fraction, got float')"),
+], ids=["P1 3 variables, P2 exponent length", "P1 3 variables, P2 no terms",
+        "P1 3 variables, point unparsable", "P1 3 variables, point zero",
+        "P1 cubic, point 3 coordinates", "A zero, B 4x3", "A zero, B floats"])
+def test_several_pair_faults_report_the_first(capsys, pair, code, err):
+    """Every parse or shape fault of P1, P2 or the point is bad input before
+    any quadric is a domain error; the messages were recorded when the pair
+    was read through MultiPoly."""
+    out, got = run_ok(capsys, ["reduce", "--pair", json.dumps(pair)], code=code)
+    assert (out, got) == ("", err + "\n")
+
+
 # --- fuzzed argv: every input ends in exit 0, 1 or 2 ------------------------------------
 
 _VALID = st.one_of(

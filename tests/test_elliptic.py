@@ -333,16 +333,37 @@ def matrix_poly(M):
                       for i in range(4) for j in range(4)])
 
 
+def sparse_json(draw, P: MultiPoly) -> dict:
+    """P in the sparse-term JSON, each term split in two with the same
+    exponent, plus a zero term and a pair of terms that cancel (x^3 - x^3),
+    in a drawn order."""
+    terms = []
+    for e, c in P.terms.items():
+        part = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        terms += [(e, c - part), (e, part)]
+    junk = draw(st.sampled_from([(3, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 0)]))
+    k = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    terms += [(junk, k), (draw(st.sampled_from(list(P.terms) or [junk])), 0), (junk, -k)]
+    return {"vars": list(P.vars), "terms": [{"exp": list(e), "coef": rat_str(c)}
+                                            for e, c in draw(st.permutations(terms))]}
+
+
 @st.composite
 def quadric_pair_inputs(draw):
     """(P1, P2, point, data): the Spohn quadrics of a game with a corner, or
     random quadrics through a random rational point.  `data` is None, or
-    the random pair as possibly unsymmetric A/B matrix JSON, whose v^T A v
-    and v^T B v are P1 and P2."""
+    the pair as JSON: sparse terms with repeated, zero and cancelling
+    terms, or, for the random pair, possibly unsymmetric A/B matrices whose
+    v^T A v and v^T B v are P1 and P2."""
     if draw(st.booleans()):
         e = draw(st.lists(pair_entries, min_size=8, max_size=8))
         q = build_quadrics(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
-        return q.q1, q.q2, draw(st.sampled_from(CORNERS)), None
+        point = draw(st.sampled_from(CORNERS))
+        data = None
+        if draw(st.booleans()):
+            data = {"P1": sparse_json(draw, q.q1), "P2": sparse_json(draw, q.q2),
+                    "point": [rat_str(F(x)) for x in point]}
+        return q.q1, q.q2, point, data
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     point = draw(st.lists(coord, min_size=3, max_size=3))
     point.append(draw(st.one_of(st.just(F(0)), coord)))
@@ -355,12 +376,16 @@ def quadric_pair_inputs(draw):
         M[k][k] -= sum(M[i][j] * point[i] * point[j]
                        for i in range(4) for j in range(4)) / point[k] ** 2
         mats.append(M)
-    data = None
-    if draw(st.booleans()):
+    P1, P2 = matrix_poly(mats[0]), matrix_poly(mats[1])
+    data = draw(st.sampled_from([None, "A/B", "P1/P2"]))
+    if data == "A/B":
         data = {"A": [[rat_str(x) for x in row] for row in mats[0]],
                 "B": [[rat_str(x) for x in row] for row in mats[1]],
                 "point": [rat_str(x) for x in point]}
-    return matrix_poly(mats[0]), matrix_poly(mats[1]), point, data
+    elif data == "P1/P2":
+        data = {"P1": sparse_json(draw, P1), "P2": sparse_json(draw, P2),
+                "point": [rat_str(x) for x in point]}
+    return P1, P2, point, data
 
 
 def build_pair(P1, P2, point, data):
@@ -471,6 +496,17 @@ def test_zero_eliminant_is_a_domain_error():
         cubic_from_quadrics(ZERO_ELIMINANT)
 
 
+def _reference_cleared_matrix(P: MultiPoly) -> tuple:
+    """(d, N) through the Fraction matrix: 2 M cleared by the lcm of its
+    denominators, d twice that lcm."""
+    M2 = [[F(0)] * 4 for _ in range(4)]
+    for e, c in P.terms.items():
+        i, j = (k for k in range(4) for _ in range(e[k]))
+        M2[i][j] = M2[j][i] = 2 * c if i == j else c
+    lcm = math.lcm(*[x.denominator for row in M2 for x in row])
+    return 2 * lcm, tuple(tuple(int(x * lcm) for x in row) for row in M2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(quadric_pair_inputs(),
        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=30),
@@ -478,12 +514,22 @@ def test_zero_eliminant_is_a_domain_error():
 @example(OFF_LATTICE_INPUTS, [F(1, 3), F(-2), F(5, 7), F(1)])
 def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
     """Each quadric is stored as (d, N), an integer symmetric matrix over a
-    positive integer with P(v) = v^T N v / d; P1 and P2 give back the
-    polynomials the pair was built from, in (x, y, z, t), and a JSON round
-    trip stores the same (d, N)."""
-    pair = build_pair(*inputs)
-    sources = [MultiPoly(("x", "y", "z", "t"), P.terms) for P in inputs[:2]]
+    positive integer with P(v) = v^T N v / d, the (d, N) of clearing the
+    polynomial's Fraction matrix, also when the pair is read from JSON with
+    repeated, zero and cancelling terms; P1 and P2 give back the polynomials
+    the pair was built from, in (x, y, z, t), and a JSON round trip stores
+    the same (d, N)."""
+    P1, P2, point, data = inputs
+    pair = build_pair(P1, P2, point, None)
+    if data is not None:  # the JSON route stores what the MultiPoly route does
+        read = QuadricPair.from_json(data)
+        assert (read.quadrics, read.P) == (pair.quadrics, pair.P)
+        if "P1" in data:
+            assert [MultiPoly.from_json(data[k]).terms for k in ("P1", "P2")] == \
+                [P1.terms, P2.terms]
+    sources = [MultiPoly(("x", "y", "z", "t"), P.terms) for P in (P1, P2)]
     for (d, N), P, source in zip(pair.quadrics, (pair.P1, pair.P2), sources):
+        assert (d, N) == _reference_cleared_matrix(source)
         assert type(d) is int and d > 0
         assert all(type(x) is int for row in N for x in row)
         assert all(N[i][j] == N[j][i] for i in range(4) for j in range(4))

@@ -1,8 +1,10 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spohncurves.polynomials import (
     ContinuedFraction,
@@ -13,6 +15,7 @@ from spohncurves.polynomials import (
     contfrac_approx,
     cross_product,
     is_nth_power_ratio,
+    parse_rational,
     primitive_vector,
     rat,
     rat_str,
@@ -58,6 +61,61 @@ def test_decimal_exponent_is_bounded_by_twice_the_digit_limit():
     for junk in ("1e", "e5", "1e5e5", "one"):
         with pytest.raises(ValueError, match=f"^cannot parse rational from {junk!r}$"):
             rat(junk)
+
+
+# Fraction's string forms: sign, "n/d", decimals, exponents within the bound,
+# single underscores between digits, surrounding whitespace, any decimal digits
+_DIGIT = st.sampled_from("0123456789" "\u0661\u0662\u0669" "\uff10\uff17" "\u09e8")
+_RUN = st.lists(st.text(_DIGIT, min_size=1, max_size=4), min_size=1, max_size=3).map("_".join)
+_SPACE = st.sampled_from(["", "", " ", "\t", "\n ", "\u3000"])
+_SIGN = st.sampled_from(["", "-", "+"])
+_EXP = st.builds("{}{}{}".format, st.sampled_from("eE"), _SIGN, st.integers(0, 400))
+_BODY = st.one_of(
+    _RUN,
+    st.builds("{}/{}".format, _RUN, _RUN),
+    st.builds("{}.{}{}".format, _RUN, _RUN | st.just(""), _EXP | st.just("")),
+    st.builds(".{}{}".format, _RUN, _EXP | st.just("")),
+    st.builds("{}{}".format, _RUN, _EXP))
+_FORMS = st.builds("{}{}{}{}".format, _SPACE, _SIGN, _BODY, _SPACE)
+_NEAR_MISSES = ["1__0", "1/-2", "3 /4", "1/0", "--1", "1.d", "", "_1", "1_", "+-1", "1/2/3",
+                "1 2", ".", "e5", "1e", "0x10", "1_/2", "1/_2", "\u0661\u0662\u00b2", "nan", "inf"]
+_JUNK = st.text(st.sampled_from("01\u0661_-+/.eE x\t"), max_size=8)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_FORMS, st.sampled_from(_NEAR_MISSES), _JUNK))
+@example("\u0661\u0662")
+@example(" 1_0 ")
+@example("-3/6")
+def test_parse_rational_reads_what_fraction_reads(text):
+    """On Fraction's forms, near-misses and junk, parse_rational gives
+    Fraction's numerator and denominator, or both refuse; rat keeps its
+    message."""
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None:
+        message = f"^cannot parse rational from {re.escape(repr(text))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_rational(text)
+        with pytest.raises(ValueError, match=message):
+            rat(text)
+    else:
+        n, d = parse_rational(text)
+        assert (n, d) == (q.numerator, q.denominator)
+        assert type(n) is int and type(d) is int
+        assert rat(text) == q
+
+
+def test_parse_rational_of_numbers():
+    assert parse_rational(-4) == (-4, 1)
+    assert parse_rational(F(6, -4)) == (-3, 2)
+    half = F(1, 2)
+    assert rat(half) is half
+    for bad in (0.5, True, None, [1]):
+        with pytest.raises(TypeError, match="^expected int, str or Fraction, got "):
+            parse_rational(bad)
 
 
 def test_rat_str_is_reduced():
