@@ -77,16 +77,34 @@ def _rat_csv(text: str, n: int, what: str) -> list:
 
 # flags whose value is comma-separated rationals
 _CSV_FLAGS = ("--payoffs", "--point", "--ne")
+# each subcommand's option strings, filled in by `build_parser`
+_OPTIONS: dict = {}
+
+
+def _resolve_flag(arg: str, options) -> str | None:
+    """The option that argparse reads `arg` as, among a subcommand's
+    `options`: `arg` itself, or the one option it is a prefix of (an
+    abbreviated long option); None if it is no option or an ambiguous one."""
+    if arg in options:
+        return arg
+    if not arg.startswith("--") or "=" in arg:
+        return None
+    matches = [o for o in options if o.startswith(arg)]
+    return matches[0] if len(matches) == 1 else None
 
 
 def _attach_csv_values(argv) -> list:
-    """argv with `FLAG VALUE` written `FLAG=VALUE` for each flag of
-    `_CSV_FLAGS` whose value starts with "-" and holds a comma: argparse
-    reads such a value ("-3,2") as an unknown option, not as the flag's
-    value.  No option holds a comma, and every valid value does."""
+    """argv with `FLAG VALUE` written `FLAG=VALUE` where FLAG resolves, on
+    the chosen subcommand (`_resolve_flag`), to a flag of `_CSV_FLAGS` and
+    VALUE starts with "-" and holds a comma: argparse reads such a value
+    ("-3,2") as an unknown option, not as the flag's value.  No option holds
+    a comma, and every valid value does.  Call `build_parser` first."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    options = _OPTIONS.get(command, ())
     out = []
     for arg in argv:
-        if out and out[-1] in _CSV_FLAGS and arg.startswith("-") and "," in arg:
+        if (out and arg.startswith("-") and "," in arg
+                and _resolve_flag(out[-1], options) in _CSV_FLAGS):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -211,18 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     def add(name, func, help_text, game=False, second=False):
+        """Add a subcommand; return its `add_argument`, which also records
+        the option strings in `_OPTIONS`."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        options = _OPTIONS[name] = ["-h", "--help"]
+
+        def option(*args, **kwargs):
+            options.extend(p.add_argument(*args, **kwargs).option_strings)
         if game:
-            p.add_argument("--game", metavar="SPEC",
-                           help="game JSON: file path, inline string, or - for stdin")
-            p.add_argument("--bimatrix", metavar="TEXT",
-                           help='payoffs as "a11,b11 a12,b12; a21,b21 a22,b22"')
+            option("--game", metavar="SPEC",
+                   help="game JSON: file path, inline string, or - for stdin")
+            option("--bimatrix", metavar="TEXT",
+                   help='payoffs as "a11,b11 a12,b12; a21,b21 a22,b22"')
         if second:
-            p.add_argument("--game2", metavar="SPEC", help="second game JSON")
-            p.add_argument("--bimatrix2", metavar="TEXT", help="second game, bimatrix text")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
+            option("--game2", metavar="SPEC", help="second game JSON")
+            option("--bimatrix2", metavar="TEXT", help="second game, bimatrix text")
+        option("--format", choices=("json", "text"), default="json")
+        return option
 
     add("cubic", _cmd_cubic, "Spohn quadrics and the eliminated plane cubic", game=True)
     add("classify", _cmd_classify, "reducibility kind and matched cases", game=True)
@@ -230,42 +254,42 @@ def build_parser() -> argparse.ArgumentParser:
         "components of the cubic with smooth rational points", game=True)
     add("j", _cmd_j, "j-invariant of the Spohn cubic", game=True)
 
-    p = add("reduce", _cmd_reduce, "quadric pair -> plane cubic -> j")
-    p.add_argument("--pair", metavar="SPEC", required=True,
-                   help="quadric-pair JSON (P1/P2 or A/B matrices, plus point)")
-    p.add_argument("--point", metavar="X,Y,Z",
-                   help="rational point on the cubic: also emit a Weierstrass model")
+    option = add("reduce", _cmd_reduce, "quadric pair -> plane cubic -> j")
+    option("--pair", metavar="SPEC", required=True,
+           help="quadric-pair JSON (P1/P2 or A/B matrices, plus point)")
+    option("--point", metavar="X,Y,Z",
+           help="rational point on the cubic: also emit a Weierstrass model")
 
     add("equiv", _cmd_equiv, "j-invariants and Q-isomorphism of two games",
         game=True, second=True)
     add("nash", _cmd_nash, "pure and totally mixed Nash equilibria", game=True)
 
-    p = add("konstanz", _cmd_konstanz, "Konstanz matrix and determinant", game=True)
-    p.add_argument("--payoffs", metavar="PI1,PI2", required=True,
-                   help="prescribed conditional payoffs")
+    option = add("konstanz", _cmd_konstanz, "Konstanz matrix and determinant", game=True)
+    option("--payoffs", metavar="PI1,PI2", required=True,
+           help="prescribed conditional payoffs")
 
-    p = add("de-check", _cmd_de_check, "dependency-equilibrium membership", game=True)
-    p.add_argument("--point", metavar="P11,P12,P21,P22", required=True)
+    option = add("de-check", _cmd_de_check, "dependency-equilibrium membership", game=True)
+    option("--point", metavar="P11,P12,P21,P22", required=True)
 
-    p = add("witness", _cmd_witness, "witness sequence for a Nash equilibrium",
-            game=True)
-    p.add_argument("--ne", metavar="Q,R",
-                   help="Nash equilibrium: probabilities of row 1 and column 1")
-    p.add_argument("--cooperation", action="store_true",
-                   help="cooperation witness for a symmetric PD-type game")
+    option = add("witness", _cmd_witness, "witness sequence for a Nash equilibrium",
+                 game=True)
+    option("--ne", metavar="Q,R",
+           help="Nash equilibrium: probabilities of row 1 and column 1")
+    option("--cooperation", action="store_true",
+           help="cooperation witness for a symmetric PD-type game")
 
-    p = add("pareto", _cmd_pareto, "numeric Pareto sweep along the Spohn curve",
-            game=True)
-    p.add_argument("--grid", type=int, default=200, metavar="N",
-                   help="number of sample lines (default 200)")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="RNG seed (default 0)")
+    option = add("pareto", _cmd_pareto, "numeric Pareto sweep along the Spohn curve",
+                 game=True)
+    option("--grid", type=int, default=200, metavar="N",
+           help="number of sample lines (default 200)")
+    option("--seed", type=int, default=0, metavar="N",
+           help="RNG seed (default 0)")
 
-    p = add("approx", _cmd_approx, "continued-fraction rational approximation")
-    p.add_argument("--value", required=True, metavar="DECIMAL",
-                   help="decimal string to approximate")
-    p.add_argument("--convergents", type=int, required=True, metavar="N",
-                   help="number of continued-fraction convergents")
+    option = add("approx", _cmd_approx, "continued-fraction rational approximation")
+    option("--value", required=True, metavar="DECIMAL",
+           help="decimal string to approximate")
+    option("--convergents", type=int, required=True, metavar="N",
+           help="number of continued-fraction convergents")
     return parser
 
 

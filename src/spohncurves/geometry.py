@@ -19,10 +19,11 @@ from .polynomials import (
     ProjPoint,
     clear_denominators,
     cross_product,
+    exact_isqrt,
     primitive_vector,
     rat,
     rat_str,
-    rational_sqrt,
+    ratio_str,
 )
 
 VARS4 = ("p11", "p12", "p21", "p22")
@@ -271,29 +272,45 @@ def classify(game) -> tuple:
 # ---------------------------------------------------------------------------
 
 class CurveComponent:
-    """One irreducible component of the plane cubic.
+    """One irreducible component of the plane cubic, stored as integers.
 
-    kind is "line" or "conic"; `poly` is primitive (integer coefficients,
-    content 1, first nonzero coefficient positive); `multiplicity` counts
-    repeated factors; `point` is a smooth rational point of the component,
-    read off exactly by `decompose_cubic`, or None if it has none (a pair of
-    conjugate irrational lines, whose only rational point is singular).
+    `CurveComponent(kind, ints, multiplicity=1, point=None)`: kind is "line"
+    or "conic"; `ints` is the component's primitive coefficient vector over
+    `_MONOS[d]` (d = 1 for a line, 2 for a conic; content 1, first nonzero
+    entry positive); `multiplicity` counts repeated factors; the point,
+    stored as `P`, is a smooth rational point of the component as a
+    primitive integer 3-vector, read off exactly by `decompose_cubic`, or
+    None if it has none (a pair of conjugate irrational lines, whose only
+    rational point is singular).
+
+    `poly` (a MultiPoly in x, y, z) and `point` (a ProjPoint, or None) are
+    built on request.  `to_json` prints from the integers the bytes of
+    `poly.to_json()` (the nonzero entries in `_MONOS` order, which is its
+    descending order) and `point.to_json()` (scaled so that the first
+    nonzero coordinate is 1).
     """
 
-    __slots__ = ("kind", "poly", "multiplicity", "point")
+    __slots__ = ("kind", "ints", "multiplicity", "P")
 
-    def __init__(self, kind, poly, multiplicity=1, point=None):
-        self.kind = kind
-        self.poly = poly
-        self.multiplicity = multiplicity
-        self.point = point
+    def __init__(self, kind, ints, multiplicity=1, point=None):
+        self.kind, self.ints, self.multiplicity, self.P = kind, ints, multiplicity, point
+
+    poly = property(lambda self: MultiPoly(VARS3, dict(zip(_MONOS[_DEGREE[len(self.ints)]],
+                                                           self.ints))))
+    point = property(lambda self: None if self.P is None else ProjPoint(self.P))
 
     def to_json(self) -> dict:
+        point = self.P
+        if point is not None:
+            lead = next(c for c in point if c)
+            point = [ratio_str(c, lead) for c in point]
         return {
             "kind": self.kind,
             "multiplicity": self.multiplicity,
-            "poly": self.poly.to_json(),
-            "point": self.point.to_json() if self.point is not None else None,
+            "poly": {"vars": list(VARS3), "terms": [
+                {"exp": list(e), "coef": ratio_str(k, 1)}
+                for e, k in zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
+            "point": point,
         }
 
     def __repr__(self):
@@ -336,16 +353,40 @@ _INDEX = tuple({e: n for n, e in enumerate(monos)} for monos in _MONOS)
 _DEGREE = {len(monos): d for d, monos in enumerate(_MONOS)}
 
 
-def _vanishes_on_line(terms, line) -> bool:
-    """Does the ternary form with integer `terms` (degree 1 to 3) vanish on
-    the line line[0] x + line[1] y + line[2] z = 0?
+def _horner1(f, x, y, z):
+    c0, c1, c2 = f
+    return c0 * x + c1 * y + c2 * z
+
+
+def _horner2(f, x, y, z):
+    c0, c1, c2, c3, c4, c5 = f
+    return (c0 * x + c1 * y + c2 * z) * x + (c3 * y + c4 * z) * y + c5 * z * z
+
+
+def _horner3(f, x, y, z):
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = f
+    zz = z * z
+    return (((c0 * x + c1 * y + c2 * z) * x + (c3 * y + c4 * z) * y + c5 * zz) * x
+            + ((c6 * y + c7 * z) * y + c8 * zz) * y + c9 * zz * z)
+
+
+# A form's value at (x, y, z), keyed by the length of its vector: Horner in x
+# over binary forms in (y, z), one fixed expression per degree.
+_HORNER = {3: _horner1, 6: _horner2, 10: _horner3}
+
+
+def _vanishes_on_line(form, line) -> bool:
+    """Does the ternary form with integer vector `form` over `_MONOS[d]`
+    (d = 1, 2 or 3: 3, 6 or 10 entries) vanish on the line
+    line[0] x + line[1] y + line[2] z = 0?
 
     p1 and p2 are two independent cross products of the line with unit
     vectors, so they span it.  The form restricted to s p1 + t p2 is a binary
     form of degree <= 3; a nonzero one has at most 3 roots on P^1, so
     vanishing at s:t = 1:1, 1:-1, 1:0, 0:1 proves it is identically zero.
-    (p1 and p2 are where the line meets coordinate lines, often points of a
-    candidate's cubic, so they are tried last.)
+    Each value is one `_HORNER` expression on integers.  (p1 and p2 are
+    where the line meets coordinate lines, often points of a candidate's
+    cubic, so they are tried last.)
     """
     a, b, c = line
     if a:
@@ -354,8 +395,9 @@ def _vanishes_on_line(terms, line) -> bool:
         p1, p2 = (0, c, -b), ((-c, 0, 0) if c else (b, 0, 0))
     plus = (p1[0] + p2[0], p1[1] + p2[1], p1[2] + p2[2])
     minus = (p1[0] - p2[0], p1[1] - p2[1], p1[2] - p2[2])
+    horner = _HORNER[len(form)]
     for x, y, z in (plus, minus, p1, p2):
-        if sum(k * x ** e[0] * y ** e[1] * z ** e[2] for e, k in terms):
+        if horner(form, x, y, z):
             return False
     return True
 
@@ -477,8 +519,8 @@ def _split_conic(N):
         # d_uu u^2 + d_uv uv + d_vv v^2 is the square of some r_u u + r_v v
         u, v = (i for i in range(3) if i != k)
         alpha, beta_u, beta_v = N[k][k], 2 * N[k][u], 2 * N[k][v]
-        r_u = rational_sqrt(beta_u ** 2 - 4 * alpha * N[u][u])
-        r_v = rational_sqrt(beta_v ** 2 - 4 * alpha * N[v][v])
+        r_u = exact_isqrt(beta_u ** 2 - 4 * alpha * N[u][u])
+        r_v = exact_isqrt(beta_v ** 2 - 4 * alpha * N[v][v])
         d_uv = 2 * beta_u * beta_v - 8 * alpha * N[u][v]
         if r_u is None or r_v is None or d_uv not in (2 * r_u * r_v, -2 * r_u * r_v):
             return ("irrational",)
@@ -498,18 +540,22 @@ def _split_conic(N):
     return ("lines", v1, v2)
 
 
-def _line_point(v) -> ProjPoint:
-    """A rational point of the line v: v crossed with a coordinate vector."""
-    return next(ProjPoint(p) for p in (cross_product(v, e) for e in _MONOS[1]) if any(p))
+def _line_point(v) -> tuple:
+    """A rational point of the integer line v, as a primitive integer
+    3-vector: v crossed with the first coordinate vector, in the order
+    [1:0:0], [0:1:0], [0:0:1], that gives a nonzero product."""
+    return next(primitive_vector(p) for p in (cross_product(v, e) for e in _MONOS[1])
+                if any(p))
 
 
 def _coordinate_point(N):
     """The first coordinate point, in the order [0:1:0], [1:0:0], [0:0:1],
     on the conic with matrix N (a zero diagonal entry) and smooth on it (a
-    nonzero row, the gradient there); None if there is none."""
+    nonzero row, the gradient there), as its unit 3-vector; None if there is
+    none."""
     for k in (1, 0, 2):
         if N[k][k] == 0 and any(N[k]):
-            return ProjPoint(_MONOS[1][k])
+            return _MONOS[1][k]
     return None
 
 
@@ -526,7 +572,10 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     split further on its integer matrix, which is complete over Q.  The
     product of the components, one convolution of their vectors, must be
     proportional to the integer cubic entry by entry; the scalar is read off
-    that check once, at the product's first nonzero entry.
+    that check once, at the product's first nonzero entry.  It is the only
+    Fraction built: each component keeps its primitive integer vector and
+    point (`CurveComponent`), and no MultiPoly or ProjPoint is made unless a
+    caller asks for one.
 
     Every residual conic passes through a coordinate point (a line holds at
     most two of them), which is smooth on a smooth conic; a pair of
@@ -548,8 +597,7 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     residual = form
     found: dict = {}  # primitive line vector -> multiplicity, in order found
     for v in _candidate_lines(cubic.ints):
-        while len(residual) > 1 and _vanishes_on_line(
-                list(zip(_MONOS[_DEGREE[len(residual)]], residual)), v):
+        while len(residual) > 1 and _vanishes_on_line(residual, v):
             residual = _divide_by_line(residual, v)
             found[v] = found.get(v, 0) + 1
 
@@ -588,11 +636,9 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
         raise AssertionError("component product does not reproduce the cubic")
     scalar = Fraction(form[i], product[i] * cubic.den)
 
-    components = [CurveComponent("line", MultiPoly(VARS3, dict(zip(_MONOS[1], v))), mult,
-                                 _line_point(v)) for v, mult in found.items()]
+    components = [CurveComponent("line", v, mult, _line_point(v)) for v, mult in found.items()]
     if conic is not None:
-        components.append(CurveComponent(
-            "conic", MultiPoly(VARS3, dict(zip(_MONOS[2], conic))), point=conic_point))
+        components.append(CurveComponent("conic", conic, point=conic_point))
     return ReducibilityVerdict("Reducible", components=components, scalar=scalar)
 
 

@@ -88,9 +88,26 @@ def rat_str(q: Fraction) -> str:
             return str(q.numerator)
         return f"{q.numerator}/{q.denominator}"
     except ValueError as exc:
-        raise DomainError(
-            f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
-            "digits, Python's limit for integer-to-string conversion") from exc
+        raise _too_many_digits() from exc
+
+
+def ratio_str(n: int, d: int) -> str:
+    """`rat_str` of n/d for integers n and d != 0: the pair is reduced by
+    its gcd, and no Fraction is built."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError as exc:
+        raise _too_many_digits() from exc
+
+
+def _too_many_digits() -> DomainError:
+    return DomainError(
+        f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
+        "digits, Python's limit for integer-to-string conversion")
 
 
 def json_list(value, what: str) -> list:
@@ -136,15 +153,12 @@ def is_nth_power_ratio(p: int, q: int, k: int) -> bool:
     return _int_nth_root(p, k) ** k == p and _int_nth_root(q, k) ** k == q
 
 
-def rational_sqrt(q) -> Fraction | None:
-    """The rational r >= 0 with r^2 = q, or None if q is not a rational square."""
-    q = Fraction(q)
-    if q < 0:
+def exact_isqrt(n: int) -> int | None:
+    """The integer r >= 0 with r^2 = n, or None if n is not a square."""
+    if n < 0:
         return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +535,20 @@ def clear_denominators(v) -> tuple:
 
 def primitive_vector(v) -> tuple:
     """The integer multiple of a nonzero rational vector with content 1 and
-    first nonzero entry > 0: one representative per projective point."""
-    ints = clear_denominators(v)[1]
-    g = math.gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    first nonzero entry > 0: one representative per projective point.  A
+    vector of ints goes straight to their gcd; one holding a Fraction is
+    cleared of denominators first (`clear_denominators`)."""
+    try:
+        g = math.gcd(*v)
+    except TypeError:  # math.gcd takes ints only
+        v = clear_denominators(v)[1]
+        g = math.gcd(*v)
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def cross_product(a, b) -> tuple:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spohncurves import cli
+from spohncurves import MultiPoly, cli, cubic_from_poly, decompose_cubic
 from caselib import game_for_case
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
@@ -134,6 +134,28 @@ def test_decompose_golden_bytes(capsys, case):
     assert game_for_case(case, random.Random(rec["seed"])).to_json() == rec["game"]
     out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
     assert out == rec["stdout"]
+
+
+@pytest.mark.parametrize("name", [k for k in GOLDEN_DECOMPOSE if not k.isdigit()])
+def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
+    """Bytes recorded while components were MultiPolys and ProjPoints: a line
+    point with a fractional coordinate, a double line, fractional payoffs
+    (a scalar that is not an integer), the zero cubic, and raw cubics through
+    `cubic_from_poly` (a conjugate irrational line pair with a null point,
+    coefficients near 10^12)."""
+    rec = GOLDEN_DECOMPOSE[name]
+    if "game" in rec:
+        out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
+    else:
+        cubic = cubic_from_poly(MultiPoly.from_json(rec["cubic"]))
+        out = json.dumps(decompose_cubic(cubic).to_json(), sort_keys=True) + "\n"
+    assert out == rec["stdout"]
+
+
+def test_decompose_prints_a_fractional_point_coordinate(capsys):
+    out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(
+        GOLDEN_DECOMPOSE["line point 7/3"]["game"])])
+    assert '["0", "1", "7/3"]' in out
 
 
 @pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness"])
@@ -458,6 +480,46 @@ def test_comma_values_may_start_with_a_minus(capsys, argv):
     joined = cli.run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
     assert spaced == joined
     assert "expected one argument" not in spaced[1].err
+
+
+def _run_code(argv):
+    """cli.run's exit code, or argparse's when it rejects the flags."""
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["konstanz", "--game", PD, "--pay", "-3,2"],
+    ["konstanz", "--game", PD, "--p", "-3,2"],
+    ["reduce", "--pair", PAIR, "--po", "-1,-1,-1"],
+    ["reduce", "--pa", PAIR, "--poi", "-1,-1,-1"],
+    ["de-check", "--game", PD, "--poin", "-0,0,0,1"],
+    ["witness", "--game", PD, "--n", "-0,1"],
+    ["witness", "--game", PD, "--n", "-0,0"],
+])
+def test_abbreviated_comma_flags_take_a_value_with_a_minus(capsys, argv):
+    """An abbreviation that argparse accepts for a comma-separated flag,
+    followed by a value that starts with "-", prints the bytes and exit code
+    of FLAG=VALUE.  (`--p` on konstanz is a prefix of `--payoffs` alone.)"""
+    spaced = _run_code(argv), capsys.readouterr()
+    joined = _run_code(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
+    assert spaced == joined
+    assert "expected one argument" not in spaced[1].err
+
+
+def test_abbreviations_resolve_on_the_chosen_subcommand(capsys):
+    """`--pa` on reduce is `--pair`, whose value is left alone; `--po` is
+    `--point`.  `--p` there is ambiguous, and stays a usage error."""
+    cli.build_parser()
+    assert cli._attach_csv_values(["reduce", "--pa", "-1,2", "--po", "-1,0,0"]) == [
+        "reduce", "--pa", "-1,2", "--po=-1,0,0"]
+    assert cli._attach_csv_values(["pareto", "--game", PD, "--p", "-1,0"]) == [
+        "pareto", "--game", PD, "--p", "-1,0"]
+    for value in (["--p", "-1,-1,-1"], ["--p=-1,-1,-1"]):
+        assert _run_code(["reduce", "--pair", PAIR] + value) == 2
+        assert "ambiguous option: --p" in capsys.readouterr().err
 
 
 _V3 = {"vars": ["x", "y", "z"], "terms": [{"exp": [2, 0, 0], "coef": 1}]}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -20,16 +21,15 @@ from spohncurves import (
     classify_cases,
     cubic_from_poly,
     decompose_cubic,
-    ReducibilityVerdict,
     reducibility_verdict,
     spohn_determinants,
     w_membership,
     zero_cubic_classify,
 )
 from spohncurves import cli, geometry
-from spohncurves.geometry import _candidate_lines, _vanishes_on_line
+from spohncurves.geometry import _HORNER, _MONOS, _candidate_lines, _vanishes_on_line
 from spohncurves.polynomials import (
-    clear_denominators, cross_product, primitive_vector, rational_sqrt)
+    clear_denominators, cross_product, primitive_vector, rat_str)
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
 
 F = Fraction
@@ -367,11 +367,18 @@ def test_spohn_cubic_stores_integers_over_the_table_scales(game):
     assert cubic.is_zero() == (not any(expected))
 
 
-def _integer_terms(p: MultiPoly) -> list:
-    """p's terms as (exponent, int) pairs: p scaled by the lcm of its
-    coefficient denominators, which has the same zeros."""
+def _monomials(d):
+    """The exponents of the ternary monomials of degree d, lex-descending."""
+    return sorted(((i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)),
+                  reverse=True)
+
+
+def _integer_vector(p: MultiPoly) -> list:
+    """p's coefficient vector over `_monomials(p.degree())`, scaled by the
+    lcm of its coefficient denominators, which has the same zeros."""
     lcm = math.lcm(*(c.denominator for c in p.terms.values()))
-    return [(e, c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
+    return [p.coefficient(e).numerator * (lcm // p.coefficient(e).denominator)
+            for e in _monomials(p.degree())]
 
 
 def _restriction_vanishes(p, line):
@@ -394,7 +401,7 @@ def test_four_point_line_test_matches_restriction(game):
     for line in _candidate_lines(cubic.c):
         assert all(isinstance(x, int) for x in line)
         while work.degree() >= 1:
-            hit = _vanishes_on_line(_integer_terms(work), line)
+            hit = _vanishes_on_line(_integer_vector(work), line)
             assert hit == _restriction_vanishes(work, line)
             if not hit:
                 break
@@ -402,6 +409,50 @@ def test_four_point_line_test_matches_restriction(game):
             work = work.divide_by_linear(q3({(1, 0, 0): line[0], (0, 1, 0): line[1],
                                              (0, 0, 1): line[2]}))
     assert (hits > 0) == bool(classify_cases(game))
+
+
+_BIG = st.integers(-10**12 - 7, 10**12 + 7)
+_COORD = st.one_of(st.just(0), st.integers(-9, 9), _BIG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_horner_evaluation_is_the_sum_over_the_monomials(d, data):
+    """Each degree's fixed Horner expression is the plain sum of its
+    coefficients times the monomials of `_MONOS[d]`, which are the
+    lex-descending ones; entries up to ~10^12, points with zero coordinates."""
+    assert list(_MONOS[d]) == _monomials(d)
+    form = data.draw(st.lists(st.one_of(st.just(0), _BIG), min_size=len(_MONOS[d]),
+                              max_size=len(_MONOS[d])))
+    x, y, z = data.draw(st.tuples(_COORD, _COORD, _COORD))
+    plain = sum(k * x ** e[0] * y ** e[1] * z ** e[2] for e, k in zip(_MONOS[d], form))
+    assert _HORNER[len(form)](form, x, y, z) == plain
+
+
+def _cleared_primitive(v):
+    """The primitive vector by clearing denominators first, for every input."""
+    ints = clear_denominators(v)[1]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-9, 9), _BIG), min_size=1, max_size=10),
+       st.booleans())
+def test_primitive_vector_of_integers_and_of_fractions(v, fractions):
+    """On ints `primitive_vector` goes straight to the gcd, and on Fractions
+    it clears denominators; both give the cleared route's vector, of ints
+    with content 1 and first nonzero entry positive."""
+    assume(any(v))
+    if fractions:
+        v = [Fraction(x, 1 + abs(x) % 7) for x in v]
+    got = primitive_vector(v)
+    assert got == _cleared_primitive(v)
+    assert all(type(x) is int for x in got)
+    assert math.gcd(*got) == 1 and next(x for x in got if x) > 0
+    assert primitive_vector(tuple(Fraction(x) for x in v)) == got
 
 
 # --- irrational line pairs and the sympy oracle for the decomposition ------------------
@@ -562,6 +613,14 @@ def _ref_matrix_rank(M):
     return rank
 
 
+def _ref_sqrt(q):
+    """The rational r >= 0 with r^2 = q, or None if q is not a rational square."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
 def _ref_split_conic(g):
     """("irreducible",), ("irrational",) or ("lines", v1, v2, ratio) with
     g == ratio (v1 . x)(v2 . x), on the rational matrix of g."""
@@ -578,7 +637,7 @@ def _ref_split_conic(g):
         d_uu = beta[0] ** 2 - 4 * alpha * M[u][u]
         d_uv = 2 * beta[0] * beta[1] - 8 * alpha * M[u][v]
         d_vv = beta[1] ** 2 - 4 * alpha * M[v][v]
-        ru, rv = rational_sqrt(d_uu), rational_sqrt(d_vv)
+        ru, rv = _ref_sqrt(d_uu), _ref_sqrt(d_vv)
         if ru is None or rv is None:
             return ("irrational",)
         root = next(((ru, s * rv) for s in (1, -1) if 2 * ru * s * rv == d_uv), None)
@@ -599,11 +658,10 @@ def _ref_split_conic(g):
     return ("lines", v1, v2, ratio)
 
 
-def _ref_point(comp):
+def _ref_point(kind, g):
     """A smooth rational point of a component, or None for a pair of
     conjugate irrational lines; a conic gets a coordinate point or fails."""
-    g = comp.poly
-    if comp.kind == "line":
+    if kind == "line":
         coeffs = [g.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         return next(ProjPoint(v) for v in (cross_product(coeffs, e) for e in
                                           ((1, 0, 0), (0, 1, 0), (0, 0, 1))) if any(v))
@@ -627,21 +685,32 @@ def _linear(v):
     return q3({(1, 0, 0): v[0], (0, 1, 0): v[1], (0, 0, 1): v[2]})
 
 
+def _verdict_json(kind, components=(), scalar=1, cases=None, zero_condition=None):
+    """The JSON of a verdict, built here: `components` are (kind, poly,
+    multiplicity, point) records, with MultiPoly and ProjPoint bytes."""
+    return {"kind": kind, "cases": None if cases is None else sorted(cases),
+            "zero_condition": zero_condition, "scalar": rat_str(scalar),
+            "components": [{"kind": k, "multiplicity": m, "poly": g.to_json(),
+                            "point": None if pt is None else pt.to_json()}
+                           for k, g, m, pt in components]}
+
+
 def _reference_decompose(cubic):
-    """The decomposition on MultiPoly arithmetic: `divide_by_linear` peels
-    each candidate line that the four-point test accepts, the residual conic
-    is split on its rational matrix, and the product is multiplied back."""
+    """The decomposition on MultiPoly arithmetic, as verdict JSON:
+    `divide_by_linear` peels each candidate line that the four-point test
+    accepts, the residual conic is split on its rational matrix, and the
+    product is multiplied back."""
     if isinstance(cubic, MultiPoly):
         cubic = cubic_from_poly(cubic)
     work = f = cubic.f
     found = {}
     for v in _candidate_lines(cubic.c):
-        while work.degree() >= 1 and _vanishes_on_line(_integer_terms(work), v):
+        while work.degree() >= 1 and _vanishes_on_line(_integer_vector(work), v):
             work = work.divide_by_linear(_linear(v))
             found[v] = found.get(v, 0) + 1
-    components, scalar = [], Fraction(1)
+    conics, scalar = [], Fraction(1)
     if work.degree() == 3:
-        return ReducibilityVerdict("Irreducible")
+        return _verdict_json("Irreducible")
     if work.degree() == 2:
         split = _ref_split_conic(work)
         if split[0] == "lines":
@@ -651,7 +720,7 @@ def _reference_decompose(cubic):
         else:
             prim, s = _primitive_poly(work)
             scalar *= s
-            components.append(CurveComponent("conic", prim))
+            conics.append(("conic", prim, 1))
     elif work.degree() == 1:
         v = primitive_vector([work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         prim, s = _primitive_poly(work)
@@ -660,24 +729,23 @@ def _reference_decompose(cubic):
         found[v] = 1
     else:
         scalar *= work.terms[(0, 0, 0)]
-    components = [CurveComponent("line", _linear(v), m) for v, m in found.items()] + components
-    for comp in components:
-        comp.point = _ref_point(comp)
+    components = [(kind, g, m, _ref_point(kind, g)) for kind, g, m in
+                  [("line", _linear(v), m) for v, m in found.items()] + conics]
     prod = MultiPoly.constant(P3, scalar)
-    for comp in components:
-        prod = prod * comp.poly ** comp.multiplicity
+    for _, g, m, _ in components:
+        prod = prod * g ** m
     assert prod == f
-    return ReducibilityVerdict("Reducible", components=components, scalar=scalar)
+    return _verdict_json("Reducible", components, scalar)
 
 
 def _reference_verdict(game):
+    """`_reference_decompose`'s JSON with the game's cases, or the zero
+    cubic's verdict JSON."""
     cubic = build_cubic(game)
     if cubic.is_zero():
-        return ReducibilityVerdict("ZeroCubic", cases=classify_cases(game),
-                                   zero_condition=zero_cubic_classify(game))
-    verdict = _reference_decompose(cubic)
-    verdict.cases = classify_cases(game)
-    return verdict
+        return _verdict_json("ZeroCubic", cases=classify_cases(game),
+                             zero_condition=zero_cubic_classify(game))
+    return {**_reference_decompose(cubic), "cases": sorted(classify_cases(game))}
 
 
 def _product(factors):
@@ -698,14 +766,53 @@ def test_decomposition_matches_the_reference_route(source):
     cubics of the four split shapes, and random and case games, with small,
     ~10^12 and non-integer entries."""
     if isinstance(source, MultiPoly):
-        expected = _reference_decompose(source).to_json()
+        expected = _reference_decompose(source)
         assert decompose_cubic(cubic_from_poly(source)).to_json() == expected
         return
     expected = _reference_verdict(source)
-    assert reducibility_verdict(source).to_json() == expected.to_json()
-    if expected.kind != "ZeroCubic":
-        expected.cases = None
-        assert decompose_cubic(build_cubic(source)).to_json() == expected.to_json()
+    assert reducibility_verdict(source).to_json() == expected
+    if expected["kind"] != "ZeroCubic":
+        assert decompose_cubic(build_cubic(source)).to_json() == {**expected, "cases": None}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(line_test_games(), split_cubics().map(_product)))
+@example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 2, 0): 1, (0, 0, 2): -2}), 1)]))
+@example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 2, (0, 0, 1): 3}), 2)]))
+def test_components_build_poly_and_point_on_request(source):
+    """A component stores integers; `poly` and `point` are the MultiPoly and
+    ProjPoint of those integers, and `to_json` prints their bytes."""
+    cubic = source if isinstance(source, MultiPoly) else build_cubic(source).f
+    assume(not cubic.is_zero())
+    for comp in decompose_cubic(cubic_from_poly(cubic)).components:
+        d = {"line": 1, "conic": 2}[comp.kind]
+        assert len(comp.ints) == len(_MONOS[d])
+        assert all(type(k) is int for k in comp.ints)
+        assert comp.poly == MultiPoly(P3, dict(zip(_MONOS[d], comp.ints)))
+        data = comp.to_json()
+        assert json.dumps(data["poly"]) == json.dumps(comp.poly.to_json())
+        if comp.P is None:
+            assert comp.point is None and data["point"] is None
+        else:
+            assert all(type(c) is int for c in comp.P)
+            assert comp.P == primitive_vector(comp.P)
+            assert comp.point == ProjPoint(comp.P)
+            assert json.dumps(data["point"]) == json.dumps(comp.point.to_json())
+        assert data == {"kind": comp.kind, "multiplicity": comp.multiplicity,
+                        "poly": comp.poly.to_json(),
+                        "point": None if comp.point is None else comp.point.to_json()}
+
+
+def test_curve_component_constructor():
+    """`CurveComponent(kind, ints, multiplicity=1, point=None)` keeps the
+    integers and builds nothing until asked."""
+    line = CurveComponent("line", (4, 7, -3), point=(0, 3, 7))
+    assert (line.multiplicity, line.P) == (1, (0, 3, 7))
+    assert line.poly == q3({(1, 0, 0): 4, (0, 1, 0): 7, (0, 0, 1): -3})
+    assert line.to_json()["point"] == ["0", "1", "7/3"]
+    conic = CurveComponent("conic", (0, 1, 0, 0, 0, -2), 1)
+    assert conic.point is None and conic.to_json()["point"] is None
+    assert conic.to_json()["poly"] == q3({(1, 1, 0): 1, (0, 0, 2): -2}).to_json()
 
 
 # --- the twelve-case theorem against sympy's factorization ------------------------------
@@ -764,7 +871,7 @@ def test_classify_never_decomposes(monkeypatch, pd, g44, capsys):
     zero = PayoffTables([[5, 5], [5, 5]], [[1, 2], [3, 4]])
     for g in [pd, g44, zero] + [game_for_case(c, rng) for c in range(1, 13)]:
         kind, cases = classify(g)
-        assert kind == _reference_verdict(g).kind
+        assert kind == _reference_verdict(g)["kind"]
         assert cases == classify_cases(g)
     assert reducibility_verdict(g44).kind == "Irreducible"
     assert cli.run(["classify", "--bimatrix", "2,2 0,3; 3,0 1,1"]) == 0

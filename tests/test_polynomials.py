@@ -14,12 +14,12 @@ from spohncurves.polynomials import (
     clear_denominators,
     contfrac_approx,
     cross_product,
+    exact_isqrt,
     is_nth_power_ratio,
     parse_rational,
     primitive_vector,
     rat,
     rat_str,
-    rational_sqrt,
 )
 
 F = Fraction
@@ -140,13 +140,12 @@ def test_rational_power_tests():
     q = F(123, 457) ** 4
     assert is_nth_power_ratio(q.numerator, q.denominator, 4)
     assert not is_nth_power_ratio(q.numerator + q.denominator, q.denominator, 4)
-    assert rational_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_sqrt(0) == 0
-    assert rational_sqrt(F(10**24 + 2 * 10**12 + 1, 49)) == F(10**12 + 1, 7)
-    assert rational_sqrt(F(5)) is None
-    assert rational_sqrt(F(-4)) is None
-    assert rational_sqrt(F(4, 3)) is None
-    assert rational_sqrt(F(10**24 + 1)) is None
+    assert exact_isqrt(9) == 3
+    assert exact_isqrt(0) == 0
+    assert exact_isqrt(10**24 + 2 * 10**12 + 1) == 10**12 + 1
+    assert exact_isqrt(5) is None
+    assert exact_isqrt(-4) is None
+    assert exact_isqrt(10**24 + 1) is None
 
 
 # --- MultiPoly ----------------------------------------------------------------
