@@ -71,12 +71,12 @@ def _rat_csv(text: str, n: int, what: str) -> list:
         raise UsageError(f"{what} needs {n} comma-separated rationals")
     try:
         return [rat(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}")
 
 
-# flags whose value is comma-separated rationals
-_CSV_FLAGS = ("--payoffs", "--point", "--ne")
+# flags whose value is comma-separated rationals, or one rational (--value)
+_VALUE_FLAGS = ("--payoffs", "--point", "--ne", "--value")
 # each subcommand's option strings, filled in by `build_parser`
 _OPTIONS: dict = {}
 
@@ -95,16 +95,19 @@ def _resolve_flag(arg: str, options) -> str | None:
 
 def _attach_csv_values(argv) -> list:
     """argv with `FLAG VALUE` written `FLAG=VALUE` where FLAG resolves, on
-    the chosen subcommand (`_resolve_flag`), to a flag of `_CSV_FLAGS` and
-    VALUE starts with "-" and holds a comma: argparse reads such a value
-    ("-3,2") as an unknown option, not as the flag's value.  No option holds
-    a comma, and every valid value does.  Call `build_parser` first."""
+    the chosen subcommand (`_resolve_flag`), to a flag of `_VALUE_FLAGS` and
+    VALUE starts with "-" followed by a digit or ".", or holds a comma:
+    argparse reads such a value ("-3,2", "-1/3", "-1e-3") as an unknown
+    option, not as the flag's value, unless it is a plain negative number
+    ("-0.5"), which it reads as `FLAG=VALUE` reads it.  No option holds a
+    comma or starts that way.  Call `build_parser` first."""
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     options = _OPTIONS.get(command, ())
     out = []
     for arg in argv:
-        if (out and arg.startswith("-") and "," in arg
-                and _resolve_flag(out[-1], options) in _CSV_FLAGS):
+        if (out and arg.startswith("-")
+                and ("," in arg or arg[1:2].isdecimal() or arg[1:2] == ".")
+                and _resolve_flag(out[-1], options) in _VALUE_FLAGS):
             out[-1] += "=" + arg
         else:
             out.append(arg)

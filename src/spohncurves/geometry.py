@@ -434,51 +434,41 @@ def _multiply(p, q) -> list:
 
 
 def _candidate_lines(c) -> list:
-    """Candidate linear components of the cubic with coefficient vector c.
+    """Candidate linear components of the cubic with coefficient vector c,
+    read off the seven coefficients: no search.
 
-    Any line contained in the cubic must meet each coordinate line
-    V(x), V(y), V(z), and on those the cubic restricts to a product of
-    known linear factors — so its intersection points with V(x) and with
-    V(y) or V(z) both come from short division-free lists.  Every pair of
-    such points spans a candidate; the true components are among them.
+    On the coordinate lines f restricts to yz(c5 y + c6 z) on x = 0,
+    xz(c2 x + c4 z) on y = 0 and xy(c1 x + c3 y) on z = 0, so x | f iff
+    c5 = c6 = 0, y | f iff c2 = c4 = 0 and z | f iff c1 = c3 = 0.  A line
+    a x + b y + c z of f meets x = 0 at [0 : c : -b], a zero of the
+    restriction there unless x | f: so b = 0, c = 0 or (b, c) ~ (c5, c6).
+    Likewise (a, c) ~ (c2, c4) or a or c is 0, and (a, b) ~ (c1, c3) or a or
+    b is 0.  A line with one zero entry is thus L_z = (c1, c3, 0),
+    L_y = (c2, 0, c4) or L_x = (0, c5, c6), and one with none satisfies all
+    three proportions, which the x and y proportions alone fix:
+    G1 = (c2 c6, c4 c5, c4 c6).  So when no coordinate line divides f, every
+    line component is among L_z, L_y, L_x and G1.  When one does, the residual
+    conic is split exactly by `decompose_cubic`, so a line missing here is
+    still found, only later.  G2 = (c1 c5, c3 c5, c3 c6), from the x and z
+    proportions, is listed so that the order stays that of the components in
+    the verdict's JSON: when y | f, G1 vanishes and G2 may be a component.
 
     Lines are primitive integer 3-vectors (a, b, c) of a x + b y + c z,
-    without repeats, in a fixed order.  Whether one divides the cubic is
+    without repeats: first the coordinate lines that divide f, in the order
+    x, y, z; then L_z, L_y, L_x, G1 and G2, each skipped if it has fewer than
+    two nonzero entries (a coordinate line divides f only if it is already
+    listed).  That is at most eight lines.  Whether one divides the cubic is
     decided by `_vanishes_on_line`, four exact evaluations.
     """
     c1, c2, c3, c4, c5, c6, c7 = c
-    X1 = [(0, 0, 1), (0, 1, 0)]
-    if (c5, c6) != (0, 0):
-        X1.append(primitive_vector((0, c6, -c5)))
-    X2 = [(0, 0, 1), (1, 0, 0)]
-    if (c2, c4) != (0, 0):
-        X2.append(primitive_vector((c4, 0, -c2)))
-    X3 = [(0, 1, 0), (1, 0, 0)]
-    if (c1, c3) != (0, 0):
-        X3.append(primitive_vector((c3, -c1, 0)))
-
-    lines = []
-
-    def push(v):
-        if any(v):
+    lines = [e for e, pair in zip(_MONOS[1], ((c5, c6), (c2, c4), (c1, c3)))
+             if pair == (0, 0)]
+    for v in ((c1, c3, 0), (c2, 0, c4), (0, c5, c6),
+              (c2 * c6, c4 * c5, c4 * c6), (c1 * c5, c3 * c5, c3 * c6)):
+        if v.count(0) < 2:
             v = primitive_vector(v)
             if v not in lines:
                 lines.append(v)
-
-    # coordinate lines that are forced components by vanishing restrictions
-    if c5 == 0 and c6 == 0:
-        push((1, 0, 0))  # x | f
-    if c2 == 0 and c4 == 0:
-        push((0, 1, 0))  # y | f
-    if c1 == 0 and c3 == 0:
-        push((0, 0, 1))  # z | f
-
-    uniq = list(dict.fromkeys(X1))
-    others = list(dict.fromkeys(X2 + X3))
-    for p in uniq:
-        for q in others:
-            if p != q:
-                push(cross_product(p, q))
     return lines
 
 
@@ -541,11 +531,10 @@ def _split_conic(N):
 
 
 def _line_point(v) -> tuple:
-    """A rational point of the integer line v, as a primitive integer
-    3-vector: v crossed with the first coordinate vector, in the order
-    [1:0:0], [0:1:0], [0:0:1], that gives a nonzero product."""
-    return next(primitive_vector(p) for p in (cross_product(v, e) for e in _MONOS[1])
-                if any(p))
+    """A rational point of the primitive integer line v, as a primitive
+    integer 3-vector: where it meets x = 0, v x (1, 0, 0) = (0, v[2], -v[1]),
+    or [0:0:1] if v is x = 0 itself."""
+    return primitive_vector((0, v[2], -v[1])) if v[1] or v[2] else (0, 0, 1)
 
 
 def _coordinate_point(N):

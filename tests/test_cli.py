@@ -142,7 +142,9 @@ def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
     point with a fractional coordinate, a double line, fractional payoffs
     (a scalar that is not an integer), the zero cubic, and raw cubics through
     `cubic_from_poly` (a conjugate irrational line pair with a null point,
-    coefficients near 10^12)."""
+    coefficients near 10^12).  Two more were recorded while candidate lines
+    came from cross products: z | f with the line (7, 4, 3) listed, and
+    y | f with (7, -7, 10) listed, both of which fix the components' order."""
     rec = GOLDEN_DECOMPOSE[name]
     if "game" in rec:
         out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
@@ -472,10 +474,15 @@ def test_de_check_rejects_non_distribution(capsys):
     ["de-check", "--game", PD, "--point", "-0,0,0,1"],
     ["de-check", "--game", PD, "--point", "-1/2,1/2,1/2,1/2"],
     ["witness", "--game", PD, "--ne", "-0,0"],
+    ["approx", "--convergents", "3", "--value", "-1/3"],
+    ["approx", "--convergents", "3", "--value", "-1e-3"],
+    ["approx", "--convergents", "3", "--value", "-2.5e1"],
+    ["approx", "--convergents", "3", "--value", "-1_000"],
 ])
 def test_comma_values_may_start_with_a_minus(capsys, argv):
-    """A comma-separated value after a space is the flag's value even when
-    it starts with "-": the same bytes and exit code as FLAG=VALUE."""
+    """A comma-separated value, or a rational `--value` that argparse does
+    not take for a negative number, after a space is the flag's value even
+    when it starts with "-": the same bytes and exit code as FLAG=VALUE."""
     spaced = cli.run(argv), capsys.readouterr()
     joined = cli.run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
     assert spaced == joined
@@ -498,11 +505,13 @@ def _run_code(argv):
     ["de-check", "--game", PD, "--poin", "-0,0,0,1"],
     ["witness", "--game", PD, "--n", "-0,1"],
     ["witness", "--game", PD, "--n", "-0,0"],
+    ["approx", "--convergents", "3", "--val", "-1/3"],
 ])
 def test_abbreviated_comma_flags_take_a_value_with_a_minus(capsys, argv):
-    """An abbreviation that argparse accepts for a comma-separated flag,
-    followed by a value that starts with "-", prints the bytes and exit code
-    of FLAG=VALUE.  (`--p` on konstanz is a prefix of `--payoffs` alone.)"""
+    """An abbreviation that argparse accepts for a comma-separated flag or
+    `--value`, followed by a value that starts with "-", prints the bytes and
+    exit code of FLAG=VALUE.  (`--p` on konstanz is a prefix of `--payoffs`
+    alone.)"""
     spaced = _run_code(argv), capsys.readouterr()
     joined = _run_code(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
     assert spaced == joined

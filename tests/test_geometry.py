@@ -398,7 +398,7 @@ def test_four_point_line_test_matches_restriction(game):
     assume(not cubic.is_zero())
     hits = 0
     work = cubic.f
-    for line in _candidate_lines(cubic.c):
+    for line in _candidate_lines(cubic.ints):
         assert all(isinstance(x, int) for x in line)
         while work.degree() >= 1:
             hit = _vanishes_on_line(_integer_vector(work), line)
@@ -753,6 +753,33 @@ def _product(factors):
     for form, mult in factors:
         f = f * form ** mult
     return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(split_cubics().map(_product), line_test_games()))
+@example(_product([(q3({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}), 1),    # no zero entry
+                   (q3({(1, 1, 0): 1, (1, 0, 1): 2, (0, 1, 1): 3}), 1)]))
+@example(_product([(q3({(1, 0, 0): 2, (0, 1, 0): -3, (0, 0, 1): 5}), 1),  # three lines
+                   (q3({(1, 0, 0): 1, (0, 1, 0): 1}), 1), (q3({(0, 0, 1): 1}), 1)]))
+@example(q3({(1, 1, 1): 1}))                                     # x, y and z
+@example(PayoffTables([[4, 0], [3, 3]], [[-3, -3], [1, 4]]))    # z | f, and (7, 4, 3)
+@example(PayoffTables([[0, -2], [0, -1]], [[-4, 3], [-4, 1]]))  # y | f, and (7, -7, 10)
+def test_candidate_lines_hold_every_rational_line(source):
+    """The theorem behind `_candidate_lines`, with sympy's factorization over
+    Q as the oracle: a coordinate line is listed iff it divides f, and those
+    come first; when none divides f, every linear factor of f, made
+    primitive, is listed.  At most eight lines, without repeats."""
+    cubic = cubic_from_poly(source) if isinstance(source, MultiPoly) else build_cubic(source)
+    assume(not cubic.is_zero())
+    lines = _candidate_lines(cubic.ints)
+    assert len(lines) <= 8 and len(set(lines)) == len(lines)
+    factors = [primitive_vector([dict(terms).get(e, 0) for e in _MONOS[1]])
+               for degree, terms, _ in _sympy_factors(cubic.f) if degree == 1]
+    coordinate = [v for v in factors if v in _MONOS[1]]
+    assert lines[:len(coordinate)] == sorted(coordinate, reverse=True)
+    assert not any(v in _MONOS[1] for v in lines[len(coordinate):])
+    if not coordinate:
+        assert all(v in lines for v in factors)
 
 
 @settings(max_examples=250, deadline=None)
