@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
 than Python's int-to-string digit limit, a pareto grid above 10^7 sample
 lines) or stdout closed before the output was written, 2 usage error (bad
-flags, unreadable input, malformed JSON, a decimal exponent beyond the bound
-of `polynomials.rat`).
+flags, unreadable input, malformed JSON or JSON nested too deeply, a decimal
+exponent beyond the bound of `polynomials.parse_rational`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import elliptic, games, geometry
@@ -58,10 +59,12 @@ def _load_game(args, n="") -> games.PayoffTables:
 
 
 def _load_json(spec: str):
+    """The JSON value of `spec`; text that is not JSON, or is nested too
+    deeply for the decoder's recursion, is a usage error."""
     text = _read_source(spec)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON: {exc}")
 
 
@@ -73,45 +76,6 @@ def _rat_csv(text: str, n: int, what: str) -> list:
         return [rat(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}")
-
-
-# flags whose value is comma-separated rationals, or one rational (--value)
-_VALUE_FLAGS = ("--payoffs", "--point", "--ne", "--value")
-# each subcommand's option strings, filled in by `build_parser`
-_OPTIONS: dict = {}
-
-
-def _resolve_flag(arg: str, options) -> str | None:
-    """The option that argparse reads `arg` as, among a subcommand's
-    `options`: `arg` itself, or the one option it is a prefix of (an
-    abbreviated long option); None if it is no option or an ambiguous one."""
-    if arg in options:
-        return arg
-    if not arg.startswith("--") or "=" in arg:
-        return None
-    matches = [o for o in options if o.startswith(arg)]
-    return matches[0] if len(matches) == 1 else None
-
-
-def _attach_csv_values(argv) -> list:
-    """argv with `FLAG VALUE` written `FLAG=VALUE` where FLAG resolves, on
-    the chosen subcommand (`_resolve_flag`), to a flag of `_VALUE_FLAGS` and
-    VALUE starts with "-" followed by a digit or ".", or holds a comma:
-    argparse reads such a value ("-3,2", "-1/3", "-1e-3") as an unknown
-    option, not as the flag's value, unless it is a plain negative number
-    ("-0.5"), which it reads as `FLAG=VALUE` reads it.  No option holds a
-    comma or starts that way.  Call `build_parser` first."""
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    options = _OPTIONS.get(command, ())
-    out = []
-    for arg in argv:
-        if (out and arg.startswith("-")
-                and ("," in arg or arg[1:2].isdecimal() or arg[1:2] == ".")
-                and _resolve_flag(out[-1], options) in _VALUE_FLAGS):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -224,22 +188,32 @@ def _cmd_approx(args):
     return {"approx": rat_str(cf.value)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads an argument starting with "-" and a digit, or "-."
+    and a digit, as a value, as negative inputs need (`--payoffs -3,2`,
+    `--seed -1_0`); stock argparse reads only "-2" or "-0.5" so.  The rule
+    applies once an argument matches no option and no unique prefix of one,
+    and no option here starts so.  Subparsers inherit the class; the tests
+    pin this through `run`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spohncurves",
         description="Exact algebro-geometric computations for 2x2 games.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     def add(name, func, help_text, game=False, second=False):
-        """Add a subcommand; return its `add_argument`, which also records
-        the option strings in `_OPTIONS`."""
+        """Add a subcommand with the game flags it takes and --format;
+        return its `add_argument` for the flags of its own."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        options = _OPTIONS[name] = ["-h", "--help"]
-
-        def option(*args, **kwargs):
-            options.extend(p.add_argument(*args, **kwargs).option_strings)
+        option = p.add_argument
         if game:
             option("--game", metavar="SPEC",
                    help="game JSON: file path, inline string, or - for stdin")
@@ -298,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_csv_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2

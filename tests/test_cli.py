@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -264,6 +265,27 @@ def test_malformed_json_is_usage_error(capsys):
     assert "usage error" in err
 
 
+_DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("channel", ["inline --game", "--pair file", "--game on stdin"])
+def test_deeply_nested_json_is_usage_error(tmp_path, monkeypatch, capsys, channel):
+    """JSON nested beyond the decoder's recursion limit is malformed input,
+    whichever way it arrives."""
+    if channel == "inline --game":
+        argv = ["j", "--game", _DEEP]
+    elif channel == "--pair file":
+        path = tmp_path / "pair.json"
+        path.write_text(_DEEP)
+        argv = ["reduce", "--pair", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(_DEEP))
+        argv = ["j", "--game", "-"]
+    out, err = run_ok(capsys, argv, code=2)
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage error: malformed JSON: maximum recursion depth")
+
+
 def test_unreadable_file_is_usage_error(capsys):
     _, err = run_ok(capsys, ["classify", "--game", "/nonexistent/game.json"], code=2)
     assert "usage error" in err
@@ -478,15 +500,34 @@ def test_de_check_rejects_non_distribution(capsys):
     ["approx", "--convergents", "3", "--value", "-1e-3"],
     ["approx", "--convergents", "3", "--value", "-2.5e1"],
     ["approx", "--convergents", "3", "--value", "-1_000"],
+    ["approx", "--convergents", "3", "--value", "-.5"],
+    ["approx", "--value", "1/3", "--convergents", "-1_0"],
+    ["pareto", "--game", PD, "--grid", "3", "--seed", "-1_0"],
+    ["pareto", "--game", PD, "--grid", "-1_0"],
 ])
 def test_comma_values_may_start_with_a_minus(capsys, argv):
-    """A comma-separated value, or a rational `--value` that argparse does
-    not take for a negative number, after a space is the flag's value even
-    when it starts with "-": the same bytes and exit code as FLAG=VALUE."""
+    """Every flag's value after a space is the flag's value even when it
+    starts with "-" and a digit or ".", as comma-separated rationals, a
+    rational `--value` and the integers of `--seed`, `--grid` and
+    `--convergents` may: the same bytes and exit code as FLAG=VALUE."""
     spaced = cli.run(argv), capsys.readouterr()
     joined = cli.run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]), capsys.readouterr()
     assert spaced == joined
     assert "expected one argument" not in spaced[1].err
+
+
+def test_spaced_negative_seed_prints_the_recorded_sweep(capsys):
+    """`--seed -1_0` is the seed -10: the bytes recorded for `--seed=-1_0`."""
+    out, _ = run_ok(capsys, ["pareto", "--game", PD, "--grid", "3", "--seed", "-1_0"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ffb971eb1f05b99858f8d444f44c254560df43ea3fb0fa7694a72ce6617638bf")
+
+
+def test_help_before_a_negative_value_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["j", "--help", "-1"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spohncurves j")
 
 
 def _run_code(argv):
@@ -519,16 +560,18 @@ def test_abbreviated_comma_flags_take_a_value_with_a_minus(capsys, argv):
 
 
 def test_abbreviations_resolve_on_the_chosen_subcommand(capsys):
-    """`--pa` on reduce is `--pair`, whose value is left alone; `--po` is
-    `--point`.  `--p` there is ambiguous, and stays a usage error."""
-    cli.build_parser()
-    assert cli._attach_csv_values(["reduce", "--pa", "-1,2", "--po", "-1,0,0"]) == [
-        "reduce", "--pa", "-1,2", "--po=-1,0,0"]
-    assert cli._attach_csv_values(["pareto", "--game", PD, "--p", "-1,0"]) == [
-        "pareto", "--game", PD, "--p", "-1,0"]
+    """`--pa` on reduce is `--pair`, whose value is read as given; `--po` is
+    `--point`.  `--p` there is ambiguous, and stays a usage error, as does
+    `--p` on pareto, which has no such flag."""
+    spaced = _run_code(["reduce", "--pa", PAIR, "--po", "-1,0,0"]), capsys.readouterr()
+    joined = _run_code(["reduce", "--pair", PAIR, "--point=-1,0,0"]), capsys.readouterr()
+    assert spaced == joined
+    assert _run_code(["reduce", "--pa", "-1,2"]) == 2
+    assert "unreadable input '-1,2'" in capsys.readouterr().err
     for value in (["--p", "-1,-1,-1"], ["--p=-1,-1,-1"]):
         assert _run_code(["reduce", "--pair", PAIR] + value) == 2
         assert "ambiguous option: --p" in capsys.readouterr().err
+    assert _run_code(["pareto", "--game", PD, "--p", "-1,0"]) == 2
 
 
 _V3 = {"vars": ["x", "y", "z"], "terms": [{"exp": [2, 0, 0], "coef": 1}]}
