@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
 than Python's int-to-string digit limit, a pareto grid above 10^7 sample
 lines) or stdout closed before the output was written, 2 usage error (bad
-flags, unreadable input, malformed JSON or JSON nested too deeply, a decimal
-exponent beyond the bound of `polynomials.parse_rational`).
+flags, `FLAG=--`, unreadable input, malformed JSON or JSON nested too
+deeply, a decimal exponent beyond the bound of `polynomials.parse_rational`).
 """
 
 from __future__ import annotations
@@ -277,6 +277,9 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # "--game=--": argparse before 3.13 stores []
+                raise UsageError(f"argument --{name}: expected one argument, not '--'")
         payload = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -333,47 +333,53 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
 
 
 def _aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
-    """S and T as explicit polynomials in the classical coefficient labels
-    (the xyz coefficient is called m here)."""
-    S = (a*g*e*c - a*g*h**2 - a*m*b*c + a*m*e*h + a*f*b*h - a*f*e**2
-         - d**2*e*c + d**2*h**2 + d*i*b*c - d*i*e*h + d*g*m*c - d*g*f*h
-         - 2*d*m**2*h + 3*d*m*f*e - d*f**2*b - i**2*b*h + i**2*e**2
-         - i*g**2*c + 3*i*g*m*h - i*g*f*e - 2*i*m**2*e + i*m*f*b
-         + g**2*f**2 - 2*g*m**2*f + m**4)
+    """S and T as polynomials in the classical coefficient labels (the xyz
+    coefficient is called m here), in two groups.
 
-    T = (a**2*b**2*c**2 - 3*a**2*e**2*h**2 - 6*a**2*b*e*h*c + 4*a**2*b*h**3
-         + 4*a**2*e**3*c - 6*a*d*g*b*c**2 + 18*a*d*g*e*h*c - 12*a*d*g*h**3
-         + 12*a*d*m*b*h*c - 24*a*d*m*e**2*c + 12*a*d*m*e*h**2
-         - 12*a*d*f*b*h**2 + 6*a*d*f*b*e*c + 6*a*d*f*e**2*h
-         + 6*a*i*g*b*h*c - 12*a*i*g*e**2*c + 6*a*i*g*e*h**2
-         + 12*a*i*m*b*e*c + 12*a*i*m*e**2*h - 6*a*i*f*b**2*c
-         + 18*a*i*f*b*e*h - 24*a*g**2*m*h*c - 24*a*i*m*b*h**2
-         - 12*a*i*f*e**3 + 4*a*g**3*c**2 - 12*a*g**2*f*e*c
-         + 24*a*g**2*f*h**2 + 36*a*g*m**2*e*c + 12*a*g*m**2*h**2
-         + 12*a*g*m*f*b*c - 60*a*g*m*f*e*h - 12*a*g*f**2*b*h
-         + 24*a*g*f**2*e**2 - 20*a*m**3*b*c - 12*a*m**3*e*h
-         + 36*a*m**2*f*b*h + 12*a*m**2*f*e**2 - 24*a*m*f**2*b*e
-         + 4*a*f**3*b**2 + 4*d**3*b*c**2 - 12*d**3*e*h*c + 8*d**3*h**3
-         + 24*d**2*i*e**2*c - 12*d**2*i*e*h**2 + 12*d**2*g*m*h*c
-         + 6*d**2*g*f*e*c - 24*d**2*m**2*h**2 - 12*d**2*i*b*h*c
-         - 3*d**2*g**2*c**2 - 24*g**2*m**2*f**2 + 24*g*m**4*f
-         - 12*d**2*g*f*h**2 + 12*d**2*m**2*e*c - 24*d**2*m*f*b*c
-         - 27*d**2*f**2*e**2 + 36*d**2*m*f*e*h + 24*d**2*f**2*b*h
-         + 24*d*i**2*b*h**2 - 12*d*i**2*b*e*c - 12*d*i**2*e**2*h
-         + 6*d*i*g**2*h*c - 60*d*i*g*m*e*c + 36*d*i*g*m*h**2
-         + 18*d*i*g*f*b*c - 6*d*i*g*f*e*h + 36*d*i*m**2*b*c
-         - 12*d*i*m**2*e*h - 60*d*i*m*f*b*h + 36*d*i*m*f*e**2
-         + 6*d*i*f**2*b*e + 12*d*g**2*m*f*c - 12*d*g*m**3*c
-         - 12*d*g*m**2*f*h + 36*d*g*m*f**2*e - 12*d*g*f**3*b
-         + 24*d*m**4*h + 12*d*m**2*f**2*b + 4*i**3*b**2*c
-         + 24*i**2*g**2*e*c - 27*i**2*g**2*h**2 - 36*d*m**3*f*e
-         - 12*i**3*b*e*h + 8*i**3*e**3 - 24*i**2*g*m*b*c
-         + 36*i**2*g*m*e*h + 6*i**2*g*f*b*h + 12*i**2*m**2*b*h
-         - 3*i**2*f**2*b**2 - 12*d*g**2*f**2*h - 12*i**2*g*f*e**2
-         - 24*i**2*m**2*e**2 + 12*i**2*m*f*b*e - 12*i*g**3*f*c
-         + 12*i*g**2*m**2*c + 36*i*g**2*m*f*h - 12*i*g**2*f**2*e
-         - 36*i*g*m**3*h - 12*i*g*m**2*f*e + 12*i*g*m*f**2*b
-         + 24*i*m**4*e - 12*i*m**3*f*b + 8*g**3*f**3 - 8*m**6)
+    The terms free of the pure cubes a, b, c (12 of S's 25, 30 of T's 103)
+    have a closed form.  With U = dh, V = ei, W = fg, P = def, Q = ghi,
+    x = U + V + W - m^2 and y = m (P + Q) - (UV + UW + VW):
+
+        S = x^2 + 3 y,    T = 4 x (2 x^2 + 9 y) - 27 (P - Q)^2.
+
+    Every other term has a factor a, b or c, so that group vanishes when
+    a = b = c = 0 and is added only otherwise.  A Spohn cubic has no x^3,
+    y^3 or z^3 term (`PlaneCubic.from_spohn`), so its S and T are the
+    closed form alone.
+    """
+    U, V, W, P, Q = d*h, e*i, f*g, d*e*f, g*h*i
+    x = U + V + W - m*m
+    y = m*(P + Q) - U*V - U*W - V*W
+    S = x*x + 3*y
+    T = 4*x*(2*x*x + 9*y) - 27*(P - Q)**2
+    if a or b or c:
+        S += (a*g*e*c - a*g*h**2 - a*m*b*c + a*m*e*h + a*f*b*h - a*f*e**2
+              - d**2*e*c + d*i*b*c + d*g*m*c - d*f**2*b - i**2*b*h - i*g**2*c
+              + i*m*f*b)
+        T += (a**2*b**2*c**2 - 3*a**2*e**2*h**2 - 6*a**2*b*e*h*c + 4*a**2*b*h**3
+              + 4*a**2*e**3*c - 6*a*d*g*b*c**2 + 18*a*d*g*e*h*c - 12*a*d*g*h**3
+              + 12*a*d*m*b*h*c - 24*a*d*m*e**2*c + 12*a*d*m*e*h**2
+              - 12*a*d*f*b*h**2 + 6*a*d*f*b*e*c + 6*a*d*f*e**2*h
+              + 6*a*i*g*b*h*c - 12*a*i*g*e**2*c + 6*a*i*g*e*h**2
+              + 12*a*i*m*b*e*c + 12*a*i*m*e**2*h - 6*a*i*f*b**2*c
+              + 18*a*i*f*b*e*h - 24*a*g**2*m*h*c - 24*a*i*m*b*h**2
+              - 12*a*i*f*e**3 + 4*a*g**3*c**2 - 12*a*g**2*f*e*c
+              + 24*a*g**2*f*h**2 + 36*a*g*m**2*e*c + 12*a*g*m**2*h**2
+              + 12*a*g*m*f*b*c - 60*a*g*m*f*e*h - 12*a*g*f**2*b*h
+              + 24*a*g*f**2*e**2 - 20*a*m**3*b*c - 12*a*m**3*e*h
+              + 36*a*m**2*f*b*h + 12*a*m**2*f*e**2 - 24*a*m*f**2*b*e
+              + 4*a*f**3*b**2 + 4*d**3*b*c**2 - 12*d**3*e*h*c
+              + 24*d**2*i*e**2*c + 12*d**2*g*m*h*c + 6*d**2*g*f*e*c
+              - 12*d**2*i*b*h*c - 3*d**2*g**2*c**2 + 12*d**2*m**2*e*c
+              - 24*d**2*m*f*b*c + 24*d**2*f**2*b*h + 24*d*i**2*b*h**2
+              - 12*d*i**2*b*e*c + 6*d*i*g**2*h*c - 60*d*i*g*m*e*c
+              + 18*d*i*g*f*b*c + 36*d*i*m**2*b*c - 60*d*i*m*f*b*h
+              + 6*d*i*f**2*b*e + 12*d*g**2*m*f*c - 12*d*g*m**3*c
+              - 12*d*g*f**3*b + 12*d*m**2*f**2*b + 4*i**3*b**2*c
+              + 24*i**2*g**2*e*c - 12*i**3*b*e*h - 24*i**2*g*m*b*c
+              + 6*i**2*g*f*b*h + 12*i**2*m**2*b*h - 3*i**2*f**2*b**2
+              + 12*i**2*m*f*b*e - 12*i*g**3*f*c + 12*i*g**2*m**2*c
+              + 12*i*g*m*f**2*b - 12*i*m**3*f*b)
     return S, T
 
 

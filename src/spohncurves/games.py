@@ -805,10 +805,15 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
     sampled, dominating = [], []
     if pts:  # an empty sweep converts nothing, so payoffs past the float range pass
         # each entry X / scale rounded once, as float() of its Fraction
-        fa, fb = ([x / scale for x in X] for scale, X in game.cleared)
+        (a11, a12, a21, a22), (b11, b12, b21, b22) = (
+            [x / scale for x in X] for scale, X in game.cleared)
         r1, r2 = float(ref1), float(ref2)
     for p in pts:
-        pi1, pi2 = sum(map(mul, fa, p)), sum(map(mul, fb, p))
+        p11, p12, p21, p22 = p
+        # added left to right from 0, as `sum` adds floats up to Python 3.11;
+        # later versions compensate, and the bytes would depend on the version
+        pi1 = 0 + a11 * p11 + a12 * p12 + a21 * p21 + a22 * p22
+        pi2 = 0 + b11 * p11 + b12 * p12 + b21 * p21 + b22 * p22
         rec = {"point": p, "payoffs": [pi1, pi2]}
         sampled.append(rec)
         if pi1 >= r1 and pi2 >= r2 and (pi1 > r1 or pi2 > r2):

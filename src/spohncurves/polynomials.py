@@ -25,12 +25,15 @@ def parse_rational(value) -> tuple:
     """(n, d) with d > 0 in lowest terms, of an int, a Fraction or a string
     such as "3", "-5/7", "1.25" or "2e-3": the one place where text becomes
     a number.  An integer string with no underscore is read by `int` alone,
-    whose grammar there is the integer part of `Fraction`'s; any other
-    string by `Fraction`, its decimal exponent bounded by
-    `_refuse_long_exponent`.  ValueError "cannot parse rational from ..." if
-    neither reads it.  Floats are rejected (TypeError): they carry binary
-    rounding noise and this library is exact.  Bools are rejected too,
-    although Python counts them as ints: a JSON true is not 1.
+    whose grammar there is the integer part of `Fraction`'s.  So is each
+    side of "n/d" with a nonzero d, after surrounding whitespace, when both
+    are decimal digits and n has at most one sign: `Fraction` reads that
+    text to the same pair.  Any other string is read by `Fraction`, its
+    decimal exponent bounded by `_refuse_long_exponent`.  ValueError
+    "cannot parse rational from ..." if neither reads it.  Floats are
+    rejected (TypeError): they carry binary rounding noise and this library
+    is exact.  Bools are rejected too, although Python counts them as ints:
+    a JSON true is not 1.
     """
     if isinstance(value, str):
         if "_" not in value:  # Fraction reads underscores only from Python 3.11 on
@@ -40,8 +43,16 @@ def parse_rational(value) -> tuple:
                 pass
         if "e" in value or "E" in value:
             _refuse_long_exponent(value)
+        text = value.strip()
+        num, slash, den = text.partition("/")
         try:
-            q = Fraction(value.strip())
+            # n after at most one sign; "".isdecimal() is False, so "/2" goes to Fraction
+            if slash and den.isdecimal() and (num[1:] if num[:1] in "+-" else num).isdecimal():
+                n, d = int(num), int(den)
+                if d:  # "n/0" is left to Fraction, which refuses it
+                    g = math.gcd(n, d)
+                    return n // g, d // g
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
         return q.numerator, q.denominator

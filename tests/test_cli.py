@@ -523,6 +523,24 @@ def test_spaced_negative_seed_prints_the_recorded_sweep(capsys):
         "ffb971eb1f05b99858f8d444f44c254560df43ea3fb0fa7694a72ce6617638bf")
 
 
+@pytest.mark.parametrize("argv", [
+    ["j", "--game=--"],
+    ["pareto", "--game", PD, "--grid=--"],
+    ["approx", "--value", "1/3", "--convergents=--"],
+])
+def test_a_flag_given_only_dashes_is_a_usage_error(capsys, argv):
+    """`FLAG=--` names no value: exit 2 with nothing printed.  argparse
+    stores [] for it before Python 3.13, which `run` refuses; 3.13 passes
+    "--" on as the value, which the flag's own check refuses."""
+    code = _run_code(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    if sys.version_info < (3, 13):
+        flag = argv[-1].partition("=")[0]
+        assert err == f"usage error: argument {flag}: expected one argument, not '--'\n"
+
+
 def test_help_before_a_negative_value_still_prints_help(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["j", "--help", "-1"])
@@ -712,6 +730,11 @@ def _argv(draw):
                  "--convergents", draw(_COUNT)]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    flags = [k for k, arg in enumerate(argv[:-1]) if arg.startswith("--")
+             and arg != "--cooperation"]
+    if flags and draw(st.integers(0, 5)) == 0:  # FLAG=-- in place of FLAG VALUE
+        k = draw(st.sampled_from(flags))
+        argv[k:k + 2] = [argv[k] + "=--"]
     return argv
 
 
@@ -731,6 +754,7 @@ _HUGE = '{"A": [["1e400", "-1e400"], ["-1e400", "1e400"]], "B": [[-1, 1], [1, -1
 @example(["pareto", "--game", PD, "--grid", "-1"])
 @example(["approx", "--value", "1e5000", "--convergents", "0"])
 @example(["approx", "--value", "nan", "--convergents", "3"])
+@example(["j", "--game=--"])
 def test_fuzzed_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+import sympy
 from sympy import integer_nthroot
 
 from spohncurves import (
@@ -99,18 +100,123 @@ coefficients = st.one_of(
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
 
 
+def flat_aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
+    """The independent oracle: S and T as the flat 25- and 103-term
+    polynomials in the classical labels (the xyz coefficient is m), one
+    term per monomial, as `elliptic._aronhold_st` evaluated them before
+    it grouped its terms."""
+    S = (a*g*e*c - a*g*h**2 - a*m*b*c + a*m*e*h + a*f*b*h - a*f*e**2
+         - d**2*e*c + d**2*h**2 + d*i*b*c - d*i*e*h + d*g*m*c - d*g*f*h
+         - 2*d*m**2*h + 3*d*m*f*e - d*f**2*b - i**2*b*h + i**2*e**2
+         - i*g**2*c + 3*i*g*m*h - i*g*f*e - 2*i*m**2*e + i*m*f*b
+         + g**2*f**2 - 2*g*m**2*f + m**4)
+
+    T = (a**2*b**2*c**2 - 3*a**2*e**2*h**2 - 6*a**2*b*e*h*c + 4*a**2*b*h**3
+         + 4*a**2*e**3*c - 6*a*d*g*b*c**2 + 18*a*d*g*e*h*c - 12*a*d*g*h**3
+         + 12*a*d*m*b*h*c - 24*a*d*m*e**2*c + 12*a*d*m*e*h**2
+         - 12*a*d*f*b*h**2 + 6*a*d*f*b*e*c + 6*a*d*f*e**2*h
+         + 6*a*i*g*b*h*c - 12*a*i*g*e**2*c + 6*a*i*g*e*h**2
+         + 12*a*i*m*b*e*c + 12*a*i*m*e**2*h - 6*a*i*f*b**2*c
+         + 18*a*i*f*b*e*h - 24*a*g**2*m*h*c - 24*a*i*m*b*h**2
+         - 12*a*i*f*e**3 + 4*a*g**3*c**2 - 12*a*g**2*f*e*c
+         + 24*a*g**2*f*h**2 + 36*a*g*m**2*e*c + 12*a*g*m**2*h**2
+         + 12*a*g*m*f*b*c - 60*a*g*m*f*e*h - 12*a*g*f**2*b*h
+         + 24*a*g*f**2*e**2 - 20*a*m**3*b*c - 12*a*m**3*e*h
+         + 36*a*m**2*f*b*h + 12*a*m**2*f*e**2 - 24*a*m*f**2*b*e
+         + 4*a*f**3*b**2 + 4*d**3*b*c**2 - 12*d**3*e*h*c + 8*d**3*h**3
+         + 24*d**2*i*e**2*c - 12*d**2*i*e*h**2 + 12*d**2*g*m*h*c
+         + 6*d**2*g*f*e*c - 24*d**2*m**2*h**2 - 12*d**2*i*b*h*c
+         - 3*d**2*g**2*c**2 - 24*g**2*m**2*f**2 + 24*g*m**4*f
+         - 12*d**2*g*f*h**2 + 12*d**2*m**2*e*c - 24*d**2*m*f*b*c
+         - 27*d**2*f**2*e**2 + 36*d**2*m*f*e*h + 24*d**2*f**2*b*h
+         + 24*d*i**2*b*h**2 - 12*d*i**2*b*e*c - 12*d*i**2*e**2*h
+         + 6*d*i*g**2*h*c - 60*d*i*g*m*e*c + 36*d*i*g*m*h**2
+         + 18*d*i*g*f*b*c - 6*d*i*g*f*e*h + 36*d*i*m**2*b*c
+         - 12*d*i*m**2*e*h - 60*d*i*m*f*b*h + 36*d*i*m*f*e**2
+         + 6*d*i*f**2*b*e + 12*d*g**2*m*f*c - 12*d*g*m**3*c
+         - 12*d*g*m**2*f*h + 36*d*g*m*f**2*e - 12*d*g*f**3*b
+         + 24*d*m**4*h + 12*d*m**2*f**2*b + 4*i**3*b**2*c
+         + 24*i**2*g**2*e*c - 27*i**2*g**2*h**2 - 36*d*m**3*f*e
+         - 12*i**3*b*e*h + 8*i**3*e**3 - 24*i**2*g*m*b*c
+         + 36*i**2*g*m*e*h + 6*i**2*g*f*b*h + 12*i**2*m**2*b*h
+         - 3*i**2*f**2*b**2 - 12*d*g**2*f**2*h - 12*i**2*g*f*e**2
+         - 24*i**2*m**2*e**2 + 12*i**2*m*f*b*e - 12*i*g**3*f*c
+         + 12*i*g**2*m**2*c + 36*i*g**2*m*f*h - 12*i*g**2*f**2*e
+         - 36*i*g*m**3*h - 12*i*g*m**2*f*e + 12*i*g*m*f**2*b
+         + 24*i*m**4*e - 12*i*m**3*f*b + 8*g**3*f**3 - 8*m**6)
+    return S, T
+
+
+def test_grouped_aronhold_is_the_flat_polynomial():
+    """The closed form plus the a/b/c group is the flat S and T as
+    polynomials, and the closed form alone is their value at a = b = c = 0."""
+    a, b, c, *rest = labels = sympy.symbols("a b c d e f g h i m")
+    for new, old in zip(_aronhold_st(*labels), flat_aronhold_st(*labels)):
+        assert sympy.expand(new - old) == 0
+    for new, old in zip(_aronhold_st(0, 0, 0, *rest), flat_aronhold_st(0, 0, 0, *rest)):
+        assert sympy.expand(new - old) == 0
+
+
+label_values = st.one_of(st.integers(-9, 9), coefficients)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(label_values, min_size=10, max_size=10), st.booleans())
+@example([0, 0, 0, 1, 1, 1, 1, 1, 1, 1], True)
+@example([1, 0, 0, 2, -3, 5, 7, -11, 13, 6], False)
+@example([0, 0, F(1, 3), 10**12, -10**12, 7, 0, F(-2, 9), 1, -3], False)
+def test_grouped_aronhold_matches_the_flat_oracle(ten, spohn_shaped):
+    """On small, ~10^12 and Fraction labels, with a = b = c = 0 (the shape
+    of every Spohn cubic) or not, the grouped S and T equal the flat ones."""
+    if spohn_shaped:
+        ten[:3] = 0, 0, 0
+    assert _aronhold_st(*ten) == flat_aronhold_st(*ten)
+
+
+def spohn_st(c1, c2, c3, c4, c5, c6, c7) -> tuple:
+    """The README's S and T of c1 x^2 y + c2 x^2 z + c3 x y^2 + c4 x z^2
+    + c5 y^2 z + c6 y z^2 + c7 x y z, on the labels 2 (c1, ..., c6) and c7,
+    with e1, e2 and s taken over u, v, w, p, q; both of its forms."""
+    u, v, w, p, q = c1 * c6, c2 * c5, c3 * c4, c1 * c4 * c5, c2 * c3 * c6
+    assert p * q == u * v * w
+    e1, e2, s = u + v + w, u * v + u * w + v * w, p + q
+    S = 16 * (e1**2 - 3 * e2) - 8 * c7**2 * e1 + 24 * c7 * s + c7**4
+    T = 8 * (64 * e1**3 - 288 * e1 * e2 - 216 * s**2 + 864 * p * q + 144 * c7 * e1 * s
+             - 48 * c7**2 * e1**2 + 72 * c7**2 * e2 - 36 * c7**3 * s + 12 * c7**4 * e1
+             - c7**6)
+    X, Y = 4 * e1 - c7**2, 8 * (c7 * s - 2 * e2)
+    assert (S, T) == (X**2 + 3 * Y, 4 * X * (2 * X**2 + 9 * Y) - 1728 * (p - q)**2)
+    return S, T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(label_values, min_size=8, max_size=8))
+@example([1, 2, 0, 3, 6, 1, 4, 0])
+@example([F(1, 2), F(3, 4), 0, F(5, 6), F(2, 3), 1, F(-1, 4), 0])
+def test_spohn_st_on_the_seven_coefficients(e):
+    """S and T on c1...c7, as the README prints them, are the Aronhold
+    invariants of `PlaneCubic.from_spohn`: its labels are 2 (c1, c5, c4, c3,
+    c6, c2) and c7 over 6 den, so S and T carry (6 den)^4 and (6 den)^6."""
+    spohn = build_cubic(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
+    assume(not spohn.is_zero())
+    S, T = spohn_st(*spohn.ints)
+    inv, n = aronhold(PlaneCubic.from_spohn(spohn)), 6 * spohn.den
+    assert (inv.S, inv.T) == (F(S, n**4), F(T, n**6))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(coefficients, min_size=10, max_size=10))
 @example([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
 @example([F(1, 2), F(-5, 3), F(7, 11), 0, 0, 0, 0, 0, 0, 0])
 @example([0, 0, 0, F(1, 3), F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6)])
 def test_integer_aronhold_matches_fraction_formula(ten):
-    """The cleared-denominator evaluation equals the S/T polynomials taken
-    on the Fraction labels, for every ternary cubic, pure cubes included."""
+    """The cleared-denominator evaluation equals the flat S/T polynomials
+    taken on the Fraction labels, for every ternary cubic, pure cubes
+    included."""
     poly = poly3(dict(zip(TEN_MONOMIALS, ten)))
     assume(not poly.is_zero())
     cubic = PlaneCubic.from_poly(poly)
-    S, T = _aronhold_st(*cubic.coeffs)
+    S, T = flat_aronhold_st(*cubic.coeffs)
     assert all(isinstance(x, Fraction) for x in cubic.coeffs)
     assert aronhold(cubic) == (S, T, (64 * S**3 - T**2) / 1728)
 

@@ -91,6 +91,44 @@ def test_parse_rational_reads_what_fraction_reads(text):
     """On Fraction's forms, near-misses and junk, parse_rational gives
     Fraction's numerator and denominator, or both refuse; rat keeps its
     message."""
+    _assert_reads_as_fraction(text)
+
+
+# "n/d" and its near misses: the text that parse_rational reads with int alone
+_SLASH_CHARS = st.sampled_from(list("0123456789" * 3) + list("//+-_.e ") +
+                               ["\t", "\u0663", "\u00b2", "\u2212"])
+_SLASHED = st.builds("{}{}{}/{}{}".format, _SPACE, _SIGN, st.integers(0, 10**30),
+                     st.integers(0, 10**30), _SPACE)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(_SLASH_CHARS, max_size=9), _SLASHED))
+@example("-6/4")
+@example("+0/7")
+@example("\u0663/\u0666")
+@example("5/0")
+@example("-/2")
+@example("+-1/2")
+@example("1/" + "1" * 5000)
+def test_parse_rational_reads_slashed_text_as_fraction_does(text):
+    """Digits, "/", signs, "_", ".", "e", whitespace, a non-ASCII digit, a
+    superscript and a minus sign: parse_rational reads what Fraction reads,
+    to the same pair, and refuses the rest with rat's message, also past
+    the int-to-string digit limit.  Text whose integer after its last "e"
+    passes the exponent bound is refused for that, before Fraction reads it."""
+    _, e, exponent = text.rpartition("e")
+    try:
+        beyond = bool(e) and abs(int(exponent)) > 2 * sys.get_int_max_str_digits()
+    except ValueError:
+        beyond = False
+    if beyond:
+        with pytest.raises(ValueError, match="its decimal exponent exceeds"):
+            parse_rational(text)
+    else:
+        _assert_reads_as_fraction(text)
+
+
+def _assert_reads_as_fraction(text):
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):
