@@ -10,7 +10,6 @@ from .polynomials import (
     ContinuedFraction,
     DomainError,
     MultiPoly,
-    ProjPoint,
     contfrac_approx,
     rat,
     rat_str,

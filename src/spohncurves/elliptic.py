@@ -31,13 +31,14 @@ from .geometry import VARS3
 from .polynomials import (
     DomainError,
     MultiPoly,
-    ProjPoint,
     clear_denominators,
     clear_pairs,
+    cleared_point,
     cross_product,
     is_nth_power_ratio,
     json_list,
     parse_rational,
+    point_json,
     rat,
     rat_str,
     terms_from_json,
@@ -56,20 +57,17 @@ class QuadricPair:
     Each quadric P is stored as (d, N), N the integer symmetric 4x4 matrix
     with P(v) = v^T N v / d, read off P's terms by position.  The point is
     stored as P, its coordinates cleared to integers, and verified at
-    construction: P^T N P = 0.  `P1`, `P2` and `point` rebuild the
-    polynomials in (x, y, z, t) and the ProjPoint on request.
+    construction: P^T N P = 0.  `P1` and `P2` rebuild the polynomials in
+    (x, y, z, t) on request.
     """
 
     __slots__ = ("quadrics", "P")
 
     def __init__(self, P1, P2, point):
         """P1 and P2 are MultiPolys, or (vars, [(exponent, n, d), ...]) as
-        `from_json` reads them; `point` is a ProjPoint or its coordinates."""
+        `from_json` reads them; `point` is a sequence of coordinates."""
         self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        P = clear_pairs([parse_rational(c) for c in coords])[1]
-        if not any(P):
-            raise ValueError("projective point needs a nonzero coordinate")
+        P = cleared_point(point)[1]
         if len(P) != 4:
             raise DomainError("common point must have 4 coordinates")
         if any(_times([P], _times(N, P))[0] for _, N in self.quadrics):  # P^T N P
@@ -78,7 +76,6 @@ class QuadricPair:
 
     P1 = property(lambda self: _poly_from_cleared(*self.quadrics[0]))
     P2 = property(lambda self: _poly_from_cleared(*self.quadrics[1]))
-    point = property(lambda self: ProjPoint(self.P))
 
     @classmethod
     def from_json(cls, data) -> "QuadricPair":
@@ -104,7 +101,7 @@ class QuadricPair:
 
     def to_json(self) -> dict:
         return {"P1": self.P1.to_json(), "P2": self.P2.to_json(),
-                "point": self.point.to_json()}
+                "point": point_json(self.P)}
 
 
 def _cleared_matrix(P) -> tuple:
@@ -246,8 +243,7 @@ class PlaneCubic:
     cubic's own invariants are S / den^4 and T / den^6 (see `aronhold`); the
     cubic is singular iff 64 S^3 = T^2.  A Spohn cubic's plane cubic comes
     from its integers (`from_spohn`), and `to_json` prints the stored
-    integers; `invariants`, `coeffs` and `poly` are `Fraction`s built on
-    request."""
+    integers; `coeffs` and `poly` are `Fraction`s built on request."""
 
     __slots__ = ("den", "ints", "S", "T")
 
@@ -260,9 +256,6 @@ class PlaneCubic:
     def is_singular(self) -> bool:
         return 64 * self.S**3 == self.T**2
 
-    invariants = property(lambda self: AronholdInvariants(
-        Fraction(self.S, self.den**4), Fraction(self.T, self.den**6),
-        Fraction(64 * self.S**3 - self.T**2, 1728 * self.den**12)))
     coeffs = property(lambda self: TenCoeffs._make(Fraction(x, self.den) for x in self.ints))
     poly = property(lambda self: MultiPoly(VARS3, [
         (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
@@ -329,7 +322,9 @@ def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
     of degrees 4 and 6, so S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6
     exactly.  These `Fraction`s are built on each call.
     """
-    return cubic.invariants
+    S, T, n = cubic.S, cubic.T, cubic.den
+    return AronholdInvariants(Fraction(S, n**4), Fraction(T, n**6),
+                              Fraction(64 * S**3 - T**2, 1728 * n**12))
 
 
 def _aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
@@ -508,7 +503,8 @@ def _polar(coeffs, u, v, w):
 
 
 def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
-    """Exact Weierstrass model of a smooth plane cubic with a rational point.
+    """Exact Weierstrass model of a smooth plane cubic with a rational point
+    p, given as a sequence of three coordinates (read by `parse_rational`).
 
     The point p is moved to [0:1:0] with its tangent line as {Z = 0}: the
     new coordinates are X u + Y p + Z w with u a tangent direction at p and
@@ -530,15 +526,14 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Weierstrass model")
-    pt = pt if isinstance(pt, ProjPoint) else ProjPoint(pt)
-    if len(pt.coords) != 3:
+    dp, P = cleared_point(pt)
+    if len(P) != 3:
         raise DomainError("base point must have 3 coordinates")
     # on integers: the labels are A / n, p = P / dp and u = U / du, and T is
     # linear in the labels and in each argument, so
     # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly; u does
     # not depend on which (n, A) the cubic stores, since U and du scale with it
     n, A = cubic.den, cubic.ints
-    dp, P = clear_denominators(pt.coords)
     if _polar(A, P, P, P) != 0:
         raise DomainError("base point does not lie on the cubic")
     grad = tuple(3 * _polar(A, e, P, P) for e in geometry._MONOS[1])  # n dp^2 grad C(p)

@@ -16,10 +16,10 @@ from fractions import Fraction
 from .polynomials import (
     DomainError,
     MultiPoly,
-    ProjPoint,
     clear_denominators,
     cross_product,
     exact_isqrt,
+    point_json,
     primitive_vector,
     rat,
     rat_str,
@@ -48,8 +48,7 @@ class SpohnQuadrics:
         self.q1, self.q2 = q1, q2
 
     def evaluate(self, point) -> tuple:
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        return self.q1.evaluate(coords), self.q2.evaluate(coords)
+        return self.q1.evaluate(point), self.q2.evaluate(point)
 
     def to_json(self) -> dict:
         return {"q1": self.q1.to_json(), "q2": self.q2.to_json()}
@@ -277,40 +276,32 @@ class CurveComponent:
     `CurveComponent(kind, ints, multiplicity=1, point=None)`: kind is "line"
     or "conic"; `ints` is the component's primitive coefficient vector over
     `_MONOS[d]` (d = 1 for a line, 2 for a conic; content 1, first nonzero
-    entry positive); `multiplicity` counts repeated factors; the point,
-    stored as `P`, is a smooth rational point of the component as a
-    primitive integer 3-vector, read off exactly by `decompose_cubic`, or
-    None if it has none (a pair of conjugate irrational lines, whose only
-    rational point is singular).
+    entry positive); `multiplicity` counts repeated factors; `point` is a
+    smooth rational point of the component as a primitive integer 3-vector,
+    read off exactly by `decompose_cubic`, or None if it has none (a pair of
+    conjugate irrational lines, whose only rational point is singular).
 
-    `poly` (a MultiPoly in x, y, z) and `point` (a ProjPoint, or None) are
-    built on request.  `to_json` prints from the integers the bytes of
-    `poly.to_json()` (the nonzero entries in `_MONOS` order, which is its
-    descending order) and `point.to_json()` (scaled so that the first
-    nonzero coordinate is 1).
+    `poly` (a MultiPoly in x, y, z) is built on request.  `to_json` prints
+    from the integers the bytes of `poly.to_json()` (the nonzero entries in
+    `_MONOS` order, which is its descending order) and `point_json(point)`.
     """
 
-    __slots__ = ("kind", "ints", "multiplicity", "P")
+    __slots__ = ("kind", "ints", "multiplicity", "point")
 
     def __init__(self, kind, ints, multiplicity=1, point=None):
-        self.kind, self.ints, self.multiplicity, self.P = kind, ints, multiplicity, point
+        self.kind, self.ints, self.multiplicity, self.point = kind, ints, multiplicity, point
 
     poly = property(lambda self: MultiPoly(VARS3, dict(zip(_MONOS[_DEGREE[len(self.ints)]],
                                                            self.ints))))
-    point = property(lambda self: None if self.P is None else ProjPoint(self.P))
 
     def to_json(self) -> dict:
-        point = self.P
-        if point is not None:
-            lead = next(c for c in point if c)
-            point = [ratio_str(c, lead) for c in point]
         return {
             "kind": self.kind,
             "multiplicity": self.multiplicity,
             "poly": {"vars": list(VARS3), "terms": [
                 {"exp": list(e), "coef": ratio_str(k, 1)}
                 for e, k in zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
-            "point": point,
+            "point": None if self.point is None else point_json(self.point),
         }
 
     def __repr__(self):
@@ -563,8 +554,8 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     proportional to the integer cubic entry by entry; the scalar is read off
     that check once, at the product's first nonzero entry.  It is the only
     Fraction built: each component keeps its primitive integer vector and
-    point (`CurveComponent`), and no MultiPoly or ProjPoint is made unless a
-    caller asks for one.
+    point (`CurveComponent`), and no MultiPoly is made unless a caller asks
+    for one.
 
     Every residual conic passes through a coordinate point (a line holds at
     most two of them), which is smooth on a smooth conic; a pair of

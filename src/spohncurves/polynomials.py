@@ -70,22 +70,27 @@ def rat(value) -> Fraction:
 
 def _refuse_long_exponent(text: str) -> None:
     """ValueError "cannot parse rational from <text>: ..." naming the bound if
-    the decimal exponent of `text` exceeds twice Python's int-to-string
-    digit limit (`sys.get_int_max_str_digits`, 4300 by default) in
-    magnitude; no bound when that limit is switched off (0).
+    `text` is a number whose decimal exponent exceeds twice Python's
+    int-to-string digit limit (`sys.get_int_max_str_digits`, 4300 by
+    default) in magnitude; no bound when that limit is switched off (0).
 
     `Fraction` expands the exponent before any limit applies: "1e10000000"
     becomes a ten-million-digit integer, which the digit limit never sees.
-    Text with no integer after its last "e" is left to `Fraction` to reject.
+    Whether the text is a number is asked of `Fraction` with each digit of
+    the exponent read as 0, which expands nothing.  Text with no integer
+    after its last "e", or that is no number whatever its exponent ("e9000",
+    "1/2e9000"), is left to `Fraction` to reject.
     """
     limit = sys.get_int_max_str_digits()
+    head, _, exponent = text.replace("E", "e").rpartition("e")
     try:
-        beyond = limit and abs(int(text.replace("E", "e").rpartition("e")[2])) > 2 * limit
+        if not limit or abs(int(exponent)) <= 2 * limit:
+            return
+        Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in exponent))
     except ValueError:
         return
-    if beyond:
-        raise ValueError(f"cannot parse rational from {text!r}: its decimal exponent exceeds "
-                         f"{2 * limit} in magnitude, twice Python's int-to-string digit limit")
+    raise ValueError(f"cannot parse rational from {text!r}: its decimal exponent exceeds "
+                     f"{2 * limit} in magnitude, twice Python's int-to-string digit limit")
 
 
 def rat_str(q: Fraction) -> str:
@@ -472,7 +477,7 @@ def terms_from_json(obj) -> tuple:
 
 
 def _point_coords(p, n: int) -> tuple:
-    coords = p.coords if isinstance(p, ProjPoint) else tuple(rat(c) for c in p)
+    coords = tuple(rat(c) for c in p)
     if len(coords) != n:
         raise ValueError("point has wrong dimension")
     return coords
@@ -489,54 +494,23 @@ def _proportional(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# projective points
+# projective points: primitive integer vectors
 # ---------------------------------------------------------------------------
-
-class ProjPoint:
-    """A point of projective space with exact rational coordinates.
-
-    Equality and hashing are projective (up to a nonzero scalar); the
-    canonical representative scales the first nonzero coordinate to 1.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        cs = tuple(rat(c) for c in coords)
-        if not cs or all(c == 0 for c in cs):
-            raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
-
-    def canonical(self) -> tuple:
-        """Coordinates scaled so the first nonzero one equals 1."""
-        for c in self.coords:
-            if c != 0:
-                return tuple(x / c for x in self.coords)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return len(self.coords) == len(other.coords) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
-    def __repr__(self):
-        return "[" + " : ".join(rat_str(c) for c in self.coords) + "]"
-
-    def to_json(self) -> list:
-        return [rat_str(c) for c in self.canonical()]
-
 
 def clear_pairs(pairs) -> tuple:
     """(lcm, ints): the lcm of the denominators of a rational vector given
     as `parse_rational` pairs (n, d), and the vector times it."""
     lcm = math.lcm(*[d for _, d in pairs])
     return lcm, tuple([n * (lcm // d) for n, d in pairs])
+
+
+def cleared_point(coords) -> tuple:
+    """`clear_pairs` of a projective point's coordinates, each read by
+    `parse_rational`; ValueError if every coordinate is 0."""
+    lcm, P = clear_pairs([parse_rational(c) for c in coords])
+    if not any(P):
+        raise ValueError("projective point needs a nonzero coordinate")
+    return lcm, P
 
 
 def clear_denominators(v) -> tuple:
@@ -560,6 +534,13 @@ def primitive_vector(v) -> tuple:
                 g = -g
             break
     return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def point_json(P) -> list:
+    """The JSON of the projective point of a nonzero integer vector P: each
+    coordinate over the first nonzero one, printed by `ratio_str`."""
+    lead = next(c for c in P if c)
+    return [ratio_str(c, lead) for c in P]
 
 
 def cross_product(a, b) -> tuple:

@@ -174,9 +174,8 @@ def test_criterion_09_every_case_decomposes_with_smooth_points():
             assert verdict.components
             for comp in verdict.components:
                 assert comp.point is not None, (case, g.A, g.B)
-                coords = comp.point.coords
-                assert comp.poly.evaluate(coords) == 0
-                grad = comp.poly.gradient_at(coords)
+                assert comp.poly.evaluate(comp.point) == 0
+                grad = comp.poly.gradient_at(comp.point)
                 assert any(v != 0 for v in grad)
 
 

@@ -92,6 +92,12 @@ def test_reduce_with_weierstrass_model(capsys):
         '"weierstrass": {"a": ["0", "0", "0", "-6912", "-34560"], "j": "65536/37"}}\n')
 
 
+def test_reduce_at_the_zero_point_is_bad_input(capsys):
+    out, err = run_ok(capsys, ["reduce", "--pair", PAIR, "--point", "0,0,0"], code=2)
+    assert out == ""
+    assert err == "bad input: projective point needs a nonzero coordinate\n"
+
+
 def test_aronhold_runs_once_per_cubic(capsys, monkeypatch):
     """Each cubic's S and T are computed once, when it is built: `reduce`
     with a model reads them for j and for the model's certificate, and
@@ -265,7 +271,7 @@ def test_malformed_json_is_usage_error(capsys):
     assert "usage error" in err
 
 
-_DEEP = "[" * 1000 + "]" * 1000
+_DEEP = "[" * 10**4 + "]" * 10**4  # beyond the decoder's recursion on 3.10-3.13
 
 
 @pytest.mark.parametrize("channel", ["inline --game", "--pair file", "--game on stdin"])

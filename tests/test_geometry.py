@@ -14,7 +14,6 @@ from spohncurves import (
     DomainError,
     MultiPoly,
     PayoffTables,
-    ProjPoint,
     build_cubic,
     build_quadrics,
     classify,
@@ -89,7 +88,7 @@ def test_quadrics_agree_with_determinant_route():
 
 def test_variety_and_w_membership(pd):
     quad = build_quadrics(pd)
-    assert quad.evaluate(ProjPoint((0, 0, 0, 1))) == (0, 0)
+    assert quad.evaluate((0, 0, 0, 1)) == (0, 0)
     # points of the line component y = z, lifted back through det M1 = 0
     assert quad.evaluate((0, 1, 1, -3)) == (0, 0)
     assert quad.evaluate((2, 1, 1, 5)) == (0, 0)
@@ -220,8 +219,8 @@ def test_pd_decomposition(pd):
                              (1, 0, 1): -1, (0, 1, 1): -3})        # x^2 - xy - xz - 3yz
     assert verdict.scalar == -1
     assert verdict.scalar * line.poly * conic.poly == build_cubic(pd).f
-    assert line.point.canonical() == (0, 1, 1)
-    assert conic.point.canonical() == (0, 1, 0)
+    assert line.point == (0, 1, 1)
+    assert conic.point == (0, 1, 0)
 
 
 def test_case_one_game_decomposes_with_a_line():
@@ -290,9 +289,8 @@ def test_components_carry_smooth_points():
             assert verdict.kind == "Reducible"
             for comp in verdict.components:
                 assert comp.point is not None
-                coords = comp.point.coords
-                assert comp.poly.evaluate(coords) == 0
-                assert any(v != 0 for v in comp.poly.gradient_at(coords))
+                assert comp.poly.evaluate(comp.point) == 0
+                assert any(v != 0 for v in comp.poly.gradient_at(comp.point))
 
 
 def test_cases_come_from_classify_not_from_the_cubic():
@@ -386,8 +384,8 @@ def _restriction_vanishes(p, line):
     pts = []
     for k in range(3):
         v = cross_product(line, tuple(1 if i == k else 0 for i in range(3)))
-        if any(v) and ProjPoint(v) not in pts:
-            pts.append(ProjPoint(v))
+        if any(v) and primitive_vector(v) not in pts:
+            pts.append(primitive_vector(v))
     return p.restrict_to_line(pts[0], pts[1]).is_zero()
 
 
@@ -465,7 +463,7 @@ def test_irrational_line_pair_gets_a_null_point_at_once():
     assert time.perf_counter() - start < 0.5
     line, conic = verdict.components
     assert (line.kind, line.poly, line.multiplicity) == ("line", q3({(1, 0, 0): 1}), 1)
-    assert line.point == ProjPoint((0, 0, 1))
+    assert line.point == (0, 0, 1)
     assert (conic.kind, conic.poly, conic.point) == (
         "conic", q3({(0, 2, 0): 1, (0, 0, 2): -2}), None)
 
@@ -574,8 +572,8 @@ def test_decomposition_matches_sympy_factorization(factors):
         if comp.point is None:
             assert comp.kind == "conic"
         else:
-            assert comp.poly.evaluate(comp.point.coords) == 0
-            assert any(comp.poly.gradient_at(comp.point.coords))
+            assert comp.poly.evaluate(comp.point) == 0
+            assert any(comp.poly.gradient_at(comp.point))
     assert sorted(got) == expected
 
 
@@ -663,11 +661,11 @@ def _ref_point(kind, g):
     conjugate irrational lines; a conic gets a coordinate point or fails."""
     if kind == "line":
         coeffs = [g.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        return next(ProjPoint(v) for v in (cross_product(coeffs, e) for e in
-                                          ((1, 0, 0), (0, 1, 0), (0, 0, 1))) if any(v))
+        return next(v for v in (cross_product(coeffs, e) for e in
+                                ((1, 0, 0), (0, 1, 0), (0, 0, 1))) if any(v))
     for coords in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
         if g.evaluate(coords) == 0 and any(g.gradient_at(coords)):
-            return ProjPoint(coords)
+            return coords
     if _ref_split_conic(g)[0] == "irrational":
         return None
     raise AssertionError("every residual conic holds a coordinate point, but "
@@ -687,12 +685,19 @@ def _linear(v):
 
 def _verdict_json(kind, components=(), scalar=1, cases=None, zero_condition=None):
     """The JSON of a verdict, built here: `components` are (kind, poly,
-    multiplicity, point) records, with MultiPoly and ProjPoint bytes."""
+    multiplicity, point) records, with MultiPoly bytes and each point's
+    coordinates over its first nonzero one."""
     return {"kind": kind, "cases": None if cases is None else sorted(cases),
             "zero_condition": zero_condition, "scalar": rat_str(scalar),
             "components": [{"kind": k, "multiplicity": m, "poly": g.to_json(),
-                            "point": None if pt is None else pt.to_json()}
+                            "point": None if pt is None else _scaled_point(pt)}
                            for k, g, m, pt in components]}
+
+
+def _scaled_point(v):
+    """Rational coordinates over the first nonzero one, printed by `rat_str`."""
+    lead = Fraction(next(c for c in v if c))
+    return [rat_str(c / lead) for c in v]
 
 
 def _reference_decompose(cubic):
@@ -807,8 +812,8 @@ def test_decomposition_matches_the_reference_route(source):
 @example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 2, 0): 1, (0, 0, 2): -2}), 1)]))
 @example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 2, (0, 0, 1): 3}), 2)]))
 def test_components_build_poly_and_point_on_request(source):
-    """A component stores integers; `poly` and `point` are the MultiPoly and
-    ProjPoint of those integers, and `to_json` prints their bytes."""
+    """A component stores integers: `point` is a primitive integer vector,
+    `poly` the MultiPoly of `ints`, and `to_json` prints their bytes."""
     cubic = source if isinstance(source, MultiPoly) else build_cubic(source).f
     assume(not cubic.is_zero())
     for comp in decompose_cubic(cubic_from_poly(cubic)).components:
@@ -818,23 +823,22 @@ def test_components_build_poly_and_point_on_request(source):
         assert comp.poly == MultiPoly(P3, dict(zip(_MONOS[d], comp.ints)))
         data = comp.to_json()
         assert json.dumps(data["poly"]) == json.dumps(comp.poly.to_json())
-        if comp.P is None:
-            assert comp.point is None and data["point"] is None
+        if comp.point is None:
+            assert data["point"] is None
         else:
-            assert all(type(c) is int for c in comp.P)
-            assert comp.P == primitive_vector(comp.P)
-            assert comp.point == ProjPoint(comp.P)
-            assert json.dumps(data["point"]) == json.dumps(comp.point.to_json())
+            assert all(type(c) is int for c in comp.point)
+            assert comp.point == primitive_vector(comp.point)
+            assert json.dumps(data["point"]) == json.dumps(_scaled_point(comp.point))
         assert data == {"kind": comp.kind, "multiplicity": comp.multiplicity,
                         "poly": comp.poly.to_json(),
-                        "point": None if comp.point is None else comp.point.to_json()}
+                        "point": None if comp.point is None else _scaled_point(comp.point)}
 
 
 def test_curve_component_constructor():
     """`CurveComponent(kind, ints, multiplicity=1, point=None)` keeps the
     integers and builds nothing until asked."""
     line = CurveComponent("line", (4, 7, -3), point=(0, 3, 7))
-    assert (line.multiplicity, line.P) == (1, (0, 3, 7))
+    assert (line.multiplicity, line.point) == (1, (0, 3, 7))
     assert line.poly == q3({(1, 0, 0): 4, (0, 1, 0): 7, (0, 0, 1): -3})
     assert line.to_json()["point"] == ["0", "1", "7/3"]
     conic = CurveComponent("conic", (0, 1, 0, 0, 0, -2), 1)

@@ -10,13 +10,13 @@ from spohncurves.polynomials import (
     ContinuedFraction,
     DomainError,
     MultiPoly,
-    ProjPoint,
     clear_denominators,
     contfrac_approx,
     cross_product,
     exact_isqrt,
     is_nth_power_ratio,
     parse_rational,
+    point_json,
     primitive_vector,
     rat,
     rat_str,
@@ -57,8 +57,10 @@ def test_decimal_exponent_is_bounded_by_twice_the_digit_limit():
             rat(bad)
         with pytest.raises(ValueError, match=f"^cannot parse decimal value {bad!r}: .*{bound}"):
             contfrac_approx(bad, 3)
-    # an "e" with no integer after it is left to Fraction, which rejects it
-    for junk in ("1e", "e5", "1e5e5", "one"):
+    # an "e" with no integer after it, or text that is no number whatever
+    # its exponent, is left to Fraction, which rejects it
+    for junk in ("1e", "e5", "1e5e5", "one", f"e{bound + 1}", f"xe{bound + 1}",
+                 f"1/2e{bound + 1}", f"1e {bound + 1}", f"1e5e{bound + 1}", "e9000"):
         with pytest.raises(ValueError, match=f"^cannot parse rational from {junk!r}$"):
             rat(junk)
 
@@ -110,22 +112,32 @@ _SLASHED = st.builds("{}{}{}/{}{}".format, _SPACE, _SIGN, st.integers(0, 10**30)
 @example("-/2")
 @example("+-1/2")
 @example("1/" + "1" * 5000)
+@example("e9000")
+@example("1/2e9000")
+@example(" -1e9000 ")
 def test_parse_rational_reads_slashed_text_as_fraction_does(text):
     """Digits, "/", signs, "_", ".", "e", whitespace, a non-ASCII digit, a
     superscript and a minus sign: parse_rational reads what Fraction reads,
     to the same pair, and refuses the rest with rat's message, also past
     the int-to-string digit limit.  Text whose integer after its last "e"
-    passes the exponent bound is refused for that, before Fraction reads it."""
-    _, e, exponent = text.rpartition("e")
+    passes the exponent bound is refused before Fraction reads it: for the
+    bound if the text is a number once that integer is made 0, and with the
+    plain message if it is no number whatever its exponent."""
+    head, e, exponent = text.rpartition("e")
     try:
         beyond = bool(e) and abs(int(exponent)) > 2 * sys.get_int_max_str_digits()
     except ValueError:
         beyond = False
-    if beyond:
-        with pytest.raises(ValueError, match="its decimal exponent exceeds"):
-            parse_rational(text)
-    else:
+    if not beyond:
         _assert_reads_as_fraction(text)
+        return
+    try:
+        Fraction(head + "e" + re.sub(r"\d", "0", exponent))
+        reason = ": its decimal exponent exceeds"
+    except ValueError:
+        reason = "$"
+    with pytest.raises(ValueError, match=f"^cannot parse rational from {re.escape(repr(text))}{reason}"):
+        parse_rational(text)
 
 
 def _assert_reads_as_fraction(text):
@@ -296,19 +308,27 @@ def test_divide_by_linear_exact_and_failing():
 
 # --- projective points ---------------------------------------------------------
 
-def test_projpoint_scaling_equality():
-    assert ProjPoint((2, 4, -6)) == ProjPoint((1, 2, -3))
-    assert ProjPoint((0, F(1, 2), F(1, 4))) == ProjPoint((0, 2, 1))
-    assert hash(ProjPoint((2, 4, -6))) == hash(ProjPoint((-1, -2, 3)))
-    assert ProjPoint((1, 0, 0)) != ProjPoint((0, 1, 0))
+def test_primitive_vector_is_one_representative_per_point():
+    assert primitive_vector((0, F(3, 4), F(9, 2))) == (0, 1, 6)
+    assert primitive_vector((0, F(1, 2), F(1, 4))) == (0, 2, 1)
+    assert primitive_vector((2, 4, -6)) == primitive_vector((-1, -2, 3)) == (1, 2, -3)
 
 
-def test_projpoint_canonical_and_primitive():
-    pt = ProjPoint((0, F(3, 4), F(9, 2)))
-    assert pt.canonical() == (0, 1, 6)
-    assert primitive_vector(pt.coords) == (0, 1, 6)
-    with pytest.raises(ValueError):
-        ProjPoint((0, 0, 0))
+_COORD = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12),
+                   st.fractions(max_denominator=10**12).filter(lambda q: abs(q) <= 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_COORD, min_size=3, max_size=3),
+                 st.lists(_COORD, min_size=4, max_size=4)).filter(any))
+@example([0, F(3, 4), F(9, 2)])
+@example([-2, 4, 0, -6])
+def test_point_json_of_the_primitive_vector_is_the_scaled_point(v):
+    """A point prints as its coordinates over the first nonzero one, from
+    the primitive integer vector alone: the bytes do not depend on which
+    rational multiple of the point was given."""
+    lead = F(next(c for c in v if c))
+    assert point_json(primitive_vector(v)) == [rat_str(c / lead) for c in v]
 
 
 def test_clear_denominators():
