@@ -8,6 +8,7 @@ exact: coefficients are `fractions.Fraction`, no floats ever enter.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,41 +22,64 @@ class DomainError(ValueError):
 # rationals
 # ---------------------------------------------------------------------------
 
+# The grammar of a rational string, the same on every Python: Python 3.11's
+# `Fraction` grammar, its decimal part spelled "\d*" as from 3.13 on, without
+# the spaces around "/" that 3.12 reads.
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     | (?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*""", re.VERBOSE)
+
+
 def parse_rational(value) -> tuple:
     """(n, d) with d > 0 in lowest terms, of an int, a Fraction or a string
     such as "3", "-5/7", "1.25" or "2e-3": the one place where text becomes
-    a number.  An integer string with no underscore is read by `int` alone,
-    whose grammar there is the integer part of `Fraction`'s.  So is each
-    side of "n/d" with a nonzero d, after surrounding whitespace, when both
-    are decimal digits and n has at most one sign: `Fraction` reads that
-    text to the same pair.  Any other string is read by `Fraction`, its
-    decimal exponent bounded by `_refuse_long_exponent`.  ValueError
-    "cannot parse rational from ..." if neither reads it.  Floats are
-    rejected (TypeError): they carry binary rounding noise and this library
-    is exact.  Bools are rejected too, although Python counts them as ints:
-    a JSON true is not 1.
+    a number.  A string is read in the grammar `_RATIONAL`, each digit run
+    by `int`; an integer string is read by `int` alone, and so is each side
+    of "n/d" of decimal digits after surrounding whitespace, n with at most
+    one sign.  ValueError "cannot parse rational from ..." if the grammar
+    refuses the text, d is 0, a digit run is longer than Python's
+    int-to-string digit limit (`sys.get_int_max_str_digits`, 4300 by
+    default), or the exponent exceeds twice that limit in magnitude (no
+    bound if the limit is 0), checked before 10^exponent is formed.  Floats
+    are rejected (TypeError): they carry binary rounding noise and this
+    library is exact.  Bools are rejected too, although Python counts them
+    as ints: a JSON true is not 1.
     """
     if isinstance(value, str):
-        if "_" not in value:  # Fraction reads underscores only from Python 3.11 on
-            try:
-                return int(value), 1
-            except ValueError:
-                pass
-        if "e" in value or "E" in value:
-            _refuse_long_exponent(value)
-        text = value.strip()
-        num, slash, den = text.partition("/")
         try:
-            # n after at most one sign; "".isdecimal() is False, so "/2" goes to Fraction
-            if slash and den.isdecimal() and (num[1:] if num[:1] in "+-" else num).isdecimal():
-                n, d = int(num), int(den)
-                if d:  # "n/0" is left to Fraction, which refuses it
-                    g = math.gcd(n, d)
-                    return n // g, d // g
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational from {value!r}") from exc
-        return q.numerator, q.denominator
+            return int(value), 1
+        except ValueError:
+            pass
+        num, slash, den = value.strip().partition("/")
+        sign = decimal = exp = None
+        # n after at most one sign; "".isdecimal() is False, so "/2" goes to the grammar
+        if not (slash and den.isdecimal() and (num[1:] if num[:1] in "+-" else num).isdecimal()):
+            m = _RATIONAL.fullmatch(value)
+            if m is None:
+                raise ValueError(f"cannot parse rational from {value!r}")
+            sign, num, den, decimal, exp = m.groups()
+        try:
+            n, d, e = int(num or "0"), int(den or "1"), int(exp or "0")
+            if decimal:
+                scale = 10 ** len(decimal.replace("_", ""))
+                n, d = n * scale + int(decimal), scale
+        except ValueError:  # a digit run longer than int reads
+            d = e = 0
+        if e:
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(e) > 2 * limit:
+                raise ValueError(f"cannot parse rational from {value!r}: its decimal exponent exceeds "
+                                 f"{2 * limit} in magnitude, twice Python's int-to-string digit limit")
+            if e > 0:
+                n *= 10 ** e
+            else:
+                d *= 10 ** -e
+        if not d:
+            raise ValueError(f"cannot parse rational from {value!r}")
+        g = math.gcd(n, d)
+        return (-n if sign == "-" else n) // g, d // g
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value.numerator, value.denominator
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
@@ -66,31 +90,6 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(*parse_rational(value))
-
-
-def _refuse_long_exponent(text: str) -> None:
-    """ValueError "cannot parse rational from <text>: ..." naming the bound if
-    `text` is a number whose decimal exponent exceeds twice Python's
-    int-to-string digit limit (`sys.get_int_max_str_digits`, 4300 by
-    default) in magnitude; no bound when that limit is switched off (0).
-
-    `Fraction` expands the exponent before any limit applies: "1e10000000"
-    becomes a ten-million-digit integer, which the digit limit never sees.
-    Whether the text is a number is asked of `Fraction` with each digit of
-    the exponent read as 0, which expands nothing.  Text with no integer
-    after its last "e", or that is no number whatever its exponent ("e9000",
-    "1/2e9000"), is left to `Fraction` to reject.
-    """
-    limit = sys.get_int_max_str_digits()
-    head, _, exponent = text.replace("E", "e").rpartition("e")
-    try:
-        if not limit or abs(int(exponent)) <= 2 * limit:
-            return
-        Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in exponent))
-    except ValueError:
-        return
-    raise ValueError(f"cannot parse rational from {text!r}: its decimal exponent exceeds "
-                     f"{2 * limit} in magnitude, twice Python's int-to-string digit limit")
 
 
 def rat_str(q: Fraction) -> str:
@@ -230,12 +229,6 @@ class MultiPoly:
         exp = [0] * len(v)
         exp[v.index(name)] = 1
         return cls(v, {tuple(exp): Fraction(1)})
-
-    @classmethod
-    def from_json(cls, obj) -> "MultiPoly":
-        """Inverse of to_json; see `terms_from_json`."""
-        variables, terms = terms_from_json(obj)
-        return cls(variables, [(e, Fraction(n, d)) for e, n, d in terms])
 
     # -- serialization ------------------------------------------------------
 

@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from spohncurves import (
     MixedProfile,
     MultiPoly,
@@ -233,6 +231,8 @@ def test_criterion_11_invariant_covariance_and_unimodular_changes():
 
 
 def test_criterion_12_konstanz_determinant_vanishes_on_curve_points():
+    import numpy as np
+
     rng = random.Random(121212)
     checked = 0
     while checked < 50:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spohncurves import MultiPoly, cli, cubic_from_poly, decompose_cubic
+from spohncurves.polynomials import terms_from_json
 from caselib import game_for_case
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
@@ -156,7 +157,8 @@ def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
     if "game" in rec:
         out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
     else:
-        cubic = cubic_from_poly(MultiPoly.from_json(rec["cubic"]))
+        variables, terms = terms_from_json(rec["cubic"])
+        cubic = cubic_from_poly(MultiPoly(variables, [(e, Fraction(n, d)) for e, n, d in terms]))
         out = json.dumps(decompose_cubic(cubic).to_json(), sort_keys=True) + "\n"
     assert out == rec["stdout"]
 

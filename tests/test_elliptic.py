@@ -32,7 +32,7 @@ from spohncurves import (
     weierstrass_from_cubic,
 )
 from spohncurves.elliptic import _aronhold_st, _polar
-from spohncurves.polynomials import cross_product, primitive_vector
+from spohncurves.polynomials import cross_product, primitive_vector, terms_from_json
 from caselib import random_game
 
 F = Fraction
@@ -631,8 +631,9 @@ def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
         read = QuadricPair.from_json(data)
         assert (read.quadrics, read.P) == (pair.quadrics, pair.P)
         if "P1" in data:
-            assert [MultiPoly.from_json(data[k]).terms for k in ("P1", "P2")] == \
-                [P1.terms, P2.terms]
+            for k, P in (("P1", P1), ("P2", P2)):
+                variables, terms = terms_from_json(data[k])
+                assert MultiPoly(variables, [(e, F(n, d)) for e, n, d in terms]).terms == P.terms
     sources = [MultiPoly(("x", "y", "z", "t"), P.terms) for P in (P1, P2)]
     for (d, N), P, source in zip(pair.quadrics, (pair.P1, pair.P2), sources):
         assert (d, N) == _reference_cleared_matrix(source)

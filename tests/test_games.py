@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -394,6 +393,8 @@ def _reference_tables(game):
 
 
 def _reference_residuals(a, b, p):
+    import numpy as np
+
     d1 = (p[0] + p[1]) * (a[1][0] * p[2] + a[1][1] * p[3]) \
         - (a[0][0] * p[0] + a[0][1] * p[1]) * (p[2] + p[3])
     d2 = (p[0] + p[2]) * (b[0][1] * p[1] + b[1][1] * p[3]) \
@@ -406,6 +407,8 @@ def _reference_polish(a, b, x, y, z):
     determinant, normalized to sum 1 and polished by at most 12 steps with a
     forward-difference Jacobian and np.linalg.lstsq; the point if it passes
     the sampler's residual and simplex tests, else None."""
+    import numpy as np
+
     l1 = (a[1][1] - a[0][0]) * x + (a[1][1] - a[0][1]) * y
     if abs(l1) < 1e-9:
         return None
@@ -435,7 +438,7 @@ def _reference_polish(a, b, x, y, z):
 
 def _keep_new(found, seen, p):
     if p is not None:
-        key = tuple(np.round(p, 9))
+        key = tuple(p.round(9))
         if key not in seen:
             seen.add(key)
             found.append([float(x) for x in p])
@@ -445,6 +448,8 @@ def _keep_new(found, seen, p):
 # from random.Random(seed), the roots of A t^2 + B t + C from np.roots, and
 # the polish of `_reference_polish`.
 def _reference_pencil_points(game, count, seed=0):
+    import numpy as np
+
     c1, c2, c3, c4, c5, c6, c7 = [float(c) for c in build_cubic(game).c]
     a, b = _reference_tables(game)
     rng = random.Random(seed)
@@ -464,6 +469,8 @@ def _reference_pencil_points(game, count, seed=0):
 # np.roots call per line on coefficients expanded by np.convolve), and the
 # polish of `_reference_polish`.
 def _reference_sample_curve_points(game, count, seed=0):
+    import numpy as np
+
     cvec = [float(c) for c in build_cubic(game).c]
     a, b = _reference_tables(game)
     exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
