@@ -42,20 +42,16 @@ from .geometry import (
     build_quadrics,
     classify,
     classify_cases,
-    cubic_from_poly,
     decompose_cubic,
     reducibility_verdict,
     w_membership,
     zero_cubic_classify,
 )
 from .elliptic import (
-    AronholdInvariants,
     JResult,
     PlaneCubic,
     QuadricPair,
-    TenCoeffs,
     WeierstrassCurve,
-    aronhold,
     cubic_from_quadrics,
     game_equivalence,
     j_invariant,

@@ -202,30 +202,7 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
 # plane cubics and Aronhold invariants
 # ---------------------------------------------------------------------------
 
-class TenCoeffs(NamedTuple):
-    """Classical coefficient labels of a ternary cubic:
-
-    C = a x^3 + b y^3 + c z^3 + 3d x^2 y + 3e y^2 z + 3f z^2 x
-        + 3g x y^2 + 3h y z^2 + 3i z x^2 + 6m x y z
-
-    The labels are the entries of the symmetric trilinear form T with
-    T(x, x, x) = C(x): T_xxx = a, T_yyy = b, T_zzz = c, T_xxy = d,
-    T_yyz = e, T_xzz = f, T_xyy = g, T_yzz = h, T_xxz = i, T_xyz = m.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-    g: Fraction
-    h: Fraction
-    i: Fraction
-    m: Fraction
-
-
-# (monomial, multiplier) of each classical coefficient, in TenCoeffs order
+# (monomial, multiplier) of each classical label, in the order a, b, ..., i, m
 _TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
                   ((2, 1, 0), 3), ((0, 2, 1), 3), ((1, 0, 2), 3),
                   ((1, 2, 0), 3), ((0, 1, 2), 3), ((2, 0, 1), 3), ((1, 1, 1), 6))
@@ -235,15 +212,23 @@ _DESCENDING_TERMS = tuple(sorted(((n, e, k) for n, (e, k) in enumerate(_TEN_MONO
 
 
 class PlaneCubic:
-    """A ternary cubic form, stored as its ten classical labels (see
-    `TenCoeffs`) as integers over one nonzero denominator: label k is
-    ints[k] / den, and a coefficient C / n with multiplier m gives the label
-    (6 / m) C over 6 n.  The Aronhold invariants are computed once, at
-    construction, as the integers S and T of the stored labels, so the
-    cubic's own invariants are S / den^4 and T / den^6 (see `aronhold`); the
-    cubic is singular iff 64 S^3 = T^2.  A Spohn cubic's plane cubic comes
-    from its integers (`from_spohn`), and `to_json` prints the stored
-    integers; `coeffs` and `poly` are `Fraction`s built on request."""
+    """A ternary cubic form, stored as its ten classical labels
+
+        C = a x^3 + b y^3 + c z^3 + 3d x^2 y + 3e y^2 z + 3f z^2 x
+            + 3g x y^2 + 3h y z^2 + 3i z x^2 + 6m x y z,
+
+    the entries of the symmetric trilinear form T with T(x, x, x) = C(x):
+    T_xxx = a, T_yyy = b, T_zzz = c, T_xxy = d, T_yyz = e, T_xzz = f,
+    T_xyy = g, T_yzz = h, T_xxz = i, T_xyz = m.  `PlaneCubic(den, ints)`
+    holds them in that order as integers over one nonzero denominator:
+    label k is ints[k] / den, and a coefficient C / n with multiplier 1, 3
+    or 6 gives the label (6 / multiplier) C over 6 n.  The Aronhold
+    invariants are computed once, at construction, as the integers S and T
+    of the stored labels (`_aronhold_st`), so the cubic's own invariants are
+    S / den^4 and T / den^6; the cubic is singular iff its discriminant
+    (64 S^3 - T^2) / 1728 vanishes, that is iff 64 S^3 = T^2.  A Spohn
+    cubic's plane cubic comes from its integers (`from_spohn`), and
+    `to_json` prints the stored integers; `poly` is built on request."""
 
     __slots__ = ("den", "ints", "S", "T")
 
@@ -256,7 +241,6 @@ class PlaneCubic:
     def is_singular(self) -> bool:
         return 64 * self.S**3 == self.T**2
 
-    coeffs = property(lambda self: TenCoeffs._make(Fraction(x, self.den) for x in self.ints))
     poly = property(lambda self: MultiPoly(VARS3, [
         (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
 
@@ -287,44 +271,17 @@ class PlaneCubic:
         n, C = clear_denominators([poly.coefficient(e) for e, _ in _TEN_MONOMIALS])
         return cls(6 * n, [6 // k * x for (_, k), x in zip(_TEN_MONOMIALS, C)])
 
-    @classmethod
-    def from_coeffs(cls, *coeffs) -> "PlaneCubic":
-        labels = TenCoeffs(*(rat(x) for x in coeffs))  # exactly ten, or TypeError
-        return cls(*clear_denominators(labels))
-
     def to_json(self) -> dict:
-        """The bytes of `poly.to_json()` and of the `coeffs`, from the stored
-        integers: each label is reduced once, and each nonzero term is its
-        multiplier times the label, in descending exponent order."""
+        """The bytes of `poly.to_json()` and of the labels a ... m, from the
+        stored integers: each label is reduced once, and each nonzero term is
+        its multiplier times the label, in descending exponent order."""
         labels = [Fraction(x, self.den) for x in self.ints]
         return {
             "poly": {"vars": list(VARS3), "terms": [
                 {"exp": list(e), "coef": rat_str(labels[n] * k)}
                 for n, e, k in _DESCENDING_TERMS if self.ints[n]]},
-            "coefficients": dict(zip(TenCoeffs._fields, map(rat_str, labels))),
+            "coefficients": dict(zip("abcdefghim", map(rat_str, labels))),
         }
-
-
-class AronholdInvariants(NamedTuple):
-    S: Fraction       # degree 4 in the coefficients
-    T: Fraction       # degree 6
-    disc: Fraction    # (64 S^3 - T^2) / 1728
-
-
-def aronhold(cubic: PlaneCubic) -> AronholdInvariants:
-    """The two fundamental invariants and the discriminant of a ternary cubic.
-
-    The cubic is singular iff disc = (64 S^3 - T^2)/1728 vanishes, and the
-    Fermat cubic x^3 + y^3 + z^3 has S = 0, T = 1.
-
-    `PlaneCubic` evaluates S and T once, on the integers it stores: each
-    label is an integer over one denominator n, and S and T are homogeneous
-    of degrees 4 and 6, so S = S(n a, ...) / n^4 and T = T(n a, ...) / n^6
-    exactly.  These `Fraction`s are built on each call.
-    """
-    S, T, n = cubic.S, cubic.T, cubic.den
-    return AronholdInvariants(Fraction(S, n**4), Fraction(T, n**6),
-                              Fraction(64 * S**3 - T**2, 1728 * n**12))
 
 
 def _aronhold_st(a, b, c, d, e, f, g, h, i, m) -> tuple:
@@ -457,11 +414,6 @@ class WeierstrassCurve:
     c6 = property(lambda self: Fraction(self.C6, self.n**6))
     disc = property(lambda self: Fraction(self.D, self.n**12))
 
-    @classmethod
-    def from_short(cls, A, B) -> "WeierstrassCurve":
-        """y^2 = x^3 + A x + B."""
-        return cls(0, 0, 0, A, B)
-
     def is_singular(self) -> bool:
         return self.D == 0
 
@@ -483,10 +435,10 @@ class WeierstrassCurve:
                           (self.a1, self.a2, self.a3, self.a4, self.a6)) + ")")
 
 
-def _polar(coeffs, u, v, w):
+def _polar(labels, u, v, w):
     """T(u, v, w) for the symmetric trilinear form T whose entries are the
-    ten classical labels `coeffs` (see `TenCoeffs`)."""
-    a, b, c, d, e, f, g, h, i, m = coeffs
+    ten classical labels (see `PlaneCubic`)."""
+    a, b, c, d, e, f, g, h, i, m = labels
     w0, w1, w2 = w
     # the polar conic T(., ., w) as a symmetric matrix
     qxx = a * w0 + d * w1 + i * w2
@@ -510,7 +462,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     new coordinates are X u + Y p + Z w with u a tangent direction at p and
     w a unit vector completing a basis.  The coefficient of X^a Y^b Z^c in
     them is the multinomial (3; a, b, c) times T(u^a, p^b, w^c), T the
-    cubic's trilinear form (see `TenCoeffs`), so each one is a single
+    cubic's trilinear form (see `PlaneCubic`), so each one is a single
     `_polar` evaluation on integers and no polynomial is expanded.  If the
     point is a flex, the model reads off directly.  Otherwise the projection
     from the point expresses the curve as a double cover of P^1 branched
@@ -594,11 +546,12 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
 def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
     """The Jacobian J_C: y^2 = x^3 - 432 S x - 432 T of a smooth plane cubic.
 
-    S, T are the Aronhold invariants of `aronhold`; the Fermat cubic gives
-    y^2 = x^3 - 432.  A smooth cubic with a rational point is Q-isomorphic
-    to J_C.  Built from the cubic's integer S and T over its denominator n
-    as the weighted integers (n, (0, 0, 0, -432 S, -432 T)).  Raises
-    DomainError when the cubic is singular (disc = 0).
+    S, T are the cubic's Aronhold invariants (see `PlaneCubic`); the Fermat
+    cubic x^3 + y^3 + z^3 has S = 0, T = 1 and gives y^2 = x^3 - 432.  A
+    smooth cubic with a rational point is Q-isomorphic to J_C.  Built from
+    the cubic's integer S and T over its denominator n as the weighted
+    integers (n, (0, 0, 0, -432 S, -432 T)).  Raises DomainError when the
+    cubic is singular (disc = 0).
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Jacobian")

@@ -171,11 +171,6 @@ class JointDistribution:
         self.p11, self.p12, self.p21, self.p22 = vals
         self.row1, self.row2, self.col1, self.col2 = row1, row2, p11 + p21, p12 + p22
 
-    @classmethod
-    def uniform(cls) -> "JointDistribution":
-        q = Fraction(1, 4)
-        return cls(q, q, q, q)
-
     def as_tuple(self) -> tuple:
         return (self.p11, self.p12, self.p21, self.p22)
 
@@ -338,10 +333,6 @@ class KonstanzMatrix:
     def det(self) -> Fraction:
         r = self.rows
         return r[0][1] * r[1][2] * r[2][0] * r[3][3] - r[0][0] * r[1][3] * r[2][2] * r[3][1]
-
-    def apply(self, vec) -> tuple:
-        v = [rat(x) for x in vec]
-        return tuple(sum(r[j] * v[j] for j in range(4)) for r in self.rows)
 
     def to_json(self) -> dict:
         return {

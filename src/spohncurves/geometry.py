@@ -16,7 +16,6 @@ from fractions import Fraction
 from .polynomials import (
     DomainError,
     MultiPoly,
-    clear_denominators,
     cross_product,
     exact_isqrt,
     point_json,
@@ -46,9 +45,6 @@ class SpohnQuadrics:
 
     def __init__(self, q1: MultiPoly, q2: MultiPoly):
         self.q1, self.q2 = q1, q2
-
-    def evaluate(self, point) -> tuple:
-        return self.q1.evaluate(point), self.q2.evaluate(point)
 
     def to_json(self) -> dict:
         return {"q1": self.q1.to_json(), "q2": self.q2.to_json()}
@@ -158,20 +154,6 @@ def build_cubic(game) -> SpohnCubic:
     c6 = (a12 - a21) * (b22 - b21)
     c7 = (a12 - a21) * (b22 - b11) + (a11 - a22) * (b21 - b12)
     return SpohnCubic(la * lb, (c1, c2, c3, c4, c5, c6, c7))
-
-
-def cubic_from_poly(f: MultiPoly) -> SpohnCubic:
-    """Wrap a raw ternary cubic with no pure-cube terms as a SpohnCubic."""
-    if f.vars != VARS3:
-        f = MultiPoly(VARS3, {e: c for e, c in f.terms.items()})
-    if not f.is_zero() and (f.degree() != 3 or not f.is_homogeneous()):
-        raise DomainError("expected a homogeneous ternary cubic")
-    for k in range(3):
-        e = tuple(3 if i == k else 0 for i in range(3))
-        if f.coefficient(e) != 0:
-            raise DomainError("cubic has a pure-cube term; not of the "
-                              "no-coordinate-point-missed shape handled here")
-    return SpohnCubic(*clear_denominators([f.coefficient(e) for e in _CUBIC_EXPS]))
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +545,11 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     point is the singular vertex.  These read-offs are the library's only
     route to component points: there is no point search.
 
-    Takes a SpohnCubic only (wrap a raw MultiPoly with `cubic_from_poly`)
-    and decides the kind itself.  Raises DomainError on the zero cubic.  The
-    verdict's `cases` is None: a cubic knows no payoffs, and
-    `reducibility_verdict` attaches the cases that `classify` decided.
+    Takes a SpohnCubic only (a raw cubic of that shape is
+    `SpohnCubic(den, ints)`) and decides the kind itself.  Raises
+    DomainError on the zero cubic.  The verdict's `cases` is None: a cubic
+    knows no payoffs, and `reducibility_verdict` attaches the cases that
+    `classify` decided.
     """
     if cubic.is_zero():
         raise DomainError("cannot decompose the zero cubic")

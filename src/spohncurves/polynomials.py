@@ -512,15 +512,11 @@ def clear_denominators(v) -> tuple:
 
 
 def primitive_vector(v) -> tuple:
-    """The integer multiple of a nonzero rational vector with content 1 and
-    first nonzero entry > 0: one representative per projective point.  A
-    vector of ints goes straight to their gcd; one holding a Fraction is
-    cleared of denominators first (`clear_denominators`)."""
-    try:
-        g = math.gcd(*v)
-    except TypeError:  # math.gcd takes ints only
-        v = clear_denominators(v)[1]
-        g = math.gcd(*v)
+    """A nonzero integer vector divided by its content, signed so that its
+    first nonzero entry is positive: one representative per projective
+    point.  Ints only; a rational vector is cleared first, as in
+    `primitive_vector(clear_denominators(v)[1])`."""
+    g = math.gcd(*v)
     for x in v:
         if x:
             if x < 0:

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spohncurves import MultiPoly, cli, cubic_from_poly, decompose_cubic
-from spohncurves.polynomials import terms_from_json
+from spohncurves import MultiPoly, SpohnCubic, cli, decompose_cubic
+from spohncurves.geometry import _CUBIC_EXPS
+from spohncurves.polynomials import clear_denominators, terms_from_json
 from caselib import game_for_case
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
@@ -148,8 +149,8 @@ def test_decompose_golden_bytes(capsys, case):
 def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
     """Bytes recorded while components were MultiPolys and ProjPoints: a line
     point with a fractional coordinate, a double line, fractional payoffs
-    (a scalar that is not an integer), the zero cubic, and raw cubics through
-    `cubic_from_poly` (a conjugate irrational line pair with a null point,
+    (a scalar that is not an integer), the zero cubic, and raw cubics as a
+    `SpohnCubic` (a conjugate irrational line pair with a null point,
     coefficients near 10^12).  Two more were recorded while candidate lines
     came from cross products: z | f with the line (7, 4, 3) listed, and
     y | f with (7, -7, 10) listed, both of which fix the components' order."""
@@ -158,7 +159,8 @@ def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
         out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
     else:
         variables, terms = terms_from_json(rec["cubic"])
-        cubic = cubic_from_poly(MultiPoly(variables, [(e, Fraction(n, d)) for e, n, d in terms]))
+        f = MultiPoly(variables, [(e, Fraction(n, d)) for e, n, d in terms])
+        cubic = SpohnCubic(*clear_denominators([f.coefficient(e) for e in _CUBIC_EXPS]))
         out = json.dumps(decompose_cubic(cubic).to_json(), sort_keys=True) + "\n"
     assert out == rec["stdout"]
 
@@ -180,6 +182,43 @@ def test_game_report_golden_bytes(capsys, command):
     for entry in entries:
         out, _ = run_ok(capsys, entry["argv"], entry["code"])
         assert out == entry["stdout"], entry["argv"]
+
+
+ONE_CALL_EACH = (
+    ["cubic", "--game", PD],
+    ["classify", "--game", PD],
+    ["decompose", "--game", PD],
+    ["j", "--game", G44],
+    ["reduce", "--pair", PAIR, "--point", "1,1,1"],
+    ["equiv", "--game", G44, "--game2", G44],
+    ["nash", "--game", PD],
+    ["konstanz", "--game", PD, "--payoffs", "9/4,7/3"],
+    ["de-check", "--game", PD, "--point", "1/4,1/4,1/4,1/4"],
+    ["witness", "--game", PD, "--ne", "0,0"],
+    ["pareto", "--game", PD, "--grid", "30", "--seed", "1"],
+    ["approx", "--value", "3.14159265", "--convergents", "4"],
+)
+
+
+def test_only_the_cubic_subcommand_builds_a_multipoly(monkeypatch, capsys):
+    """`cubic` builds three MultiPolys per call, its two quadrics and its
+    cubic, for their JSON; no other subcommand builds one.  Checked on one
+    call of each of the twelve subcommands and on every golden game report."""
+    built = []
+    init = MultiPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    calls = [(argv, 0) for argv in ONE_CALL_EACH]
+    calls += [(entry["argv"], entry["code"]) for entry in GOLDEN_GAME_REPORTS]
+    assert len({argv[0] for argv, _ in calls}) == 12
+    for argv, code in calls:
+        built.clear()
+        run_ok(capsys, argv, code)
+        assert len(built) == (3 if argv[0] == "cubic" else 0), argv
 
 
 # --- input channels ---------------------------------------------------------------------
@@ -800,6 +839,29 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, caps
         assert argv[0] == "spohncurves"
         out, _ = run_ok(capsys, argv[1:])
         assert out == expected + "\n", argv
+
+
+def _readme_library_block() -> str:
+    """The Python block of the README's `## Library` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_library_example_prints_what_its_comments_show(capsys):
+    """The README's library block runs on the public names alone, and each
+    line it prints is, in order, the trailing comment of a `print` line or a
+    comment line of its own."""
+    block = _readme_library_block()
+    expected = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("# ")
+        if comment and ("print(" in code or not code.strip()):
+            expected.append(comment)
+    assert len(expected) == 4
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 # --- payload hygiene --------------------------------------------------------------------

@@ -18,7 +18,6 @@ from spohncurves import (
     QuadricPair,
     SpohnCubic,
     WeierstrassCurve,
-    aronhold,
     build_cubic,
     build_quadrics,
     cubic_from_quadrics,
@@ -32,7 +31,8 @@ from spohncurves import (
     weierstrass_from_cubic,
 )
 from spohncurves.elliptic import _aronhold_st, _polar
-from spohncurves.polynomials import cross_product, primitive_vector, terms_from_json
+from spohncurves.polynomials import (
+    clear_denominators, cross_product, primitive_vector, terms_from_json)
 from caselib import random_game
 
 F = Fraction
@@ -46,11 +46,25 @@ def poly4(terms):
     return MultiPoly(("x", "y", "z", "t"), {e: rat(c) for e, c in terms.items()})
 
 
+def plane_cubic(*labels) -> PlaneCubic:
+    """The cubic with the ten classical labels a ... m (see `PlaneCubic`)."""
+    return PlaneCubic(*clear_denominators([rat(x) for x in labels]))
+
+
+def fraction_labels(cubic: PlaneCubic) -> list:
+    return [F(x, cubic.den) for x in cubic.ints]
+
+
+def invariants(cubic: PlaneCubic) -> tuple:
+    """The cubic's own S and T, from its integer S and T over den."""
+    return F(cubic.S, cubic.den**4), F(cubic.T, cubic.den**6)
+
+
 def random_ten_coeffs(rng):
     while True:
         co = [F(rng.randint(-5, 5)) for _ in range(10)]
         try:
-            return PlaneCubic.from_coeffs(*co)
+            return plane_cubic(*co)
         except (DomainError, ValueError):
             continue
 
@@ -65,9 +79,10 @@ NON_SPOHN_P2 = poly4({(1, 0, 1, 0): 1, (0, 1, 1, 0): -1,
 
 def test_fermat_cubic_invariants():
     fermat = PlaneCubic.from_poly(poly3({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}))
-    ar = aronhold(fermat)
-    assert (ar.S, ar.T) == (0, 1)
-    assert ar.disc == F(-1, 1728)
+    S, T = invariants(fermat)
+    assert (S, T) == (0, 1)
+    assert (64 * S**3 - T**2) / 1728 == F(-1, 1728)
+    assert not fermat.is_singular()
     assert j_invariant(fermat).value == 0
 
 
@@ -77,10 +92,10 @@ def test_aronhold_scaling_degrees_and_unimodular_invariance():
         cbc = random_ten_coeffs(rng)
         lam = F(rng.randint(1, 9), rng.randint(1, 9))
         scaled = PlaneCubic.from_poly(cbc.poly * lam)
-        a0, a1 = aronhold(cbc), aronhold(scaled)
-        assert a1.S == lam ** 4 * a0.S
-        assert a1.T == lam ** 6 * a0.T
-        if a0.disc != 0:
+        (S0, T0), (S1, T1) = invariants(cbc), invariants(scaled)
+        assert S1 == lam ** 4 * S0
+        assert T1 == lam ** 6 * T0
+        if not cbc.is_singular():
             assert j_invariant(scaled).value == j_invariant(cbc).value
         while True:
             M = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
@@ -89,8 +104,7 @@ def test_aronhold_scaling_degrees_and_unimodular_invariance():
                  + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
             if d in (1, -1):
                 break
-        a2 = aronhold(PlaneCubic.from_poly(cbc.poly.substitute_matrix(M)))
-        assert (a2.S, a2.T) == (a0.S, a0.T)
+        assert invariants(PlaneCubic.from_poly(cbc.poly.substitute_matrix(M))) == (S0, T0)
 
 
 TEN_MONOMIALS = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 2, 1),
@@ -200,8 +214,8 @@ def test_spohn_st_on_the_seven_coefficients(e):
     spohn = build_cubic(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
     assume(not spohn.is_zero())
     S, T = spohn_st(*spohn.ints)
-    inv, n = aronhold(PlaneCubic.from_spohn(spohn)), 6 * spohn.den
-    assert (inv.S, inv.T) == (F(S, n**4), F(T, n**6))
+    n = 6 * spohn.den
+    assert invariants(PlaneCubic.from_spohn(spohn)) == (F(S, n**4), F(T, n**6))
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,9 +230,9 @@ def test_integer_aronhold_matches_fraction_formula(ten):
     poly = poly3(dict(zip(TEN_MONOMIALS, ten)))
     assume(not poly.is_zero())
     cubic = PlaneCubic.from_poly(poly)
-    S, T = flat_aronhold_st(*cubic.coeffs)
-    assert all(isinstance(x, Fraction) for x in cubic.coeffs)
-    assert aronhold(cubic) == (S, T, (64 * S**3 - T**2) / 1728)
+    S, T = flat_aronhold_st(*fraction_labels(cubic))
+    assert invariants(cubic) == (S, T)
+    assert cubic.is_singular() == (64 * S**3 == T**2)
 
 
 def test_singular_cubic_reports_singular():
@@ -367,9 +381,8 @@ def test_non_spohn_pair_pipeline():
                               (0, 2, 1): -1, (1, 0, 2): -1, (0, 1, 2): 2,
                               (0, 0, 3): -1})
     assert cub.poly == _reference_cubic_from_quadrics(pr).poly
-    tc = cub.coeffs
-    assert (tc.a, tc.b, tc.c, tc.d, tc.e, tc.f, tc.g, tc.h, tc.i, tc.m) == \
-        (F(-1), F(0), F(-1), F(0), F(-1, 3), F(-1, 3), F(-1, 3), F(2, 3), F(1), F(0))
+    assert fraction_labels(cub) == [F(-1), F(0), F(-1), F(0), F(-1, 3), F(-1, 3),
+                                    F(-1, 3), F(2, 3), F(1), F(0)]
     assert j_invariant(cub).value == F(65536, 37)
 
 
@@ -534,15 +547,15 @@ def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
 def _reference_plane_cubic_json(cubic: PlaneCubic) -> dict:
     """`PlaneCubic.to_json` through the `MultiPoly` and the `Fraction` labels."""
     return {"poly": cubic.poly.to_json(),
-            "coefficients": {k: rat_str(v) for k, v in cubic.coeffs._asdict().items()}}
+            "coefficients": dict(zip("abcdefghim", map(rat_str, fraction_labels(cubic))))}
 
 
 @settings(max_examples=150, deadline=None)
 @given(quadric_pair_inputs())
 @example(OFF_LATTICE_INPUTS)     # the pivot clears to -3: a negative denominator
 def test_plane_cubic_builders_agree(inputs):
-    """cubic_from_quadrics, from_poly of its poly and from_coeffs of its
-    coefficients may store different integers over different denominators;
+    """cubic_from_quadrics, from_poly of its poly and the constructor on its
+    cleared labels may store different integers over different denominators;
     every view of them, and the Weierstrass model, is the same.  The JSON
     printed from the stored integers has the bytes of the reference built
     from the polynomial, key and term order included."""
@@ -552,11 +565,12 @@ def test_plane_cubic_builders_agree(inputs):
         assume(False)
     assert json.dumps(cub.to_json()) == json.dumps(_reference_plane_cubic_json(cub))
     points = [e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if cub.poly.evaluate(e) == 0]
-    for other in (PlaneCubic.from_poly(cub.poly), PlaneCubic.from_coeffs(*cub.coeffs)):
-        assert other.coeffs == cub.coeffs
+    for other in (PlaneCubic.from_poly(cub.poly), plane_cubic(*fraction_labels(cub))):
+        assert fraction_labels(other) == fraction_labels(cub)
         assert other.poly == cub.poly
-        assert aronhold(other) == aronhold(cub)
-        if points and aronhold(cub).disc != 0:
+        assert invariants(other) == invariants(cub)
+        assert other.is_singular() == cub.is_singular()
+        if points and not cub.is_singular():
             assert repr(weierstrass_from_cubic(other, points[0])) == \
                 repr(weierstrass_from_cubic(cub, points[0]))
 
@@ -593,7 +607,7 @@ def test_plane_cubic_json_drops_zero_labels(ten):
     """A cubic with zero labels prints only its nonzero terms, as the
     reference does, and every label."""
     assume(any(ten))
-    cub = PlaneCubic.from_coeffs(*ten)
+    cub = plane_cubic(*ten)
     assert json.dumps(cub.to_json()) == json.dumps(_reference_plane_cubic_json(cub))
 
 
@@ -663,9 +677,9 @@ def test_quadric_pair_validation():
 # --- Weierstrass models -----------------------------------------------------------------
 
 def test_weierstrass_b_and_c_invariants():
-    E = WeierstrassCurve.from_short(0, 1)
+    E = WeierstrassCurve(0, 0, 0, 0, 1)
     assert (E.c4, E.c6, E.disc, E.j()) == (0, -864, -432, 0)
-    E = WeierstrassCurve.from_short(1, 0)
+    E = WeierstrassCurve(0, 0, 0, 1, 0)
     assert (E.c4, E.disc, E.j()) == (-48, -64, 1728)
     E = WeierstrassCurve(1, 2, 3, 4, 6)
     assert (E.b2, E.b4, E.b6, E.b8) == (9, 11, 33, 44)
@@ -721,12 +735,12 @@ def test_reduction_bytes_at_non_integer_points():
     """The models themselves are pinned, not only their Q-isomorphism class,
     for labels and base points with denominators: a flex (y^2 z = x^3 + x z^2
     in other coordinates, scaled by 1/7) and a non-flex point."""
-    flex = PlaneCubic.from_coeffs(F(-8, 7), F(3, 7), 0, F(4, 7), F(3, 7), F(-6, 7),
-                                  F(-8, 21), F(3, 7), 0, F(-2, 7))
+    flex = plane_cubic(F(-8, 7), F(3, 7), 0, F(4, 7), F(3, 7), F(-6, 7),
+                       F(-8, 21), F(3, 7), 0, F(-2, 7))
     E = weierstrass_from_cubic(flex, (F(1, 2), 1, F(-1, 3)))
     assert repr(E) == "WeierstrassCurve(6/7, -36/49, -54/343, 486/2401, -2187/117649)"
-    general = PlaneCubic.from_coeffs(F(566831, 124740), F(-5, 3), F(7, 11), F(1, 3),
-                                     F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6))
+    general = plane_cubic(F(566831, 124740), F(-5, 3), F(7, 11), F(1, 3),
+                          F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6))
     E = weierstrass_from_cubic(general, (F(1, 2), F(-1, 3), 1))
     assert repr(E) == (
         "WeierstrassCurve(0, 0, 0, -1231525435528669377601804227193/5163165920371802112000000, "
@@ -745,7 +759,7 @@ def _golden_cubic(entry) -> PlaneCubic:
     if "game" in entry:
         game = PayoffTables(entry["game"]["A"], entry["game"]["B"])
         return PlaneCubic.from_poly(build_cubic(game).f)
-    return PlaneCubic.from_coeffs(*entry["coefficients"])
+    return plane_cubic(*entry["coefficients"])
 
 
 def test_weierstrass_models_match_the_golden_bytes():
@@ -763,7 +777,7 @@ def test_reduction_certifies_on_random_cubics():
     trials = 0
     while trials < 25:
         cbc = random_ten_coeffs(rng)
-        if aronhold(cbc).disc == 0:
+        if cbc.is_singular():
             continue
         pt = next((cand for cand in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
                    if cbc.poly.evaluate(cand) == 0), None)
@@ -798,13 +812,13 @@ def test_model_is_jacobian_and_its_twist_is_not(ten, k, d):
     poly = poly3(dict(zip(TEN_MONOMIALS, ten)))
     assume(not poly.is_zero())
     cubic = PlaneCubic.from_poly(poly)
-    assume(aronhold(cubic).disc != 0)
+    assume(not cubic.is_singular())
     J = jacobian(cubic)
     E = weierstrass_from_cubic(cubic, tuple(int(i == k) for i in range(3)))
     assert q_isomorphic(E, J)
     A, B = -E.c4 / 48, -E.c6 / 864
     assume(B != 0 or d > 0)                     # j = 1728: twists by -s^2 are trivial
-    twist = WeierstrassCurve.from_short(d**2 * A, d**3 * B)
+    twist = WeierstrassCurve(0, 0, 0, d**2 * A, d**3 * B)
     assert twist.j() == J.j() == j_invariant(cubic).value
     assert not q_isomorphic(twist, J)
 
@@ -818,7 +832,7 @@ def test_polar_coefficients_match_substitution(ten, entries):
     multinomial (3; a, b, c) times T(u^a, v^b, w^c); the generic expansion
     `substitute_matrix` is the independent check."""
     assume(any(ten))
-    cubic = PlaneCubic.from_coeffs(*ten)
+    cubic = plane_cubic(*ten)
     u, v, w = entries[0:3], entries[3:6], entries[6:9]
     M = [[u[i], v[i], w[i]] for i in range(3)]            # columns u, v, w
     assume(sum(x * y for x, y in zip(u, cross_product(v, w))) != 0)  # det M
@@ -828,7 +842,8 @@ def test_polar_coefficients_match_substitution(ten, entries):
             c = 3 - a - b
             multinomial = 6 // (math.factorial(a) * math.factorial(b) * math.factorial(c))
             args = [u] * a + [v] * b + [w] * c
-            assert g.coefficient((a, b, c)) == multinomial * _polar(cubic.coeffs, *args)
+            assert g.coefficient((a, b, c)) == \
+                multinomial * _polar(fraction_labels(cubic), *args)
 
 
 def test_reduction_rejects_bad_input():
@@ -854,37 +869,37 @@ def test_reduction_rejects_bad_input():
 def test_twist_pair_same_j_not_isomorphic():
     A1 = F(103072987022928, 199086408481)
     B1 = F(52977693274235725360768, 88830563686545871)
-    E1 = WeierstrassCurve.from_short(A1, B1)
-    E2 = WeierstrassCurve.from_short(25 * A1, 125 * B1)
+    E1 = WeierstrassCurve(0, 0, 0, A1, B1)
+    E2 = WeierstrassCurve(0, 0, 0, 25 * A1, 125 * B1)
     assert E1.j() == E2.j() == F(44564, 446191)
     assert not q_isomorphic(E1, E2)
     # honest u = 2 rescaling of the same curve
-    assert q_isomorphic(E1, WeierstrassCurve.from_short(16 * A1, 64 * B1))
+    assert q_isomorphic(E1, WeierstrassCurve(0, 0, 0, 16 * A1, 64 * B1))
 
 
 def test_unit_rescalings_accepted_and_quadratic_twists_rejected():
     A1 = F(103072987022928, 199086408481)
     B1 = F(52977693274235725360768, 88830563686545871)
-    E1 = WeierstrassCurve.from_short(A1, B1)
+    E1 = WeierstrassCurve(0, 0, 0, A1, B1)
     for u in (F(1), F(2), F(3), F(1, 2)):
-        Eu = WeierstrassCurve.from_short(u ** 4 * A1, u ** 6 * B1)
+        Eu = WeierstrassCurve(0, 0, 0, u ** 4 * A1, u ** 6 * B1)
         assert q_isomorphic(E1, Eu)
     for d in (F(5), F(-1), F(7)):
-        Ed = WeierstrassCurve.from_short(d ** 2 * A1, d ** 3 * B1)
+        Ed = WeierstrassCurve(0, 0, 0, d ** 2 * A1, d ** 3 * B1)
         assert E1.j() == Ed.j()
         assert not q_isomorphic(E1, Ed)
 
 
 def test_special_j_power_criteria():
     # j = 0: sixth powers of c6 ratios; j = 1728: fourth powers of c4 ratios
-    assert q_isomorphic(WeierstrassCurve.from_short(0, 1), WeierstrassCurve.from_short(0, 64))
-    assert not q_isomorphic(WeierstrassCurve.from_short(0, 1), WeierstrassCurve.from_short(0, 2))
-    assert q_isomorphic(WeierstrassCurve.from_short(1, 0), WeierstrassCurve.from_short(16, 0))
-    assert not q_isomorphic(WeierstrassCurve.from_short(1, 0), WeierstrassCurve.from_short(2, 0))
+    assert q_isomorphic(WeierstrassCurve(0, 0, 0, 0, 1), WeierstrassCurve(0, 0, 0, 0, 64))
+    assert not q_isomorphic(WeierstrassCurve(0, 0, 0, 0, 1), WeierstrassCurve(0, 0, 0, 0, 2))
+    assert q_isomorphic(WeierstrassCurve(0, 0, 0, 1, 0), WeierstrassCurve(0, 0, 0, 16, 0))
+    assert not q_isomorphic(WeierstrassCurve(0, 0, 0, 1, 0), WeierstrassCurve(0, 0, 0, 2, 0))
 
 
 def test_q_isomorphic_is_an_equivalence_relation():
-    pool = [WeierstrassCurve.from_short(a, b) for a, b in
+    pool = [WeierstrassCurve(0, 0, 0, a, b) for a, b in
             [(1, 1), (16, 64), (81, 729), (1, 2), (0, 1), (0, 64), (2, 1)]]
     pool = [E for E in pool if not E.is_singular()]
     for Ea in pool:
@@ -951,10 +966,10 @@ def weierstrass_pairs(draw):
         ratio = draw(st.sampled_from((c**k, -c**k, c**2, c)))
         base = draw(nonzero_rationals)
         if kind == "j=0":
-            return WeierstrassCurve.from_short(0, base), \
-                WeierstrassCurve.from_short(0, ratio * base), None
-        return WeierstrassCurve.from_short(base, 0), \
-            WeierstrassCurve.from_short(ratio * base, 0), None
+            return WeierstrassCurve(0, 0, 0, 0, base), \
+                WeierstrassCurve(0, 0, 0, 0, ratio * base), None
+        return WeierstrassCurve(0, 0, 0, base, 0), \
+            WeierstrassCurve(0, 0, 0, ratio * base, 0), None
     a = [rat(draw(st.one_of(st.integers(-9, 9),
                              st.fractions(min_value=-50, max_value=50, max_denominator=m))))
          for m in (2, 9, 25, 49, 121)]
@@ -965,20 +980,20 @@ def weierstrass_pairs(draw):
         return E, _changed_model(a, u, r, s, t), True
     if kind == "twist":
         d = draw(st.sampled_from(NON_SQUARES))
-        return E, WeierstrassCurve.from_short(-d**2 * E.c4 / 48, -d**3 * E.c6 / 864), None
+        return E, WeierstrassCurve(0, 0, 0, -d**2 * E.c4 / 48, -d**3 * E.c6 / 864), None
     return E, WeierstrassCurve(*(rat(draw(pair_entries)) for _ in range(5))), None
 
 
 @settings(max_examples=200, deadline=None)
 @given(weierstrass_pairs())
-@example((WeierstrassCurve.from_short(0, 0), WeierstrassCurve.from_short(0, 1), None))
-@example((WeierstrassCurve(0, 0, 0, -3, 2), WeierstrassCurve.from_short(1, 0), None))
-@example((WeierstrassCurve.from_short(0, F(1, 3)),
-          WeierstrassCurve.from_short(0, F(64, 3 * 729)), True))
-@example((WeierstrassCurve.from_short(F(-2, 5), 0),
-          WeierstrassCurve.from_short(F(-2 * 81, 5 * 16), 0), True))
-@example((WeierstrassCurve.from_short(F(-2, 5), 0),
-          WeierstrassCurve.from_short(F(2, 5), 0), False))
+@example((WeierstrassCurve(0, 0, 0, 0, 0), WeierstrassCurve(0, 0, 0, 0, 1), None))
+@example((WeierstrassCurve(0, 0, 0, -3, 2), WeierstrassCurve(0, 0, 0, 1, 0), None))
+@example((WeierstrassCurve(0, 0, 0, 0, F(1, 3)),
+          WeierstrassCurve(0, 0, 0, 0, F(64, 3 * 729)), True))
+@example((WeierstrassCurve(0, 0, 0, F(-2, 5), 0),
+          WeierstrassCurve(0, 0, 0, F(-2 * 81, 5 * 16), 0), True))
+@example((WeierstrassCurve(0, 0, 0, F(-2, 5), 0),
+          WeierstrassCurve(0, 0, 0, F(2, 5), 0), False))
 def test_q_isomorphic_matches_the_fraction_reference(pair):
     """The decision on the weighted integers C4, C6 equals the Fraction
     criteria on c4, c6, both ways round; a singular curve raises in both."""
@@ -997,7 +1012,7 @@ def test_q_isomorphic_matches_the_fraction_reference(pair):
 
 def test_q_isomorphic_rejects_singular_curves():
     with pytest.raises(DomainError):
-        q_isomorphic(WeierstrassCurve.from_short(0, 0), WeierstrassCurve.from_short(0, 1))
+        q_isomorphic(WeierstrassCurve(0, 0, 0, 0, 0), WeierstrassCurve(0, 0, 0, 0, 1))
 
 
 # --- game equivalence -------------------------------------------------------------------

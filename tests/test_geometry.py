@@ -14,11 +14,11 @@ from spohncurves import (
     DomainError,
     MultiPoly,
     PayoffTables,
+    SpohnCubic,
     build_cubic,
     build_quadrics,
     classify,
     classify_cases,
-    cubic_from_poly,
     decompose_cubic,
     reducibility_verdict,
     spohn_determinants,
@@ -26,7 +26,8 @@ from spohncurves import (
     zero_cubic_classify,
 )
 from spohncurves import cli, geometry
-from spohncurves.geometry import _HORNER, _MONOS, _candidate_lines, _vanishes_on_line
+from spohncurves.geometry import (
+    _CUBIC_EXPS, _HORNER, _MONOS, _candidate_lines, _vanishes_on_line)
 from spohncurves.polynomials import (
     clear_denominators, cross_product, primitive_vector, rat_str)
 from caselib import case_equations, cases_by_equations, game_for_case, random_game
@@ -42,6 +43,16 @@ def q4(terms):
 
 def q3(terms):
     return MultiPoly(P3, terms)
+
+
+def spohn_cubic(f: MultiPoly) -> SpohnCubic:
+    """The SpohnCubic of a ternary cubic with no pure-cube terms."""
+    return SpohnCubic(*clear_denominators([f.coefficient(e) for e in _CUBIC_EXPS]))
+
+
+def primitive(v) -> tuple:
+    """`primitive_vector` of a rational vector."""
+    return primitive_vector(clear_denominators(v)[1])
 
 
 # --- the two quadrics -----------------------------------------------------------------
@@ -73,7 +84,7 @@ def test_quadric_monomial_support_and_coordinate_points():
         assert set(quad.q1.terms) <= q1_support
         assert set(quad.q2.terms) <= q2_support
         for pt in corners:
-            assert quad.evaluate(pt) == (0, 0)
+            assert (quad.q1.evaluate(pt), quad.q2.evaluate(pt)) == (0, 0)
 
 
 def test_quadrics_agree_with_determinant_route():
@@ -83,16 +94,20 @@ def test_quadrics_agree_with_determinant_route():
         g = random_game(rng)
         quad = build_quadrics(g)
         p = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
-        assert spohn_determinants(g, p) == quad.evaluate(p)
+        assert spohn_determinants(g, p) == (quad.q1.evaluate(p), quad.q2.evaluate(p))
 
 
 def test_variety_and_w_membership(pd):
     quad = build_quadrics(pd)
-    assert quad.evaluate((0, 0, 0, 1)) == (0, 0)
+
+    def values(p):
+        return quad.q1.evaluate(p), quad.q2.evaluate(p)
+
+    assert values((0, 0, 0, 1)) == (0, 0)
     # points of the line component y = z, lifted back through det M1 = 0
-    assert quad.evaluate((0, 1, 1, -3)) == (0, 0)
-    assert quad.evaluate((2, 1, 1, 5)) == (0, 0)
-    assert quad.evaluate((1, 1, 1, 1)) != (0, 0)
+    assert values((0, 1, 1, -3)) == (0, 0)
+    assert values((2, 1, 1, 5)) == (0, 0)
+    assert values((1, 1, 1, 1)) != (0, 0)
     assert w_membership((1, -1, 2, 3))        # p11 + p12 == 0
     assert not w_membership((F(1, 4),) * 4)
 
@@ -149,17 +164,6 @@ def test_cubic_affine_rescaling_scales_coefficients():
         h = PayoffTables([[lam1 * x + al for x in row] for row in g.A],
                          [[lam2 * x + be for x in row] for row in g.B])
         assert build_cubic(h).c == tuple(lam1 * lam2 * c for c in build_cubic(g).c)
-
-
-def test_cubic_from_poly_round_trip():
-    rng = random.Random(4005)
-    for _ in range(25):
-        cubic = build_cubic(random_game(rng))
-        if cubic.is_zero():
-            continue
-        assert cubic_from_poly(cubic.f).c == cubic.c
-    with pytest.raises(DomainError):
-        cubic_from_poly(q3({(3, 0, 0): 1, (2, 1, 0): 1}))
 
 
 # --- zero cubic -----------------------------------------------------------------------
@@ -239,13 +243,13 @@ def test_worked_example_is_irreducible(g44):
 
 
 def test_decompose_coordinate_monomials():
-    verdict = decompose_cubic(cubic_from_poly(q3({(1, 1, 1): 1})))  # xyz
+    verdict = decompose_cubic(spohn_cubic(q3({(1, 1, 1): 1})))  # xyz
     assert verdict.kind == "Reducible"
     assert sorted(str(c.poly) for c in verdict.components) == ["x", "y", "z"]
     assert all(c.multiplicity == 1 for c in verdict.components)
     assert verdict.scalar == 1
 
-    verdict = decompose_cubic(cubic_from_poly(q3({(2, 1, 0): 1})))  # x^2 y
+    verdict = decompose_cubic(spohn_cubic(q3({(2, 1, 0): 1})))  # x^2 y
     by_poly = {str(c.poly): c.multiplicity for c in verdict.components}
     assert by_poly == {"x": 2, "y": 1}
 
@@ -361,7 +365,7 @@ def test_spohn_cubic_stores_integers_over_the_table_scales(game):
     assert cubic.den == la * lb
     assert all(type(x) is int for x in cubic.ints)
     assert cubic.c == expected
-    assert cubic_from_poly(cubic.f).c == expected
+    assert spohn_cubic(cubic.f).c == expected
     assert cubic.is_zero() == (not any(expected))
 
 
@@ -440,17 +444,20 @@ def _cleared_primitive(v):
 @given(st.lists(st.one_of(st.just(0), st.integers(-9, 9), _BIG), min_size=1, max_size=10),
        st.booleans())
 def test_primitive_vector_of_integers_and_of_fractions(v, fractions):
-    """On ints `primitive_vector` goes straight to the gcd, and on Fractions
-    it clears denominators; both give the cleared route's vector, of ints
-    with content 1 and first nonzero entry positive."""
+    """On ints `primitive_vector` goes straight to the gcd, and Fractions
+    are cleared of denominators first; both give the cleared route's
+    vector, of ints with content 1 and first nonzero entry positive.  It
+    takes ints only: a Fraction, even an integral one, is a TypeError."""
     assume(any(v))
     if fractions:
         v = [Fraction(x, 1 + abs(x) % 7) for x in v]
-    got = primitive_vector(v)
+    got = primitive(v) if fractions else primitive_vector(v)
     assert got == _cleared_primitive(v)
     assert all(type(x) is int for x in got)
     assert math.gcd(*got) == 1 and next(x for x in got if x) > 0
-    assert primitive_vector(tuple(Fraction(x) for x in v)) == got
+    assert primitive(tuple(Fraction(x) for x in v)) == got
+    with pytest.raises(TypeError):
+        primitive_vector(tuple(Fraction(x) for x in v))
 
 
 # --- irrational line pairs and the sympy oracle for the decomposition ------------------
@@ -459,7 +466,7 @@ def test_irrational_line_pair_gets_a_null_point_at_once():
     """x (y^2 - 2 z^2): the conic's only rational point is its singular
     vertex [1:0:0], so the split reports it null at once."""
     start = time.perf_counter()
-    verdict = decompose_cubic(cubic_from_poly(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
+    verdict = decompose_cubic(spohn_cubic(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
     assert time.perf_counter() - start < 0.5
     line, conic = verdict.components
     assert (line.kind, line.poly, line.multiplicity) == ("line", q3({(1, 0, 0): 1}), 1)
@@ -554,7 +561,7 @@ def test_decomposition_matches_sympy_factorization(factors):
     for form, mult in factors:
         f = f * form ** mult
     start = time.perf_counter()
-    verdict = decompose_cubic(cubic_from_poly(f))
+    verdict = decompose_cubic(spohn_cubic(f))
     assert time.perf_counter() - start < 0.5
     expected = _sympy_factors(f)
     irreducible = len(expected) == 1 and expected[0][0] == 3
@@ -627,7 +634,7 @@ def _ref_split_conic(g):
         return ("irreducible",)
     k = next(k for k in range(3) if M[k][k] != 0)
     if _ref_matrix_rank(M) == 1:
-        v1 = v2 = primitive_vector(M[k])
+        v1 = v2 = primitive(M[k])
     else:
         u, v = (i for i in range(3) if i != k)
         alpha = M[k][k]
@@ -647,7 +654,7 @@ def _ref_split_conic(g):
             coeffs[k] = 2 * alpha
             coeffs[u] = beta[0] - s * root[0]
             coeffs[v] = beta[1] - s * root[1]
-            pair.append(primitive_vector(coeffs))
+            pair.append(primitive(coeffs))
         v1, v2 = pair
     prod = [[Fraction(v1[i] * v2[j] + v1[j] * v2[i], 2) for j in range(3)] for i in range(3)]
     i, j = next((i, j) for i in range(3) for j in range(3) if prod[i][j])
@@ -675,7 +682,7 @@ def _ref_point(kind, g):
 def _primitive_poly(p):
     """(q, s) with q integral, content 1, lex-first coefficient > 0 and s q == p."""
     exps = sorted(p.terms, reverse=True)
-    ints = primitive_vector([p.terms[e] for e in exps])
+    ints = primitive([p.terms[e] for e in exps])
     return MultiPoly(p.vars, dict(zip(exps, ints))), p.terms[exps[0]] / ints[0]
 
 
@@ -706,10 +713,10 @@ def _reference_decompose(cubic):
     accepts, the residual conic is split on its rational matrix, and the
     product is multiplied back."""
     if isinstance(cubic, MultiPoly):
-        cubic = cubic_from_poly(cubic)
+        cubic = spohn_cubic(cubic)
     work = f = cubic.f
     found = {}
-    for v in _candidate_lines(cubic.c):
+    for v in _candidate_lines(cubic.ints):
         while work.degree() >= 1 and _vanishes_on_line(_integer_vector(work), v):
             work = work.divide_by_linear(_linear(v))
             found[v] = found.get(v, 0) + 1
@@ -727,7 +734,7 @@ def _reference_decompose(cubic):
             scalar *= s
             conics.append(("conic", prim, 1))
     elif work.degree() == 1:
-        v = primitive_vector([work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        v = primitive([work.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         prim, s = _primitive_poly(work)
         assert prim == _linear(v)
         scalar *= s
@@ -774,11 +781,11 @@ def test_candidate_lines_hold_every_rational_line(source):
     Q as the oracle: a coordinate line is listed iff it divides f, and those
     come first; when none divides f, every linear factor of f, made
     primitive, is listed.  At most eight lines, without repeats."""
-    cubic = cubic_from_poly(source) if isinstance(source, MultiPoly) else build_cubic(source)
+    cubic = spohn_cubic(source) if isinstance(source, MultiPoly) else build_cubic(source)
     assume(not cubic.is_zero())
     lines = _candidate_lines(cubic.ints)
     assert len(lines) <= 8 and len(set(lines)) == len(lines)
-    factors = [primitive_vector([dict(terms).get(e, 0) for e in _MONOS[1]])
+    factors = [primitive([dict(terms).get(e, 0) for e in _MONOS[1]])
                for degree, terms, _ in _sympy_factors(cubic.f) if degree == 1]
     coordinate = [v for v in factors if v in _MONOS[1]]
     assert lines[:len(coordinate)] == sorted(coordinate, reverse=True)
@@ -799,7 +806,7 @@ def test_decomposition_matches_the_reference_route(source):
     ~10^12 and non-integer entries."""
     if isinstance(source, MultiPoly):
         expected = _reference_decompose(source)
-        assert decompose_cubic(cubic_from_poly(source)).to_json() == expected
+        assert decompose_cubic(spohn_cubic(source)).to_json() == expected
         return
     expected = _reference_verdict(source)
     assert reducibility_verdict(source).to_json() == expected
@@ -816,7 +823,7 @@ def test_components_build_poly_and_point_on_request(source):
     `poly` the MultiPoly of `ints`, and `to_json` prints their bytes."""
     cubic = source if isinstance(source, MultiPoly) else build_cubic(source).f
     assume(not cubic.is_zero())
-    for comp in decompose_cubic(cubic_from_poly(cubic)).components:
+    for comp in decompose_cubic(spohn_cubic(cubic)).components:
         d = {"line": 1, "conic": 2}[comp.kind]
         assert len(comp.ints) == len(_MONOS[d])
         assert all(type(k) is int for k in comp.ints)

@@ -335,8 +335,8 @@ def test_divide_by_linear_exact_and_failing():
 # --- projective points ---------------------------------------------------------
 
 def test_primitive_vector_is_one_representative_per_point():
-    assert primitive_vector((0, F(3, 4), F(9, 2))) == (0, 1, 6)
-    assert primitive_vector((0, F(1, 2), F(1, 4))) == (0, 2, 1)
+    assert primitive_vector(clear_denominators((0, F(3, 4), F(9, 2)))[1]) == (0, 1, 6)
+    assert primitive_vector(clear_denominators((0, F(1, 2), F(1, 4)))[1]) == (0, 2, 1)
     assert primitive_vector((2, 4, -6)) == primitive_vector((-1, -2, 3)) == (1, 2, -3)
 
 
@@ -354,7 +354,8 @@ def test_point_json_of_the_primitive_vector_is_the_scaled_point(v):
     the primitive integer vector alone: the bytes do not depend on which
     rational multiple of the point was given."""
     lead = F(next(c for c in v if c))
-    assert point_json(primitive_vector(v)) == [rat_str(c / lead) for c in v]
+    assert point_json(primitive_vector(clear_denominators(v)[1])) == \
+        [rat_str(c / lead) for c in v]
 
 
 def test_clear_denominators():
