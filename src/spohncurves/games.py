@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import geometry
 from .polynomials import (DomainError, clear_denominators, clear_pairs, json_list,
-                          parse_rational, rat, rat_str)
+                          parse_rational, rat, rat_str, ratio_str)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +394,23 @@ def de_membership(game: PayoffTables, p: JointDistribution) -> str:
 # template's rows are permuted back through them.
 
 class WitnessLadderRow(NamedTuple):
-    """One rung of a witness ladder.  `point` is the exact p(r); `payoffs`
-    and `residuals` are the floats the report prints, each the exact value
-    rounded once (the exact payoffs are
+    """One rung of a witness ladder.  The exact p(r) is the integers `cells`
+    (m11, m12, m21, m22) over `scale`, and the report prints each cell from
+    those two integers; `point`, the cells as Fractions, is built on
+    request.  `payoffs` and `residuals` are the floats the report prints,
+    each the exact value rounded once (the exact payoffs are
     `conditional_payoffs(game, JointDistribution(*row.point))`)."""
 
     r: int
-    point: tuple            # exact Fractions
+    cells: tuple            # integers m_ij, p_ij = m_ij / scale
+    scale: int              # den * r^D
     payoffs: ConditionalPayoffs  # floats
     residuals: tuple        # float inequality slacks, one per required inequality
+
+    @property
+    def point(self) -> tuple:
+        """The exact p(r), one Fraction per cell."""
+        return tuple(Fraction(m, self.scale) for m in self.cells)
 
 
 class WitnessReport:
@@ -424,19 +432,22 @@ class WitnessReport:
     within `_WITNESS_TOL` at the last rung.
 
     All of it runs on integers.  At r the four cells are m_ij / (den r^D),
-    with den the lcm of the template's denominators and D its top degree,
-    so with the tables' integers over la and lb (`PayoffTables.cleared`)
-    each payoff is a ratio of integers,
+    with den the lcm of the template's denominators and D its top degree;
+    each rung keeps the m_ij and den r^D, and prints each cell from them
+    by `ratio_str`.  The limit is the c0 column over den, and its marginals
+    (which choose the inequalities) are sums of that column's integers.
+    With the tables' integers over la and lb (`PayoffTables.cleared`) each
+    payoff is a ratio of integers,
     E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)), and each slack a
-    cross-multiplied one, E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).  One `int / int` division rounds each
-    exact value to its float, so the ladder prints `float()` of the exact
-    Fraction; the interior checks read the signs of the m_ij.
+    cross-multiplied one, E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).
+    One `int / int` division rounds each exact value to its float, so the
+    ladder prints `float()` of the exact Fraction; the interior checks read
+    the signs of the m_ij.  `limit`, `sequence(r)` and each rung's `point`
+    build Fractions on request; the report itself builds none.
     """
 
     def __init__(self, game, kind, case, formula, threshold, template, relabeling="",
                  lam=None, payoff_limits=None):
-        if tuple(map(sum, zip(*template))) != (1, 0, 0, 0):
-            raise AssertionError("witness template does not sum to 1")  # pragma: no cover
         self.kind = kind                  # "pure" | "semi-mixed" | "totally-mixed" | "cooperation"
         self.case = case                  # human-readable case selector
         self.formula = formula            # sequence formula in normalized coordinates
@@ -448,9 +459,10 @@ class WitnessReport:
         # no cell uses (column c0 sums to 1, so it always stays)
         self._den, ints = clear_denominators([c for row in template for c in row])
         self._rows = [ints[k:k + 4] for k in (0, 4, 8, 12)]
+        if tuple(map(sum, zip(*self._rows))) != (self._den, 0, 0, 0):
+            raise AssertionError("witness template does not sum to 1")  # pragma: no cover
         while not any(row[-1] for row in self._rows):
             self._rows = [row[:-1] for row in self._rows]
-        self.limit = tuple(Fraction(row[0]) for row in template)
 
         def interior(r):
             return all(m > 0 for m in self._numerators(r))
@@ -458,17 +470,19 @@ class WitnessReport:
             raise AssertionError("threshold is not the first interior r")  # pragma: no cover
         self.threshold = threshold
 
-        lim = JointDistribution(*self.limit)
+        # the limit's marginals, each times den, from its cells' integers
+        l11, l12, l21, l22 = (row[0] for row in self._rows)
         checks = [(label, player, sign) for label, m, player, sign in (  # slack = sign * d_player
-            ("E_1^(1) >= E_2^(1)", lim.row1, 0, 1), ("E_2^(1) >= E_1^(1)", lim.row2, 0, -1),
-            ("E_1^(2) >= E_2^(2)", lim.col1, 1, 1), ("E_2^(2) >= E_1^(2)", lim.col2, 1, -1))
+            ("E_1^(1) >= E_2^(1)", l11 + l12, 0, 1), ("E_2^(1) >= E_1^(1)", l21 + l22, 0, -1),
+            ("E_1^(2) >= E_2^(2)", l11 + l21, 1, 1), ("E_2^(2) >= E_1^(2)", l12 + l22, 1, -1))
             if m != 0]
         self.inequalities = [label for label, _, _ in checks]
         (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
+        degree = len(self._rows[0]) - 1
         self.ladder = []
         for r in (_LADDER if self.threshold <= _LADDER[0]
                   else tuple(self.threshold * 10 ** k for k in range(4))):
-            m11, m12, m21, m22 = self._numerators(r)
+            cells = m11, m12, m21, m22 = self._numerators(r)
             n1, s1 = a11 * m11 + a12 * m12, m11 + m12
             n2, s2 = a21 * m21 + a22 * m22, m21 + m22
             n3, s3 = b11 * m11 + b21 * m21, m11 + m21
@@ -478,12 +492,12 @@ class WitnessReport:
             # d_0 = E_1^(1) - E_2^(1) and d_1 = E_1^(2) - E_2^(2) as (numerator, denominator)
             d = ((n1 * s2 - n2 * s1, la * s1 * s2), (n3 * s4 - n4 * s3, lb * s3 * s4))
             self.ladder.append(WitnessLadderRow(
-                r, self.sequence(r), pay,
+                r, cells, self._den * r ** degree, pay,
                 tuple(sign * d[player][0] / d[player][1] for _, player, sign in checks)))
         self.ok = all(res >= -_WITNESS_TOL for res in self.ladder[-1].residuals)
 
-    def _numerators(self, r: int) -> list:
-        """[m11, m12, m21, m22]: the cells at r times den * r^D, with D the
+    def _numerators(self, r: int) -> tuple:
+        """(m11, m12, m21, m22): the cells at r times den * r^D, with D the
         template's top degree, by Horner's rule on its integer rows."""
         out = []
         for row in self._rows:
@@ -491,7 +505,12 @@ class WitnessReport:
             for c in row:
                 m = m * r + c
             out.append(m)
-        return out
+        return tuple(out)
+
+    @property
+    def limit(self) -> tuple:
+        """The limit point p(infinity), the c0 column, as Fractions."""
+        return tuple(Fraction(row[0], self._den) for row in self._rows)
 
     def sequence(self, r: int) -> tuple:
         """The exact point p(r), one Fraction m_ij / (den * r^D) per cell."""
@@ -506,18 +525,18 @@ class WitnessReport:
             "formula": self.formula,
             "relabeling": self.relabeling,
             "threshold": self.threshold,
-            "limit": [rat_str(x) for x in self.limit],
+            "limit": [ratio_str(row[0], self._den) for row in self._rows],
             "inequalities": list(self.inequalities),
             "tolerance": _WITNESS_TOL,
             "ladder": [
                 {
                     "r": row.r,
-                    "point": [rat_str(x) for x in row.point],
+                    "point": [ratio_str(m, row.scale) for m in row.cells],
                     "payoffs": {
-                        "E_1^(1)": float(row.payoffs.e11),
-                        "E_2^(1)": float(row.payoffs.e21),
-                        "E_1^(2)": float(row.payoffs.e12),
-                        "E_2^(2)": float(row.payoffs.e22),
+                        "E_1^(1)": row.payoffs.e11,
+                        "E_2^(1)": row.payoffs.e21,
+                        "E_1^(2)": row.payoffs.e12,
+                        "E_2^(2)": row.payoffs.e22,
                     },
                     "residuals": list(row.residuals),
                 }
@@ -715,7 +734,8 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
     normalized to sum 1, with no refinement: the root is on the curve up to
     rounding.  A point is kept when its determinant residuals are at most
     1e-8, its sum is within 1e-10 of 1 and each coordinate is in
-    (1e-9, 1 - 1e-9).  DomainError above `_MAX_LINES`.
+    (1e-9, 1 - 1e-9), unless its coordinates rounded to 9 decimals repeat
+    an earlier point's.  DomainError above `_MAX_LINES`.
     """
     if count > _MAX_LINES:
         raise DomainError(f"at most {_MAX_LINES} sample lines")
@@ -750,12 +770,15 @@ def sample_curve_points(game: PayoffTables, count: int, seed: int = 0) -> list:
                 continue
             tot = 1.0 + w
             p = [x / tot, y / tot, z / tot, w / tot]
+            p11, p12, p21, p22 = p
             F = _residuals(a, b, p)
             if not (abs(F[0]) <= 1e-8 and abs(F[1]) <= 1e-8 and abs(F[2]) <= 1e-10):
                 continue
-            if not all(1e-9 < x < 1 - 1e-9 for x in p):
+            if not (1e-9 < p11 < 1 - 1e-9 and 1e-9 < p12 < 1 - 1e-9
+                    and 1e-9 < p21 < 1 - 1e-9 and 1e-9 < p22 < 1 - 1e-9):
                 continue
-            key = tuple(round(x * 1e9) / 1e9 for x in p)
+            key = (round(p11 * 1e9) / 1e9, round(p12 * 1e9) / 1e9,
+                   round(p21 * 1e9) / 1e9, round(p22 * 1e9) / 1e9)
             if key in seen:
                 continue
             seen.add(key)
@@ -774,10 +797,18 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
     a numeric report with all sampled points, their payoff pairs, and the
     subset weakly dominating the reference (strictly better for at least one
     player).  grid = 0 yields an empty sweep.
+
+    The reference runs on integers.  With its profile q = nq/dq, r = nr/dr
+    (q, r in {0, 1} over 1 for a pure one, a unit vector of cells), the
+    cells are (nq nr, nq (dr - nr), (dq - nq) nr, (dq - nq)(dr - nr)) over
+    dq dr, and each payoff is sum X_k cell_k over scale dq dr, with a
+    table's integers X over its scale (`PayoffTables.cleared`).  Both print
+    by `ratio_str`; the points are compared with `int / int` of each
+    payoff, the exact value rounded once.
     """
     tm = totally_mixed_nash(game)
     if isinstance(tm, MixedProfile):
-        ref_point = tm.segre()
+        (nq, dq), (nr, dr) = ((x.numerator, x.denominator) for x in tm)
         ref_kind = "totally-mixed"
     else:
         pures = pure_nash(game)
@@ -786,11 +817,11 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
                 "no reference Nash equilibrium: no totally mixed one and "
                 f"{len(pures)} pure ones")
         i, j = pures[0]
-        cells = [Fraction(0)] * 4
-        cells[(i - 1) * 2 + (j - 1)] = Fraction(1)
-        ref_point = JointDistribution(*cells)
+        (nq, dq), (nr, dr) = (int(i == 1), 1), (int(j == 1), 1)
         ref_kind = f"pure ({i},{j})"
-    ref1, ref2 = expected_payoffs(game, ref_point)
+    ref_cells = (nq * nr, nq * (dr - nr), (dq - nq) * nr, (dq - nq) * (dr - nr))
+    # (numerator, denominator) of each player's expected payoff
+    ref_pay = [(sum(map(mul, X, ref_cells)), scale * dq * dr) for scale, X in game.cleared]
 
     pts = sample_curve_points(game, grid, seed=seed)
     sampled, dominating = [], []
@@ -798,7 +829,8 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
         # each entry X / scale rounded once, as float() of its Fraction
         (a11, a12, a21, a22), (b11, b12, b21, b22) = (
             [x / scale for x in X] for scale, X in game.cleared)
-        r1, r2 = float(ref1), float(ref2)
+        (n1, d1), (n2, d2) = ref_pay
+        r1, r2 = n1 / d1, n2 / d2
     for p in pts:
         p11, p12, p21, p22 = p
         # added left to right from 0, as `sum` adds floats up to Python 3.11;
@@ -815,8 +847,8 @@ def pareto_sweep(game: PayoffTables, grid: int, seed: int = 0) -> dict:
         "grid": grid,
         "reference": {
             "kind": ref_kind,
-            "point": ref_point.to_json(),
-            "payoffs": [rat_str(ref1), rat_str(ref2)],
+            "point": [ratio_str(c, dq * dr) for c in ref_cells],
+            "payoffs": [ratio_str(n, d) for n, d in ref_pay],
         },
         "points": sampled,
         "dominating": dominating,

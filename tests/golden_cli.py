@@ -1,0 +1,54 @@
+"""Check the committed golden CLI bytes without pytest.
+
+    python3 tests/golden_cli.py
+
+Runs every call recorded in golden_game_reports.json (each with its argv,
+exit code and stdout), every game of golden_decompose.json through
+`decompose --game`, and the `approx` golden through `cli.run` in this
+process, and compares stdout and exit code byte for byte.  The raw cubics of
+golden_decompose.json are not CLI calls; the test suite checks them.
+Exits 0 when every call matches, else 1 after naming the first mismatch.
+Needs only the standard library, so it runs on every supported Python.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from spohncurves import cli  # noqa: E402
+
+APPROX = (["approx", "--value", "1.202056903159594285399738161511", "--convergents", "15"],
+          0, '{"approx": "1479821/1231074"}\n')
+
+
+def golden_calls():
+    """(argv, exit code, stdout) for every recorded CLI call."""
+    reports = json.loads((HERE / "golden_game_reports.json").read_text(encoding="utf-8"))
+    calls = [(e["argv"], e["code"], e["stdout"]) for e in reports]
+    decompose = json.loads((HERE / "golden_decompose.json").read_text(encoding="utf-8"))
+    calls += [(["decompose", "--game", json.dumps(rec["game"])], 0, rec["stdout"])
+              for rec in decompose.values() if "game" in rec]
+    return calls + [APPROX]
+
+
+def main() -> int:
+    calls = golden_calls()
+    for argv, code, stdout in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            got = cli.run(argv)
+        if (got, out.getvalue()) != (code, stdout):
+            print(f"mismatch: {argv}: exit {got} (recorded {code}), "
+                  f"stdout {'equal' if out.getvalue() == stdout else 'differs'}")
+            return 1
+    print(f"{len(calls)} golden CLI calls match on Python {sys.version.split()[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 from spohncurves import (
-    MixedProfile,
     MultiPoly,
     PayoffTables,
     PlaneCubic,

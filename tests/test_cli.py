@@ -171,12 +171,17 @@ def test_decompose_prints_a_fractional_point_coordinate(capsys):
     assert '["0", "1", "7/3"]' in out
 
 
-@pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness"])
+@pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness",
+                                     "pareto"])
 def test_game_report_golden_bytes(capsys, command):
     """Stdout and exit code of calls on integer, fractional and ~10^12
     games, recorded before the payoff tables were kept only as integers:
     the quadrics, Nash equilibria, Konstanz matrices, conditional payoffs,
-    and pure, mixed and semi-mixed witnesses under every relabeling."""
+    and pure, mixed and semi-mixed witnesses under every relabeling.  The
+    `pareto` sweeps and the cooperation witnesses were recorded while ladder
+    points and the Pareto reference were built from Fractions: mixed and
+    pure references in each cell, no reference, `--grid` 0, 20 and 200, and
+    sweeps with dominating points."""
     entries = [e for e in GOLDEN_GAME_REPORTS if e["argv"][0] == command]
     assert len(entries) >= 14
     for entry in entries:

@@ -15,7 +15,6 @@ from spohncurves import (
     MixedProfile,
     PayoffTables,
     build_cubic,
-    build_quadrics,
     conditional_payoffs,
     cooperation_witness,
     de_membership,
@@ -30,8 +29,6 @@ from spohncurves import (
 )
 from spohncurves.games import (
     _MAX_LINES,
-    WitnessLadderRow,
-    WitnessReport,
     _residuals,
     _unit_floats,
 )
@@ -756,6 +753,52 @@ def test_pareto_sweep_mixed_reference(bos):
     assert report["reference"]["point"] == ["3/10", "9/20", "1/10", "3/20"]
 
 
+def _fraction_pareto_reference(game):
+    """The sweep's reference on Fractions: the totally mixed equilibrium's
+    product distribution, else the unique pure cell, and its expected
+    payoffs; None when there is neither."""
+    tm = totally_mixed_nash(game)
+    if isinstance(tm, MixedProfile):
+        kind, point = "totally-mixed", tm.segre()
+    else:
+        pures = pure_nash(game)
+        if len(pures) != 1:
+            return None
+        (i, j), = pures
+        kind = f"pure ({i},{j})"
+        point = JointDistribution(*[F(int(k == 2 * (i - 1) + (j - 1))) for k in range(4)])
+    return kind, point, expected_payoffs(game, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES, _TABLES, st.integers(0, 10**6))
+@example([[3, 0], [0, 2]], [[2, 1], [0, 3]], 0)                  # totally mixed
+@example([[2, 0], [3, 1]], [[2, 3], [0, 1]], 1)                  # pure (2,2)
+@example([[0, 0], [0, 0]], [[0, 0], [0, 0]], 0)                  # no reference
+@example([[10**12 + 1, F(1, 3)], [10**12, 10**12 + 2]],
+         [[F(-7, 2), 10**12], [10**12, 10**12 + 1]], 5)
+def test_pareto_reference_matches_the_fraction_route(A, B, seed):
+    """The reference block is `totally_mixed_nash` -> `segre` ->
+    `expected_payoffs` -> `rat_str` (or the unique pure cell), and a sampled
+    point dominates it exactly when it does against `float` of those
+    Fraction payoffs."""
+    g = PayoffTables(A, B)
+    ref = _fraction_pareto_reference(g)
+    if ref is None:
+        with pytest.raises(DomainError, match="no reference Nash equilibrium"):
+            pareto_sweep(g, grid=6, seed=seed)
+        return
+    kind, point, (pi1, pi2) = ref
+    report = pareto_sweep(g, grid=6, seed=seed)
+    assert report["reference"] == {"kind": kind, "point": [rat_str(x) for x in point.as_tuple()],
+                                   "payoffs": [rat_str(pi1), rat_str(pi2)]}
+    r1, r2 = float(pi1), float(pi2)
+
+    def dominates(p1, p2):
+        return p1 >= r1 and p2 >= r2 and (p1 > r1 or p2 > r2)
+    assert report["dominating"] == [rec for rec in report["points"] if dominates(*rec["payoffs"])]
+
+
 # --- witness templates against the lambda route ------------------------------------
 #
 # The reference route states each witness sequence as a lambda r -> 4-tuple in
@@ -830,7 +873,8 @@ def _reference_report(game, kind, case, formula, seq, limit, relabeling="",
         pt = seq(r)
         assert sum(pt) == 1
         pay = conditional_payoffs(game, JointDistribution(*pt))
-        ladder.append(WitnessLadderRow(r, pt, pay, tuple(f(pay) for _, f in checks)))
+        ladder.append(SimpleNamespace(r=r, point=pt, payoffs=pay,
+                                      residuals=tuple(f(pay) for _, f in checks)))
     return SimpleNamespace(
         kind=kind, case=case, formula=formula, threshold=threshold, sequence=seq,
         limit=limit, ladder=ladder, inequalities=[label for label, _ in checks],
@@ -885,9 +929,44 @@ def _reference_cooperation_witness(game):
         payoff_limits=(a11, a11, a11, a22))
 
 
+def _reference_json(ref):
+    """The report's JSON written from Fractions: each exact point by
+    `rat_str`, each exact payoff by `float`."""
+    out = {
+        "numeric": True,
+        "kind": ref.kind,
+        "case": ref.case,
+        "formula": ref.formula,
+        "relabeling": ref.relabeling,
+        "threshold": ref.threshold,
+        "limit": [rat_str(x) for x in ref.limit],
+        "inequalities": list(ref.inequalities),
+        "tolerance": 1e-6,
+        "ladder": [
+            {
+                "r": row.r,
+                "point": [rat_str(x) for x in row.point],
+                "payoffs": {
+                    "E_1^(1)": float(row.payoffs.e11),
+                    "E_2^(1)": float(row.payoffs.e21),
+                    "E_1^(2)": float(row.payoffs.e12),
+                    "E_2^(2)": float(row.payoffs.e22),
+                },
+                "residuals": list(row.residuals),
+            }
+            for row in ref.ladder
+        ],
+        "ok": ref.ok,
+    }
+    if ref.lam is not None:
+        out["lambda"] = rat_str(ref.lam)
+        out["payoff_limits"] = [rat_str(x) for x in ref.payoff_limits]
+    return out
+
+
 def _assert_same_witness(rep, ref):
     assert json.dumps(rep.to_json(), sort_keys=True) == \
-        json.dumps(WitnessReport.to_json(ref), sort_keys=True)
+        json.dumps(_reference_json(ref), sort_keys=True)
     for r in (2, 3, 17, rep.threshold, rep.threshold + 1, 10 ** 6):
         assert rep.sequence(r) == ref.sequence(r), r
 
@@ -961,13 +1040,9 @@ def _assert_ladder_is_rounded_once(game, rep):
             repr(tuple(float(_SLACKS[label](exact)) for label in rep.inequalities)), row.r
 
 
-@settings(max_examples=100, deadline=None)
-@given(_TABLES, _TABLES, _MIXES, st.lists(_ENTRIES, min_size=4, max_size=4, unique=True))
-# entries near 10^12 with slacks of order 1: float(e11) - float(e21) is off
-# in the last places, so a route that subtracts rounded payoffs fails here
-@example([[10**12 + 1, 10**12], [10**12, 10**12 + 2]],
-         [[10**12 + 2, 10**12], [10**12, 10**12 + 1]], F(1, 3), [F(-1, 3), -10**12, 10**12, 7])
-def test_ladder_floats_are_the_exact_values_rounded_once(A, B, mix, values):
+def _witnesses_of_every_kind(A, B, mix, values):
+    """(game, report) pairs: each pure and the totally mixed equilibrium of
+    (A, B), a semi-mixed one mixing `mix`, and a cooperation witness."""
     g = PayoffTables(A, B)
     profiles = [MixedProfile(int(i == 1), int(j == 1)) for i, j in pure_nash(g)]
     tm = totally_mixed_nash(g)
@@ -982,5 +1057,39 @@ def test_ladder_floats_are_the_exact_values_rounded_once(A, B, mix, values):
     a12, a22, a11, a21 = sorted(values)
     coop = PayoffTables([[a11, a12], [a21, a22]], [[a11, a21], [a12, a22]])
     checked.append((coop, cooperation_witness(coop)))
-    for game, rep in checked:
+    return checked
+
+
+_EVERY_KIND = (_TABLES, _TABLES, _MIXES,
+               st.lists(_ENTRIES, min_size=4, max_size=4, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_EVERY_KIND)
+# entries near 10^12 with slacks of order 1: float(e11) - float(e21) is off
+# in the last places, so a route that subtracts rounded payoffs fails here
+@example([[10**12 + 1, 10**12], [10**12, 10**12 + 2]],
+         [[10**12 + 2, 10**12], [10**12, 10**12 + 1]], F(1, 3), [F(-1, 3), -10**12, 10**12, 7])
+def test_ladder_floats_are_the_exact_values_rounded_once(A, B, mix, values):
+    for game, rep in _witnesses_of_every_kind(A, B, mix, values):
         _assert_ladder_is_rounded_once(game, rep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_EVERY_KIND)
+@example([[2, 0], [3, 1]], [[2, 3], [0, 1]], F(999, 1000), [1, 0, 3, 2])
+@example([[10**12 + 1, F(1, 3)], [10**12, 10**12 + 2]],
+         [[F(-7, 2), 10**12], [10**12, 10**12 + 1]], F(1, 1001), [F(-1, 3), -10**12, 10**12, 7])
+def test_ladder_points_are_the_fraction_sequence(A, B, mix, values):
+    """Each rung's integer cells over its scale are `sequence(r)`, and the
+    report prints each coordinate and the limit as `rat_str` of the
+    Fractions."""
+    for _, rep in _witnesses_of_every_kind(A, B, mix, values):
+        data = rep.to_json()
+        assert data["limit"] == [rat_str(x) for x in rep.limit]
+        assert sum(rep.limit) == 1
+        for row, rung in zip(rep.ladder, data["ladder"], strict=True):
+            exact = rep.sequence(row.r)
+            assert row.point == exact and sum(exact) == 1, row.r
+            assert all(type(m) is int for m in row.cells) and row.scale > 0
+            assert rung["point"] == [rat_str(x) for x in exact], row.r
