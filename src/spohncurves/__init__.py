@@ -7,7 +7,6 @@ approximation — all over exact rationals.
 """
 
 from .polynomials import (
-    ContinuedFraction,
     DomainError,
     MultiPoly,
     contfrac_approx,
@@ -37,7 +36,6 @@ from .geometry import (
     CurveComponent,
     ReducibilityVerdict,
     SpohnCubic,
-    SpohnQuadrics,
     build_cubic,
     build_quadrics,
     classify,

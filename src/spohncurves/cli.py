@@ -24,7 +24,7 @@ import re
 import sys
 
 from . import elliptic, games, geometry
-from .polynomials import DomainError, contfrac_approx, rat, rat_str
+from .polynomials import DomainError, contfrac_approx, rat, rat_str, terms_json
 
 
 def _read_source(spec: str) -> str:
@@ -93,8 +93,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _cmd_cubic(args):
     game = _load_game(args)
-    cubic, quad = geometry.build_cubic(game), geometry.build_quadrics(game)
-    return {"cubic": cubic.to_json(), "quadrics": quad.to_json(),
+    cubic, (q1, q2) = geometry.build_cubic(game), geometry.build_quadrics(game)
+    return {"cubic": cubic.to_json(), "quadrics": {"q1": terms_json(*q1), "q2": terms_json(*q2)},
             "zero": cubic.is_zero()}
 
 
@@ -184,8 +184,7 @@ def _cmd_pareto(args):
 def _cmd_approx(args):
     if args.convergents < 1:
         raise UsageError("--convergents must be a positive integer")
-    cf = contfrac_approx(args.value, args.convergents)
-    return {"approx": rat_str(cf.value)}
+    return {"approx": rat_str(contfrac_approx(args.value, args.convergents))}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -2,6 +2,8 @@
 
 The pipeline mirrors how elliptic invariants of a Spohn curve are computed:
 project the quadric pair from a known rational point p onto a plane cubic.
+A quadric enters in one form, the sparse terms (vars, [(exponent, n, d),
+...]) that `geometry.build_quadrics` builds and `terms_from_json` reads.
 With each quadric written v^T M v, M symmetric, and v = w + t p, the polar
 identity gives w^T M w + 2 t (M p).w, since p^T M p = 0: a quadratic part
 Q_i in w and a linear part L_i = 2 M_i p, read off integer-cleared matrices
@@ -17,7 +19,8 @@ two such cubics.  An exact two-branch reduction produces a Weierstrass model
 through a given point, certified Q-isomorphic to J_C, which tells quadratic
 twists apart where equal j cannot.  The model, J_C and the certificate are
 computed on weighted integers, a_w = A_w / n^w (see `WeierstrassCurve`);
-`Fraction`s are built only for output.
+`Fraction`s are built only for the model's and j's output.  Quadric pairs
+and plane cubics are printed from their integers by `terms_json`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ from .polynomials import (
     point_json,
     rat,
     rat_str,
+    ratio_str,
     terms_from_json,
+    terms_json,
 )
 
 VARS4 = ("x", "y", "z", "t")
@@ -64,8 +69,9 @@ class QuadricPair:
     __slots__ = ("quadrics", "P")
 
     def __init__(self, P1, P2, point):
-        """P1 and P2 are MultiPolys, or (vars, [(exponent, n, d), ...]) as
-        `from_json` reads them; `point` is a sequence of coordinates."""
+        """P1 and P2 are sparse terms (vars, [(exponent, n, d), ...]), as
+        `from_json` and `geometry.build_quadrics` give them; `point` is a
+        sequence of coordinates."""
         self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
         P = cleared_point(point)[1]
         if len(P) != 4:
@@ -74,8 +80,8 @@ class QuadricPair:
             raise DomainError("the common point does not lie on both quadrics")
         self.P = P
 
-    P1 = property(lambda self: _poly_from_cleared(*self.quadrics[0]))
-    P2 = property(lambda self: _poly_from_cleared(*self.quadrics[1]))
+    P1 = property(lambda self: _quadric_poly(*self.quadrics[0]))
+    P2 = property(lambda self: _quadric_poly(*self.quadrics[1]))
 
     @classmethod
     def from_json(cls, data) -> "QuadricPair":
@@ -100,18 +106,19 @@ class QuadricPair:
         return cls(P1, P2, point)
 
     def to_json(self) -> dict:
-        return {"P1": self.P1.to_json(), "P2": self.P2.to_json(),
+        """The bytes of `P1.to_json()` and `P2.to_json()`, printed from the
+        stored integers, and the point."""
+        return {"P1": terms_json(*_quadric_terms(*self.quadrics[0])),
+                "P2": terms_json(*_quadric_terms(*self.quadrics[1])),
                 "point": point_json(self.P)}
 
 
 def _cleared_matrix(P) -> tuple:
-    """(d, N) with P(v) = v^T N v / d, for a MultiPoly P or P = (vars,
-    [(exponent, n, d), ...]), whose repeated exponents are summed.  N is
-    2 M cleared to integers over their least denominator, M the symmetric
-    matrix of P (off-diagonal entries half the coefficients), and d is twice
-    that denominator."""
-    if isinstance(P, MultiPoly):
-        P = P.vars, [(e, c.numerator, c.denominator) for e, c in P.terms.items()]
+    """(d, N) with P(v) = v^T N v / d, for P = (vars, [(exponent, n, d),
+    ...]), whose repeated exponents are summed.  N is 2 M cleared to
+    integers over their least denominator, M the symmetric matrix of P
+    (off-diagonal entries half the coefficients), and d is twice that
+    denominator."""
     variables, terms = P
     if len(variables) != 4:
         raise DomainError("quadrics must use exactly 4 variables")
@@ -136,10 +143,16 @@ def _times(N, v) -> list:
     return [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in N]
 
 
-def _poly_from_cleared(d: int, N) -> MultiPoly:
-    """v^T N v / d in (x, y, z, t)."""
-    return MultiPoly(VARS4, [(geometry._mono4(i, j), Fraction(N[i][j], d))
-                             for i in range(4) for j in range(4)])
+def _quadric_terms(d: int, N) -> tuple:
+    """v^T N v / d in (x, y, z, t) as sparse terms in descending order:
+    x_i^2 has the coefficient N_ii / d and x_i x_j, i < j, 2 N_ij / d."""
+    return VARS4, [(geometry._mono4(i, j), N[i][j] if i == j else 2 * N[i][j], d)
+                   for i in range(4) for j in range(i, 4)]
+
+
+def _quadric_poly(d: int, N) -> MultiPoly:
+    """The MultiPoly of `_quadric_terms`."""
+    return MultiPoly(VARS4, [(e, Fraction(n, d)) for e, n, _ in _quadric_terms(d, N)[1]])
 
 
 def _matrix_terms(M) -> tuple:
@@ -154,8 +167,7 @@ def _matrix_terms(M) -> tuple:
 def spohn_pair(game) -> QuadricPair:
     """The game's Spohn quadrics with the fully-mixed-boundary point
     [0:0:0:1], relabeled to (x, y, z, t) = (p11, p12, p21, p22)."""
-    q = geometry.build_quadrics(game)
-    return QuadricPair(q.q1, q.q2, (0, 0, 0, 1))
+    return QuadricPair(*geometry.build_quadrics(game), (0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +284,13 @@ class PlaneCubic:
         return cls(6 * n, [6 // k * x for (_, k), x in zip(_TEN_MONOMIALS, C)])
 
     def to_json(self) -> dict:
-        """The bytes of `poly.to_json()` and of the labels a ... m, from the
-        stored integers: each label is reduced once, and each nonzero term is
-        its multiplier times the label, in descending exponent order."""
-        labels = [Fraction(x, self.den) for x in self.ints]
+        """The bytes of `poly.to_json()` and of the labels a ... m, printed
+        from the stored integers: each term is its multiplier times the
+        label's integer over den, in descending exponent order."""
+        den, ints = self.den, self.ints
         return {
-            "poly": {"vars": list(VARS3), "terms": [
-                {"exp": list(e), "coef": rat_str(labels[n] * k)}
-                for n, e, k in _DESCENDING_TERMS if self.ints[n]]},
-            "coefficients": dict(zip("abcdefghim", map(rat_str, labels))),
+            "poly": terms_json(VARS3, [(e, k * ints[n], den) for n, e, k in _DESCENDING_TERMS]),
+            "coefficients": {c: ratio_str(x, den) for c, x in zip("abcdefghim", ints)},
         }
 
 

@@ -4,9 +4,10 @@ The Spohn variety of a game lives in P^3 with coordinates
 (p11, p12, p21, p22) and is cut out by two quadrics, the determinants that
 equalize each player's conditional expected payoffs.  Projecting away p22
 maps the curve to a plane cubic in (x, y, z) = (p11, p12, p21); this module
-builds that cubic directly from the payoff entries, classifies when it
-degenerates or acquires a line, and decomposes it into components with
-explicit smooth rational points.
+builds the quadrics and that cubic directly from the payoff entries, on
+integers, classifies when the cubic degenerates or acquires a line, and
+decomposes it into components with the smooth rational points read off
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .polynomials import (
     rat,
     rat_str,
     ratio_str,
+    terms_json,
 )
 
 VARS4 = ("p11", "p12", "p21", "p22")
@@ -33,23 +35,6 @@ VARS3 = ("x", "y", "z")
 # the two quadrics
 # ---------------------------------------------------------------------------
 
-class SpohnQuadrics:
-    """The pair of quadrics cutting out the Spohn variety in P^3.
-
-    q1 uses only the monomials p11p21, p11p22, p12p21, p12p22 and q2 only
-    p11p12, p11p22, p12p21, p21p22; both vanish at the four coordinate
-    points.
-    """
-
-    __slots__ = ("q1", "q2")
-
-    def __init__(self, q1: MultiPoly, q2: MultiPoly):
-        self.q1, self.q2 = q1, q2
-
-    def to_json(self) -> dict:
-        return {"q1": self.q1.to_json(), "q2": self.q2.to_json()}
-
-
 def _mono4(i: int, j: int) -> tuple:
     e = [0, 0, 0, 0]
     e[i] += 1
@@ -57,7 +42,7 @@ def _mono4(i: int, j: int) -> tuple:
     return tuple(e)
 
 
-def build_quadrics(game) -> SpohnQuadrics:
+def build_quadrics(game) -> tuple:
     """det M1 and det M2 as quadratic forms on (p11, p12, p21, p22).
 
     det M1 = (a21-a11) p11p21 + (a22-a11) p11p22
@@ -65,23 +50,18 @@ def build_quadrics(game) -> SpohnQuadrics:
     det M2 = (b12-b11) p11p12 + (b22-b11) p11p22
            + (b12-b21) p12p21 + (b22-b21) p21p22
 
-    Each difference is taken on the tables' integers
-    (`PayoffTables.cleared`) and divided by its table's scale once.
+    Returns each in the sparse-term form (vars, [(exponent, n, d), ...])
+    that `elliptic.QuadricPair` and `polynomials.terms_json` read: four
+    terms in descending exponent order, each a difference of the tables'
+    integers (`PayoffTables.cleared`) over its table's scale.  Both vanish
+    at the four coordinate points.
     """
     (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
-    q1 = MultiPoly(VARS4, {
-        _mono4(0, 2): Fraction(a21 - a11, la),
-        _mono4(0, 3): Fraction(a22 - a11, la),
-        _mono4(1, 2): Fraction(a21 - a12, la),
-        _mono4(1, 3): Fraction(a22 - a12, la),
-    })
-    q2 = MultiPoly(VARS4, {
-        _mono4(0, 1): Fraction(b12 - b11, lb),
-        _mono4(0, 3): Fraction(b22 - b11, lb),
-        _mono4(1, 2): Fraction(b12 - b21, lb),
-        _mono4(2, 3): Fraction(b22 - b21, lb),
-    })
-    return SpohnQuadrics(q1, q2)
+    q1 = [(_mono4(0, 2), a21 - a11, la), (_mono4(0, 3), a22 - a11, la),
+          (_mono4(1, 2), a21 - a12, la), (_mono4(1, 3), a22 - a12, la)]
+    q2 = [(_mono4(0, 1), b12 - b11, lb), (_mono4(0, 3), b22 - b11, lb),
+          (_mono4(1, 2), b12 - b21, lb), (_mono4(2, 3), b22 - b21, lb)]
+    return (VARS4, q1), (VARS4, q2)
 
 
 def w_membership(p) -> bool:
@@ -118,7 +98,8 @@ class SpohnCubic:
     lie on the curve.  The coefficients are stored as integers over one
     denominator, c_k = ints[k] / den, the denominator not necessarily the
     least, and that is all a SpohnCubic holds; the Fractions `c` and the
-    `MultiPoly` `f` are built on request.
+    `MultiPoly` `f` are built on request, and `to_json` prints their bytes
+    from the integers.
     """
 
     __slots__ = ("den", "ints")
@@ -135,9 +116,12 @@ class SpohnCubic:
         return not any(self.ints)
 
     def to_json(self) -> dict:
+        """The bytes of `c` and `f.to_json()`, printed from the integers."""
+        den = self.den
         return {
-            "c": [rat_str(x) for x in self.c],
-            "f": self.f.to_json(),
+            "c": [ratio_str(x, den) for x in self.ints],
+            "f": terms_json(VARS3, [(e, x, den) for e, x in
+                                    sorted(zip(_CUBIC_EXPS, self.ints), reverse=True)]),
         }
 
 
@@ -280,9 +264,8 @@ class CurveComponent:
         return {
             "kind": self.kind,
             "multiplicity": self.multiplicity,
-            "poly": {"vars": list(VARS3), "terms": [
-                {"exp": list(e), "coef": ratio_str(k, 1)}
-                for e, k in zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
+            "poly": terms_json(VARS3, [(e, k, 1) for e, k in
+                                       zip(_MONOS[_DEGREE[len(self.ints)]], self.ints)]),
             "point": None if self.point is None else point_json(self.point),
         }
 

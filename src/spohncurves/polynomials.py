@@ -1,8 +1,11 @@
 """Exact rational building blocks.
 
-Sparse multivariate polynomials over Q, projective points, continued
-fractions, and a handful of integer-root utilities.  Everything here is
-exact: coefficients are `fractions.Fraction`, no floats ever enter.
+The one reader of rational text and the one writer of rationals; the
+sparse-term form of a polynomial, (vars, [(exponent, n, d), ...]), with its
+JSON reader and writer; sparse multivariate polynomials over Q (`MultiPoly`,
+kept for on-request views); projective points as primitive integer vectors;
+a continued-fraction approximation; and a handful of integer-root
+utilities.  Everything here is exact: no floats ever enter.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -92,23 +95,11 @@ def rat(value) -> Fraction:
     return Fraction(*parse_rational(value))
 
 
-def rat_str(q: Fraction) -> str:
-    """Canonical string: "n" for integers, "n/d" otherwise (lowest terms).
+def ratio_str(n: int, d: int) -> str:
+    """Canonical string of n/d for integers n and d != 0: "n" for integers,
+    "n/d" otherwise, reduced by the gcd, with no Fraction built.
     DomainError if a part is longer than Python's process-wide int-to-str
     digit limit (`sys.get_int_max_str_digits`), which is left alone."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError as exc:
-        raise _too_many_digits() from exc
-
-
-def ratio_str(n: int, d: int) -> str:
-    """`rat_str` of n/d for integers n and d != 0: the pair is reduced by
-    its gcd, and no Fraction is built."""
     g = math.gcd(n, d)
     if d < 0:
         g = -g
@@ -116,13 +107,14 @@ def ratio_str(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:
-        raise _too_many_digits() from exc
+        raise DomainError(
+            f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, Python's limit for integer-to-string conversion") from exc
 
 
-def _too_many_digits() -> DomainError:
-    return DomainError(
-        f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
-        "digits, Python's limit for integer-to-string conversion")
+def rat_str(q) -> str:
+    """`ratio_str` of an int or a Fraction."""
+    return ratio_str(q.numerator, q.denominator)
 
 
 def json_list(value, what: str) -> list:
@@ -469,6 +461,15 @@ def terms_from_json(obj) -> tuple:
     return variables, terms
 
 
+def terms_json(variables, terms) -> dict:
+    """The JSON of a polynomial given as (exponent, n, d) triples in
+    descending exponent order, each exponent once: the inverse of
+    `terms_from_json`, with the bytes of `MultiPoly.to_json`.  Each
+    coefficient is printed by `ratio_str`; zero terms are left out."""
+    return {"vars": list(variables),
+            "terms": [{"exp": list(e), "coef": ratio_str(n, d)} for e, n, d in terms if n]}
+
+
 def _point_coords(p, n: int) -> tuple:
     coords = tuple(rat(c) for c in p)
     if len(coords) != n:
@@ -548,59 +549,16 @@ def cross_product(a, b) -> tuple:
 # continued fractions
 # ---------------------------------------------------------------------------
 
-class ContinuedFraction:
-    """Finite continued fraction [a0; a1, a2, ...] of a rational number.
-
-    `of_rational` produces the canonical Euclidean expansion, whose *full*
-    form never ends in a trailing quotient 1 (the [..., a-1, 1] variant is
-    not used); a truncated expansion is simply a prefix of the canonical one.
-    Convergents come from the standard recurrence h_n = a_n h_{n-1} + h_{n-2}.
-    """
-
-    def __init__(self, partial_quotients: Iterable[int]):
-        pq = [int(a) for a in partial_quotients]
-        if not pq:
-            raise ValueError("need at least one partial quotient")
-        if any(a < 1 for a in pq[1:]):
-            raise ValueError("partial quotients after the first must be >= 1")
-        self.partial_quotients = pq
-        h_prev, h_pprev = 1, 0
-        k_prev, k_pprev = 0, 1
-        convs = []
-        for a in pq:
-            h = a * h_prev + h_pprev
-            k = a * k_prev + k_pprev
-            convs.append(Fraction(h, k))
-            h_pprev, h_prev = h_prev, h
-            k_pprev, k_prev = k_prev, k
-        self.convergents = convs
-
-    @classmethod
-    def of_rational(cls, value, max_quotients: int | None = None) -> "ContinuedFraction":
-        """Canonical expansion of a rational, optionally truncated."""
-        x = rat(value) if not isinstance(value, Fraction) else value
-        pq = []
-        while True:
-            a = x.numerator // x.denominator  # floor
-            pq.append(a)
-            frac = x - a
-            if frac == 0 or (max_quotients is not None and len(pq) >= max_quotients):
-                break
-            x = 1 / frac
-        return cls(pq)
-
-    @property
-    def value(self) -> Fraction:
-        return self.convergents[-1]
-
-
-def contfrac_approx(value_str: str, n_convergents: int) -> ContinuedFraction:
-    """Approximate a decimal string by the first n convergents of its expansion.
+def contfrac_approx(value_str: str, n_convergents: int) -> Fraction:
+    """The n-th convergent of the continued-fraction expansion of a decimal
+    string, or the value itself if the expansion is shorter.
 
     The string is read by `parse_rational` (a finite decimal is a rational,
-    and its exponent is bounded); if the full expansion has fewer than n
-    partial quotients the whole expansion is returned.  n_convergents must
-    be >= 1.
+    and its exponent is bounded).  Euclid's algorithm on its (n, d) gives
+    the partial quotients a_k = floor (the canonical expansion, whose full
+    form never ends in a quotient 1), and the convergents h/k come from the
+    recurrence h_k = a_k h_{k-1} + h_{k-2}, stopping at a zero remainder.
+    n_convergents must be >= 1.
     """
     if n_convergents < 1:
         raise DomainError("n_convergents must be >= 1")
@@ -611,4 +569,11 @@ def contfrac_approx(value_str: str, n_convergents: int) -> ContinuedFraction:
         # the parser's reason, if it gives one, after its naming of the text
         reason = str(exc)[len(f"cannot parse rational from {text!r}"):]
         raise ValueError(f"cannot parse decimal value {value_str!r}{reason}") from exc
-    return ContinuedFraction.of_rational(Fraction(n, d), max_quotients=n_convergents)
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    for _ in range(n_convergents):
+        a, r = divmod(n, d)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        if not r:
+            break
+        n, d = d, r
+    return Fraction(h, k)

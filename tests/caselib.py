@@ -4,12 +4,24 @@ The case equations are transcribed here independently of the library so the
 classifier is checked against a second reading of the same conditions, and
 seeded generators produce games satisfying any prescribed case.  Cases 9-12
 are three (or four) bilinear equations; for a fixed payoff table A they are
-linear in the entries of B, so a kernel basis gives every matching B.
+linear in the entries of B, so a kernel basis gives every matching B.  Two
+converters, `sparse` and `poly`, move a polynomial between a `MultiPoly` and
+the sparse terms that the library reads and builds.
 """
 
 from fractions import Fraction
 
-from spohncurves import PayoffTables, build_cubic
+from spohncurves import MultiPoly, PayoffTables, build_cubic
+
+
+def sparse(P: MultiPoly) -> tuple:
+    """P as sparse terms (vars, [(exponent, n, d), ...])."""
+    return P.vars, [(e, c.numerator, c.denominator) for e, c in P.terms.items()]
+
+
+def poly(terms) -> MultiPoly:
+    """The MultiPoly of sparse terms (vars, [(exponent, n, d), ...])."""
+    return MultiPoly(terms[0], [(e, Fraction(n, d)) for e, n, d in terms[1]])
 
 
 def case_equations(case, A, B):

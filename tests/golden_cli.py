@@ -3,10 +3,10 @@
     python3 tests/golden_cli.py
 
 Runs every call recorded in golden_game_reports.json (each with its argv,
-exit code and stdout), every game of golden_decompose.json through
-`decompose --game`, and the `approx` golden through `cli.run` in this
-process, and compares stdout and exit code byte for byte.  The raw cubics of
-golden_decompose.json are not CLI calls; the test suite checks them.
+exit code and stdout) and every game of golden_decompose.json through
+`decompose --game`, by `cli.run` in this process, and compares stdout and
+exit code byte for byte.  The raw cubics of golden_decompose.json are not
+CLI calls; the test suite checks them.
 Exits 0 when every call matches, else 1 after naming the first mismatch.
 Needs only the standard library, so it runs on every supported Python.
 """
@@ -22,9 +22,6 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from spohncurves import cli  # noqa: E402
 
-APPROX = (["approx", "--value", "1.202056903159594285399738161511", "--convergents", "15"],
-          0, '{"approx": "1479821/1231074"}\n')
-
 
 def golden_calls():
     """(argv, exit code, stdout) for every recorded CLI call."""
@@ -33,7 +30,7 @@ def golden_calls():
     decompose = json.loads((HERE / "golden_decompose.json").read_text(encoding="utf-8"))
     calls += [(["decompose", "--game", json.dumps(rec["game"])], 0, rec["stdout"])
               for rec in decompose.values() if "game" in rec]
-    return calls + [APPROX]
+    return calls
 
 
 def main() -> int:

@@ -26,7 +26,7 @@ from spohncurves import (
     weierstrass_from_cubic,
 )
 from spohncurves.polynomials import clear_denominators
-from caselib import game_for_case, random_game
+from caselib import game_for_case, poly, random_game, sparse
 
 F = Fraction
 P4 = ("p11", "p12", "p21", "p22")
@@ -45,12 +45,12 @@ def q3(terms):
 
 def test_criterion_01_worked_example_quadrics_cubic_and_j():
     g = PayoffTables([[1, 2], [0, 3]], [[6, 1], [4, 0]])
-    quad = build_quadrics(g)
+    q1, q2 = map(poly, build_quadrics(g))
     # -xz + 2xt - 2yz + yt, -5xy - 6xt - 3yz - 4zt  in (x,y,z,t) = (p11,p12,p21,p22)
-    assert quad.q1 == q4({(1, 0, 1, 0): -1, (1, 0, 0, 1): 2,
-                          (0, 1, 1, 0): -2, (0, 1, 0, 1): 1})
-    assert quad.q2 == q4({(1, 1, 0, 0): -5, (1, 0, 0, 1): -6,
-                          (0, 1, 1, 0): -3, (0, 0, 1, 1): -4})
+    assert q1 == q4({(1, 0, 1, 0): -1, (1, 0, 0, 1): 2,
+                     (0, 1, 1, 0): -2, (0, 1, 0, 1): 1})
+    assert q2 == q4({(1, 1, 0, 0): -5, (1, 0, 0, 1): -6,
+                     (0, 1, 1, 0): -3, (0, 0, 1, 1): -4})
     cubic = build_cubic(g)
     # (-10y - 6z)x^2 + (-5y^2 - 18zy - 4z^2)x + (-3zy^2 - 8z^2y)
     assert cubic.f == q3({(2, 1, 0): -10, (2, 0, 1): -6, (1, 2, 0): -5,
@@ -74,7 +74,7 @@ def test_criterion_03_non_spohn_quadric_pair_reduction():
                           (0, 0, 2, 0): -1, (0, 0, 0, 2): -1})
     P2 = MultiPoly(xyzt, {(1, 0, 1, 0): 1, (0, 1, 1, 0): -1,
                           (0, 1, 0, 1): 1, (0, 0, 1, 1): -1})
-    cubic = cubic_from_quadrics(QuadricPair(P1, P2, (1, 1, 1, 1)))
+    cubic = cubic_from_quadrics(QuadricPair(sparse(P1), sparse(P2), (1, 1, 1, 1)))
     assert cubic.poly == q3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
                              (0, 2, 1): -1, (1, 0, 2): -1, (0, 1, 2): 2,
                              (0, 0, 3): -1})
@@ -120,11 +120,11 @@ def test_criterion_05_quadratic_twist_same_j_not_isomorphic():
 
 def test_criterion_06_prisoners_dilemma_geometry_and_cooperation():
     pd = PayoffTables([[2, 0], [3, 1]], [[2, 3], [0, 1]])
-    quad = build_quadrics(pd)
-    assert quad.q1 == q4({(1, 0, 1, 0): 1, (1, 0, 0, 1): -1,
-                          (0, 1, 1, 0): 3, (0, 1, 0, 1): 1})
-    assert quad.q2 == q4({(1, 1, 0, 0): 1, (1, 0, 0, 1): -1,
-                          (0, 1, 1, 0): 3, (0, 0, 1, 1): 1})
+    q1, q2 = map(poly, build_quadrics(pd))
+    assert q1 == q4({(1, 0, 1, 0): 1, (1, 0, 0, 1): -1,
+                     (0, 1, 1, 0): 3, (0, 1, 0, 1): 1})
+    assert q2 == q4({(1, 1, 0, 0): 1, (1, 0, 0, 1): -1,
+                     (0, 1, 1, 0): 3, (0, 0, 1, 1): 1})
     verdict = reducibility_verdict(pd)
     # the symmetric-game predicate (case 9) holds; these payoffs also satisfy
     # the case-10 equations, so the exact classifier reports both
@@ -143,8 +143,8 @@ def test_criterion_06_prisoners_dilemma_geometry_and_cooperation():
 
 
 def test_criterion_07_zeta3_convergents_exact_strings():
-    assert rat_str(contfrac_approx(ZETA3_30_DIGITS, 15).value) == "1479821/1231074"
-    assert rat_str(contfrac_approx(ZETA3_30_DIGITS, 20).value) == "461424925/383862797"
+    assert rat_str(contfrac_approx(ZETA3_30_DIGITS, 15)) == "1479821/1231074"
+    assert rat_str(contfrac_approx(ZETA3_30_DIGITS, 20)) == "461424925/383862797"
 
 
 def test_criterion_08_nonempty_cases_iff_linear_factor():
@@ -269,5 +269,5 @@ def test_criterion_13_interior_nash_lies_on_both_quadrics():
             continue
         checked += 1
         segre = ne.segre().as_tuple()
-        quad = build_quadrics(g)
-        assert (quad.q1.evaluate(segre), quad.q2.evaluate(segre)) == (0, 0)
+        q1, q2 = map(poly, build_quadrics(g))
+        assert (q1.evaluate(segre), q2.evaluate(segre)) == (0, 0)

@@ -172,7 +172,7 @@ def test_decompose_prints_a_fractional_point_coordinate(capsys):
 
 
 @pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness",
-                                     "pareto"])
+                                     "pareto", "reduce", "approx"])
 def test_game_report_golden_bytes(capsys, command):
     """Stdout and exit code of calls on integer, fractional and ~10^12
     games, recorded before the payoff tables were kept only as integers:
@@ -181,7 +181,16 @@ def test_game_report_golden_bytes(capsys, command):
     `pareto` sweeps and the cooperation witnesses were recorded while ladder
     points and the Pareto reference were built from Fractions: mixed and
     pure references in each cell, no reference, `--grid` 0, 20 and 200, and
-    sweeps with dominating points."""
+    sweeps with dominating points.  The `reduce` and `approx` calls were
+    recorded while the Spohn quadrics were MultiPolys, plane cubics were
+    printed through Fractions and approximations came from a
+    continued-fraction class: A/B matrices and sparse P1/P2 with repeated,
+    zero and cancelling terms, fractional and ~10^12 coefficients, common
+    points with a negative or zero last coordinate, flex and non-flex
+    `--point` and none, every exit-1 fault of the elimination and the model
+    and malformed input; negative, integer and "n/d" values, exponent and
+    underscore spellings, expansions shorter than `--convergents`, one
+    convergent, zeta(3) at 15 and 20 and the exit-2 cases."""
     entries = [e for e in GOLDEN_GAME_REPORTS if e["argv"][0] == command]
     assert len(entries) >= 14
     for entry in entries:
@@ -205,10 +214,12 @@ ONE_CALL_EACH = (
 )
 
 
-def test_only_the_cubic_subcommand_builds_a_multipoly(monkeypatch, capsys):
-    """`cubic` builds three MultiPolys per call, its two quadrics and its
-    cubic, for their JSON; no other subcommand builds one.  Checked on one
-    call of each of the twelve subcommands and on every golden game report."""
+def test_no_subcommand_builds_a_multipoly(monkeypatch, capsys):
+    """Every polynomial the CLI prints, the quadrics and cubic of `cubic`
+    and the cubic of `reduce` included, is printed from integers: no
+    subcommand builds a MultiPoly.  Checked on one call of each of the
+    twelve subcommands, on every golden game report, the `reduce` and
+    `approx` entries included, and on every golden decompose game."""
     built = []
     init = MultiPoly.__init__
 
@@ -219,11 +230,13 @@ def test_only_the_cubic_subcommand_builds_a_multipoly(monkeypatch, capsys):
     monkeypatch.setattr(MultiPoly, "__init__", counted)
     calls = [(argv, 0) for argv in ONE_CALL_EACH]
     calls += [(entry["argv"], entry["code"]) for entry in GOLDEN_GAME_REPORTS]
+    calls += [(["decompose", "--game", json.dumps(rec["game"])], 0)
+              for rec in GOLDEN_DECOMPOSE.values() if "game" in rec]
     assert len({argv[0] for argv, _ in calls}) == 12
     for argv, code in calls:
         built.clear()
         run_ok(capsys, argv, code)
-        assert len(built) == (3 if argv[0] == "cubic" else 0), argv
+        assert built == [], argv
 
 
 # --- input channels ---------------------------------------------------------------------

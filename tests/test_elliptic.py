@@ -32,8 +32,8 @@ from spohncurves import (
 )
 from spohncurves.elliptic import _aronhold_st, _polar
 from spohncurves.polynomials import (
-    clear_denominators, cross_product, primitive_vector, terms_from_json)
-from caselib import random_game
+    clear_denominators, cross_product, point_json, primitive_vector, terms_from_json)
+from caselib import poly, random_game, sparse
 
 F = Fraction
 
@@ -290,7 +290,7 @@ def translate_to_infinity(pair: QuadricPair):
         "swap": swap,
         "translation": [rat_str(x0), rat_str(y0), rat_str(z0)],
     }
-    return QuadricPair(new1, new2, (0, 0, 0, 1)), record
+    return QuadricPair(sparse(new1), sparse(new2), (0, 0, 0, 1)), record
 
 
 class SplitKLM(NamedTuple):
@@ -368,7 +368,7 @@ def test_cubic_from_quadrics_matches_direct_spohn_cubic():
 
 
 def test_non_spohn_pair_pipeline():
-    pr = QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 1))
+    pr = QuadricPair(sparse(NON_SPOHN_P1), sparse(NON_SPOHN_P2), (1, 1, 1, 1))
     mv, rec = translate_to_infinity(pr)
     assert rec["swap"] is None and rec["translation"] == ["1", "1", "1"]
     sp = split_klm(mv)
@@ -412,8 +412,7 @@ def test_quadric_pair_from_symmetric_matrices():
 
 
 def test_translate_swaps_when_last_coordinate_vanishes(g44):
-    base = spohn_pair(g44)
-    pair = QuadricPair(base.P1, base.P2, (1, 0, 0, 0))
+    pair = QuadricPair(*build_quadrics(g44), (1, 0, 0, 0))
     moved, rec = translate_to_infinity(pair)
     assert rec["swap"] == 0
     assert moved.P == (0, 0, 0, 1)
@@ -423,11 +422,11 @@ def test_translate_swaps_when_last_coordinate_vanishes(g44):
 
 
 # t x + y^2 and t x + z^2 share the linear-in-t part: the pencil drops genus
-PROPORTIONAL_L = QuadricPair(poly4({(1, 0, 0, 1): 1, (0, 2, 0, 0): 1}),
-                             poly4({(1, 0, 0, 1): 1, (0, 0, 2, 0): 1}), (0, 0, 0, 1))
+PROPORTIONAL_L = QuadricPair(sparse(poly4({(1, 0, 0, 1): 1, (0, 2, 0, 0): 1})),
+                             sparse(poly4({(1, 0, 0, 1): 1, (0, 0, 2, 0): 1})), (0, 0, 0, 1))
 # x (t + z) and y (t + z) share a plane: L1 M2 - L2 M1 = x yz - y xz = 0
-ZERO_ELIMINANT = QuadricPair(poly4({(1, 0, 0, 1): 1, (1, 0, 1, 0): 1}),
-                             poly4({(0, 1, 0, 1): 1, (0, 1, 1, 0): 1}), (0, 0, 0, 1))
+ZERO_ELIMINANT = QuadricPair(sparse(poly4({(1, 0, 0, 1): 1, (1, 0, 1, 0): 1})),
+                             sparse(poly4({(0, 1, 0, 1): 1, (0, 1, 1, 0): 1})), (0, 0, 0, 1))
 
 
 def test_split_rejects_proportional_linear_parts():
@@ -476,13 +475,13 @@ def quadric_pair_inputs(draw):
     v^T A v and v^T B v are P1 and P2."""
     if draw(st.booleans()):
         e = draw(st.lists(pair_entries, min_size=8, max_size=8))
-        q = build_quadrics(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
+        q1, q2 = map(poly, build_quadrics(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]])))
         point = draw(st.sampled_from(CORNERS))
         data = None
         if draw(st.booleans()):
-            data = {"P1": sparse_json(draw, q.q1), "P2": sparse_json(draw, q.q2),
+            data = {"P1": sparse_json(draw, q1), "P2": sparse_json(draw, q2),
                     "point": [rat_str(F(x)) for x in point]}
-        return q.q1, q.q2, point, data
+        return q1, q2, point, data
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     point = draw(st.lists(coord, min_size=3, max_size=3))
     point.append(draw(st.one_of(st.just(F(0)), coord)))
@@ -509,7 +508,9 @@ def quadric_pair_inputs(draw):
 
 def build_pair(P1, P2, point, data):
     try:
-        return QuadricPair(P1, P2, point) if data is None else QuadricPair.from_json(data)
+        if data is None:
+            return QuadricPair(sparse(P1), sparse(P2), point)
+        return QuadricPair.from_json(data)
     except DomainError:
         assume(False)
 
@@ -534,8 +535,8 @@ OFF_LATTICE_INPUTS = (
 @given(quadric_pairs())
 @example(PROPORTIONAL_L)
 @example(ZERO_ELIMINANT)
-@example(QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 1)))
-@example(QuadricPair(*OFF_LATTICE_INPUTS[:3]))
+@example(QuadricPair(sparse(NON_SPOHN_P1), sparse(NON_SPOHN_P2), (1, 1, 1, 1)))
+@example(QuadricPair(*map(sparse, OFF_LATTICE_INPUTS[:2]), OFF_LATTICE_INPUTS[2]))
 def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
     """The polar identity on the symmetric matrices gives the same cubic,
     byte for byte, as translating, splitting and expanding, and the same
@@ -585,9 +586,13 @@ def test_from_spohn_stores_the_integers_of_from_poly(e, k):
     """Reading the labels off a SpohnCubic's seven integers stores the same
     (den, ints) as clearing its polynomial, also when the SpohnCubic's
     denominator is scaled by k, negative included, and prints the same
-    bytes; the zero cubic is a DomainError either way."""
+    bytes; the zero cubic is a DomainError either way.  The SpohnCubic's
+    own JSON, printed from its integers, has the bytes of its Fractions
+    `c` and polynomial `f`."""
     spohn = build_cubic(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
     for s in (spohn, SpohnCubic(k * spohn.den, [k * x for x in spohn.ints])):
+        assert json.dumps(s.to_json()) == json.dumps(
+            {"c": [rat_str(x) for x in s.c], "f": s.f.to_json()})
         if s.is_zero():
             with pytest.raises(DomainError):
                 PlaneCubic.from_spohn(s)
@@ -637,8 +642,8 @@ def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
     positive integer with P(v) = v^T N v / d, the (d, N) of clearing the
     polynomial's Fraction matrix, also when the pair is read from JSON with
     repeated, zero and cancelling terms; P1 and P2 give back the polynomials
-    the pair was built from, in (x, y, z, t), and a JSON round trip stores
-    the same (d, N)."""
+    the pair was built from, in (x, y, z, t), the JSON printed from (d, N)
+    has the bytes of theirs, and a JSON round trip stores the same (d, N)."""
     P1, P2, point, data = inputs
     pair = build_pair(P1, P2, point, None)
     if data is not None:  # the JSON route stores what the MultiPoly route does
@@ -657,6 +662,8 @@ def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
         assert F(sum(N[i][j] * v[i] * v[j] for i in range(4) for j in range(4)),
                  d) == source.evaluate(v)
         assert P == source
+    assert json.dumps(pair.to_json()) == json.dumps(
+        {"P1": pair.P1.to_json(), "P2": pair.P2.to_json(), "point": point_json(pair.P)})
     again = QuadricPair.from_json(json.loads(json.dumps(pair.to_json())))
     assert again.quadrics == pair.quadrics
     assert primitive_vector(again.P) == primitive_vector(pair.P)
@@ -665,13 +672,13 @@ def test_quadric_pair_stores_integer_cleared_matrices(inputs, v):
 def test_quadric_pair_validation():
     with pytest.raises(DomainError,
                        match="^the common point does not lie on both quadrics$"):
-        QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1, 2))     # not on P2
+        QuadricPair(sparse(NON_SPOHN_P1), sparse(NON_SPOHN_P2), (1, 1, 1, 2))  # not on P2
     with pytest.raises(DomainError, match="^expected nonzero homogeneous quadrics$"):
-        QuadricPair(NON_SPOHN_P1, poly4({(1, 0, 0, 0): 1}), (0, 0, 1, 1))
+        QuadricPair(sparse(NON_SPOHN_P1), sparse(poly4({(1, 0, 0, 0): 1})), (0, 0, 1, 1))
     with pytest.raises(DomainError, match="^quadrics must use exactly 4 variables$"):
-        QuadricPair(NON_SPOHN_P1, poly3({(2, 0, 0): 1}), (0, 0, 1, 1))
+        QuadricPair(sparse(NON_SPOHN_P1), sparse(poly3({(2, 0, 0): 1})), (0, 0, 1, 1))
     with pytest.raises(DomainError, match="^common point must have 4 coordinates$"):
-        QuadricPair(NON_SPOHN_P1, NON_SPOHN_P2, (1, 1, 1))
+        QuadricPair(sparse(NON_SPOHN_P1), sparse(NON_SPOHN_P2), (1, 1, 1))
 
 
 # --- Weierstrass models -----------------------------------------------------------------
@@ -1099,10 +1106,10 @@ def test_j_does_not_depend_on_the_corner_used(g44, bos):
     # all four coordinate points sit on the variety; each gives a plane cubic
     # birational to the same curve
     for g in (g44, bos[0]):
-        base = spohn_pair(g)
+        q1, q2 = build_quadrics(g)
         models = []
         for corner in ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)):
-            pair = QuadricPair(base.P1, base.P2, corner)
+            pair = QuadricPair(q1, q2, corner)
             models.append(cubic_from_quadrics(pair))
         js = {j_invariant(m).value for m in models}
         assert len(js) == 1

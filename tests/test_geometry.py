@@ -30,7 +30,7 @@ from spohncurves.geometry import (
     _CUBIC_EXPS, _HORNER, _MONOS, _candidate_lines, _vanishes_on_line)
 from spohncurves.polynomials import (
     clear_denominators, cross_product, primitive_vector, rat_str)
-from caselib import case_equations, cases_by_equations, game_for_case, random_game
+from caselib import case_equations, cases_by_equations, game_for_case, poly, random_game
 
 F = Fraction
 P4 = ("p11", "p12", "p21", "p22")
@@ -58,20 +58,38 @@ def primitive(v) -> tuple:
 # --- the two quadrics -----------------------------------------------------------------
 
 def test_quadrics_pd_display(pd):
-    quad = build_quadrics(pd)
-    assert quad.q1 == q4({(1, 0, 1, 0): 1, (1, 0, 0, 1): -1,
-                          (0, 1, 1, 0): 3, (0, 1, 0, 1): 1})
-    assert quad.q2 == q4({(1, 1, 0, 0): 1, (1, 0, 0, 1): -1,
-                          (0, 1, 1, 0): 3, (0, 0, 1, 1): 1})
+    q1, q2 = map(poly, build_quadrics(pd))
+    assert q1 == q4({(1, 0, 1, 0): 1, (1, 0, 0, 1): -1,
+                     (0, 1, 1, 0): 3, (0, 1, 0, 1): 1})
+    assert q2 == q4({(1, 1, 0, 0): 1, (1, 0, 0, 1): -1,
+                     (0, 1, 1, 0): 3, (0, 0, 1, 1): 1})
 
 
 def test_quadrics_worked_example_display(g44):
     # -xz + 2xt - 2yz + yt and -5xy - 6xt - 3yz - 4zt in (x,y,z,t) = (p11,p12,p21,p22)
-    quad = build_quadrics(g44)
-    assert quad.q1 == q4({(1, 0, 1, 0): -1, (1, 0, 0, 1): 2,
-                          (0, 1, 1, 0): -2, (0, 1, 0, 1): 1})
-    assert quad.q2 == q4({(1, 1, 0, 0): -5, (1, 0, 0, 1): -6,
-                          (0, 1, 1, 0): -3, (0, 0, 1, 1): -4})
+    q1, q2 = map(poly, build_quadrics(g44))
+    assert q1 == q4({(1, 0, 1, 0): -1, (1, 0, 0, 1): 2,
+                     (0, 1, 1, 0): -2, (0, 1, 0, 1): 1})
+    assert q2 == q4({(1, 1, 0, 0): -5, (1, 0, 0, 1): -6,
+                     (0, 1, 1, 0): -3, (0, 0, 1, 1): -4})
+
+
+def test_quadrics_are_four_integer_terms_in_descending_order():
+    """Each quadric is its table's four integer differences over the
+    table's scale, zero terms kept, in the descending order that
+    `terms_json` prints."""
+    g = PayoffTables([["1/2", "3/4"], ["1/2", "5/6"]], [[2, 3], [0, 3]])
+    assert build_quadrics(g) == (
+        (P4, [((1, 0, 1, 0), 0, 12), ((1, 0, 0, 1), 4, 12),
+              ((0, 1, 1, 0), -3, 12), ((0, 1, 0, 1), 1, 12)]),
+        (P4, [((1, 1, 0, 0), 1, 1), ((1, 0, 0, 1), 1, 1),
+              ((0, 1, 1, 0), 3, 1), ((0, 0, 1, 1), 3, 1)]))
+    rng = random.Random(4003)
+    for _ in range(20):
+        for variables, terms in build_quadrics(random_game(rng)):
+            exps = [e for e, _, _ in terms]
+            assert exps == sorted(exps, reverse=True) and len(exps) == 4
+            assert all(type(n) is int and type(d) is int and d > 0 for _, n, d in terms)
 
 
 def test_quadric_monomial_support_and_coordinate_points():
@@ -80,11 +98,11 @@ def test_quadric_monomial_support_and_coordinate_points():
     q1_support = {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
     q2_support = {(1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)}
     for _ in range(40):
-        quad = build_quadrics(random_game(rng))
-        assert set(quad.q1.terms) <= q1_support
-        assert set(quad.q2.terms) <= q2_support
+        q1, q2 = map(poly, build_quadrics(random_game(rng)))
+        assert set(q1.terms) <= q1_support
+        assert set(q2.terms) <= q2_support
         for pt in corners:
-            assert (quad.q1.evaluate(pt), quad.q2.evaluate(pt)) == (0, 0)
+            assert (q1.evaluate(pt), q2.evaluate(pt)) == (0, 0)
 
 
 def test_quadrics_agree_with_determinant_route():
@@ -92,16 +110,16 @@ def test_quadrics_agree_with_determinant_route():
     rng = random.Random(4002)
     for _ in range(60):
         g = random_game(rng)
-        quad = build_quadrics(g)
+        q1, q2 = map(poly, build_quadrics(g))
         p = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
-        assert spohn_determinants(g, p) == (quad.q1.evaluate(p), quad.q2.evaluate(p))
+        assert spohn_determinants(g, p) == (q1.evaluate(p), q2.evaluate(p))
 
 
 def test_variety_and_w_membership(pd):
-    quad = build_quadrics(pd)
+    q1, q2 = map(poly, build_quadrics(pd))
 
     def values(p):
-        return quad.q1.evaluate(p), quad.q2.evaluate(p)
+        return q1.evaluate(p), q2.evaluate(p)
 
     assert values((0, 0, 0, 1)) == (0, 0)
     # points of the line component y = z, lifted back through det M1 = 0

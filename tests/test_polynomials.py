@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spohncurves.polynomials import (
-    ContinuedFraction,
     DomainError,
     MultiPoly,
     clear_denominators,
@@ -21,6 +21,7 @@ from spohncurves.polynomials import (
     rat,
     rat_str,
     terms_from_json,
+    terms_json,
 )
 
 F = Fraction
@@ -51,7 +52,7 @@ def test_decimal_exponent_is_bounded_by_twice_the_digit_limit():
     bound = 2 * sys.get_int_max_str_digits()
     for ok in (f"1e{bound}", f"-2.5E-{bound}", f"3e+{bound}", " 7e1 "):
         assert rat(ok) == Fraction(ok.strip())
-    assert contfrac_approx(f"1e-{bound}", 1).value == 0
+    assert contfrac_approx(f"1e-{bound}", 1) == 0
     for bad in (f"1e{bound + 1}", f"-2.5E-{bound + 1}", "1e10000000", "1e1_000_000"):
         with pytest.raises(ValueError, match=f"^cannot parse rational from {bad!r}: its "
                            f"decimal exponent exceeds {bound} in magnitude"):
@@ -197,6 +198,31 @@ def test_rat_str_is_reduced():
     assert rat_str(F(4, 6)) == "2/3"
     assert rat_str(F(-8, 2)) == "-4"
     assert rat_str(F(0)) == "0"
+    assert rat_str(-12) == "-12"
+
+
+# 0, or a decimal shift that takes a part around Python's int-to-string digit
+# limit (4300 digits by default)
+_SHIFT = st.one_of(st.just(0), st.integers(4290, 4310))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(), _SHIFT, _SHIFT)
+@example(F(1), 4300, 0)
+@example(F(1), 0, 4299)
+def test_rat_str_is_str_of_the_fraction(q, shift_n, shift_d):
+    """`rat_str` prints what `str` prints of a Fraction; a part beyond the
+    digit limit, on which `str` fails, is a DomainError naming the limit.
+    The large Fraction is built inside, since its repr fails too."""
+    q = F(q.numerator * 10 ** shift_n + (shift_n > 0),
+          q.denominator * 10 ** shift_d + (shift_d > 0))
+    try:
+        expected = str(q)
+    except ValueError:
+        with pytest.raises(DomainError, match=f"more than {sys.get_int_max_str_digits()} "):
+            rat_str(q)
+    else:
+        assert rat_str(q) == expected
 
 
 def test_rational_power_tests():
@@ -376,44 +402,71 @@ def test_cross_product_orthogonality():
     assert sum(a * b for a, b in zip(w, v)) == 0
 
 
+_TERM_PARTS = st.tuples(st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)),
+                        st.one_of(st.just(1), st.integers(-10**12, 10**12).filter(bool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), _TERM_PARTS, max_size=10))
+@example({(2, 0, 0, 0): (0, 1), (1, 1, 0, 0): (6, -4), (0, 0, 0, 2): (10**12, 1)})
+def test_terms_json_prints_the_bytes_of_multipoly_to_json(parts):
+    """`terms_json` of (exponent, n, d) triples in descending order, zero
+    terms and unreduced or negative d included, gives the bytes that
+    `MultiPoly.to_json` gives of the same polynomial."""
+    variables = ("x", "y", "z", "t")
+    terms = [(e, n, d) for e, (n, d) in sorted(parts.items(), reverse=True)]
+    expected = MultiPoly(variables, [(e, F(n, d)) for e, n, d in terms]).to_json()
+    assert json.dumps(terms_json(variables, terms)) == json.dumps(expected)
+    assert terms_from_json(terms_json(variables, terms)) == (
+        list(variables), [(e, *parse_rational(F(n, d))) for e, n, d in terms if n])
+
+
 # --- continued fractions -------------------------------------------------------
 
-def test_of_rational_classic_example():
-    cf = ContinuedFraction.of_rational(F(415, 93))
-    assert cf.partial_quotients == [4, 2, 6, 7]
-    assert cf.value == F(415, 93)
-
-
 def test_convergents_recurrence():
-    cf = ContinuedFraction.of_rational(F(415, 93))
-    assert cf.convergents == [F(4), F(9, 2), F(58, 13), F(415, 93)]
+    """415/93 = [4; 2, 6, 7]: its k-th convergents by the recurrence, and
+    the value itself once k reaches the length of the expansion."""
+    assert [contfrac_approx("415/93", k) for k in range(1, 5)] == \
+        [F(4), F(9, 2), F(58, 13), F(415, 93)]
+    assert contfrac_approx("415/93", 9) == F(415, 93)
 
 
-def test_of_rational_truncation_is_prefix():
-    full = ContinuedFraction.of_rational(F(415, 93))
-    cut = ContinuedFraction.of_rational(F(415, 93), max_quotients=2)
-    assert cut.partial_quotients == full.partial_quotients[:2]
+def test_truncation_is_a_prefix():
+    """The k-th convergent is the value of the first k partial quotients of
+    the full canonical expansion, here found by Euclid on Fractions."""
+    for x, quotients in ((F(415, 93), [4, 2, 6, 7]),
+                         (F(103993, 33102), [3, 7, 15, 1, 292]),
+                         (F(-7, 2), [-4, 2])):
+        full, y = [], x
+        while True:
+            full.append(y.numerator // y.denominator)
+            if y == full[-1]:
+                break
+            y = 1 / (y - full[-1])
+        assert full == quotients
+        for k in range(1, len(full) + 1):
+            value = F(full[k - 1])
+            for a in reversed(full[:k - 1]):
+                value = a + 1 / value
+            assert contfrac_approx(rat_str(x), k) == value
 
 
 def test_negative_and_integer_values():
-    assert ContinuedFraction.of_rational(F(7)).partial_quotients == [7]
-    cf = ContinuedFraction.of_rational(F(-7, 2))
-    assert cf.value == F(-7, 2)
-    assert cf.partial_quotients[0] == -4  # floor(-3.5)
+    assert contfrac_approx("7", 1) == contfrac_approx("7", 5) == F(7)
+    assert contfrac_approx("-7/2", 1) == F(-4)  # floor(-3.5)
+    assert contfrac_approx("-7/2", 2) == F(-7, 2)
 
 
 def test_contfrac_approx_pi_convergents():
-    cf = contfrac_approx("3.14159265358979323846", 4)
-    assert cf.partial_quotients == [3, 7, 15, 1]
-    assert cf.value == F(355, 113)
-    one = contfrac_approx("3.14159265358979323846", 1)
-    assert one.value == F(3)
+    pi = "3.14159265358979323846"
+    assert [contfrac_approx(pi, k) for k in range(1, 5)] == \
+        [F(3), F(22, 7), F(333, 106), F(355, 113)]
 
 
 def test_contfrac_approx_zeta3_goldens():
     z3 = "1.202056903159594285399738161511"
-    assert rat_str(contfrac_approx(z3, 15).value) == "1479821/1231074"
-    assert rat_str(contfrac_approx(z3, 20).value) == "461424925/383862797"
+    assert rat_str(contfrac_approx(z3, 15)) == "1479821/1231074"
+    assert rat_str(contfrac_approx(z3, 20)) == "461424925/383862797"
 
 
 def test_contfrac_approx_errors():
