@@ -423,6 +423,18 @@ def test_terms_json_prints_the_bytes_of_multipoly_to_json(parts):
 
 # --- continued fractions -------------------------------------------------------
 
+def test_of_rational_classic_example():
+    """415/93 = [4; 2, 6, 7]: the partial quotients, read back from the
+    numerators of the convergents (p_k = a_k p_{k-1} + p_{k-2}), and the
+    value, reached at the fourth quotient and not before."""
+    p = [contfrac_approx("415/93", k).numerator for k in range(1, 5)]
+    quotients = [p[0]] + [(p[k] - (p[k - 2] if k > 1 else 1)) // p[k - 1]
+                          for k in range(1, 4)]
+    assert quotients == [4, 2, 6, 7]
+    assert contfrac_approx("415/93", 3) != F(415, 93)
+    assert contfrac_approx("415/93", 4) == contfrac_approx("415/93", 50) == F(415, 93)
+
+
 def test_convergents_recurrence():
     """415/93 = [4; 2, 6, 7]: its k-th convergents by the recurrence, and
     the value itself once k reaches the length of the expansion."""
