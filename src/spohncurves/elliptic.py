@@ -18,9 +18,10 @@ rational point is Q-isomorphic to J_C, so J_C alone decides Q-isomorphism of
 two such cubics.  An exact two-branch reduction produces a Weierstrass model
 through a given point, certified Q-isomorphic to J_C, which tells quadratic
 twists apart where equal j cannot.  The model, J_C and the certificate are
-computed on weighted integers, a_w = A_w / n^w (see `WeierstrassCurve`);
-`Fraction`s are built only for the model's and j's output.  Quadric pairs
-and plane cubics are printed from their integers by `terms_json`.
+computed on weighted integers, a_w = A_w / n^w (see `WeierstrassCurve`),
+and printed from them; a `Fraction` is built only for j of a plane cubic.
+Quadric pairs and plane cubics are printed from their integers by
+`terms_json`.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from .polynomials import (
     DomainError,
     MultiPoly,
     clear_denominators,
-    clear_pairs,
     cleared_point,
     cross_product,
     is_nth_power_ratio,
     json_list,
     parse_rational,
     point_json,
+    point_of_pairs,
     rat,
     rat_str,
     ratio_str,
@@ -73,7 +74,10 @@ class QuadricPair:
         `from_json` and `geometry.build_quadrics` give them; `point` is a
         sequence of coordinates."""
         self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
-        P = cleared_point(point)[1]
+        self._place(cleared_point(point)[1])
+
+    def _place(self, P):
+        """Store the cleared common point P after checking P^T N P = 0."""
         if len(P) != 4:
             raise DomainError("common point must have 4 coordinates")
         if any(_times([P], _times(N, P))[0] for _, N in self.quadrics):  # P^T N P
@@ -89,21 +93,24 @@ class QuadricPair:
         sparse-term format (`terms_from_json`), or {"A": 4x4, "B": 4x4,
         "point": [...]} giving the quadrics as v^T A v and v^T B v.  Every
         entry is read once by `parse_rational` and the pair is cleared to
-        integers from the (n, d) pairs: no `Fraction` or `MultiPoly` is
-        built.  Raises ValueError on any other shape, a string where an
-        array belongs included, and on every parse fault of P1, P2 and the
-        point before the DomainError of a quadric that is not one."""
+        integers from the (n, d) pairs, the point once: no `Fraction` or
+        `MultiPoly` is built.  Raises ValueError on any other shape, a
+        string where an array belongs included, and on every parse fault of
+        P1, P2 and the point before the DomainError of a quadric that is not
+        one; then come the checks of `__init__`, in its order."""
         try:
             if "A" in data and "B" in data:
                 P1, P2 = _matrix_terms(data["A"]), _matrix_terms(data["B"])
             else:
                 P1, P2 = terms_from_json(data["P1"]), terms_from_json(data["P2"])
-            point = clear_pairs([parse_rational(c) for c in
-                                 json_list(data["point"], "the common point")])[1]
+            point = [parse_rational(c) for c in json_list(data["point"], "the common point")]
         except (TypeError, KeyError) as exc:
             raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point: "
                              f"{exc!r}") from None
-        return cls(P1, P2, point)
+        pair = cls.__new__(cls)
+        pair.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
+        pair._place(point_of_pairs(point)[1])
+        return pair
 
     def to_json(self) -> dict:
         """The bytes of `P1.to_json()` and `P2.to_json()`, printed from the
@@ -113,29 +120,42 @@ class QuadricPair:
                 "point": point_json(self.P)}
 
 
+# the exponent of x_i x_j (i <= j) -> its index in the upper triangle, row by row
+_CELL = {geometry._mono4(i, j): n for n, (i, j) in
+         enumerate((i, j) for i in range(4) for j in range(i, 4))}
+# each entry (i, j) of 2 M, row by row: the index of x_i x_j and the factor 2
+# on the diagonal, since M's off-diagonal entries are half the coefficients
+_SPREAD = tuple((_CELL[geometry._mono4(i, j)], 2 if i == j else 1)
+                for i in range(4) for j in range(4))
+
+
 def _cleared_matrix(P) -> tuple:
     """(d, N) with P(v) = v^T N v / d, for P = (vars, [(exponent, n, d),
     ...]), whose repeated exponents are summed.  N is 2 M cleared to
     integers over their least denominator, M the symmetric matrix of P
     (off-diagonal entries half the coefficients), and d is twice that
-    denominator."""
+    denominator.  Each exponent finds its cell in `_CELL`.  Exponents of
+    another degree are summed apart: one whose coefficients do not cancel
+    is a DomainError, and so is an all-zero quadric."""
     variables, terms = P
     if len(variables) != 4:
         raise DomainError("quadrics must use exactly 4 variables")
     L = math.lcm(*[d for _, _, d in terms])
-    acc = {}  # exponent -> L times its coefficient
+    acc = [0] * 10  # L times each quadratic coefficient
+    other = {}  # L times each coefficient of another degree
     for exp, n, d in terms:
-        acc[exp] = acc.get(exp, 0) + n * (L // d)
-    if not any(acc.values()) or any(c and sum(e) != 2 for e, c in acc.items()):
+        k = _CELL.get(exp)
+        if k is None:
+            other[exp] = other.get(exp, 0) + n * (L // d)
+        else:
+            acc[k] += n * (L // d)
+    if not any(acc) or any(other.values()):
         raise DomainError("expected nonzero homogeneous quadrics")
-    M2 = [0] * 16  # 2 M L, row by row
-    for exp, c in acc.items():
-        if c:
-            i, j = (k for k in range(4) for _ in range(exp[k]))
-            M2[4 * i + j] = M2[4 * j + i] = 2 * c if i == j else c
+    M2 = [f * acc[k] for k, f in _SPREAD]  # 2 M L, row by row
     g = math.gcd(L, *M2)  # 2 M's least denominator is L / g
-    N = [x // g for x in M2]
-    return 2 * L // g, (tuple(N[0:4]), tuple(N[4:8]), tuple(N[8:12]), tuple(N[12:16]))
+    if g != 1:
+        M2 = [x // g for x in M2]
+    return 2 * L // g, (tuple(M2[0:4]), tuple(M2[4:8]), tuple(M2[8:12]), tuple(M2[12:16]))
 
 
 def _times(N, v) -> list:
@@ -182,32 +202,38 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
     coordinates.  For the quadric v^T M v the polar identity gives
     P(w + t p) = w^T M w + 2 t (M p).w + t^2 p^T M p with p^T M p = 0, so
     Q_i is the 3x3 block of M_i on those coordinates and L_i = 2 M_i p
-    restricted to them; the product is one `geometry._multiply`
-    convolution on the integers N_i (see `QuadricPair`) and the cleared
-    point P, over D = d1 d2 P_k (negative when P_k is).  Raises DomainError
-    if L1 and L2 are proportional (the pencil degenerates to genus 0) or the
-    eliminant vanishes.
+    restricted to them.  On the integers N_i (see `QuadricPair`) and the
+    cleared point P, with r = N_1 P and s = N_2 P on those coordinates and
+    q, q' the blocks of N_1, N_2, L1 Q2 - L2 Q1 is a cubic over
+    D = d1 d2 P_k (negative when P_k is), and each of its ten labels
+    (see `PlaneCubic`, over 6 D) is one fixed expression in r, s, q and q',
+    with the multiplier 6, 2 or 1 of its monomial folded in.  Raises
+    DomainError if L1 and L2 are proportional (the pencil degenerates to
+    genus 0) or the eliminant vanishes.
     """
     P = pair.P
     k = 3 if P[3] else next(i for i in range(4) if P[i])
-    rest = [i if i != k else 3 for i in range(3)]
-    L, Q = [], []
-    for _, N in pair.quadrics:
-        NP = _times(N, P)
-        L.append([2 * NP[i] for i in rest])
-        # over _MONOS[2] = x^2, xy, xz, y^2, yz, z^2
-        Q.append([N[rest[a]][rest[b]] * (1 if a == b else 2)
-                  for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
-    if not any(cross_product(*L)):
+    x, y, z = (i if i != k else 3 for i in range(3))
+    (d1, N1), (d2, N2) = pair.quadrics
+    r0, r1, r2 = _times((N1[x], N1[y], N1[z]), P)
+    s0, s1, s2 = _times((N2[x], N2[y], N2[z]), P)
+    if not any(cross_product((r0, r1, r2), (s0, s1, s2))):
         raise DomainError("the t-linear forms are proportional: the pencil "
                           "degenerates to a genus-0 configuration")
-    C = [u - v for u, v in zip(geometry._multiply(L[0], Q[1]),
-                               geometry._multiply(L[1], Q[0]))]
-    if not any(C):
+    q00, q01, q02, q11, q12, q22 = N1[x][x], N1[x][y], N1[x][z], N1[y][y], N1[y][z], N1[z][z]
+    p00, p01, p02, p11, p12, p22 = N2[x][x], N2[x][y], N2[x][z], N2[y][y], N2[y][z], N2[z][z]
+    labels = (12 * (r0*p00 - s0*q00), 12 * (r1*p11 - s1*q11), 12 * (r2*p22 - s2*q22),
+              4 * (2 * (r0*p01 - s0*q01) + r1*p00 - s1*q00),   # d: x^2 y
+              4 * (2 * (r1*p12 - s1*q12) + r2*p11 - s2*q11),   # e: y^2 z
+              4 * (r0*p22 - s0*q22 + 2 * (r2*p02 - s2*q02)),   # f: x z^2
+              4 * (r0*p11 - s0*q11 + 2 * (r1*p01 - s1*q01)),   # g: x y^2
+              4 * (r1*p22 - s1*q22 + 2 * (r2*p12 - s2*q12)),   # h: y z^2
+              4 * (2 * (r0*p02 - s0*q02) + r2*p00 - s2*q00),   # i: x^2 z
+              4 * (r0*p12 - s0*q12 + r1*p02 - s1*q02 + r2*p01 - s2*q01))  # m: x y z
+    if not any(labels):
         raise DomainError("the pencil degenerates: the eliminant cubic "
                           "vanishes identically")
-    D = pair.quadrics[0][0] * pair.quadrics[1][0] * P[k]
-    return PlaneCubic(6 * D, [6 // k * C[geometry._INDEX[3][e]] for e, k in _TEN_MONOMIALS])
+    return PlaneCubic(6 * d1 * d2 * P[k], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +412,9 @@ class WeierstrassCurve:
     III.1), so that b_w = B_w / n^w, c_w = C_w / n^w and disc = D / n^12.
     a1 ... a6, b2 ... b8 (4 b8 = b2 b6 - b4^2), c4, c6 and disc are
     `Fraction`s built on request, and j = C4^3 / D, since the powers of n
-    cancel.  The constructor takes rationals and clears them once; the
-    library's own models are built from weighted integers directly.
+    cancel.  `to_json` prints a_w and j from these integers.  The
+    constructor takes rationals and clears them once; the library's own
+    models are built from weighted integers directly.
     """
 
     __slots__ = ("n", "A", "B2", "B4", "B6", "C4", "C6", "D")
@@ -433,16 +460,19 @@ class WeierstrassCurve:
         return Fraction(self.C4**3, self.D)
 
     def to_json(self) -> dict:
-        jv = self.j()
+        """a1 ... a6 and j, printed from the stored integers: a_w is
+        A_w / n^w and j is C4^3 / D, each reduced once by `ratio_str`."""
+        n, (A1, A2, A3, A4, A6) = self.n, self.A
+        n2 = n * n
+        n3 = n2 * n
         return {
-            "a": [rat_str(x) for x in (self.a1, self.a2, self.a3, self.a4, self.a6)],
-            "j": "singular" if jv is None else rat_str(jv),
+            "a": [ratio_str(A1, n), ratio_str(A2, n2), ratio_str(A3, n3),
+                  ratio_str(A4, n2 * n2), ratio_str(A6, n3 * n3)],
+            "j": "singular" if self.D == 0 else ratio_str(self.C4**3, self.D),
         }
 
     def __repr__(self):
-        return ("WeierstrassCurve(" +
-                ", ".join(rat_str(x) for x in
-                          (self.a1, self.a2, self.a3, self.a4, self.a6)) + ")")
+        return "WeierstrassCurve(" + ", ".join(self.to_json()["a"]) + ")"
 
 
 def _polar(labels, u, v, w):
@@ -464,6 +494,16 @@ def _polar(labels, u, v, w):
             + qyz * (u1 * v2 + u2 * v1))
 
 
+# beta, q1, q2, q3, k0, k1, k2, k3 of `weierstrass_from_cubic`, the
+# coefficients of X^a Y^b Z^c for the (a, b, c) below: each as its
+# multinomial (3; a, b, c), the three arguments of T(u^a, p^b, w^c) as
+# indices into (u, p, w), and a and b
+_SCALED = tuple((6 // (math.factorial(a) * math.factorial(b) * math.factorial(c)),
+                 (0,) * a + (1,) * b + (2,) * c, a, b)
+                for a, b, c in ((0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2),
+                                (3, 0, 0), (2, 0, 1), (1, 0, 2), (0, 0, 3)))
+
+
 def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """Exact Weierstrass model of a smooth plane cubic with a rational point
     p, given as a sequence of three coordinates (read by `parse_rational`).
@@ -473,7 +513,8 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     w a unit vector completing a basis.  The coefficient of X^a Y^b Z^c in
     them is the multinomial (3; a, b, c) times T(u^a, p^b, w^c), T the
     cubic's trilinear form (see `PlaneCubic`), so each one is a single
-    `_polar` evaluation on integers and no polynomial is expanded.  If the
+    `_polar` evaluation on integers, its multinomial and arguments read
+    from the table `_SCALED`, and no polynomial is expanded.  If the
     point is a flex, the model reads off directly.  Otherwise the projection
     from the point expresses the curve as a double cover of P^1 branched
     along a quartic G(t) with G(0) a nonzero square, and the curve is
@@ -511,18 +552,13 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     w = geometry._MONOS[1][next(k for k in range(3) if normal[k] != 0)]
     du = n * dp * dp
 
-    def scaled(a, b, c) -> int:
-        """s = n du^3 dp^2 times the coefficient of X^a Y^b Z^c (b <= 2)."""
-        multinomial = 6 // (math.factorial(a) * math.factorial(b) * math.factorial(c))
-        return (multinomial * _polar(A, *[U] * a, *[P] * b, *[w] * c)
-                * du**(3 - a) * dp**(2 - b))
-
-    beta = scaled(0, 2, 1)
+    # s = n du^3 dp^2 times each coefficient of X^a Y^b Z^c (b <= 2) that is read
+    uPw, du_pow, dp_pow = (U, P, w), (1, du, du * du, du**3), (1, dp, dp * dp)
+    beta, q1, q2, q3, k0, k1, k2, k3 = [
+        multinomial * _polar(A, uPw[i], uPw[j], uPw[k]) * du_pow[3 - a] * dp_pow[2 - b]
+        for multinomial, (i, j, k), a, b in _SCALED]
     if _polar(A, U, P, P) != 0 or beta == 0:  # X Y^2 and Y^2 Z
         raise AssertionError("normalization failed")  # pragma: no cover
-    q1, q2, q3 = scaled(2, 1, 0), scaled(1, 1, 1), scaled(0, 1, 2)
-    k0, k1 = scaled(3, 0, 0), scaled(2, 0, 1)
-    k2, k3 = scaled(1, 0, 2), scaled(0, 0, 3)
 
     if q1 == 0:
         # flex: the tangent meets the curve three times at pt, and the model

@@ -51,10 +51,11 @@ def parse_rational(value) -> tuple:
     as ints: a JSON true is not 1.
     """
     if isinstance(value, str):
-        try:
-            return int(value), 1
-        except ValueError:
-            pass
+        if "/" not in value:  # int never reads "/"
+            try:
+                return int(value), 1
+            except ValueError:
+                pass
         num, slash, den = value.strip().partition("/")
         sign = decimal = exp = None
         # n after at most one sign; "".isdecimal() is False, so "/2" goes to the grammar
@@ -107,14 +108,24 @@ def ratio_str(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:
-        raise DomainError(
-            f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
-            "digits, Python's limit for integer-to-string conversion") from exc
+        raise _too_many_digits() from exc
 
 
 def rat_str(q) -> str:
-    """`ratio_str` of an int or a Fraction."""
-    return ratio_str(q.numerator, q.denominator)
+    """`ratio_str` of an int or a Fraction, printed from its numerator and
+    denominator directly: they are in lowest terms already, with d > 0, so
+    no gcd runs.  The same DomainError past the digit limit."""
+    n, d = q.numerator, q.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError as exc:
+        raise _too_many_digits() from exc
+
+
+def _too_many_digits() -> DomainError:
+    return DomainError(
+        f"the exact answer has more than {sys.get_int_max_str_digits()} decimal "
+        "digits, Python's limit for integer-to-string conversion")
 
 
 def json_list(value, what: str) -> list:
@@ -499,9 +510,15 @@ def clear_pairs(pairs) -> tuple:
 
 
 def cleared_point(coords) -> tuple:
-    """`clear_pairs` of a projective point's coordinates, each read by
-    `parse_rational`; ValueError if every coordinate is 0."""
-    lcm, P = clear_pairs([parse_rational(c) for c in coords])
+    """`point_of_pairs` of a projective point's coordinates, each read by
+    `parse_rational`."""
+    return point_of_pairs([parse_rational(c) for c in coords])
+
+
+def point_of_pairs(pairs) -> tuple:
+    """`clear_pairs` of a projective point given as (n, d) pairs;
+    ValueError if every coordinate is 0."""
+    lcm, P = clear_pairs(pairs)
     if not any(P):
         raise ValueError("projective point needs a nonzero coordinate")
     return lcm, P

@@ -51,23 +51,6 @@ def no_floats(node):
 
 # --- golden output bytes ----------------------------------------------------------------
 
-def test_j_golden_bytes(capsys):
-    out, _ = run_ok(capsys, ["j", "--game", G44])
-    assert out == '{"j": "2810381476/227025"}\n'
-
-
-def test_approx_golden_bytes(capsys):
-    out, _ = run_ok(capsys, ["approx", "--value",
-                             "1.202056903159594285399738161511",
-                             "--convergents", "15"])
-    assert out == '{"approx": "1479821/1231074"}\n'
-
-
-def test_classify_golden_bytes(capsys):
-    out, _ = run_ok(capsys, ["classify", "--game", PD])
-    assert out == '{"cases": [9, 10], "kind": "Reducible"}\n'
-
-
 def test_nash_pd(capsys):
     out, _ = run_ok(capsys, ["nash", "--game", PD])
     assert json.loads(out) == {"pure": [[2, 2]], "totally_mixed": "degenerate"}
@@ -172,7 +155,7 @@ def test_decompose_prints_a_fractional_point_coordinate(capsys):
 
 
 @pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness",
-                                     "pareto", "reduce", "approx"])
+                                     "pareto", "reduce", "approx", "j", "classify"])
 def test_game_report_golden_bytes(capsys, command):
     """Stdout and exit code of calls on integer, fractional and ~10^12
     games, recorded before the payoff tables were kept only as integers:
@@ -190,7 +173,9 @@ def test_game_report_golden_bytes(capsys, command):
     `--point` and none, every exit-1 fault of the elimination and the model
     and malformed input; negative, integer and "n/d" values, exponent and
     underscore spellings, expansions shorter than `--convergents`, one
-    convergent, zeta(3) at 15 and 20 and the exit-2 cases."""
+    convergent, zeta(3) at 15 and 20 and the exit-2 cases.  The `j` and
+    `classify` calls were recorded while j was printed through a gcd on the
+    Fraction's parts: the `cubic` games, bimatrix text and string rows."""
     entries = [e for e in GOLDEN_GAME_REPORTS if e["argv"][0] == command]
     assert len(entries) >= 14
     for entry in entries:

@@ -30,7 +30,7 @@ from spohncurves import (
     spohn_pair,
     weierstrass_from_cubic,
 )
-from spohncurves.elliptic import _aronhold_st, _polar
+from spohncurves.elliptic import _aronhold_st, _cleared_matrix, _matrix_terms, _polar
 from spohncurves.polynomials import (
     clear_denominators, cross_product, point_json, primitive_vector, terms_from_json)
 from caselib import poly, random_game, sparse
@@ -681,6 +681,80 @@ def test_quadric_pair_validation():
         QuadricPair(sparse(NON_SPOHN_P1), sparse(NON_SPOHN_P2), (1, 1, 1))
 
 
+def _generic_cleared_matrix(P) -> tuple:
+    """The oracle: `_cleared_matrix` as it read any sparse quadric before
+    its cells came from a table, summing repeated exponents in a dict and
+    finding each cell (i, j) by expanding the exponent."""
+    variables, terms = P
+    if len(variables) != 4:
+        raise DomainError("quadrics must use exactly 4 variables")
+    L = math.lcm(*[d for _, _, d in terms])
+    acc = {}  # exponent -> L times its coefficient
+    for exp, n, d in terms:
+        acc[exp] = acc.get(exp, 0) + n * (L // d)
+    if not any(acc.values()) or any(c and sum(e) != 2 for e, c in acc.items()):
+        raise DomainError("expected nonzero homogeneous quadrics")
+    M2 = [0] * 16  # 2 M L, row by row
+    for exp, c in acc.items():
+        if c:
+            i, j = (k for k in range(4) for _ in range(exp[k]))
+            M2[4 * i + j] = M2[4 * j + i] = 2 * c if i == j else c
+    g = math.gcd(L, *M2)
+    N = [x // g for x in M2]
+    return 2 * L // g, (tuple(N[0:4]), tuple(N[4:8]), tuple(N[8:12]), tuple(N[12:16]))
+
+
+XYZT = ("x", "y", "z", "t")
+QUADRATIC4 = [(i, j, k, 2 - i - j - k) for i in range(3) for j in range(3 - i)
+              for k in range(3 - i - j)]
+OTHER4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (3, 0, 0, 0), (0, 1, 1, 1),
+          (1, 0, 0, 2), (2, 2, 0, 0)]
+
+
+@st.composite
+def sparse_quadrics(draw):
+    """(vars, [(exponent, n, d), ...]) as `terms_from_json` or `_matrix_terms`
+    gives them: quadratic terms, repeated and zero ones, terms of other
+    degrees (each cancelled by a later one or not), fractional and ~10^12
+    coefficients; or the 16 terms of a 4x4 matrix read from JSON; now and
+    then with 3 variables."""
+    if draw(st.booleans()):
+        M = [[rat_str(F(draw(pair_entries))) for _ in range(4)] for _ in range(4)]
+        return _matrix_terms(M)
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        e = draw(st.sampled_from(QUADRATIC4 + OTHER4 if draw(st.booleans()) else QUADRATIC4))
+        c = F(draw(st.one_of(st.just(0), pair_entries)))
+        terms.append((e, c))
+        if draw(st.integers(0, 3)) == 0:  # the same exponent again: cancel or add
+            terms.append((e, -c if draw(st.booleans()) else c))
+    terms = draw(st.permutations(terms))
+    variables = XYZT if draw(st.integers(0, 9)) else ("x", "y", "z")
+    return variables, [(e, c.numerator, c.denominator) for e, c in terms]
+
+
+def _reading(reader, P):
+    try:
+        return reader(P)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_quadrics())
+@example((XYZT, []))  # no term
+@example((XYZT, [((1, 0, 0, 1), 0, 1)]))  # a zero term
+@example((XYZT, [((3, 0, 0, 0), 5, 1), ((0, 1, 0, 1), 1, 2), ((3, 0, 0, 0), -5, 1)]))  # cubes cancel
+@example((XYZT, [((0, 1, 0, 1), 1, 3), ((1, 0, 0, 0), 1, 1)]))  # a linear term
+@example((XYZT, [((1, 1, 0, 0), 1, 2), ((1, 1, 0, 0), -1, 2)]))  # all cancel
+@example((XYZT, [((2, 0, 0, 0), 3, 4), ((0, 0, 1, 1), -5, 6), ((2, 0, 0, 0), 1, 4)]))  # repeated
+def test_cleared_matrix_matches_the_generic_reader(P):
+    """The table reader gives the (d, N) of the generic reader, or the same
+    DomainError: on repeated, zero, cancelling, fractional and non-quadratic
+    terms, on the 16 terms of an A/B matrix, and on 3 variables."""
+    assert _reading(_cleared_matrix, P) == _reading(_generic_cleared_matrix, P)
+
+
 # --- Weierstrass models -----------------------------------------------------------------
 
 def test_weierstrass_b_and_c_invariants():
@@ -776,6 +850,39 @@ def test_weierstrass_models_match_the_golden_bytes():
     got = [json.dumps(weierstrass_from_cubic(_golden_cubic(e), [rat(x) for x in e["point"]])
                       .to_json(), sort_keys=True) for e in GOLDEN_WEIERSTRASS]
     assert got == [e["model"] for e in GOLDEN_WEIERSTRASS]
+
+
+def _fraction_route_json(E: WeierstrassCurve) -> dict:
+    """`WeierstrassCurve.to_json` through the Fractions a1 ... a6 and j()."""
+    jv = E.j()
+    return {"a": [rat_str(x) for x in (E.a1, E.a2, E.a3, E.a4, E.a6)],
+            "j": "singular" if jv is None else rat_str(jv)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool),
+       st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)),
+                min_size=5, max_size=5))
+@example(-6, [1, -2, 3, -4, 5])     # a negative weight n
+@example(1, [0, 0, 0, 0, 1])        # y^2 = x^3 + 1: D = -432 < 0
+@example(-3, [0, 0, 0, 0, 0])       # singular
+def test_weierstrass_json_is_the_fraction_route(n, A):
+    """a_w printed as A_w / n^w and j as C4^3 / D give the bytes of the
+    Fractions a1 ... a6 and j(): for negative weights, negative D and
+    singular curves, and for every golden model, flexes included."""
+    E = WeierstrassCurve._weighted(n, A)
+    assert E.to_json() == _fraction_route_json(E)
+    assert repr(E) == "WeierstrassCurve(" + ", ".join(_fraction_route_json(E)["a"]) + ")"
+
+
+def test_golden_models_print_as_the_fraction_route():
+    """The reduction's own models, flex and non-flex, some over a negative
+    weight or with D < 0."""
+    models = [weierstrass_from_cubic(_golden_cubic(e), [rat(x) for x in e["point"]])
+              for e in GOLDEN_WEIERSTRASS]
+    assert any(E.n < 0 for E in models) and any(E.D < 0 for E in models)
+    for E in models:
+        assert E.to_json() == _fraction_route_json(E)
 
 
 def test_reduction_certifies_on_random_cubics():
