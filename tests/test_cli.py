@@ -51,6 +51,13 @@ def no_floats(node):
 
 # --- golden output bytes ----------------------------------------------------------------
 
+def test_approx_golden_bytes(capsys):
+    out, _ = run_ok(capsys, ["approx", "--value",
+                             "1.202056903159594285399738161511",
+                             "--convergents", "15"])
+    assert out == '{"approx": "1479821/1231074"}\n'
+
+
 def test_nash_pd(capsys):
     out, _ = run_ok(capsys, ["nash", "--game", PD])
     assert json.loads(out) == {"pure": [[2, 2]], "totally_mixed": "degenerate"}
