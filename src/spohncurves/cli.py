@@ -22,9 +22,10 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 from . import elliptic, games, geometry
-from .polynomials import DomainError, contfrac_approx, rat, rat_str, terms_json
+from .polynomials import DomainError, contfrac_approx, parse_rational, rat_str, terms_json
 
 
 def _read_source(spec: str) -> str:
@@ -68,14 +69,21 @@ def _load_json(spec: str):
         raise UsageError(f"malformed JSON: {exc}")
 
 
-def _rat_csv(text: str, n: int, what: str) -> list:
+def _pairs_csv(text: str, n: int, what: str) -> list:
+    """The `parse_rational` pairs of n comma-separated rationals; a wrong
+    count or an unreadable one is a usage error naming `what`."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated rationals")
     try:
-        return [rat(p) for p in parts]
+        return [parse_rational(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}")
+
+
+def _rat_csv(text: str, n: int, what: str) -> list:
+    """`_pairs_csv` as Fractions."""
+    return [Fraction(*pair) for pair in _pairs_csv(text, n, what)]
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -120,8 +128,8 @@ def _cmd_reduce(args):
     out = {"cubic": cubic.to_json(),
            "j": elliptic.j_invariant(cubic).to_json()["j"]}
     if args.point is not None:
-        pt = _rat_csv(args.point, 3, "--point")
-        model = elliptic.weierstrass_from_cubic(cubic, pt)
+        pairs = _pairs_csv(args.point, 3, "--point")
+        model = elliptic.weierstrass_from_pairs(cubic, pairs)
         out["weierstrass"] = model.to_json()
     return out
 

@@ -36,6 +36,7 @@ from .polynomials import (
     DomainError,
     MultiPoly,
     clear_denominators,
+    clear_pairs,
     cleared_point,
     cross_product,
     is_nth_power_ratio,
@@ -244,6 +245,8 @@ def cubic_from_quadrics(pair: QuadricPair) -> "PlaneCubic":
 _TEN_MONOMIALS = (((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1),
                   ((2, 1, 0), 3), ((0, 2, 1), 3), ((1, 0, 2), 3),
                   ((1, 2, 0), 3), ((0, 1, 2), 3), ((2, 0, 1), 3), ((1, 1, 1), 6))
+# monomial -> (label index, 6 / multiplier)
+_LABEL_OF = {e: (n, 6 // k) for n, (e, k) in enumerate(_TEN_MONOMIALS)}
 # (label index, monomial, multiplier), monomials in descending order
 _DESCENDING_TERMS = tuple(sorted(((n, e, k) for n, (e, k) in enumerate(_TEN_MONOMIALS)),
                                  key=lambda t: t[1], reverse=True))
@@ -301,13 +304,23 @@ class PlaneCubic:
 
     @classmethod
     def from_poly(cls, poly: MultiPoly) -> "PlaneCubic":
-        """The plane cubic of a raw homogeneous ternary cubic polynomial."""
+        """The plane cubic of a raw homogeneous ternary cubic polynomial,
+        read in one pass over its terms: each exponent finds its label and
+        the factor 6 / multiplier in `_LABEL_OF`, and the (n, d) pairs are
+        cleared once, over their least common denominator.  An exponent
+        that is not a cubic monomial, or the zero polynomial, is a
+        DomainError."""
         if len(poly.vars) != 3:
             raise DomainError("plane cubic needs exactly 3 variables")
-        if poly.is_zero() or poly.degree() != 3 or not poly.is_homogeneous():
+        terms = poly.terms
+        if not terms or not terms.keys() <= _LABEL_OF.keys():
             raise DomainError("expected a nonzero homogeneous ternary cubic")
-        n, C = clear_denominators([poly.coefficient(e) for e, _ in _TEN_MONOMIALS])
-        return cls(6 * n, [6 // k * x for (_, k), x in zip(_TEN_MONOMIALS, C)])
+        pairs = [(0, 1)] * 10
+        for e, c in terms.items():
+            k, f = _LABEL_OF[e]
+            pairs[k] = (f * c.numerator, c.denominator)
+        n, ints = clear_pairs(pairs)
+        return cls(6 * n, ints)
 
     def to_json(self) -> dict:
         """The bytes of `poly.to_json()` and of the labels a ... m, printed
@@ -475,33 +488,62 @@ class WeierstrassCurve:
         return "WeierstrassCurve(" + ", ".join(self.to_json()["a"]) + ")"
 
 
-def _polar(labels, u, v, w):
-    """T(u, v, w) for the symmetric trilinear form T whose entries are the
-    ten classical labels (see `PlaneCubic`)."""
+def _polar_conic(labels, w) -> tuple:
+    """The polar conic T(., ., w) of the symmetric trilinear form T whose
+    entries are the ten classical labels (see `PlaneCubic`), as the rows of
+    its symmetric 3x3 matrix."""
     a, b, c, d, e, f, g, h, i, m = labels
     w0, w1, w2 = w
-    # the polar conic T(., ., w) as a symmetric matrix
-    qxx = a * w0 + d * w1 + i * w2
-    qyy = g * w0 + b * w1 + e * w2
-    qzz = f * w0 + h * w1 + c * w2
-    qxy = d * w0 + g * w1 + m * w2
-    qxz = i * w0 + m * w1 + f * w2
-    qyz = m * w0 + e * w1 + h * w2
-    u0, u1, u2 = u
+    xy, xz, yz = d * w0 + g * w1 + m * w2, i * w0 + m * w1 + f * w2, m * w0 + e * w1 + h * w2
+    return ((a * w0 + d * w1 + i * w2, xy, xz),
+            (xy, g * w0 + b * w1 + e * w2, yz),
+            (xz, yz, f * w0 + h * w1 + c * w2))
+
+
+def _apply(Q, v) -> tuple:
+    """The product Q v of a 3x3 matrix and a 3-vector."""
     v0, v1, v2 = v
-    return (qxx * u0 * v0 + qyy * u1 * v1 + qzz * u2 * v2
-            + qxy * (u0 * v1 + u1 * v0) + qxz * (u0 * v2 + u2 * v0)
-            + qyz * (u1 * v2 + u2 * v1))
+    return tuple([r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in Q])
 
 
-# beta, q1, q2, q3, k0, k1, k2, k3 of `weierstrass_from_cubic`, the
-# coefficients of X^a Y^b Z^c for the (a, b, c) below: each as its
-# multinomial (3; a, b, c), the three arguments of T(u^a, p^b, w^c) as
-# indices into (u, p, w), and a and b
-_SCALED = tuple((6 // (math.factorial(a) * math.factorial(b) * math.factorial(c)),
-                 (0,) * a + (1,) * b + (2,) * c, a, b)
-                for a, b, c in ((0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2),
-                                (3, 0, 0), (2, 0, 1), (1, 0, 2), (0, 0, 3)))
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _tangent_frame(labels, P) -> tuple:
+    """(grad, U, k, (beta, q1, q2, q3, k0, k1, k2, k3)) at the integer point
+    P of the cubic with integer labels, for `weierstrass_from_cubic`.
+
+    grad is the gradient at P.  U is a tangent direction at P, the first
+    grad x e_j not parallel to P (they span the tangent line, which holds
+    P), and w = e_k is the first unit vector with det(U, P, w) nonzero.  The
+    eight values are the coefficients of Y^2 Z, X^2 Y, X Y Z, Y Z^2, X^3,
+    X^2 Z, X Z^2 and Z^3 in the coordinates X U + Y P + Z w: each the
+    multinomial (3; a, b, c) times T(U^a, P^b, w^c).  Every value of T is
+    read off two polar conics, Q_P = T(., ., P) and Q_U = T(., ., U), formed
+    once: with r = Q_P P, C(P) = P.r, grad = 3 r, T(U, P, P) = U.r and,
+    since w = e_k, T(P, P, w) = r_k, T(P, w, w) = (Q_P)_kk,
+    T(U, U, P) = U.(Q_P U), T(U, P, w) = (Q_P U)_k, T(U, U, U) = U.(Q_U U),
+    T(U, U, w) = (Q_U U)_k, T(U, w, w) = (Q_U)_kk, and T(w, w, w) is the
+    k-th pure cube label.  DomainError if P is not on the cubic."""
+    QP = _polar_conic(labels, P)
+    r = _apply(QP, P)
+    if _dot(P, r) != 0:
+        raise DomainError("base point does not lie on the cubic")
+    g0, g1, g2 = grad = (3 * r[0], 3 * r[1], 3 * r[2])
+    if not any(grad):  # pragma: no cover — impossible when disc != 0
+        raise DomainError("base point is singular")
+    for U in ((0, g2, -g1), (-g2, 0, g0), (g1, -g0, 0)):  # grad x e_0, e_1, e_2
+        normal = cross_product(U, P)
+        if any(normal):
+            break
+    if _dot(U, r) != 0:  # the X Y^2 coefficient
+        raise AssertionError("normalization failed")  # pragma: no cover
+    k = 0 if normal[0] else 1 if normal[1] else 2
+    QU = _polar_conic(labels, U)
+    QP_U, QU_U = _apply(QP, U), _apply(QU, U)
+    return grad, U, k, (3 * r[k], 3 * _dot(U, QP_U), 6 * QP_U[k], 3 * QP[k][k],
+                        _dot(U, QU_U), 3 * QU_U[k], 3 * QU[k][k], labels[k])
 
 
 def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
@@ -512,9 +554,10 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     new coordinates are X u + Y p + Z w with u a tangent direction at p and
     w a unit vector completing a basis.  The coefficient of X^a Y^b Z^c in
     them is the multinomial (3; a, b, c) times T(u^a, p^b, w^c), T the
-    cubic's trilinear form (see `PlaneCubic`), so each one is a single
-    `_polar` evaluation on integers, its multinomial and arguments read
-    from the table `_SCALED`, and no polynomial is expanded.  If the
+    cubic's trilinear form (see `PlaneCubic`).  All of them, with the
+    on-curve check and the gradient, are read off the two polar conics
+    T(., ., p) and T(., ., u) as integer matrices (`_tangent_frame`): a dot
+    product or an entry each, and no polynomial is expanded.  If the
     point is a flex, the model reads off directly.  Otherwise the projection
     from the point expresses the curve as a double cover of P^1 branched
     along a quartic G(t) with G(0) a nonzero square, and the curve is
@@ -529,35 +572,39 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Weierstrass model")
-    dp, P = cleared_point(pt)
+    return _weierstrass_at(cubic, *cleared_point(pt))
+
+
+def weierstrass_from_pairs(cubic: PlaneCubic, pairs) -> WeierstrassCurve:
+    """`weierstrass_from_cubic` through the point whose coordinates have
+    the `parse_rational` pairs (n, d) in `pairs`, as `reduce --point`
+    reads them: the same checks in the same order, and no coordinate is
+    read twice."""
+    if cubic.is_singular():
+        raise DomainError("singular cubic: no Weierstrass model")
+    return _weierstrass_at(cubic, *point_of_pairs(pairs))
+
+
+def _weierstrass_at(cubic: PlaneCubic, dp: int, P) -> WeierstrassCurve:
+    """The model of `weierstrass_from_cubic` through P / dp, P a nonzero
+    integer vector and the cubic smooth."""
     if len(P) != 3:
         raise DomainError("base point must have 3 coordinates")
     # on integers: the labels are A / n, p = P / dp and u = U / du, and T is
     # linear in the labels and in each argument, so
     # T(u^a, p^b, w^c) = T_A(U^a, P^b, w^c) / (n du^a dp^b) exactly; u does
     # not depend on which (n, A) the cubic stores, since U and du scale with it
-    n, A = cubic.den, cubic.ints
-    if _polar(A, P, P, P) != 0:
-        raise DomainError("base point does not lie on the cubic")
-    grad = tuple(3 * _polar(A, e, P, P) for e in geometry._MONOS[1])  # n dp^2 grad C(p)
-    if all(x == 0 for x in grad):  # pragma: no cover — impossible when disc != 0
-        raise DomainError("base point is singular")
-
-    # U: a tangent direction at p, one of grad x e_k (they span the tangent
-    # line, which holds P) not parallel to P; w: the first unit vector with
-    # det(U, P, w) = (U x P) . w nonzero
-    U = next(v for v in (cross_product(grad, e) for e in geometry._MONOS[1])
-             if any(cross_product(v, P)))
-    normal = cross_product(U, P)
-    w = geometry._MONOS[1][next(k for k in range(3) if normal[k] != 0)]
+    n = cubic.den
+    _, _, _, (beta, q1, q2, q3, k0, k1, k2, k3) = _tangent_frame(cubic.ints, P)
     du = n * dp * dp
 
-    # s = n du^3 dp^2 times each coefficient of X^a Y^b Z^c (b <= 2) that is read
-    uPw, du_pow, dp_pow = (U, P, w), (1, du, du * du, du**3), (1, dp, dp * dp)
-    beta, q1, q2, q3, k0, k1, k2, k3 = [
-        multinomial * _polar(A, uPw[i], uPw[j], uPw[k]) * du_pow[3 - a] * dp_pow[2 - b]
-        for multinomial, (i, j, k), a, b in _SCALED]
-    if _polar(A, U, P, P) != 0 or beta == 0:  # X Y^2 and Y^2 Z
+    # s = n du^3 dp^2 times each coefficient of X^a Y^b Z^c (b <= 2) that is
+    # read: the value above times du^(3 - a) dp^(2 - b)
+    du2, dp2 = du * du, dp * dp
+    du3 = du2 * du
+    beta, q1, q2, q3 = beta * du3, q1 * du * dp, q2 * du2 * dp, q3 * du3 * dp
+    k0, k1, k2, k3 = k0 * dp2, k1 * du * dp2, k2 * du2 * dp2, k3 * du3 * dp2
+    if beta == 0:  # the Y^2 Z coefficient
         raise AssertionError("normalization failed")  # pragma: no cover
 
     if q1 == 0:
@@ -581,7 +628,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
         E4 = q1**2
         I = 12*A4*E4 - 3*B4*D4 + C4**2
         J = 72*A4*C4*E4 + 9*B4*C4*D4 - 27*A4*D4**2 - 27*B4**2*E4 - 2*C4**3
-        E = WeierstrassCurve._weighted(n * du**3 * dp**2, (0, 0, 0, -27 * I, -27 * J))
+        E = WeierstrassCurve._weighted(n * du3 * dp2, (0, 0, 0, -27 * I, -27 * J))
 
     if not q_isomorphic(E, jacobian(cubic)):
         raise AssertionError("Weierstrass reduction failed certification: "

@@ -63,17 +63,18 @@ class PayoffTables:
     def __init__(self, A, B):
         """Raises ValueError unless A and B are 2x2 tables of exact
         rationals (int, Fraction or string; floats are rejected, and so are
-        tables and rows given as strings)."""
+        tables and rows given as strings).  Each table is read in one pass
+        (`_read_table`), A before B; every entry of both is parsed before
+        either shape is judged, so a parse fault comes before a shape
+        fault."""
         try:
-            tables = [[[parse_rational(x) for x in _not_str(row)] for row in _not_str(M)]
-                      for M in (A, B)]
+            a, b = _read_table(A), _read_table(B)
         except TypeError as exc:
             raise ValueError(f"payoff tables must be 2x2 tables of exact "
                              f"rationals: {exc}") from None
-        for M in tables:
-            if len(M) != 2 or any(len(r) != 2 for r in M):
-                raise ValueError("payoff tables must be 2x2")
-        self.cleared = tuple(clear_pairs(M[0] + M[1]) for M in tables)
+        if a is None or b is None:
+            raise ValueError("payoff tables must be 2x2")
+        self.cleared = (a, b)
 
     A = property(lambda self: _fraction_rows(*self.cleared[0]))
     B = property(lambda self: _fraction_rows(*self.cleared[1]))
@@ -144,6 +145,26 @@ class PayoffTables:
 
     def __repr__(self):
         return f"PayoffTables(A={self.A}, B={self.B})"
+
+
+def _read_table(M):
+    """(scale, (X11, X12, X21, X22)) of a payoff table read in one pass:
+    each entry by `parse_rational`, row by row, then the four cleared over
+    their least common denominator, with no lcm when all are integers.
+    None unless the table is two rows of two, judged after every entry is
+    read."""
+    pairs, lengths = [], []
+    for row in _not_str(M):
+        k = len(pairs)
+        for x in _not_str(row):
+            pairs.append(parse_rational(x))
+        lengths.append(len(pairs) - k)
+    if lengths != [2, 2]:
+        return None
+    (n11, d11), (n12, d12), (n21, d21), (n22, d22) = pairs
+    if d11 == d12 == d21 == d22 == 1:
+        return 1, (n11, n12, n21, n22)
+    return clear_pairs(pairs)
 
 
 def _fraction_rows(scale, X) -> tuple:

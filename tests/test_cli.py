@@ -681,6 +681,64 @@ def test_several_pair_faults_report_the_first(capsys, pair, code, err):
     assert (out, got) == ("", err + "\n")
 
 
+def _pairs_for_point_faults() -> dict:
+    from spohncurves import PayoffTables, elliptic
+    singular = elliptic.spohn_pair(PayoffTables([[1, 1], [2, 0]], [[3, -2], [-1, 4]]))
+    proportional = {"A": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                    "B": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                    "point": [0, 0, 0, 1]}
+    return {"smooth": PAIR, "singular": json.dumps(singular.to_json()),
+            "proportional": json.dumps(proportional)}
+
+
+_POINT_PAIRS = _pairs_for_point_faults()
+
+
+@pytest.mark.parametrize("pair, point, code, err", [
+    ("smooth", "1,2", 2, "usage error: --point needs 3 comma-separated rationals"),
+    ("smooth", "1,2,3,4", 2, "usage error: --point needs 3 comma-separated rationals"),
+    ("smooth", "", 2, "usage error: --point needs 3 comma-separated rationals"),
+    ("smooth", "1,x,0", 2, "usage error: bad --point: cannot parse rational from 'x'"),
+    ("smooth", "1,0.5.,0", 2, "usage error: bad --point: cannot parse rational from '0.5.'"),
+    ("smooth", "1,1/0,1", 2, "usage error: bad --point: cannot parse rational from '1/0'"),
+    ("smooth", "0,0,0", 2, "bad input: projective point needs a nonzero coordinate"),
+    ("smooth", " 1/2 , -1/3 ,1", 1, "domain error: base point does not lie on the cubic"),
+    ("smooth", "2/4,2,2", 1, "domain error: base point does not lie on the cubic"),
+    ("singular", "x,0,0", 2, "usage error: bad --point: cannot parse rational from 'x'"),
+    ("singular", "1,0", 2, "usage error: --point needs 3 comma-separated rationals"),
+    ("singular", "0,0,0", 1, "domain error: singular cubic: no Weierstrass model"),
+    ("singular", "1,0,0", 1, "domain error: singular cubic: no Weierstrass model"),
+    ("proportional", "x,0,0", 1, "domain error: the t-linear forms are proportional: "
+                                 "the pencil degenerates to a genus-0 configuration"),
+])
+def test_point_faults_report_the_first(capsys, pair, point, code, err):
+    """`reduce --point` reports the first fault in the order recorded when
+    each coordinate went through a Fraction: the pair's domain errors, then
+    the coordinates' count and parse faults as usage errors, then a
+    singular cubic, then the zero point and a point off the cubic."""
+    out, got = run_ok(capsys, ["reduce", "--pair", _POINT_PAIRS[pair], "--point", point],
+                      code=code)
+    assert (out, got) == ("", err + "\n")
+
+
+def test_reduce_reads_each_point_coordinate_once(capsys, monkeypatch):
+    """`reduce --point` parses each coordinate once, and no Fraction is
+    read back: the three strings, then nothing."""
+    from spohncurves import elliptic, polynomials
+    read = []
+    parse = polynomials.parse_rational
+
+    def counted(value):
+        read.append(value)
+        return parse(value)
+    for module in (cli, elliptic, polynomials):
+        monkeypatch.setattr(module, "parse_rational", counted, raising=False)
+    out, _ = run_ok(capsys, ["reduce", "--pair", PAIR, "--point", "1/2, 1/2 ,1/2"])
+    assert json.loads(out)["weierstrass"]["j"] == "65536/37"
+    assert read[-3:] == ["1/2", "1/2", "1/2"]
+    assert len(read) == 16 + 16 + 4 + 3  # A, B, the common point and --point
+
+
 # --- fuzzed argv: every input ends in exit 0, 1 or 2 ------------------------------------
 
 _VALID = st.one_of(

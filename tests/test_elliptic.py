@@ -30,9 +30,10 @@ from spohncurves import (
     spohn_pair,
     weierstrass_from_cubic,
 )
-from spohncurves.elliptic import _aronhold_st, _cleared_matrix, _matrix_terms, _polar
+from spohncurves.elliptic import _aronhold_st, _cleared_matrix, _matrix_terms, _tangent_frame
 from spohncurves.polynomials import (
-    clear_denominators, cross_product, point_json, primitive_vector, terms_from_json)
+    clear_denominators, cleared_point, cross_product, point_json, primitive_vector,
+    terms_from_json)
 from caselib import poly, random_game, sparse
 
 F = Fraction
@@ -600,8 +601,69 @@ def test_from_spohn_stores_the_integers_of_from_poly(e, k):
                 PlaneCubic.from_poly(s.f)
             continue
         new, ref = PlaneCubic.from_spohn(s), PlaneCubic.from_poly(s.f)
-        assert (new.den, new.ints) == (ref.den, ref.ints)
+        assert (new.den, new.ints, new.S, new.T) == (ref.den, ref.ints, ref.S, ref.T)
         assert json.dumps(new.to_json()) == json.dumps(_reference_plane_cubic_json(ref))
+
+
+MULTIPLIERS = (1, 1, 1, 3, 3, 3, 3, 3, 3, 6)
+
+
+def _generic_from_poly(poly: MultiPoly) -> PlaneCubic:
+    """The oracle: `PlaneCubic.from_poly` as it read a polynomial before
+    its terms were looked up in a table, through `degree`,
+    `is_homogeneous`, ten `coefficient` calls and `clear_denominators`."""
+    if len(poly.vars) != 3:
+        raise DomainError("plane cubic needs exactly 3 variables")
+    if poly.is_zero() or poly.degree() != 3 or not poly.is_homogeneous():
+        raise DomainError("expected a nonzero homogeneous ternary cubic")
+    n, C = clear_denominators([poly.coefficient(e) for e in TEN_MONOMIALS])
+    return PlaneCubic(6 * n, [6 // k * x for k, x in zip(MULTIPLIERS, C)])
+
+
+def _read_cubic(reader, poly):
+    try:
+        cubic = reader(poly)
+    except DomainError as exc:
+        return str(exc)
+    return cubic.den, cubic.ints
+
+
+OTHER3 = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 0), (4, 0, 0), (1, 2, 1), (0, 0, 5)]
+
+
+@st.composite
+def ternary_polys(draw):
+    """Polynomials in 3 variables with rational coefficients on a drawn
+    set of the ten cubic monomials, pure cubes included, now and then with
+    terms of another degree or none at all; 2 or 4 variables one time in
+    ten."""
+    n = draw(st.sampled_from([3] * 8 + [2, 4]))
+    if n != 3:
+        exps = [(1, 2), (3, 0), (0, 3)] if n == 2 else [(3, 0, 0, 0), (1, 1, 0, 1)]
+    else:
+        exps = draw(st.lists(st.sampled_from(TEN_MONOMIALS), max_size=10, unique=True))
+        if draw(st.integers(0, 3)) == 0:
+            exps += draw(st.lists(st.sampled_from(OTHER3), min_size=1, max_size=3, unique=True))
+    variables = ("x", "y", "z", "t")[:n] if n != 2 else ("x", "y")
+    return MultiPoly(variables, [(e, draw(coefficients)) for e in exps])
+
+
+@settings(max_examples=400, deadline=None)
+@given(ternary_polys())
+@example(MultiPoly(("x", "y", "z"), {}))                              # zero
+@example(poly3({(2, 0, 0): 1, (0, 1, 1): F(-1, 2)}))                  # degree 2
+@example(poly3({(3, 0, 0): 1, (0, 0, 3): F(2, 3), (2, 0, 0): 5}))     # mixed degree
+@example(poly3({(0, 0, 0): 7}))                                       # a constant
+@example(MultiPoly(("x", "y"), {(3, 0): 1, (1, 2): 2}))               # 2 variables
+@example(poly4({(3, 0, 0, 0): 1}))                                    # 4 variables
+@example(poly3({(3, 0, 0): F(1, 6), (0, 3, 0): F(-5, 4), (0, 0, 3): 10**12,
+                (1, 1, 1): F(7, 9)}))
+def test_from_poly_matches_the_generic_reader(poly):
+    """The one-pass reader stores the (den, ints) of the generic reader,
+    or raises the same DomainError: on pure cubes and rational
+    coefficients, the zero polynomial, degree 2, mixed degrees, and 2 or 4
+    variables."""
+    assert _read_cubic(PlaneCubic.from_poly, poly) == _read_cubic(_generic_from_poly, poly)
 
 
 @settings(max_examples=150, deadline=None)
@@ -935,6 +997,86 @@ def test_model_is_jacobian_and_its_twist_is_not(ten, k, d):
     twist = WeierstrassCurve(0, 0, 0, d**2 * A, d**3 * B)
     assert twist.j() == J.j() == j_invariant(cubic).value
     assert not q_isomorphic(twist, J)
+
+
+def _polar(labels, u, v, w):
+    """The oracle: T(u, v, w) for the symmetric trilinear form T whose
+    entries are the ten classical labels (see `PlaneCubic`), one full
+    evaluation per value, as the reduction read each value before it
+    formed two polar conics."""
+    a, b, c, d, e, f, g, h, i, m = labels
+    w0, w1, w2 = w
+    # the polar conic T(., ., w) as a symmetric matrix
+    qxx = a * w0 + d * w1 + i * w2
+    qyy = g * w0 + b * w1 + e * w2
+    qzz = f * w0 + h * w1 + c * w2
+    qxy = d * w0 + g * w1 + m * w2
+    qxz = i * w0 + m * w1 + f * w2
+    qyz = m * w0 + e * w1 + h * w2
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (qxx * u0 * v0 + qyy * u1 * v1 + qzz * u2 * v2
+            + qxy * (u0 * v1 + u1 * v0) + qxz * (u0 * v2 + u2 * v0)
+            + qyz * (u1 * v2 + u2 * v1))
+
+
+# beta, q1, q2, q3, k0, k1, k2, k3 of `_tangent_frame`, the coefficients of
+# X^a Y^b Z^c for the (a, b, c) below: each as its multinomial (3; a, b, c)
+# and the three arguments of T(u^a, p^b, w^c) as indices into (u, p, w)
+_SCALED = tuple((6 // (math.factorial(a) * math.factorial(b) * math.factorial(c)),
+                 (0,) * a + (1,) * b + (2,) * c)
+                for a, b, c in ((0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2),
+                                (3, 0, 0), (2, 0, 1), (1, 0, 2), (0, 0, 3)))
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@st.composite
+def cubics_through_a_point(draw):
+    """(labels, point, flex): a cubic with b = 0 and e != 0, so that
+    [0:1:0] is a smooth point of it, and with d = g = 0 when `flex`, so
+    that [0:1:0] is a flex with tangent z = 0; then moved by a drawn
+    invertible rational matrix M, the point to M^-1 [0:1:0], which has
+    denominators.  The labels are the integers of the moved cubic."""
+    flex = draw(st.booleans())
+    ten = draw(st.lists(st.integers(-20, 20), min_size=10, max_size=10))
+    ten[1], ten[4] = 0, ten[4] or 1
+    if flex:
+        ten[3] = ten[6] = 0
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    M = [draw(st.lists(entries, min_size=3, max_size=3)) for _ in range(3)]
+    assume(sympy.Matrix(M).det() != 0)
+    poly = poly3(dict(zip(TEN_MONOMIALS, [k * x for k, x in zip(MULTIPLIERS, ten)])))
+    moved = PlaneCubic.from_poly(poly.substitute_matrix(M))
+    point = [F(int(x.p), int(x.q)) for x in sympy.Matrix(M).inv()[:, 1]]
+    return moved.ints, point, flex
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubics_through_a_point())
+# the two cubics of `test_reduction_bytes_at_non_integer_points`
+@example((plane_cubic(F(-8, 7), F(3, 7), 0, F(4, 7), F(3, 7), F(-6, 7), F(-8, 21), F(3, 7), 0,
+                      F(-2, 7)).ints, (F(1, 2), 1, F(-1, 3)), True))
+@example((plane_cubic(F(566831, 124740), F(-5, 3), F(7, 11), F(1, 3), F(2, 7), F(-1, 5), F(4, 9),
+                      F(1, 2), F(3, 8), F(5, 6)).ints, (F(1, 2), F(-1, 3), 1), False))
+def test_tangent_frame_matches_the_polar_oracle(case):
+    """The gradient, the tangent direction U, the unit vector e_k and the
+    eight coefficients read off the two polar conics equal one `_polar`
+    evaluation each, at base points with denominators, flexes (q1 = 0) and
+    other points."""
+    labels, point, flex = case
+    _, P = cleared_point(point)
+    grad, U, k, coefficients = _tangent_frame(labels, P)
+    assert _polar(labels, P, P, P) == 0
+    assert grad == tuple(3 * _polar(labels, e, P, P) for e in UNITS)
+    assert U == next(v for v in (cross_product(grad, e) for e in UNITS)
+                     if any(cross_product(v, P)))
+    assert k == next(j for j in range(3) if cross_product(U, P)[j])
+    args = (U, P, UNITS[k])
+    assert coefficients == tuple(multinomial * _polar(labels, *[args[i] for i in indices])
+                                 for multinomial, indices in _SCALED)
+    assert _polar(labels, U, P, P) == 0 and coefficients[0] != 0
+    if flex:
+        assert coefficients[1] == 0
 
 
 @settings(max_examples=100, deadline=None)

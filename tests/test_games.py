@@ -68,6 +68,75 @@ def test_string_tables_and_rows_are_rejected():
         PayoffTables([[1, 2], [3, 4]], [[1, 2], "34"])
 
 
+_OK = [[1, 2], [3, 4]]
+_SHAPE = "payoff tables must be 2x2"
+_EXACT = "payoff tables must be 2x2 tables of exact rationals: "
+
+
+@pytest.mark.parametrize("A, B, init_error, json_error", [
+    ([[1, 2]], _OK, _SHAPE, _SHAPE),
+    ([[1, 2], [3, 4], [5, 6]], _OK, _SHAPE, _SHAPE),
+    ([[1], [3, 4]], _OK, _SHAPE, _SHAPE),
+    ([[1, 2], [3, 4, 5]], _OK, _SHAPE, _SHAPE),
+    ([], _OK, _SHAPE, _SHAPE),
+    ([[1], [2, 3, 4]], _OK, _SHAPE, _SHAPE),
+    ([[1], [2], [3], [4]], _OK, _SHAPE, _SHAPE),
+    (_OK, [[1, 2]], _SHAPE, _SHAPE),
+    (_OK, [[1, 2], [3, 4], [5, 6]], _SHAPE, _SHAPE),
+    (_OK, [[1, 2], [3]], _SHAPE, _SHAPE),
+    (_OK, [[1, 2, 3], [3, 4]], _SHAPE, _SHAPE),
+    ([[1, 2, 3], [3, 4]], [["x", 1], [2, 3]],
+     "cannot parse rational from 'x'", "cannot parse rational from 'x'"),
+    ([[1, 2], [3, 4], [5, 6]], [[1, 0.5], [2, 3]],
+     _EXACT + "expected int, str or Fraction, got float",
+     _EXACT + "expected int, str or Fraction, got float"),
+    ([[1, 2]], [[1, 2], [True, 3]],
+     _EXACT + "expected int, str or Fraction, got bool",
+     _EXACT + "expected int, str or Fraction, got bool"),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, "y"]], _OK,
+     "cannot parse rational from 'y'", "cannot parse rational from 'y'"),
+    ([["x", 1], [2, 3]], "1234",
+     "cannot parse rational from 'x'", "a payoff table must be a JSON array, not str"),
+    ([["x", 1], [2, 3]], [[1, 2], 5],
+     "cannot parse rational from 'x'", "a payoff row must be a JSON array, not int"),
+    ([[1, 2, 3], [3, 4]], [[1, 2], "34"],
+     _EXACT + "got the string '34' for a table or row",
+     "a payoff row must be a JSON array, not str"),
+], ids=["A 1 row", "A 3 rows", "A row of 1", "A row of 3", "A 0 rows",
+        "A rows of 1 and 3", "A 4 rows of 1", "B 1 row", "B 3 rows",
+        "B row of 1", "B row of 3", "A row of 3, B unparsable", "A 3 rows, B float",
+        "A 1 row, B bool", "A unparsable last of 3 rows of 3", "A unparsable, B a string",
+        "A unparsable, B row an int", "A row of 3, B row a string"])
+def test_table_faults_report_the_first(A, B, init_error, json_error):
+    """Each shape fault of A or B, and every pair of faults, raises the
+    ValueError recorded when each table was read through nested lists: a
+    parse fault anywhere in A or B comes before a shape fault, and through
+    JSON a table or row that is not an array comes before both."""
+    with pytest.raises(ValueError) as err:
+        PayoffTables(A, B)
+    assert str(err.value) == init_error
+    with pytest.raises(ValueError) as err:
+        PayoffTables.from_json({"A": A, "B": B})
+    assert str(err.value) == json_error
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12),
+                          st.fractions(min_value=-50, max_value=50, max_denominator=50),
+                          st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20))),
+                min_size=8, max_size=8))
+def test_tables_clear_over_their_least_scale(e):
+    """Each table is stored as its entries over their least common
+    denominator, integer tables over 1, read from ints, Fractions or
+    strings; the Fraction views give the entries back."""
+    game = PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]])
+    for (scale, X), entries in zip(game.cleared, (e[0:4], e[4:8])):
+        values = [F(x) for x in entries]
+        assert scale == math.lcm(*[v.denominator for v in values])
+        assert X == tuple(int(v * scale) for v in values)
+    assert [x for row in game.A + game.B for x in row] == [F(x) for x in e]
+
+
 def test_relabelings_are_involutions(pd):
     assert pd.swap_rows().swap_rows().A == pd.A
     assert pd.swap_cols().swap_cols().B == pd.B
