@@ -23,7 +23,6 @@ from .games import (
     conditional_payoffs,
     cooperation_witness,
     de_membership,
-    expected_payoffs,
     is_nash,
     ne_witness_sequence,
     pareto_sweep,
@@ -42,7 +41,6 @@ from .geometry import (
     classify_cases,
     decompose_cubic,
     reducibility_verdict,
-    w_membership,
     zero_cubic_classify,
 )
 from .elliptic import (
@@ -55,7 +53,6 @@ from .elliptic import (
     j_invariant,
     jacobian,
     q_isomorphic,
-    spohn_pair,
     weierstrass_from_cubic,
 )
 

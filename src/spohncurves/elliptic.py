@@ -2,8 +2,9 @@
 
 The pipeline mirrors how elliptic invariants of a Spohn curve are computed:
 project the quadric pair from a known rational point p onto a plane cubic.
-A quadric enters in one form, the sparse terms (vars, [(exponent, n, d),
-...]) that `geometry.build_quadrics` builds and `terms_from_json` reads.
+A pair enters through `QuadricPair.from_json` only, each quadric read into
+one form, the sparse terms (vars, [(exponent, n, d), ...]) that
+`terms_from_json` gives and `geometry.build_quadrics` builds for a game.
 With each quadric written v^T M v, M symmetric, and v = w + t p, the polar
 identity gives w^T M w + 2 t (M p).w, since p^T M p = 0: a quadratic part
 Q_i in w and a linear part L_i = 2 M_i p, read off integer-cleared matrices
@@ -18,10 +19,10 @@ rational point is Q-isomorphic to J_C, so J_C alone decides Q-isomorphism of
 two such cubics.  An exact two-branch reduction produces a Weierstrass model
 through a given point, certified Q-isomorphic to J_C, which tells quadratic
 twists apart where equal j cannot.  The model, J_C and the certificate are
-computed on weighted integers, a_w = A_w / n^w (see `WeierstrassCurve`),
-and printed from them; a `Fraction` is built only for j of a plane cubic.
-Quadric pairs and plane cubics are printed from their integers by
-`terms_json`.
+computed on weighted integers, a_w = A_w / n^w, the one form from which a
+`WeierstrassCurve` is constructed, and printed from them; a `Fraction` is
+built only for j of a plane cubic.  Plane cubics are printed from their
+integers by `terms_json`.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ from .geometry import VARS3
 from .polynomials import (
     DomainError,
     MultiPoly,
-    clear_denominators,
     clear_pairs,
-    cleared_point,
     cross_product,
     is_nth_power_ratio,
     json_list,
     parse_rational,
-    point_json,
     point_of_pairs,
-    rat,
     rat_str,
     ratio_str,
     terms_from_json,
@@ -59,34 +56,16 @@ VARS4 = ("x", "y", "z", "t")
 # ---------------------------------------------------------------------------
 
 class QuadricPair:
-    """Two quadric surfaces in P^3 with a common rational point.
+    """Two quadric surfaces in P^3 with a common rational point, built by
+    `from_json`.
 
     Each quadric P is stored as (d, N), N the integer symmetric 4x4 matrix
     with P(v) = v^T N v / d, read off P's terms by position.  The point is
     stored as P, its coordinates cleared to integers, and verified at
-    construction: P^T N P = 0.  `P1` and `P2` rebuild the polynomials in
-    (x, y, z, t) on request.
+    construction: P^T N P = 0.
     """
 
     __slots__ = ("quadrics", "P")
-
-    def __init__(self, P1, P2, point):
-        """P1 and P2 are sparse terms (vars, [(exponent, n, d), ...]), as
-        `from_json` and `geometry.build_quadrics` give them; `point` is a
-        sequence of coordinates."""
-        self.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
-        self._place(cleared_point(point)[1])
-
-    def _place(self, P):
-        """Store the cleared common point P after checking P^T N P = 0."""
-        if len(P) != 4:
-            raise DomainError("common point must have 4 coordinates")
-        if any(_times([P], _times(N, P))[0] for _, N in self.quadrics):  # P^T N P
-            raise DomainError("the common point does not lie on both quadrics")
-        self.P = P
-
-    P1 = property(lambda self: _quadric_poly(*self.quadrics[0]))
-    P2 = property(lambda self: _quadric_poly(*self.quadrics[1]))
 
     @classmethod
     def from_json(cls, data) -> "QuadricPair":
@@ -98,7 +77,8 @@ class QuadricPair:
         `MultiPoly` is built.  Raises ValueError on any other shape, a
         string where an array belongs included, and on every parse fault of
         P1, P2 and the point before the DomainError of a quadric that is not
-        one; then come the checks of `__init__`, in its order."""
+        one; then ValueError for a zero point, and DomainError for a point
+        without 4 coordinates or off either quadric, in that order."""
         try:
             if "A" in data and "B" in data:
                 P1, P2 = _matrix_terms(data["A"]), _matrix_terms(data["B"])
@@ -110,15 +90,13 @@ class QuadricPair:
                              f"{exc!r}") from None
         pair = cls.__new__(cls)
         pair.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
-        pair._place(point_of_pairs(point)[1])
+        P = point_of_pairs(point)[1]
+        if len(P) != 4:
+            raise DomainError("common point must have 4 coordinates")
+        if any(_times([P], _times(N, P))[0] for _, N in pair.quadrics):  # P^T N P
+            raise DomainError("the common point does not lie on both quadrics")
+        pair.P = P
         return pair
-
-    def to_json(self) -> dict:
-        """The bytes of `P1.to_json()` and `P2.to_json()`, printed from the
-        stored integers, and the point."""
-        return {"P1": terms_json(*_quadric_terms(*self.quadrics[0])),
-                "P2": terms_json(*_quadric_terms(*self.quadrics[1])),
-                "point": point_json(self.P)}
 
 
 # the exponent of x_i x_j (i <= j) -> its index in the upper triangle, row by row
@@ -164,18 +142,6 @@ def _times(N, v) -> list:
     return [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in N]
 
 
-def _quadric_terms(d: int, N) -> tuple:
-    """v^T N v / d in (x, y, z, t) as sparse terms in descending order:
-    x_i^2 has the coefficient N_ii / d and x_i x_j, i < j, 2 N_ij / d."""
-    return VARS4, [(geometry._mono4(i, j), N[i][j] if i == j else 2 * N[i][j], d)
-                   for i in range(4) for j in range(i, 4)]
-
-
-def _quadric_poly(d: int, N) -> MultiPoly:
-    """The MultiPoly of `_quadric_terms`."""
-    return MultiPoly(VARS4, [(e, Fraction(n, d)) for e, n, _ in _quadric_terms(d, N)[1]])
-
-
 def _matrix_terms(M) -> tuple:
     """(vars, [(exponent, n, d), ...]) of v^T M v, M a 4x4 JSON matrix."""
     rows = [[parse_rational(x) for x in json_list(row, "a quadric matrix row")]
@@ -183,12 +149,6 @@ def _matrix_terms(M) -> tuple:
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("quadric matrix must be 4x4")
     return VARS4, [(geometry._mono4(i, j), *rows[i][j]) for i in range(4) for j in range(4)]
-
-
-def spohn_pair(game) -> QuadricPair:
-    """The game's Spohn quadrics with the fully-mixed-boundary point
-    [0:0:0:1], relabeled to (x, y, z, t) = (p11, p12, p21, p22)."""
-    return QuadricPair(*geometry.build_quadrics(game), (0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +349,6 @@ class JResult(NamedTuple):
 
     value: Fraction | None
 
-    @property
-    def is_singular(self) -> bool:
-        return self.value is None
-
     def to_json(self) -> dict:
         return {"j": "singular" if self.value is None else rat_str(self.value)}
 
@@ -417,60 +373,25 @@ def j_invariant(cubic: PlaneCubic) -> JResult:
 class WeierstrassCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
 
-    Stored as weighted integers (n, (A1, A2, A3, A4, A6)) with
-    a_w = A_w / n^w.  Fixed at construction, on those integers:
+    `WeierstrassCurve(n, (A1, A2, A3, A4, A6))` is the curve with
+    a_w = A_w / n^w, n a nonzero integer, and that weighted-integer form is
+    all it stores.  Fixed at construction, on those integers:
     B2 = A1^2 + 4 A2, B4 = 2 A4 + A1 A3, B6 = A3^2 + 4 A6,
     C4 = B2^2 - 24 B4, C6 = -B2^3 + 36 B2 B4 - 216 B6 and
     D = (C4^3 - C6^2) / 1728 (Silverman, The Arithmetic of Elliptic Curves,
-    III.1), so that b_w = B_w / n^w, c_w = C_w / n^w and disc = D / n^12.
-    a1 ... a6, b2 ... b8 (4 b8 = b2 b6 - b4^2), c4, c6 and disc are
-    `Fraction`s built on request, and j = C4^3 / D, since the powers of n
-    cancel.  `to_json` prints a_w and j from these integers.  The
-    constructor takes rationals and clears them once; the library's own
-    models are built from weighted integers directly.
+    III.1), so that b_w = B_w / n^w, c_w = C_w / n^w and disc = D / n^12;
+    the curve is singular iff D = 0, and otherwise j = C4^3 / D, since the
+    powers of n cancel.  `to_json` prints a_w and j from these integers.
     """
 
     __slots__ = ("n", "A", "B2", "B4", "B6", "C4", "C6", "D")
 
-    def __init__(self, a1, a2, a3, a4, a6):
-        n, (A1, A2, A3, A4, A6) = clear_denominators(
-            (rat(a1), rat(a2), rat(a3), rat(a4), rat(a6)))
-        self._weigh(n, (A1, A2 * n, A3 * n**2, A4 * n**3, A6 * n**5))
-
-    @classmethod
-    def _weighted(cls, n: int, A) -> "WeierstrassCurve":
-        """The curve with a_w = A_w / n^w, n a nonzero integer."""
-        E = cls.__new__(cls)
-        E._weigh(n, A)
-        return E
-
-    def _weigh(self, n, A):
+    def __init__(self, n: int, A):
         self.n, self.A = n, tuple(A)
         A1, A2, A3, A4, A6 = self.A
         self.B2, self.B4, self.B6 = B2, B4, B6 = A1**2 + 4*A2, 2*A4 + A1*A3, A3**2 + 4*A6
         self.C4, self.C6 = C4, C6 = B2**2 - 24*B4, -B2**3 + 36*B2*B4 - 216*B6
         self.D = (C4**3 - C6**2) // 1728
-
-    a1 = property(lambda self: Fraction(self.A[0], self.n))
-    a2 = property(lambda self: Fraction(self.A[1], self.n**2))
-    a3 = property(lambda self: Fraction(self.A[2], self.n**3))
-    a4 = property(lambda self: Fraction(self.A[3], self.n**4))
-    a6 = property(lambda self: Fraction(self.A[4], self.n**6))
-    b2 = property(lambda self: Fraction(self.B2, self.n**2))
-    b4 = property(lambda self: Fraction(self.B4, self.n**4))
-    b6 = property(lambda self: Fraction(self.B6, self.n**6))
-    b8 = property(lambda self: Fraction((self.B2 * self.B6 - self.B4**2) // 4, self.n**8))
-    c4 = property(lambda self: Fraction(self.C4, self.n**4))
-    c6 = property(lambda self: Fraction(self.C6, self.n**6))
-    disc = property(lambda self: Fraction(self.D, self.n**12))
-
-    def is_singular(self) -> bool:
-        return self.D == 0
-
-    def j(self) -> Fraction | None:
-        if self.D == 0:
-            return None
-        return Fraction(self.C4**3, self.D)
 
     def to_json(self) -> dict:
         """a1 ... a6 and j, printed from the stored integers: a_w is
@@ -572,7 +493,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Weierstrass model")
-    return _weierstrass_at(cubic, *cleared_point(pt))
+    return _weierstrass_at(cubic, *point_of_pairs([parse_rational(c) for c in pt]))
 
 
 def weierstrass_from_pairs(cubic: PlaneCubic, pairs) -> WeierstrassCurve:
@@ -614,7 +535,7 @@ def _weierstrass_at(cubic: PlaneCubic, dp: int, P) -> WeierstrassCurve:
         # is a_w = A_w / beta^w
         if k0 == 0:  # pragma: no cover — the tangent would lie in the cubic
             raise AssertionError("degenerate flex normalization")
-        E = WeierstrassCurve._weighted(beta, (
+        E = WeierstrassCurve(beta, (
             q2, -k1 * beta, -k0 * q3 * beta, k0 * k2 * beta**2, -k0**2 * k3 * beta**3))
     else:
         # projection from pt: on the line z = t x the curve reads
@@ -628,7 +549,7 @@ def _weierstrass_at(cubic: PlaneCubic, dp: int, P) -> WeierstrassCurve:
         E4 = q1**2
         I = 12*A4*E4 - 3*B4*D4 + C4**2
         J = 72*A4*C4*E4 + 9*B4*C4*D4 - 27*A4*D4**2 - 27*B4**2*E4 - 2*C4**3
-        E = WeierstrassCurve._weighted(n * du3 * dp2, (0, 0, 0, -27 * I, -27 * J))
+        E = WeierstrassCurve(n * du3 * dp2, (0, 0, 0, -27 * I, -27 * J))
 
     if not q_isomorphic(E, jacobian(cubic)):
         raise AssertionError("Weierstrass reduction failed certification: "
@@ -648,7 +569,7 @@ def jacobian(cubic: PlaneCubic) -> WeierstrassCurve:
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Jacobian")
-    return WeierstrassCurve._weighted(cubic.den, (0, 0, 0, -432 * cubic.S, -432 * cubic.T))
+    return WeierstrassCurve(cubic.den, (0, 0, 0, -432 * cubic.S, -432 * cubic.T))
 
 
 # ---------------------------------------------------------------------------

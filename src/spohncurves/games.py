@@ -6,6 +6,10 @@ and player 2 plays column j.  Conditional expected payoffs are written
 E_k^(i): the expected payoff of player i given that *player i* plays their
 k-th strategy.
 
+A game is its two tables cleared to integers over their least scales
+(`PayoffTables.cleared`), the one form that every routine reads; a payoff
+divides by its table's scale once, where a value is needed.
+
 Everything is exact rational arithmetic except two explicitly numeric
 reports: `pareto_sweep` and the witness-sequence evaluations, which combine
 exact sequence generation with float summaries (tagged "numeric" in JSON).
@@ -54,8 +58,7 @@ class PayoffTables:
     a_ij = A_ij / la and b_ij = B_ij / lb.  Every routine reads it.  What is
     homogeneous in one table (comparisons, ratios, the cubic, the case
     predicates) uses the integers as they are; a value divides by the scale
-    once.  The relabelings permute the integers by `_SWAPS`.  `A` and `B`,
-    the tables as rows of Fractions, are views built on request.
+    once.  The relabelings permute the integers by `_SWAPS`.
     """
 
     __slots__ = ("cleared",)
@@ -75,9 +78,6 @@ class PayoffTables:
         if a is None or b is None:
             raise ValueError("payoff tables must be 2x2")
         self.cleared = (a, b)
-
-    A = property(lambda self: _fraction_rows(*self.cleared[0]))
-    B = property(lambda self: _fraction_rows(*self.cleared[1]))
 
     @classmethod
     def from_json(cls, data) -> "PayoffTables":
@@ -114,12 +114,6 @@ class PayoffTables:
             B.append(brow)
         return cls(A, B)
 
-    def to_json(self) -> dict:
-        return {
-            "A": [[rat_str(x) for x in row] for row in self.A],
-            "B": [[rat_str(x) for x in row] for row in self.B],
-        }
-
     def _relabeled(self, step: str) -> "PayoffTables":
         """The game relabeled by one of the `_SWAPS` steps."""
         perm, tables = _SWAPS[step], self.cleared
@@ -144,7 +138,9 @@ class PayoffTables:
         return self.cleared == other.cleared
 
     def __repr__(self):
-        return f"PayoffTables(A={self.A}, B={self.B})"
+        A, B = (tuple((Fraction(X[k], scale), Fraction(X[k + 1], scale)) for k in (0, 2))
+                for scale, X in self.cleared)
+        return f"PayoffTables(A={A}, B={B})"
 
 
 def _read_table(M):
@@ -165,11 +161,6 @@ def _read_table(M):
     if d11 == d12 == d21 == d22 == 1:
         return 1, (n11, n12, n21, n22)
     return clear_pairs(pairs)
-
-
-def _fraction_rows(scale, X) -> tuple:
-    """((x11, x12), (x21, x22)): the table X / scale as rows of Fractions."""
-    return tuple((Fraction(X[k], scale), Fraction(X[k + 1], scale)) for k in (0, 2))
 
 
 class JointDistribution:
@@ -261,12 +252,6 @@ def conditional_payoffs(game: PayoffTables, p: JointDistribution) -> Conditional
     )
 
 
-def expected_payoffs(game: PayoffTables, p: JointDistribution) -> tuple:
-    """(pi1, pi2) = (sum a_ij p_ij, sum b_ij p_ij), exact."""
-    cells = p.as_tuple()
-    return tuple(sum(map(mul, X, cells)) / scale for scale, X in game.cleared)
-
-
 # ---------------------------------------------------------------------------
 # Nash equilibria
 # ---------------------------------------------------------------------------
@@ -335,6 +320,8 @@ class KonstanzMatrix:
     Only two of the 24 permutations avoid every zero entry, so
     det K = (pi1-a12)(pi1-a21)(pi2-b11)(pi2-b22)
             - (pi1-a11)(pi1-a22)(pi2-b12)(pi2-b21).
+    Each entry is read off the tables' integers (`PayoffTables.cleared`):
+    pi1 - a_ij = (pi1 la - A_ij) / la, and likewise for player 2.
     """
 
     __slots__ = ("pi1", "pi2", "rows")
@@ -343,12 +330,15 @@ class KonstanzMatrix:
         p1, p2 = rat(pi1), rat(pi2)
         self.pi1, self.pi2 = p1, p2
         z = Fraction(0)
-        ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = game.A, game.B
+        (la, A), (lb, B) = game.cleared
+        u1, u2 = p1 * la, p2 * lb
+        ka = [(u1 - x) / la for x in A]  # pi1 - a_ij, cells 11, 12, 21, 22
+        kb = [(u2 - x) / lb for x in B]  # pi2 - b_ij
         self.rows = (
-            (p1 - a11, p1 - a12, z, z),
-            (z, z, p1 - a21, p1 - a22),
-            (p2 - b11, z, p2 - b21, z),
-            (z, p2 - b12, z, p2 - b22),
+            (ka[0], ka[1], z, z),
+            (z, z, ka[2], ka[3]),
+            (kb[0], z, kb[2], z),
+            (z, kb[1], z, kb[3]),
         )
 
     def det(self) -> Fraction:
@@ -417,10 +407,9 @@ def de_membership(game: PayoffTables, p: JointDistribution) -> str:
 class WitnessLadderRow(NamedTuple):
     """One rung of a witness ladder.  The exact p(r) is the integers `cells`
     (m11, m12, m21, m22) over `scale`, and the report prints each cell from
-    those two integers; `point`, the cells as Fractions, is built on
-    request.  `payoffs` and `residuals` are the floats the report prints,
-    each the exact value rounded once (the exact payoffs are
-    `conditional_payoffs(game, JointDistribution(*row.point))`)."""
+    those two integers.  `payoffs` and `residuals` are the floats the report
+    prints, each the exact value rounded once from `conditional_payoffs` at
+    p(r)."""
 
     r: int
     cells: tuple            # integers m_ij, p_ij = m_ij / scale
@@ -428,19 +417,14 @@ class WitnessLadderRow(NamedTuple):
     payoffs: ConditionalPayoffs  # floats
     residuals: tuple        # float inequality slacks, one per required inequality
 
-    @property
-    def point(self) -> tuple:
-        """The exact p(r), one Fraction per cell."""
-        return tuple(Fraction(m, self.scale) for m in self.cells)
-
 
 class WitnessReport:
     """A witness sequence for a Nash equilibrium, built from its template.
 
     `template` holds four rows (c0, c1, c2, c3), one per cell in the order
     (11, 12, 21, 22), meaning c0 + c1/r + c2/r^2 + c3/r^3; its columns must
-    sum to (1, 0, 0, 0), so p(r) sums to 1 for every r.  `limit` is the c0
-    column and `sequence(r)` the exact point at r.  `threshold` is the least
+    sum to (1, 0, 0, 0), so p(r) sums to 1 for every r, and the limit
+    p(infinity) is the c0 column.  `threshold` is the least
     integer r >= 1 with p(r) in the open simplex, read off the template by
     its constructor.  Every cell of every template is a positive constant, a
     positive combination of powers of 1/r, or a positive constant minus such
@@ -463,8 +447,7 @@ class WitnessReport:
     cross-multiplied one, E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).
     One `int / int` division rounds each exact value to its float, so the
     ladder prints `float()` of the exact Fraction; the interior checks read
-    the signs of the m_ij.  `limit`, `sequence(r)` and each rung's `point`
-    build Fractions on request; the report itself builds none.
+    the signs of the m_ij.  No Fraction is built.
     """
 
     def __init__(self, game, kind, case, formula, threshold, template, relabeling="",
@@ -527,16 +510,6 @@ class WitnessReport:
                 m = m * r + c
             out.append(m)
         return tuple(out)
-
-    @property
-    def limit(self) -> tuple:
-        """The limit point p(infinity), the c0 column, as Fractions."""
-        return tuple(Fraction(row[0], self._den) for row in self._rows)
-
-    def sequence(self, r: int) -> tuple:
-        """The exact point p(r), one Fraction m_ij / (den * r^D) per cell."""
-        d = self._den * r ** (len(self._rows[0]) - 1)
-        return tuple(Fraction(m, d) for m in self._numerators(r))
 
     def to_json(self) -> dict:
         out = {

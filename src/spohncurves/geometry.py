@@ -21,7 +21,6 @@ from .polynomials import (
     exact_isqrt,
     point_json,
     primitive_vector,
-    rat,
     rat_str,
     ratio_str,
     terms_json,
@@ -51,10 +50,10 @@ def build_quadrics(game) -> tuple:
            + (b12-b21) p12p21 + (b22-b21) p21p22
 
     Returns each in the sparse-term form (vars, [(exponent, n, d), ...])
-    that `elliptic.QuadricPair` and `polynomials.terms_json` read: four
-    terms in descending exponent order, each a difference of the tables'
-    integers (`PayoffTables.cleared`) over its table's scale.  Both vanish
-    at the four coordinate points.
+    that `polynomials.terms_json` prints and `elliptic.QuadricPair` reads:
+    four terms in descending exponent order, each a difference of the
+    tables' integers (`PayoffTables.cleared`) over its table's scale.  Both
+    vanish at the four coordinate points.
     """
     (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
     q1 = [(_mono4(0, 2), a21 - a11, la), (_mono4(0, 3), a22 - a11, la),
@@ -62,14 +61,6 @@ def build_quadrics(game) -> tuple:
     q2 = [(_mono4(0, 1), b12 - b11, lb), (_mono4(0, 3), b22 - b11, lb),
           (_mono4(1, 2), b12 - b21, lb), (_mono4(2, 3), b22 - b21, lb)]
     return (VARS4, q1), (VARS4, q2)
-
-
-def w_membership(p) -> bool:
-    """Is a point on the marginal-degeneration divisor
-    W = V((p11+p12)(p21+p22)(p11+p21)(p12+p22))?"""
-    coords = p.as_tuple() if hasattr(p, "as_tuple") else tuple(rat(x) for x in p)
-    p11, p12, p21, p22 = coords
-    return (p11 + p12) * (p21 + p22) * (p11 + p21) * (p12 + p22) == 0
 
 
 # ---------------------------------------------------------------------------

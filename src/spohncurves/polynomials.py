@@ -509,12 +509,6 @@ def clear_pairs(pairs) -> tuple:
     return lcm, tuple([n * (lcm // d) for n, d in pairs])
 
 
-def cleared_point(coords) -> tuple:
-    """`point_of_pairs` of a projective point's coordinates, each read by
-    `parse_rational`."""
-    return point_of_pairs([parse_rational(c) for c in coords])
-
-
 def point_of_pairs(pairs) -> tuple:
     """`clear_pairs` of a projective point given as (n, d) pairs;
     ValueError if every coordinate is 0."""

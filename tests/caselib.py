@@ -1,4 +1,5 @@
-"""Test-side oracle for the twelve reducibility cases.
+"""Test-side oracle for the twelve reducibility cases, and the views of the
+library's stored integers that the tests read.
 
 The case equations are transcribed here independently of the library so the
 classifier is checked against a second reading of the same conditions, and
@@ -6,12 +7,24 @@ seeded generators produce games satisfying any prescribed case.  Cases 9-12
 are three (or four) bilinear equations; for a fixed payoff table A they are
 linear in the entries of B, so a kernel basis gives every matching B.  Two
 converters, `sparse` and `poly`, move a polynomial between a `MultiPoly` and
-the sparse terms that the library reads and builds.
+the sparse terms that the library reads and builds.  A quadric pair is built
+only by `QuadricPair.from_json`, so `quadric_pair` writes its JSON first, and
+`quadric_polys` reads the pair's stored integers back as MultiPolys.  A
+`WeierstrassCurve` is built only from weighted integers, so `curve` clears
+rational coefficients into them and `values` reads the rational invariants
+back; `tables` reads a game's payoffs back as Fractions, and `game_json`
+writes them as JSON.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from spohncurves import MultiPoly, PayoffTables, build_cubic
+from spohncurves import (MultiPoly, PayoffTables, QuadricPair, WeierstrassCurve, build_cubic,
+                         build_quadrics, rat, rat_str)
+from spohncurves.geometry import _mono4
+from spohncurves.polynomials import clear_denominators, terms_json
+
+VARS4 = ("x", "y", "z", "t")
 
 
 def sparse(P: MultiPoly) -> tuple:
@@ -22,6 +35,78 @@ def sparse(P: MultiPoly) -> tuple:
 def poly(terms) -> MultiPoly:
     """The MultiPoly of sparse terms (vars, [(exponent, n, d), ...])."""
     return MultiPoly(terms[0], [(e, Fraction(n, d)) for e, n, d in terms[1]])
+
+
+def pair_json(P1, P2, point) -> dict:
+    """The {"P1", "P2", "point"} JSON of two quadrics given as sparse terms
+    and a common point given as rationals."""
+    return {"P1": terms_json(*P1), "P2": terms_json(*P2),
+            "point": [str(Fraction(c)) for c in point]}
+
+
+def quadric_pair(P1, P2, point) -> QuadricPair:
+    """`QuadricPair.from_json` of `pair_json(P1, P2, point)`."""
+    return QuadricPair.from_json(pair_json(P1, P2, point))
+
+
+def spohn_pair_json(game) -> dict:
+    """The pair JSON of the game's Spohn quadrics in (x, y, z, t) =
+    (p11, p12, p21, p22) with the common point [0:0:0:1]."""
+    (_, q1), (_, q2) = build_quadrics(game)
+    return pair_json((VARS4, q1), (VARS4, q2), (0, 0, 0, 1))
+
+
+def spohn_pair(game) -> QuadricPair:
+    """The game's Spohn pair, read by `QuadricPair.from_json`."""
+    return QuadricPair.from_json(spohn_pair_json(game))
+
+
+def quadric_polys(pair: QuadricPair) -> tuple:
+    """The two quadrics v^T N v / d of a pair's stored (d, N), as MultiPolys
+    in (x, y, z, t): x_i^2 has the coefficient N_ii / d and x_i x_j, i < j,
+    2 N_ij / d."""
+    return tuple(MultiPoly(VARS4, [(_mono4(i, j), Fraction(N[i][j] if i == j else 2 * N[i][j], d))
+                                   for i in range(4) for j in range(i, 4)])
+                 for d, N in pair.quadrics)
+
+
+def curve(a1, a2, a3, a4, a6) -> WeierstrassCurve:
+    """The curve with these rational coefficients: over their common
+    denominator n, a_w = (n^(w-1) N_w) / n^w with N_w = n a_w."""
+    n, (A1, A2, A3, A4, A6) = clear_denominators([rat(a) for a in (a1, a2, a3, a4, a6)])
+    return WeierstrassCurve(n, (A1, A2 * n, A3 * n**2, A4 * n**3, A6 * n**5))
+
+
+class CurveValues(NamedTuple):
+    """A curve's rational coefficients and invariants; j is None when it is
+    singular."""
+
+    a: tuple
+    c4: Fraction
+    c6: Fraction
+    disc: Fraction
+    j: Fraction | None
+
+
+def values(E: WeierstrassCurve) -> CurveValues:
+    """a_w = A_w / n^w, c_w = C_w / n^w, disc = D / n^12 and j = C4^3 / D
+    of a curve's weighted integers, as Fractions."""
+    n = E.n
+    return CurveValues(tuple(Fraction(A, n**w) for A, w in zip(E.A, (1, 2, 3, 4, 6))),
+                       Fraction(E.C4, n**4), Fraction(E.C6, n**6), Fraction(E.D, n**12),
+                       None if E.D == 0 else Fraction(E.C4**3, E.D))
+
+
+def tables(game: PayoffTables) -> tuple:
+    """(A, B): a game's payoff tables as rows of Fractions, read off
+    `PayoffTables.cleared`."""
+    return tuple(tuple((Fraction(X[k], scale), Fraction(X[k + 1], scale)) for k in (0, 2))
+                 for scale, X in game.cleared)
+
+
+def game_json(game: PayoffTables) -> dict:
+    """The {"A": ..., "B": ...} JSON of a game, each payoff by `rat_str`."""
+    return {k: [[rat_str(x) for x in row] for row in T] for k, T in zip("AB", tables(game))}
 
 
 def case_equations(case, A, B):
@@ -67,7 +152,7 @@ def cases_by_equations(game):
     """Classification via the transcribed equations (oracle path)."""
     matched = set()
     for case in range(1, 13):
-        if all(e == 0 for e in case_equations(case, game.A, game.B)):
+        if all(e == 0 for e in case_equations(case, *tables(game))):
             matched.add(case)
     return frozenset(matched)
 
@@ -161,5 +246,5 @@ def game_for_case(case, rng):
         if build_cubic(g).is_zero():
             continue
         # by construction; the classifier itself is what the tests check
-        assert all(x == 0 for x in case_equations(case, g.A, g.B))
+        assert all(x == 0 for x in case_equations(case, *tables(g)))
         return g

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from spohncurves import MultiPoly, SpohnCubic, cli, decompose_cubic
 from spohncurves.geometry import _CUBIC_EXPS
 from spohncurves.polynomials import clear_denominators, terms_from_json
-from caselib import game_for_case
+from caselib import game_for_case, game_json, spohn_pair_json
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
 G44 = '{"A": [[1,2],[0,3]], "B": [[6,1],[4,0]]}'
@@ -102,8 +102,7 @@ def test_aronhold_runs_once_per_cubic(capsys, monkeypatch):
         calls.append(labels)
         return aronhold_st(*labels)
     monkeypatch.setattr(elliptic, "_aronhold_st", counted)
-    pair = json.dumps(elliptic.spohn_pair(
-        PayoffTables.from_json(json.loads(G44))).to_json())
+    pair = json.dumps(spohn_pair_json(PayoffTables.from_json(json.loads(G44))))
     assert "terms" in json.loads(pair)["P1"]  # the sparse polynomial form
     out, _ = run_ok(capsys, ["reduce", "--pair", pair, "--point", "1,0,0"])
     assert json.loads(out)["weierstrass"]["j"] == "2810381476/227025"
@@ -130,7 +129,7 @@ def test_decompose_golden_bytes(capsys, case):
     """One seeded game per reducibility case; the bytes pin which components
     are found, their order, normalization, points and the scalar."""
     rec = GOLDEN_DECOMPOSE[str(case)]
-    assert game_for_case(case, random.Random(rec["seed"])).to_json() == rec["game"]
+    assert game_json(game_for_case(case, random.Random(rec["seed"]))) == rec["game"]
     out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
     assert out == rec["stdout"]
 
@@ -164,7 +163,7 @@ def test_decompose_prints_a_fractional_point_coordinate(capsys):
 @pytest.mark.parametrize("command", ["cubic", "nash", "konstanz", "de-check", "witness",
                                      "pareto", "reduce", "approx", "j", "classify"])
 def test_game_report_golden_bytes(capsys, command):
-    """Stdout and exit code of calls on integer, fractional and ~10^12
+    """Stdout, stderr and exit code of calls on integer, fractional and ~10^12
     games, recorded before the payoff tables were kept only as integers:
     the quadrics, Nash equilibria, Konstanz matrices, conditional payoffs,
     and pure, mixed and semi-mixed witnesses under every relabeling.  The
@@ -182,12 +181,15 @@ def test_game_report_golden_bytes(capsys, command):
     underscore spellings, expansions shorter than `--convergents`, one
     convergent, zeta(3) at 15 and 20 and the exit-2 cases.  The `j` and
     `classify` calls were recorded while j was printed through a gcd on the
-    Fraction's parts: the `cubic` games, bimatrix text and string rows."""
+    Fraction's parts: the `cubic` games, bimatrix text and string rows.
+    Every entry's stderr was recorded later, before the second constructors
+    of `WeierstrassCurve` and `QuadricPair` were deleted: empty on exit 0,
+    the one error line on exit 1 and 2."""
     entries = [e for e in GOLDEN_GAME_REPORTS if e["argv"][0] == command]
     assert len(entries) >= 14
     for entry in entries:
-        out, _ = run_ok(capsys, entry["argv"], entry["code"])
-        assert out == entry["stdout"], entry["argv"]
+        out, err = run_ok(capsys, entry["argv"], entry["code"])
+        assert (out, err) == (entry["stdout"], entry["stderr"]), entry["argv"]
 
 
 ONE_CALL_EACH = (
@@ -682,12 +684,12 @@ def test_several_pair_faults_report_the_first(capsys, pair, code, err):
 
 
 def _pairs_for_point_faults() -> dict:
-    from spohncurves import PayoffTables, elliptic
-    singular = elliptic.spohn_pair(PayoffTables([[1, 1], [2, 0]], [[3, -2], [-1, 4]]))
+    from spohncurves import PayoffTables
+    singular = spohn_pair_json(PayoffTables([[1, 1], [2, 0]], [[3, -2], [-1, 4]]))
     proportional = {"A": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
                     "B": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
                     "point": [0, 0, 0, 1]}
-    return {"smooth": PAIR, "singular": json.dumps(singular.to_json()),
+    return {"smooth": PAIR, "singular": json.dumps(singular),
             "proportional": json.dumps(proportional)}
 
 

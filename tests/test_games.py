@@ -18,7 +18,6 @@ from spohncurves import (
     conditional_payoffs,
     cooperation_witness,
     de_membership,
-    expected_payoffs,
     is_nash,
     ne_witness_sequence,
     pareto_sweep,
@@ -33,7 +32,7 @@ from spohncurves.games import (
     _unit_floats,
 )
 from spohncurves.polynomials import rat_str
-from caselib import random_game
+from caselib import random_game, tables
 
 F = Fraction
 
@@ -43,13 +42,13 @@ F = Fraction
 def test_from_json_string_rationals():
     g = PayoffTables.from_json({"A": [["1/2", "2"], ["0", "3"]],
                                 "B": [["6", "1"], ["4", "0"]]})
-    assert g.A[0][0] == F(1, 2) and g.B[1][0] == 4
+    A, B = tables(g)
+    assert A[0][0] == F(1, 2) and B[1][0] == 4
 
 
 def test_bimatrix_round_trip(pd):
     g = PayoffTables.from_bimatrix("2,2 0,3; 3,0 1,1")
-    assert g.A == pd.A and g.B == pd.B
-    assert PayoffTables.from_json(g.to_json()).A == pd.A
+    assert tables(g) == tables(pd) and g == pd
 
 
 def test_bimatrix_rejects_malformed():
@@ -134,15 +133,17 @@ def test_tables_clear_over_their_least_scale(e):
         values = [F(x) for x in entries]
         assert scale == math.lcm(*[v.denominator for v in values])
         assert X == tuple(int(v * scale) for v in values)
-    assert [x for row in game.A + game.B for x in row] == [F(x) for x in e]
+    A, B = tables(game)
+    assert [x for row in A + B for x in row] == [F(x) for x in e]
 
 
 def test_relabelings_are_involutions(pd):
-    assert pd.swap_rows().swap_rows().A == pd.A
-    assert pd.swap_cols().swap_cols().B == pd.B
+    A, B = tables(pd)
+    assert tables(pd.swap_rows().swap_rows())[0] == A
+    assert tables(pd.swap_cols().swap_cols())[1] == B
     tp = pd.transpose_players()
-    assert tp.transpose_players().A == pd.A
-    assert tp.A == tuple(zip(*pd.B)) and tp.B == tuple(zip(*pd.A))
+    assert tables(tp.transpose_players())[0] == A
+    assert tables(tp) == (tuple(zip(*B)), tuple(zip(*A)))
 
 
 # --- distributions and payoffs ---------------------------------------------------
@@ -175,9 +176,16 @@ def test_conditional_payoffs_boundary_error(pd):
     assert "E_2^(1)" in str(err.value)
 
 
+def _expected_payoffs(game, p: JointDistribution) -> tuple:
+    """(pi1, pi2) = (sum a_ij p_ij, sum b_ij p_ij), exact, on the Fraction
+    tables."""
+    cells = p.as_tuple()
+    return tuple(sum(x * c for x, c in zip(T[0] + T[1], cells)) for T in tables(game))
+
+
 def test_expected_payoffs_pd_corners(pd):
-    assert expected_payoffs(pd, JointDistribution(1, 0, 0, 0)) == (2, 2)
-    assert expected_payoffs(pd, JointDistribution(0, 0, 0, 1)) == (1, 1)
+    assert _expected_payoffs(pd, JointDistribution(1, 0, 0, 0)) == (2, 2)
+    assert _expected_payoffs(pd, JointDistribution(0, 0, 0, 1)) == (1, 1)
 
 
 # --- Nash equilibria -------------------------------------------------------------
@@ -197,7 +205,7 @@ def test_totally_mixed_nash_bos(bos):
     for g, q, r in [(bos[0], F(3, 4), F(2, 5)), (bos[1], F(3, 5), F(1, 4)),
                     (bos[2], F(1, 2), F(2, 5)), (bos[3], F(3, 5), F(1, 2))]:
         ne = totally_mixed_nash(g)
-        assert ne == MixedProfile(q, r), (g.A, g.B, ne)
+        assert ne == MixedProfile(q, r), (*tables(g), ne)
         assert is_nash(g, ne)
 
 
@@ -248,7 +256,7 @@ def test_konstanz_kernel_at_mixed_equilibrium(bos):
     g = bos[0]
     ne = totally_mixed_nash(g)
     p = ne.segre()
-    pi1, pi2 = expected_payoffs(g, p)
+    pi1, pi2 = _expected_payoffs(g, p)
     K = KonstanzMatrix(g, pi1, pi2)
     assert tuple(sum(k * x for k, x in zip(row, p.as_tuple())) for row in K.rows) == (0, 0, 0, 0)
     assert K.det() == 0
@@ -285,6 +293,22 @@ def test_segre_of_mixed_nash_is_on_both_quadrics():
 
 # --- witness sequences -------------------------------------------------------------
 
+def _limit(rep) -> tuple:
+    """The witness's limit p(infinity): the c0 column of its template."""
+    return tuple(F(row[0]) for row in rep.template)
+
+
+def _sequence(rep, r: int) -> tuple:
+    """The witness's exact point p(r), each cell c0 + c1/r + c2/r^2 + c3/r^3
+    of its template summed in Fractions."""
+    return tuple(sum(F(c) / r ** k for k, c in enumerate(row)) for row in rep.template)
+
+
+def _point(row) -> tuple:
+    """A ladder rung's exact point, its integer cells over its scale."""
+    return tuple(F(m, row.scale) for m in row.cells)
+
+
 def test_witness_rejects_non_nash(pd):
     with pytest.raises(DomainError):
         ne_witness_sequence(pd, MixedProfile(1, 1))
@@ -294,8 +318,8 @@ def test_witness_pure_pd(pd):
     rep = ne_witness_sequence(pd, MixedProfile(0, 0))
     assert rep.kind == "pure"
     assert rep.ok
-    assert rep.limit == (0, 0, 0, 1)
-    pt = rep.sequence(10 ** 3)
+    assert _limit(rep) == (0, 0, 0, 1)
+    pt = _sequence(rep, 10 ** 3)
     assert sum(pt) == 1 and all(x > 0 for x in pt)
 
 
@@ -305,7 +329,7 @@ def test_witness_totally_mixed_is_constant(bos):
     assert rep.kind == "totally-mixed"
     assert rep.ok
     segre = ne.segre().as_tuple()
-    assert rep.sequence(10 ** 4) == segre and rep.limit == segre
+    assert _sequence(rep, 10 ** 4) == segre and _limit(rep) == segre
 
 
 def test_witness_semi_mixed_clears_tolerance_when_column_payoffs_match():
@@ -315,8 +339,8 @@ def test_witness_semi_mixed_clears_tolerance_when_column_payoffs_match():
     rep = ne_witness_sequence(g, MixedProfile(0, F(1, 3)))
     assert rep.kind == "semi-mixed"
     assert rep.ok
-    assert rep.limit == (0, 0, F(1, 3), F(2, 3))
-    pt = rep.sequence(10)
+    assert _limit(rep) == (0, 0, F(1, 3), F(2, 3))
+    pt = _sequence(rep, 10)
     assert sum(pt) == 1 and all(x >= 0 for x in pt)
 
 
@@ -326,13 +350,13 @@ def test_witness_semi_mixed_reports_slow_column_residual():
     g = PayoffTables([[0, 0], [1, 1]], [[2, 5], [3, 3]])
     rep = ne_witness_sequence(g, MixedProfile(0, F(1, 3)))
     assert rep.kind == "semi-mixed"
-    assert rep.limit == (0, 0, F(1, 3), F(2, 3))
+    assert _limit(rep) == (0, 0, F(1, 3), F(2, 3))
     assert not rep.ok
     gaps = [abs(float(row.payoffs.e12 - row.payoffs.e22)) for row in rep.ladder]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 1e-5
     for r in (10 ** 3, 10 ** 6):
-        pt = rep.sequence(r)
+        pt = _sequence(rep, r)
         assert sum(pt) == 1 and all(x > 0 for x in pt)
 
 
@@ -366,9 +390,9 @@ def test_interior_threshold_is_the_first_interior_rung(entries, mix):
         reports += [ne_witness_sequence(g, MixedProfile(0, mix)),
                     ne_witness_sequence(g.transpose_players(), MixedProfile(mix, 0))]
     for rep in reports:
-        walk = next(r for r in itertools.count(1) if all(x > 0 for x in rep.sequence(r)))
+        walk = next(r for r in itertools.count(1) if all(x > 0 for x in _sequence(rep, r)))
         assert rep.threshold == walk, (rep.kind, rep.case, rep.relabeling)
-        assert all(x > 0 for row in rep.ladder for x in row.point)
+        assert all(x > 0 for row in rep.ladder for x in _point(row))
 
 
 def test_witness_all_four_pure_corners():
@@ -380,19 +404,20 @@ def test_witness_all_four_pure_corners():
             ne = MixedProfile(1 if i == 1 else 0, 1 if j == 1 else 0)
             rep = ne_witness_sequence(g, ne)
             assert rep.kind == "pure"
-            assert rep.limit == ne.segre().as_tuple()
+            assert _limit(rep) == ne.segre().as_tuple()
             # interior and exactly stochastic along the ladder
             for r in (10 ** 3, 10 ** 6):
-                pt = rep.sequence(r)
+                pt = _sequence(rep, r)
                 assert sum(pt) == 1 and all(x > 0 for x in pt)
             # a strict equilibrium leaves unit-size limit slack, so the r=10^6
             # check must clear; ties may sit 1/r below zero and report False
             ii, jj = i - 1, j - 1
-            row_gap = g.A[ii][jj] - g.A[1 - ii][jj]
-            col_gap = g.B[ii][jj] - g.B[ii][1 - jj]
+            A, B = tables(g)
+            row_gap = A[ii][jj] - A[1 - ii][jj]
+            col_gap = B[ii][jj] - B[ii][1 - jj]
             if row_gap > 0 and col_gap > 0:
                 seen_strict += 1
-                assert rep.ok, (g.A, g.B, i, j, rep.to_json()["ladder"][-1])
+                assert rep.ok, (*tables(g), i, j, rep.to_json()["ladder"][-1])
     assert seen_strict >= 8
 
 
@@ -409,18 +434,18 @@ def test_cooperation_witness_pd(pd):
     rep = cooperation_witness(pd)
     assert rep.lam == F(1, 2)
     assert rep.ok
-    assert rep.limit == (1, 0, 0, 0)
+    assert _limit(rep) == (1, 0, 0, 0)
     assert rep.payoff_limits == (2, 2, 2, 1)
     # the off-diagonal split keeps E_2^(1) pinned to a11 for every finite r
     for r in (2, 5, 17, 1000):
-        cp = conditional_payoffs(pd, JointDistribution(*rep.sequence(r)))
-        assert cp.e21 == pd.A[0][0]
+        cp = conditional_payoffs(pd, JointDistribution(*_sequence(rep, r)))
+        assert cp.e21 == 2  # a11
     assert rep.to_json()["lambda"] == "1/2"
 
 
 def test_cooperation_witness_requires_symmetric_pd_type(pd):
     with pytest.raises(DomainError) as err:
-        cooperation_witness(PayoffTables(pd.A, [[1, 2], [3, 4]]))
+        cooperation_witness(PayoffTables([[2, 0], [3, 1]], [[1, 2], [3, 4]]))
     assert "transpose" in str(err.value)
     # a11 > a21 violates the ordering; the message names the failed inequality
     A = [[5, 0], [3, 1]]
@@ -435,8 +460,7 @@ def test_cooperation_witness_gap_shrinks(pd):
     gaps = []
     for row in rep.ladder:
         cp = row.payoffs
-        gaps.append(max(abs(float(cp.e11) - float(pd.A[0][0])),
-                        abs(float(cp.e12) - float(pd.A[0][0]))))
+        gaps.append(max(abs(float(cp.e11) - 2.0), abs(float(cp.e12) - 2.0)))  # a11 = 2
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0] / 100
     assert rep.ok  # the r = 10^6 inequalities clear the 1e-6 tolerance
@@ -454,8 +478,7 @@ def test_sample_curve_points_refuses_more_lines_than_the_cap(pd):
 
 
 def _reference_tables(game):
-    return ([[float(x) for x in row] for row in game.A],
-            [[float(x) for x in row] for row in game.B])
+    return tuple([[float(x) for x in row] for row in T] for T in tables(game))
 
 
 def _reference_residuals(a, b, p):
@@ -592,7 +615,7 @@ def _sampler_pool():
 def test_sample_curve_points_matches_finite_difference_reference():
     total = 0
     for g in _sampler_pool():
-        unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
+        unit = PayoffTables(*map(_unit_spread, tables(g)))
         for seed in (0, 1, 5):
             new = sample_curve_points(g, 20, seed=seed)
             old = _reference_pencil_points(unit, 20, seed=seed)
@@ -610,8 +633,7 @@ def test_sample_curve_points_residuals(pd):
     assert len(sample_curve_points(pd, 30, seed=3)) >= 5
     total = 0
     for g in [pd] + _sampler_pool():
-        spread_a = _spread(g.A) or 1
-        spread_b = _spread(g.B) or 1
+        spread_a, spread_b = (_spread(T) or 1 for T in tables(g))
         for grid, seed in itertools.product((20, 500), (0, 1, 5)):
             for p in sample_curve_points(g, grid, seed=seed):
                 assert abs(sum(p) - 1) <= 1e-10
@@ -628,7 +650,7 @@ def test_pencil_through_the_x_vertex_reaches_every_interior_point():
     # quadratic there; the points come from the independent random lines
     worst, count = 0.0, 0
     for g in _sampler_pool():
-        unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
+        unit = PayoffTables(*map(_unit_spread, tables(g)))
         c1, c2, c3, c4, c5, c6, c7 = _unit_floats(g)[2]
         for seed in (0, 1, 5):
             for p11, p12, p21, _ in _reference_sample_curve_points(unit, 20, seed=seed):
@@ -678,7 +700,7 @@ def test_payoff_tables_store_each_table_over_its_least_scale(A, B):
     least positive integer that clears the table (so gcd(l, l x table) is
     1); each relabelling permutes those integers and keeps the scales."""
     g = PayoffTables(A, B)
-    for (scale, ints), T in zip(g.cleared, (g.A, g.B)):
+    for (scale, ints), T in zip(g.cleared, tables(g)):
         assert scale >= 1 and all(type(x) is int for x in ints)
         assert ints == tuple(scale * x for x in T[0] + T[1])
         assert math.gcd(scale, *ints) == 1
@@ -711,15 +733,15 @@ def test_relabeling_by_permutation_matches_the_validated_route(A, B):
     what the constructor builds from the permuted Fraction tables, and ==
     agrees with equality of those tables."""
     g = PayoffTables(A, B)
-    assert PayoffTables(g.A, g.B).cleared == g.cleared
+    assert PayoffTables(*tables(g)).cleared == g.cleared
     for transpose, rows, cols in itertools.product((False, True), repeat=3):
         moved = g.transpose_players() if transpose else g
         moved = moved.swap_rows() if rows else moved
         moved = moved.swap_cols() if cols else moved
-        rebuilt = PayoffTables(*_relabel_views(g.A, g.B, transpose, rows, cols))
+        rebuilt = PayoffTables(*_relabel_views(*tables(g), transpose, rows, cols))
         assert moved.cleared == rebuilt.cleared and moved == rebuilt
-        assert moved.to_json() == rebuilt.to_json()
-        assert (moved == g) == (moved.A == g.A and moved.B == g.B)
+        assert tables(moved) == tables(rebuilt)
+        assert (moved == g) == (tables(moved) == tables(g))
 
 
 def _reference_is_nash(game, q, r):
@@ -727,7 +749,7 @@ def _reference_is_nash(game, q, r):
     expected payoffs against the other's mix, compared."""
     if not (0 <= q <= 1 and 0 <= r <= 1):
         return False
-    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = game.A, game.B
+    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = tables(game)
     row1, row2 = a11 * r + a12 * (1 - r), a21 * r + a22 * (1 - r)
     col1, col2 = b11 * q + b21 * (1 - q), b12 * q + b22 * (1 - q)
     return all(hi >= lo if p == 1 else lo >= hi if p == 0 else hi == lo
@@ -760,11 +782,14 @@ def test_is_nash_matches_the_fraction_route(A, B, q, r):
 def test_sample_curve_points_ignores_positive_affine_rescaling(A, B, alpha, beta, gamma,
                                                                delta, which, seed):
     g = PayoffTables(A, B)
-    A2 = [[alpha * x + beta for x in row] for row in g.A] if which & 1 else g.A
-    B2 = [[gamma * x + delta for x in row] for row in g.B] if which & 2 else g.B
+    A2, B2 = tables(g)
+    if which & 1:
+        A2 = [[alpha * x + beta for x in row] for row in A2]
+    if which & 2:
+        B2 = [[gamma * x + delta for x in row] for row in B2]
     pts = sample_curve_points(g, 12, seed=seed)
     assert sample_curve_points(PayoffTables(A2, B2), 12, seed=seed) == pts
-    sa, sb = _spread(g.A) or 1, _spread(g.B) or 1
+    sa, sb = (_spread(T) or 1 for T in tables(g))
     for p in pts:
         d1, d2 = spohn_determinants(g, [F(x) for x in p])
         assert abs(d1) / sa < F(1, 10**8) and abs(d2) / sb < F(1, 10**8), p
@@ -780,9 +805,9 @@ def test_sampler_setup_matches_the_exact_rescaling(A, B):
     # the integer set-up rounds each exact value once, as float() of the
     # rescaled Fractions does; repr tells -0.0 from 0.0
     g = PayoffTables(A, B)
-    unit = PayoffTables(_unit_spread(g.A), _unit_spread(g.B))
-    expected = ([float(x) for row in unit.A for x in row],
-                [float(x) for row in unit.B for x in row],
+    unit = PayoffTables(*map(_unit_spread, tables(g)))
+    expected = ([float(x) for row in tables(unit)[0] for x in row],
+                [float(x) for row in tables(unit)[1] for x in row],
                 [float(c) for c in build_cubic(unit).c])
     assert repr(_unit_floats(g)) == repr(expected)
 
@@ -813,7 +838,7 @@ def test_pareto_payoffs_are_the_row_major_float_sums():
             p = rec["point"]
             assert rec["payoffs"] == [
                 float(sum(float(T[i][j]) * p[i * 2 + j] for i in range(2) for j in range(2)))
-                for T in (g.A, g.B)]
+                for T in tables(g)]
 
 
 def test_pareto_sweep_mixed_reference(bos):
@@ -836,7 +861,7 @@ def _fraction_pareto_reference(game):
         (i, j), = pures
         kind = f"pure ({i},{j})"
         point = JointDistribution(*[F(int(k == 2 * (i - 1) + (j - 1))) for k in range(4)])
-    return kind, point, expected_payoffs(game, point)
+    return kind, point, _expected_payoffs(game, point)
 
 
 @settings(max_examples=200, deadline=None)
@@ -848,7 +873,7 @@ def _fraction_pareto_reference(game):
          [[F(-7, 2), 10**12], [10**12, 10**12 + 1]], 5)
 def test_pareto_reference_matches_the_fraction_route(A, B, seed):
     """The reference block is `totally_mixed_nash` -> `segre` ->
-    `expected_payoffs` -> `rat_str` (or the unique pure cell), and a sampled
+    `_expected_payoffs` -> `rat_str` (or the unique pure cell), and a sampled
     point dominates it exactly when it does against `float` of those
     Fraction payoffs."""
     g = PayoffTables(A, B)
@@ -887,8 +912,7 @@ def _ref_compose(p, q):
 
 
 def _reference_pure_corner_sequence(game):
-    (a11, a12), _ = game.A
-    (b11, _), (b21, _) = game.B
+    ((a11, a12), _), ((b11, _), (b21, _)) = tables(game)
     if a11 <= a12 and b11 <= b21:
         return ("a11<=a12 and b11<=b21", "(1/r, 1/r^2, 1/r^2, 1 - 1/r - 2/r^2)",
                 lambda r: (F(1, r), F(1, r ** 2), F(1, r ** 2), 1 - F(1, r) - 2 * F(1, r ** 2)))
@@ -905,8 +929,7 @@ def _reference_pure_corner_sequence(game):
 
 
 def _reference_semi_mixed_sequence(game, p1):
-    (a11, a12), _ = game.A
-    _, (b21, b22) = game.B
+    ((a11, a12), _), (_, (b21, b22)) = tables(game)
     if b21 != b22:
         raise DomainError("semi-mixed witness needs b21 == b22 after normalization")
     p2 = 1 - p1
@@ -988,7 +1011,7 @@ def _reference_ne_witness(game, ne):
 
 
 def _reference_cooperation_witness(game):
-    (a11, _), (a21, a22) = game.A
+    ((a11, _), (a21, a22)), _ = tables(game)
     lam = (a11 - a22) / (a21 - a22)
     return _reference_report(
         game, "cooperation", f"lambda = {rat_str(lam)}",
@@ -1037,7 +1060,7 @@ def _assert_same_witness(rep, ref):
     assert json.dumps(rep.to_json(), sort_keys=True) == \
         json.dumps(_reference_json(ref), sort_keys=True)
     for r in (2, 3, 17, rep.threshold, rep.threshold + 1, 10 ** 6):
-        assert rep.sequence(r) == ref.sequence(r), r
+        assert _sequence(rep, r) == ref.sequence(r), r
 
 
 @settings(max_examples=150, deadline=None)
@@ -1103,7 +1126,7 @@ _SLACKS = {"E_1^(1) >= E_2^(1)": lambda e: e.e11 - e.e21,
 
 def _assert_ladder_is_rounded_once(game, rep):
     for row in rep.ladder:
-        exact = conditional_payoffs(game, JointDistribution(*row.point))
+        exact = conditional_payoffs(game, JointDistribution(*_point(row)))
         assert repr(tuple(row.payoffs)) == repr(tuple(map(float, exact))), row.r
         assert repr(row.residuals) == \
             repr(tuple(float(_SLACKS[label](exact)) for label in rep.inequalities)), row.r
@@ -1150,15 +1173,15 @@ def test_ladder_floats_are_the_exact_values_rounded_once(A, B, mix, values):
 @example([[10**12 + 1, F(1, 3)], [10**12, 10**12 + 2]],
          [[F(-7, 2), 10**12], [10**12, 10**12 + 1]], F(1, 1001), [F(-1, 3), -10**12, 10**12, 7])
 def test_ladder_points_are_the_fraction_sequence(A, B, mix, values):
-    """Each rung's integer cells over its scale are `sequence(r)`, and the
+    """Each rung's integer cells over its scale are the template's p(r), and the
     report prints each coordinate and the limit as `rat_str` of the
     Fractions."""
     for _, rep in _witnesses_of_every_kind(A, B, mix, values):
         data = rep.to_json()
-        assert data["limit"] == [rat_str(x) for x in rep.limit]
-        assert sum(rep.limit) == 1
+        assert data["limit"] == [rat_str(x) for x in _limit(rep)]
+        assert sum(_limit(rep)) == 1
         for row, rung in zip(rep.ladder, data["ladder"], strict=True):
-            exact = rep.sequence(row.r)
-            assert row.point == exact and sum(exact) == 1, row.r
+            exact = _sequence(rep, row.r)
+            assert _point(row) == exact and sum(exact) == 1, row.r
             assert all(type(m) is int for m in row.cells) and row.scale > 0
             assert rung["point"] == [rat_str(x) for x in exact], row.r

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spohncurves import (
     CurveComponent,
     DomainError,
+    JointDistribution,
     MultiPoly,
     PayoffTables,
     SpohnCubic,
@@ -22,7 +23,6 @@ from spohncurves import (
     decompose_cubic,
     reducibility_verdict,
     spohn_determinants,
-    w_membership,
     zero_cubic_classify,
 )
 from spohncurves import cli, geometry
@@ -30,7 +30,8 @@ from spohncurves.geometry import (
     _CUBIC_EXPS, _HORNER, _MONOS, _candidate_lines, _vanishes_on_line)
 from spohncurves.polynomials import (
     clear_denominators, cross_product, primitive_vector, rat_str)
-from caselib import case_equations, cases_by_equations, game_for_case, poly, random_game
+from caselib import (
+    case_equations, cases_by_equations, game_for_case, poly, random_game, tables)
 
 F = Fraction
 P4 = ("p11", "p12", "p21", "p22")
@@ -126,8 +127,10 @@ def test_variety_and_w_membership(pd):
     assert values((0, 1, 1, -3)) == (0, 0)
     assert values((2, 1, 1, 5)) == (0, 0)
     assert values((1, 1, 1, 1)) != (0, 0)
-    assert w_membership((1, -1, 2, 3))        # p11 + p12 == 0
-    assert not w_membership((F(1, 4),) * 4)
+    # the divisor W = V((p11+p12)(p21+p22)(p11+p21)(p12+p22)) of vanishing
+    # marginals holds exactly the simplex points that are not totally mixed
+    assert not JointDistribution(0, 0, F(1, 2), F(1, 2)).totally_mixed()  # p11 + p12 == 0
+    assert JointDistribution(*(F(1, 4),) * 4).totally_mixed()
 
 
 # --- the cubic ------------------------------------------------------------------------
@@ -179,8 +182,9 @@ def test_cubic_affine_rescaling_scales_coefficients():
         lam1 = F(rng.randint(1, 9), rng.randint(1, 5))
         lam2 = -F(rng.randint(1, 9), rng.randint(1, 5))
         al, be = F(rng.randint(-6, 6)), F(rng.randint(-6, 6))
-        h = PayoffTables([[lam1 * x + al for x in row] for row in g.A],
-                         [[lam2 * x + be for x in row] for row in g.B])
+        A, B = tables(g)
+        h = PayoffTables([[lam1 * x + al for x in row] for row in A],
+                         [[lam2 * x + be for x in row] for row in B])
         assert build_cubic(h).c == tuple(lam1 * lam2 * c for c in build_cubic(g).c)
 
 
@@ -218,7 +222,7 @@ def test_per_case_games_are_recognized():
         for _ in range(3):
             g = game_for_case(case, rng)
             assert case in classify_cases(g)
-            for val in case_equations(case, g.A, g.B):
+            for val in case_equations(case, *tables(g)):
                 assert val == 0
 
 
@@ -361,8 +365,9 @@ def line_test_games(draw):
     lam, kap = (draw(st.fractions(max_denominator=10**6).filter(bool)) * 10**6
                 for _ in range(2))
     mu, nu = _entries(draw), _entries(draw)
-    return PayoffTables([[lam * x + mu for x in row] for row in g.A],
-                        [[kap * x + nu for x in row] for row in g.B])
+    A, B = tables(g)
+    return PayoffTables([[lam * x + mu for x in row] for row in A],
+                        [[kap * x + nu for x in row] for row in B])
 
 
 # the stored denominator is 12 * 12 = 144, but no reduced c_k needs more than 48
@@ -373,8 +378,9 @@ def test_spohn_cubic_stores_integers_over_the_table_scales(game):
     """build_cubic stores the integer products over la lb, the scales that
     clear the two tables; `c` gives the Fractions the division by la lb
     gives, and a round trip through `f` gives them back."""
-    la, (a11, a12, a21, a22) = clear_denominators(game.A[0] + game.A[1])
-    lb, (b11, b12, b21, b22) = clear_denominators(game.B[0] + game.B[1])
+    A, B = tables(game)
+    la, (a11, a12, a21, a22) = clear_denominators(A[0] + A[1])
+    lb, (b11, b12, b21, b22) = clear_denominators(B[0] + B[1])
     expected = tuple(F(x, la * lb) for x in (
         (a11 - a22) * (b11 - b12), (a11 - a21) * (b22 - b11), (a12 - a22) * (b11 - b12),
         (a11 - a21) * (b22 - b21), (a12 - a22) * (b21 - b12), (a12 - a21) * (b22 - b21),
