@@ -78,16 +78,17 @@ class QuadricPair:
         string where an array belongs included, and on every parse fault of
         P1, P2 and the point before the DomainError of a quadric that is not
         one; then ValueError for a zero point, and DomainError for a point
-        without 4 coordinates or off either quadric, in that order."""
-        try:
-            if "A" in data and "B" in data:
-                P1, P2 = _matrix_terms(data["A"]), _matrix_terms(data["B"])
-            else:
-                P1, P2 = terms_from_json(data["P1"]), terms_from_json(data["P2"])
-            point = [parse_rational(c) for c in json_list(data["point"], "the common point")]
-        except (TypeError, KeyError) as exc:
-            raise ValueError("quadric-pair JSON needs P1/P2 or A/B plus point: "
-                             f"{exc!r}") from None
+        without 4 coordinates or off either quadric, in that order.  The
+        fields are read in the order A, B or P1, P2, then point, and a
+        missing field or an entry that is not a rational is named
+        (`_field`)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"quadric-pair JSON must be a JSON object, not {type(data).__name__}")
+        if "A" in data and "B" in data:
+            P1, P2 = _field(data, "A", _matrix_terms), _field(data, "B", _matrix_terms)
+        else:
+            P1, P2 = _field(data, "P1", terms_from_json), _field(data, "P2", terms_from_json)
+        point = _field(data, "point", _point_pairs)
         pair = cls.__new__(cls)
         pair.quadrics = (_cleared_matrix(P1), _cleared_matrix(P2))
         P = point_of_pairs(point)[1]
@@ -140,6 +141,24 @@ def _cleared_matrix(P) -> tuple:
 def _times(N, v) -> list:
     """The product N v of a matrix with 4 columns and a 4-vector."""
     return [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3] for r in N]
+
+
+def _field(data, key, read):
+    """read(data[key]) for a field of the quadric-pair JSON; ValueError
+    naming the field if it is missing, or if an entry in it is not a
+    rational at all (`parse_rational`'s TypeError, the only one `read`
+    raises)."""
+    if key not in data:
+        raise ValueError(f"quadric-pair JSON needs P1/P2 or A/B plus point: {key!r} is missing")
+    try:
+        return read(data[key])
+    except TypeError as exc:
+        raise ValueError(f"quadric-pair JSON {key!r} must hold exact rationals: {exc}") from None
+
+
+def _point_pairs(point) -> list:
+    """The `parse_rational` pairs of the common point's JSON array."""
+    return [parse_rational(c) for c in json_list(point, "the common point")]
 
 
 def _matrix_terms(M) -> tuple:

@@ -41,8 +41,9 @@ _SWAPS = {                          # relabeling -> the cells it exchanges
 }
 
 
-def _not_str(value):
-    """`value`, or TypeError for a string, which would be read char by char."""
+def _not_str(value, what):
+    """`value`, or TypeError for a string, which would be read char by char.
+    `what` is unused: the signature is that of `json_list`."""
     if isinstance(value, str):
         raise TypeError(f"got the string {value!r} for a table or row")
     return value
@@ -70,26 +71,27 @@ class PayoffTables:
         (`_read_table`), A before B; every entry of both is parsed before
         either shape is judged, so a parse fault comes before a shape
         fault."""
-        try:
-            a, b = _read_table(A), _read_table(B)
-        except TypeError as exc:
-            raise ValueError(f"payoff tables must be 2x2 tables of exact "
-                             f"rationals: {exc}") from None
-        if a is None or b is None:
-            raise ValueError("payoff tables must be 2x2")
-        self.cleared = (a, b)
+        self.cleared = _read_tables(A, B, _not_str)
 
     @classmethod
     def from_json(cls, data) -> "PayoffTables":
         """{"A": [["2","0"],["3","1"]], "B": ...} (entries int or "n/d" strings;
-        tables and rows must be JSON arrays)."""
+        tables and rows must be JSON arrays).  The one walk of `_read_tables`
+        checks the arrays as it reads; only on a fault are they checked
+        again first, since a table or row that is not an array, in A or in B,
+        is reported before any parse or shape fault."""
         if not isinstance(data, dict) or "A" not in data or "B" not in data:
             raise ValueError("game JSON needs 'A' and 'B'")
         A, B = data["A"], data["B"]
-        for M in (A, B):
-            for row in json_list(M, "a payoff table"):
-                json_list(row, "a payoff row")
-        return cls(A, B)
+        game = cls.__new__(cls)
+        try:
+            game.cleared = _read_tables(A, B, json_list)
+        except ValueError:
+            for M in (A, B):
+                for row in json_list(M, "a payoff table"):
+                    json_list(row, "a payoff row")
+            raise
+        return game
 
     @classmethod
     def from_bimatrix(cls, text: str) -> "PayoffTables":
@@ -143,16 +145,31 @@ class PayoffTables:
         return f"PayoffTables(A={A}, B={B})"
 
 
-def _read_table(M):
+def _read_tables(A, B, rows_of) -> tuple:
+    """`PayoffTables.cleared` of the tables A and B, each read in one pass
+    by `_read_table`, A first, with `rows_of(value, what)` returning the
+    table's or a row's entries: `_not_str` or `json_list`.  Every entry of
+    both is parsed before either shape is judged."""
+    try:
+        a, b = _read_table(A, rows_of), _read_table(B, rows_of)
+    except TypeError as exc:
+        raise ValueError(f"payoff tables must be 2x2 tables of exact "
+                         f"rationals: {exc}") from None
+    if a is None or b is None:
+        raise ValueError("payoff tables must be 2x2")
+    return a, b
+
+
+def _read_table(M, rows_of):
     """(scale, (X11, X12, X21, X22)) of a payoff table read in one pass:
     each entry by `parse_rational`, row by row, then the four cleared over
     their least common denominator, with no lcm when all are integers.
     None unless the table is two rows of two, judged after every entry is
     read."""
     pairs, lengths = [], []
-    for row in _not_str(M):
+    for row in rows_of(M, "a payoff table"):
         k = len(pairs)
-        for x in _not_str(row):
+        for x in rows_of(row, "a payoff row"):
             pairs.append(parse_rational(x))
         lengths.append(len(pairs) - k)
     if lengths != [2, 2]:

@@ -240,7 +240,8 @@ class CurveComponent:
 
     `poly` (a MultiPoly in x, y, z) is built on request.  `to_json` prints
     from the integers the bytes of `poly.to_json()` (the nonzero entries in
-    `_MONOS` order, which is its descending order) and `point_json(point)`.
+    `_MONOS` order, which is its descending order, each by `rat_str`, so
+    with no gcd) and `point_json(point)`.
     """
 
     __slots__ = ("kind", "ints", "multiplicity", "point")
@@ -255,8 +256,9 @@ class CurveComponent:
         return {
             "kind": self.kind,
             "multiplicity": self.multiplicity,
-            "poly": terms_json(VARS3, [(e, k, 1) for e, k in
-                                       zip(_MONOS[_DEGREE[len(self.ints)]], self.ints)]),
+            "poly": {"vars": list(VARS3),
+                     "terms": [{"exp": list(e), "coef": rat_str(k)} for e, k in
+                               zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
             "point": None if self.point is None else point_json(self.point),
         }
 
@@ -296,88 +298,92 @@ class ReducibilityVerdict:
 # 3 for a line (_MONOS[1] are also the unit vectors), 1 for a constant.
 _MONOS = tuple(tuple((i, j, d - i - j) for i in range(d, -1, -1)
                      for j in range(d - i, -1, -1)) for d in range(4))
-_INDEX = tuple({e: n for n, e in enumerate(monos)} for monos in _MONOS)
 _DEGREE = {len(monos): d for d, monos in enumerate(_MONOS)}
 
 
-def _horner1(f, x, y, z):
-    c0, c1, c2 = f
-    return c0 * x + c1 * y + c2 * z
+# the coordinates after x and x_k are exchanged, for k = 0, 1, 2 (a line's
+# pivot x_k moves to x)
+_EXCHANGE = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+# form length -> k -> the same exchange on a form's entries, as indices into
+# it: the form g(x) = f(x exchanged) is [f[i] for i in _SWAP[len(f)][k]], and
+# each permutation is its own inverse
+_SWAP = {len(monos): tuple(tuple(monos.index(tuple([e[i] for i in p])) for e in monos)
+                           for p in _EXCHANGE) for monos in _MONOS}
 
 
-def _horner2(f, x, y, z):
-    c0, c1, c2, c3, c4, c5 = f
-    return (c0 * x + c1 * y + c2 * z) * x + (c3 * y + c4 * z) * y + c5 * z * z
+def _quotient3(f, a, b, c):
+    """The conic q with (a x + b y + c z) q = f for the cubic f, a != 0, or
+    None.  The six x-monomials of f fix q0..q5, one exact division by a each;
+    the four free of x must then agree."""
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = f
+    q0, r0 = divmod(f0, a)
+    q1, r1 = divmod(f1 - b * q0, a)
+    q2, r2 = divmod(f2 - c * q0, a)
+    q3, r3 = divmod(f3 - b * q1, a)
+    q4, r4 = divmod(f4 - b * q2 - c * q1, a)
+    q5, r5 = divmod(f5 - c * q2, a)
+    if (r0 or r1 or r2 or r3 or r4 or r5 or b * q3 != f6 or b * q4 + c * q3 != f7
+            or b * q5 + c * q4 != f8 or c * q5 != f9):
+        return None
+    return q0, q1, q2, q3, q4, q5
 
 
-def _horner3(f, x, y, z):
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = f
-    zz = z * z
-    return (((c0 * x + c1 * y + c2 * z) * x + (c3 * y + c4 * z) * y + c5 * zz) * x
-            + ((c6 * y + c7 * z) * y + c8 * zz) * y + c9 * zz * z)
+def _quotient2(f, a, b, c):
+    """`_quotient3` for a conic f: the linear form q0 x + q1 y + q2 z."""
+    f0, f1, f2, f3, f4, f5 = f
+    q0, r0 = divmod(f0, a)
+    q1, r1 = divmod(f1 - b * q0, a)
+    q2, r2 = divmod(f2 - c * q0, a)
+    if r0 or r1 or r2 or b * q1 != f3 or b * q2 + c * q1 != f4 or c * q2 != f5:
+        return None
+    return q0, q1, q2
 
 
-# A form's value at (x, y, z), keyed by the length of its vector: Horner in x
-# over binary forms in (y, z), one fixed expression per degree.
-_HORNER = {3: _horner1, 6: _horner2, 10: _horner3}
+def _quotient1(f, a, b, c):
+    """`_quotient3` for a line f: the constant q0."""
+    q0, r0 = divmod(f[0], a)
+    if r0 or b * q0 != f[1] or c * q0 != f[2]:
+        return None
+    return (q0,)
 
 
-def _vanishes_on_line(form, line) -> bool:
-    """Does the ternary form with integer vector `form` over `_MONOS[d]`
-    (d = 1, 2 or 3: 3, 6 or 10 entries) vanish on the line
-    line[0] x + line[1] y + line[2] z = 0?
+_QUOTIENT = {10: _quotient3, 6: _quotient2, 3: _quotient1}
 
-    p1 and p2 are two independent cross products of the line with unit
-    vectors, so they span it.  The form restricted to s p1 + t p2 is a binary
-    form of degree <= 3; a nonzero one has at most 3 roots on P^1, so
-    vanishing at s:t = 1:1, 1:-1, 1:0, 0:1 proves it is identically zero.
-    Each value is one `_HORNER` expression on integers.  (p1 and p2 are
-    where the line meets coordinate lines, often points of a candidate's
-    cubic, so they are tried last.)
-    """
+
+def _divide(form, line):
+    """The quotient of the integer form (10, 6 or 3 entries) by the
+    primitive integer line, or None if the line does not divide it.
+
+    With k the line's pivot, its first nonzero entry, x and x_k are
+    exchanged (`_SWAP`) so that the pivot is x's coefficient; then each
+    coefficient of the quotient is one exact division by it, and the
+    monomials free of x are the remaining equations (`_QUOTIENT`).  A
+    nonzero remainder or a failed equation means the line does not divide
+    the form: by Gauss's lemma a primitive line that divides an integer
+    form leaves an integer quotient, so the test is exact, and a quotient
+    returned satisfies line * quotient == form."""
+    k = 0 if line[0] else 1 if line[1] else 2
+    quotient = _QUOTIENT[len(form)]
+    if not k:
+        return quotient(form, *line)
+    q = quotient([form[i] for i in _SWAP[len(form)][k]], *[line[i] for i in _SWAP[3][k]])
+    return None if q is None else tuple([q[i] for i in _SWAP[len(q)][k]])
+
+
+def _line_times(line, form) -> list:
+    """line * form for a conic, a line or a constant form: the equations of
+    `_QUOTIENT` run forward."""
     a, b, c = line
-    if a:
-        p1, p2 = (-c, 0, a), (b, -a, 0)
-    else:
-        p1, p2 = (0, c, -b), ((-c, 0, 0) if c else (b, 0, 0))
-    plus = (p1[0] + p2[0], p1[1] + p2[1], p1[2] + p2[2])
-    minus = (p1[0] - p2[0], p1[1] - p2[1], p1[2] - p2[2])
-    horner = _HORNER[len(form)]
-    for x, y, z in (plus, minus, p1, p2):
-        if horner(form, x, y, z):
-            return False
-    return True
-
-
-def _divide_by_line(form, line) -> list:
-    """The quotient of an integer form by a primitive integer line that
-    divides it, by long division in lex order: each step clears the
-    remainder's leading term with a multiple of the line's leading term,
-    that of x_k.  By Gauss's lemma the quotient has integer coefficients;
-    `decompose_cubic` checks the final product."""
-    d = _DEGREE[len(form)]
-    k = next(i for i in range(3) if line[i])
-    rem, quotient = list(form), [0] * len(_MONOS[d - 1])
-    for n, e in enumerate(_MONOS[d]):
-        if rem[n]:
-            q = e[:k] + (e[k] - 1,) + e[k + 1:]
-            c = quotient[_INDEX[d - 1][q]] = rem[n] // line[k]
-            for m in range(k, 3):
-                rem[_INDEX[d][q[:m] + (q[m] + 1,) + q[m + 1:]]] -= c * line[m]
-    return quotient
-
-
-def _multiply(p, q) -> list:
-    """The product of two forms (convolution of their coefficient vectors)."""
-    dp, dq = _DEGREE[len(p)], _DEGREE[len(q)]
-    index = _INDEX[dp + dq]
-    out = [0] * len(index)
-    for (i, j, _), a in zip(_MONOS[dp], p):
-        if a:
-            for (k, m, _), b in zip(_MONOS[dq], q):
-                if b:
-                    out[index[i + k, j + m, dp + dq - i - j - k - m]] += a * b
-    return out
+    if len(form) == 6:
+        q0, q1, q2, q3, q4, q5 = form
+        return [a * q0, a * q1 + b * q0, a * q2 + c * q0, a * q3 + b * q1,
+                a * q4 + b * q2 + c * q1, a * q5 + c * q2, b * q3, b * q4 + c * q3,
+                b * q5 + c * q4, c * q5]
+    if len(form) == 3:
+        q0, q1, q2 = form
+        return [a * q0, a * q1 + b * q0, a * q2 + c * q0, b * q1, b * q2 + c * q1, c * q2]
+    q0, = form
+    return [a * q0, b * q0, c * q0]
 
 
 def _candidate_lines(c) -> list:
@@ -405,7 +411,7 @@ def _candidate_lines(c) -> list:
     x, y, z; then L_z, L_y, L_x, G1 and G2, each skipped if it has fewer than
     two nonzero entries (a coordinate line divides f only if it is already
     listed).  That is at most eight lines.  Whether one divides the cubic is
-    decided by `_vanishes_on_line`, four exact evaluations.
+    decided by `_divide`, one exact division.
     """
     c1, c2, c3, c4, c5, c6, c7 = c
     lines = [e for e, pair in zip(_MONOS[1], ((c5, c6), (c2, c4), (c1, c3)))
@@ -499,19 +505,20 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     """Split a nonzero ternary cubic (without pure-cube terms) into
     components over Q, with multiplicities and smooth rational points.
 
-    The cubic's stored integers (see `SpohnCubic`) are a 10-vector, the
-    residual.  A candidate line divides the residual iff the residual
-    vanishes on it (`_vanishes_on_line`), and synthetic division then
-    replaces the residual by the quotient: 10 -> 6 -> 3 coefficients.  A
-    residual of degree 3 means no line divides f (irreducible: the candidate
-    list is exhaustive whenever no coordinate line divides f); a conic is
-    split further on its integer matrix, which is complete over Q.  The
-    product of the components, one convolution of their vectors, must be
-    proportional to the integer cubic entry by entry; the scalar is read off
-    that check once, at the product's first nonzero entry.  It is the only
-    Fraction built: each component keeps its primitive integer vector and
-    point (`CurveComponent`), and no MultiPoly is made unless a caller asks
-    for one.
+    The cubic's stored integers (see `SpohnCubic`) are placed directly in a
+    10-vector over `_MONOS[3]`, the residual.  Each candidate line is tried
+    by one exact division (`_divide`): its remainder is the proof, zero iff
+    the line divides the residual, and the quotient replaces the residual:
+    10 -> 6 -> 3 coefficients.  A residual of degree 3 means no line divides
+    f (irreducible: the candidate list is exhaustive whenever no coordinate
+    line divides f); a conic is split further on its integer matrix, which
+    is complete over Q.  The product of the components, built in closed form
+    one line at a time (`_line_times`), must be proportional to the integer
+    cubic entry by entry; the scalar is read off that check once, at the
+    product's first nonzero entry.  It is the only Fraction built: each
+    component keeps its primitive integer vector and point
+    (`CurveComponent`), and no MultiPoly is made unless a caller asks for
+    one.
 
     Every residual conic passes through a coordinate point (a line holds at
     most two of them), which is smooth on a smooth conic; a pair of
@@ -528,14 +535,16 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     if cubic.is_zero():
         raise DomainError("cannot decompose the zero cubic")
 
-    form = [0] * 10
-    for e, k in zip(_CUBIC_EXPS, cubic.ints):
-        form[_INDEX[3][e]] = k
+    c1, c2, c3, c4, c5, c6, c7 = cubic.ints
+    form = [0, c1, c2, c3, c7, c4, 0, c5, c6, 0]  # over _MONOS[3]
     residual = form
     found: dict = {}  # primitive line vector -> multiplicity, in order found
     for v in _candidate_lines(cubic.ints):
-        while len(residual) > 1 and _vanishes_on_line(residual, v):
-            residual = _divide_by_line(residual, v)
+        while len(residual) > 1:
+            quotient = _divide(residual, v)
+            if quotient is None:
+                break
+            residual = quotient
             found[v] = found.get(v, 0) + 1
 
     degree = _DEGREE[len(residual)]
@@ -562,16 +571,15 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
 
     # exact reconstruction check: the product is proportional to form, and
     # the scalar is read off its first nonzero entry i
-    product = [1]
+    product = [1] if conic is None else conic
     for v, mult in found.items():
         for _ in range(mult):
-            product = _multiply(product, v)
-    if conic is not None:
-        product = _multiply(product, conic)
+            product = _line_times(v, product)
     i = next(i for i in range(10) if product[i])
-    if any(form[i] * p != product[i] * q for p, q in zip(product, form)):
+    f_i, p_i = form[i], product[i]
+    if [f_i * p for p in product] != [p_i * q for q in form]:
         raise AssertionError("component product does not reproduce the cubic")
-    scalar = Fraction(form[i], product[i] * cubic.den)
+    scalar = Fraction(f_i, p_i * cubic.den)
 
     components = [CurveComponent("line", v, mult, _line_point(v)) for v, mult in found.items()]
     if conic is not None:

@@ -456,11 +456,19 @@ def terms_from_json(obj) -> tuple:
     """(vars, [(exponent, n, d), ...]) of a polynomial in the JSON of
     `MultiPoly.to_json`, coefficients read by `parse_rational`, terms kept as
     written (repeated or zero).  ValueError on the first fault, in this
-    order: shape, coefficient, an exponent that is not a JSON integer (1.9,
-    "1", true), vars not an array, an exponent of the wrong length or sign."""
+    order: shape (terms not an array, then term by term a term that is not
+    an object with 'exp' and 'coef' or an exp that is not an array, each
+    before its coefficient), coefficient, an exponent that is not a JSON
+    integer (1.9, "1", true), vars not an array, an exponent of the wrong
+    length or sign.  A coefficient that is not a rational at all is
+    `parse_rational`'s TypeError."""
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
         raise ValueError("polynomial JSON needs 'vars' and 'terms'")
-    terms = [(tuple(t["exp"]), *parse_rational(t["coef"])) for t in obj["terms"]]
+    terms = []
+    for t in json_list(obj["terms"], "polynomial terms"):
+        if type(t) is not dict or "exp" not in t or "coef" not in t:
+            raise ValueError("each polynomial term must be a JSON object with 'exp' and 'coef'")
+        terms.append((tuple(json_list(t["exp"], "a term's exp")), *parse_rational(t["coef"])))
     if any(type(e) is not int for exp, _, _ in terms for e in exp):
         raise ValueError("polynomial exponents must be JSON integers")
     variables = json_list(obj["vars"], "polynomial vars")

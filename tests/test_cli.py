@@ -670,8 +670,8 @@ _V4 = {"vars": ["x", "y", "z", "t"],
     ({"A": [[0] * 4] * 4, "B": [[0] * 3] * 4, "point": [0, 0, 0, 1]},
      2, "bad input: quadric matrix must be 4x4"),
     ({"A": [[0] * 4] * 4, "B": [[0.5] * 4] * 4, "point": [0, 0, 0, 1]},
-     2, "bad input: quadric-pair JSON needs P1/P2 or A/B plus point: "
-        "TypeError('expected int, str or Fraction, got float')"),
+     2, "bad input: quadric-pair JSON 'B' must hold exact rationals: "
+        "expected int, str or Fraction, got float"),
 ], ids=["P1 3 variables, P2 exponent length", "P1 3 variables, P2 no terms",
         "P1 3 variables, point unparsable", "P1 3 variables, point zero",
         "P1 cubic, point 3 coordinates", "A zero, B 4x3", "A zero, B floats"])
@@ -681,6 +681,33 @@ def test_several_pair_faults_report_the_first(capsys, pair, code, err):
     was read through MultiPoly."""
     out, got = run_ok(capsys, ["reduce", "--pair", json.dumps(pair)], code=code)
     assert (out, got) == ("", err + "\n")
+
+
+@pytest.mark.parametrize("pair, err", [
+    ({"P1": _V4}, "quadric-pair JSON needs P1/P2 or A/B plus point: 'P2' is missing"),
+    ({"P1": _V4, "P2": _V4}, "quadric-pair JSON needs P1/P2 or A/B plus point: "
+                             "'point' is missing"),
+    ({"A": [[0] * 4] * 4, "P2": _V4, "point": [0, 0, 0, 1]},
+     "quadric-pair JSON needs P1/P2 or A/B plus point: 'P1' is missing"),
+    ({"P1": {"vars": "xyzt", "terms": [{"exp": 5, "coef": 1}]}, "P2": {}, "point": [1, 0, 0, 0]},
+     "a term's exp must be a JSON array, not int"),
+    ({"P1": _V4, "P2": {"vars": _V4["vars"], "terms": [{"exp": [0, 1, 0, 1]}]},
+      "point": [0, 0, 0, 1]}, "each polynomial term must be a JSON object with 'exp' and 'coef'"),
+    ({"P1": _V4, "P2": {"vars": _V4["vars"], "terms": [[0, 1, 0, 1]]}, "point": [0, 0, 0, 1]},
+     "each polynomial term must be a JSON object with 'exp' and 'coef'"),
+    ({"P1": {"vars": _V4["vars"], "terms": 7}, "P2": _V4, "point": [0, 0, 0, 1]},
+     "polynomial terms must be a JSON array, not int"),
+    ({"P1": _V4, "P2": _V4, "point": [0, None, 0, 1]},
+     "quadric-pair JSON 'point' must hold exact rationals: expected int, str or "
+     "Fraction, got NoneType"),
+    ([_V4, _V4], "quadric-pair JSON must be a JSON object, not list"),
+], ids=["no P2", "no point", "A without B", "exp an int", "term without coef",
+        "term an array", "terms an int", "point null", "an array"])
+def test_pair_faults_name_the_field(capsys, pair, err):
+    """A missing or misshapen field of the pair is named in the usage
+    message, with exit 2 and nothing on stdout."""
+    out, got = run_ok(capsys, ["reduce", "--pair", json.dumps(pair)], code=2)
+    assert (out, got) == ("", "bad input: " + err + "\n")
 
 
 def _pairs_for_point_faults() -> dict:

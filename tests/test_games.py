@@ -119,6 +119,15 @@ def test_table_faults_report_the_first(A, B, init_error, json_error):
     assert str(err.value) == json_error
 
 
+def test_json_objects_are_not_tables_or_rows():
+    """Through JSON a table or row that is an object is refused as not an
+    array, although iterating it would read its keys as entries."""
+    with pytest.raises(ValueError, match="^a payoff row must be a JSON array, not dict$"):
+        PayoffTables.from_json({"A": [{"1": 0, "2": 0}, [3, 4]], "B": _OK})
+    with pytest.raises(ValueError, match="^a payoff table must be a JSON array, not dict$"):
+        PayoffTables.from_json({"A": [["x", 1], [2, 3]], "B": {"1": [0, 1], "2": [2, 3]}})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12),
                           st.fractions(min_value=-50, max_value=50, max_denominator=50),

@@ -26,12 +26,12 @@ from spohncurves import (
     zero_cubic_classify,
 )
 from spohncurves import cli, geometry
-from spohncurves.geometry import (
-    _CUBIC_EXPS, _HORNER, _MONOS, _candidate_lines, _vanishes_on_line)
+from spohncurves.geometry import _CUBIC_EXPS, _MONOS, _candidate_lines
 from spohncurves.polynomials import (
     clear_denominators, cross_product, primitive_vector, rat_str)
 from caselib import (
     case_equations, cases_by_equations, game_for_case, poly, random_game, tables)
+from formref import _HORNER, _vanishes_on_line
 
 F = Fraction
 P4 = ("p11", "p12", "p21", "p22")
