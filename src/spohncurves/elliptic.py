@@ -36,6 +36,7 @@ from .geometry import VARS3
 from .polynomials import (
     DomainError,
     MultiPoly,
+    ShapeError,
     clear_pairs,
     cross_product,
     is_nth_power_ratio,
@@ -145,15 +146,18 @@ def _times(N, v) -> list:
 
 def _field(data, key, read):
     """read(data[key]) for a field of the quadric-pair JSON; ValueError
-    naming the field if it is missing, or if an entry in it is not a
-    rational at all (`parse_rational`'s TypeError, the only one `read`
-    raises)."""
+    naming the field if it is missing, if it is misshapen (a ShapeError of
+    `read`), or if an entry in it is not a rational at all
+    (`parse_rational`'s TypeError, the only one `read` raises).  An entry
+    that does not parse keeps `parse_rational`'s message, which quotes it."""
     if key not in data:
         raise ValueError(f"quadric-pair JSON needs P1/P2 or A/B plus point: {key!r} is missing")
     try:
         return read(data[key])
     except TypeError as exc:
         raise ValueError(f"quadric-pair JSON {key!r} must hold exact rationals: {exc}") from None
+    except ShapeError as exc:
+        raise ValueError(f"quadric-pair JSON {key!r} is misshapen: {exc}") from None
 
 
 def _point_pairs(point) -> list:
@@ -166,7 +170,7 @@ def _matrix_terms(M) -> tuple:
     rows = [[parse_rational(x) for x in json_list(row, "a quadric matrix row")]
             for row in json_list(M, "a quadric matrix")]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ValueError("quadric matrix must be 4x4")
+        raise ShapeError("quadric matrix must be 4x4")
     return VARS4, [(geometry._mono4(i, j), *rows[i][j]) for i in range(4) for j in range(4)]
 
 

@@ -289,35 +289,40 @@ def totally_mixed_nash(game: PayoffTables):
 
     Returns a MixedProfile, or "none" (indifference point exists but lies
     outside the open square), or "degenerate" (an indifference denominator
-    vanishes, so no isolated interior equilibrium exists).
+    vanishes, so no isolated interior equilibrium exists).  Each coordinate
+    n/d is judged on its integers, inside (0, 1) iff n lies strictly between
+    0 and d; the Fractions are built only for an interior profile.
     """
     (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
     den_q = b11 - b12 - b21 + b22
     den_r = a11 - a12 - a21 + a22
     if den_q == 0 or den_r == 0:
         return "degenerate"
-    q = Fraction(b22 - b21, den_q)
-    r = Fraction(a22 - a12, den_r)
-    if not (0 < q < 1 and 0 < r < 1):
+    num_q, num_r = b22 - b21, a22 - a12
+    if not (0 < num_q < den_q or den_q < num_q < 0) or \
+            not (0 < num_r < den_r or den_r < num_r < 0):
         return "none"
-    return MixedProfile(q, r)
+    return MixedProfile(Fraction(num_q, den_q), Fraction(num_r, den_r))
 
 
 def is_nash(game: PayoffTables, ne: MixedProfile) -> bool:
     """Exact best-response check for a mixed profile (q, r), on integers.
 
-    With r = n/d, player 1's row 1 payoff minus row 2's is
-    ((A11 - A21) n + (A12 - A22)(d - n)) / (la d), so the integer numerator
-    has its sign; likewise for player 2's columns at q.
+    With q = nq/dq and r = nr/dr in lowest terms (`parse_rational`), a
+    coordinate is 0, 1 or interior as n == 0, n == d or 0 < n < d.  Player
+    1's row 1 payoff minus row 2's is
+    ((A11 - A21) nr + (A12 - A22)(dr - nr)) / (la dr), so the integer
+    numerator has its sign; likewise for player 2's columns at q.
     """
-    q, r = rat(ne.q), rat(ne.r)
-    if not (0 <= q <= 1 and 0 <= r <= 1):
+    q, r = parse_rational(ne.q), parse_rational(ne.r)
+    (nq, dq), (nr, dr) = q, r
+    if not (0 <= nq <= dq and 0 <= nr <= dr):
         return False
     (_, (a11, a12, a21, a22)), (_, (b11, b12, b21, b22)) = game.cleared
-    rows = (a11 - a21) * r.numerator + (a12 - a22) * (r.denominator - r.numerator)
-    cols = (b11 - b12) * q.numerator + (b21 - b22) * (q.denominator - q.numerator)
-    return all(gap >= 0 if p == 1 else gap <= 0 if p == 0 else gap == 0
-               for p, gap in ((q, rows), (r, cols)))
+    rows = (a11 - a21) * nr + (a12 - a22) * (dr - nr)
+    cols = (b11 - b12) * nq + (b21 - b22) * (dq - nq)
+    return all(gap >= 0 if n == d else gap <= 0 if n == 0 else gap == 0
+               for (n, d), gap in ((q, rows), (r, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +440,71 @@ class WitnessLadderRow(NamedTuple):
     residuals: tuple        # float inequality slacks, one per required inequality
 
 
+def _cells(rows, r: int) -> tuple:
+    """(m11, m12, m21, m22): the cells at r times den * r^D, with D the
+    template's top degree, by Horner's rule on its integer rows."""
+    out = []
+    for row in rows:
+        m = 0
+        for c in row:
+            m = m * r + c
+        out.append(m)
+    return tuple(out)
+
+
+class _Ladder:
+    """The part of a witness report that depends on its template alone, not
+    on the game: the template cleared over one denominator `den` and trimmed
+    of the powers of 1/r that no cell uses (column c0 sums to 1, so it
+    always stays), checked to sum to 1; the threshold, checked by its two
+    exact points; the inequalities, chosen by the limit's marginals (sums of
+    the c0 column's integers); and each rung as (r, cells, scale, sums): the
+    integers m_ij, den r^D, and the marginals m11 + m12, m21 + m22,
+    m11 + m21 and m12 + m22.  `text` prints the limit and the points on its
+    first call and keeps the strings, so a cached ladder prints once."""
+
+    __slots__ = ("template", "threshold", "den", "rows", "checks", "inequalities", "rungs",
+                 "_text")
+
+    def __init__(self, template, threshold: int):
+        self.template = template          # four rows (c0, c1, c2, c3) of 1/r coefficients
+        self.den, ints = clear_denominators([c for row in template for c in row])
+        rows = [ints[k:k + 4] for k in (0, 4, 8, 12)]
+        if tuple(map(sum, zip(*rows))) != (self.den, 0, 0, 0):
+            raise AssertionError("witness template does not sum to 1")  # pragma: no cover
+        while not any(row[-1] for row in rows):
+            rows = [row[:-1] for row in rows]
+        if min(_cells(rows, threshold)) <= 0 or \
+                threshold > 1 and min(_cells(rows, threshold - 1)) > 0:
+            raise AssertionError("threshold is not the first interior r")  # pragma: no cover
+        self.rows, self.threshold, self._text = tuple(rows), threshold, None
+        l11, l12, l21, l22 = (row[0] for row in rows)
+        picked = [(label, player, sign) for label, m, player, sign in (  # slack = sign * d_player
+            ("E_1^(1) >= E_2^(1)", l11 + l12, 0, 1), ("E_2^(1) >= E_1^(1)", l21 + l22, 0, -1),
+            ("E_1^(2) >= E_2^(2)", l11 + l21, 1, 1), ("E_2^(2) >= E_1^(2)", l12 + l22, 1, -1))
+            if m != 0]
+        self.inequalities = tuple(label for label, _, _ in picked)
+        self.checks = tuple((player, sign) for _, player, sign in picked)
+        degree = len(rows[0]) - 1
+        rungs = []
+        for r in (_LADDER if threshold <= _LADDER[0]
+                  else tuple(threshold * 10 ** k for k in range(4))):
+            cells = m11, m12, m21, m22 = _cells(rows, r)
+            rungs.append((r, cells, self.den * r ** degree,
+                          (m11 + m12, m21 + m22, m11 + m21, m12 + m22)))
+        self.rungs = tuple(rungs)  # a kept ladder is read by every later report
+
+    def text(self) -> tuple:
+        """(limit, points): the limit and each rung's point as strings by
+        `ratio_str`, printed on the first call (DomainError past the digit
+        limit, on every call) and kept."""
+        if self._text is None:
+            self._text = (tuple(ratio_str(row[0], self.den) for row in self.rows),
+                          tuple(tuple(ratio_str(m, scale) for m in cells)
+                                for _, cells, scale, _ in self.rungs))
+        return self._text
+
+
 class WitnessReport:
     """A witness sequence for a Nash equilibrium, built from its template.
 
@@ -442,8 +512,8 @@ class WitnessReport:
     (11, 12, 21, 22), meaning c0 + c1/r + c2/r^2 + c3/r^3; its columns must
     sum to (1, 0, 0, 0), so p(r) sums to 1 for every r, and the limit
     p(infinity) is the c0 column.  `threshold` is the least
-    integer r >= 1 with p(r) in the open simplex, read off the template by
-    its constructor.  Every cell of every template is a positive constant, a
+    integer r >= 1 with p(r) in the open simplex, stated with the template.
+    Every cell of every template is a positive constant, a
     positive combination of powers of 1/r, or a positive constant minus such
     terms, so once p(r) is interior it stays interior; hence two exact
     evaluations prove the value: p(threshold) is interior and, when
@@ -453,82 +523,55 @@ class WitnessReport:
     strategies played in the limit, and `ok` says whether every one holds
     within `_WITNESS_TOL` at the last rung.
 
-    All of it runs on integers.  At r the four cells are m_ij / (den r^D),
-    with den the lcm of the template's denominators and D its top degree;
-    each rung keeps the m_ij and den r^D, and prints each cell from them
-    by `ratio_str`.  The limit is the c0 column over den, and its marginals
-    (which choose the inequalities) are sums of that column's integers.
-    With the tables' integers over la and lb (`PayoffTables.cleared`) each
-    payoff is a ratio of integers,
-    E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)), and each slack a
-    cross-multiplied one, E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).
-    One `int / int` division rounds each exact value to its float, so the
-    ladder prints `float()` of the exact Fraction; the interior checks read
-    the signs of the m_ij.  No Fraction is built.
+    All of it runs on integers.  Everything that depends on the template
+    alone is a `_Ladder`, made once per template: the checks above and, at
+    each rung, the four cells m_ij / (den r^D), with den the lcm of the
+    template's denominators and D its top degree, kept as the m_ij and
+    den r^D.  The four pure-corner templates under the four relabelings a
+    pure profile takes (rows, columns, both or none; never the players) are
+    at most 16 ladders, each made on first use and kept (`_PURE_LADDERS`),
+    so a process that reports many pure equilibria evaluates each once; a
+    one-shot process, and every other template, makes its ladder on the
+    spot and keeps none.  What a game adds is the payoffs: with the
+    tables' integers over la and lb (`PayoffTables.cleared`) each is a ratio
+    of integers, E_1^(1) = (A11 m11 + A12 m12) / (la (m11 + m12)), and each
+    slack a cross-multiplied one,
+    E_1^(1) - E_2^(1) = (n1 s2 - n2 s1) / (la s1 s2).  One `int / int`
+    division rounds each exact value to its float, so the ladder prints
+    `float()` of the exact Fraction.  `to_json` prints each cell and the
+    limit from their integers by `ratio_str` (through `_Ladder.text`, so a
+    point past the digit limit is its DomainError).  No Fraction is built.
     """
 
-    def __init__(self, game, kind, case, formula, threshold, template, relabeling="",
+    def __init__(self, game, kind, case, formula, ladder: _Ladder, relabeling="",
                  lam=None, payoff_limits=None):
         self.kind = kind                  # "pure" | "semi-mixed" | "totally-mixed" | "cooperation"
         self.case = case                  # human-readable case selector
         self.formula = formula            # sequence formula in normalized coordinates
-        self.template = template          # four rows (c0, c1, c2, c3) of 1/r coefficients
+        self.template = ladder.template
+        self.threshold = ladder.threshold
+        self.inequalities = ladder.inequalities
         self.relabeling = relabeling
         self.lam = lam                    # cooperation only: the off-diagonal split
         self.payoff_limits = payoff_limits  # cooperation only: limits of E_k^(i)
-        # the template over one denominator, without the powers of 1/r that
-        # no cell uses (column c0 sums to 1, so it always stays)
-        self._den, ints = clear_denominators([c for row in template for c in row])
-        self._rows = [ints[k:k + 4] for k in (0, 4, 8, 12)]
-        if tuple(map(sum, zip(*self._rows))) != (self._den, 0, 0, 0):
-            raise AssertionError("witness template does not sum to 1")  # pragma: no cover
-        while not any(row[-1] for row in self._rows):
-            self._rows = [row[:-1] for row in self._rows]
-
-        def interior(r):
-            return all(m > 0 for m in self._numerators(r))
-        if not interior(threshold) or threshold > 1 and interior(threshold - 1):
-            raise AssertionError("threshold is not the first interior r")  # pragma: no cover
-        self.threshold = threshold
-
-        # the limit's marginals, each times den, from its cells' integers
-        l11, l12, l21, l22 = (row[0] for row in self._rows)
-        checks = [(label, player, sign) for label, m, player, sign in (  # slack = sign * d_player
-            ("E_1^(1) >= E_2^(1)", l11 + l12, 0, 1), ("E_2^(1) >= E_1^(1)", l21 + l22, 0, -1),
-            ("E_1^(2) >= E_2^(2)", l11 + l21, 1, 1), ("E_2^(2) >= E_1^(2)", l12 + l22, 1, -1))
-            if m != 0]
-        self.inequalities = [label for label, _, _ in checks]
+        self._ladder = ladder
         (la, (a11, a12, a21, a22)), (lb, (b11, b12, b21, b22)) = game.cleared
-        degree = len(self._rows[0]) - 1
+        checks = ladder.checks
         self.ladder = []
-        for r in (_LADDER if self.threshold <= _LADDER[0]
-                  else tuple(self.threshold * 10 ** k for k in range(4))):
-            cells = m11, m12, m21, m22 = self._numerators(r)
-            n1, s1 = a11 * m11 + a12 * m12, m11 + m12
-            n2, s2 = a21 * m21 + a22 * m22, m21 + m22
-            n3, s3 = b11 * m11 + b21 * m21, m11 + m21
-            n4, s4 = b12 * m12 + b22 * m22, m12 + m22
-            pay = ConditionalPayoffs(n1 / (la * s1), n2 / (la * s2),
-                                     n3 / (lb * s3), n4 / (lb * s4))
+        for r, cells, scale, (s1, s2, s3, s4) in ladder.rungs:
+            m11, m12, m21, m22 = cells
+            n1, n2 = a11 * m11 + a12 * m12, a21 * m21 + a22 * m22
+            n3, n4 = b11 * m11 + b21 * m21, b12 * m12 + b22 * m22
             # d_0 = E_1^(1) - E_2^(1) and d_1 = E_1^(2) - E_2^(2) as (numerator, denominator)
             d = ((n1 * s2 - n2 * s1, la * s1 * s2), (n3 * s4 - n4 * s3, lb * s3 * s4))
             self.ladder.append(WitnessLadderRow(
-                r, cells, self._den * r ** degree, pay,
-                tuple(sign * d[player][0] / d[player][1] for _, player, sign in checks)))
+                r, cells, scale,
+                ConditionalPayoffs(n1 / (la * s1), n2 / (la * s2), n3 / (lb * s3), n4 / (lb * s4)),
+                tuple([sign * d[player][0] / d[player][1] for player, sign in checks])))
         self.ok = all(res >= -_WITNESS_TOL for res in self.ladder[-1].residuals)
 
-    def _numerators(self, r: int) -> tuple:
-        """(m11, m12, m21, m22): the cells at r times den * r^D, with D the
-        template's top degree, by Horner's rule on its integer rows."""
-        out = []
-        for row in self._rows:
-            m = 0
-            for c in row:
-                m = m * r + c
-            out.append(m)
-        return tuple(out)
-
     def to_json(self) -> dict:
+        limit, points = self._ladder.text()
         out = {
             "numeric": True,
             "kind": self.kind,
@@ -536,13 +579,13 @@ class WitnessReport:
             "formula": self.formula,
             "relabeling": self.relabeling,
             "threshold": self.threshold,
-            "limit": [ratio_str(row[0], self._den) for row in self._rows],
+            "limit": list(limit),
             "inequalities": list(self.inequalities),
             "tolerance": _WITNESS_TOL,
             "ladder": [
                 {
                     "r": row.r,
-                    "point": [ratio_str(m, row.scale) for m in row.cells],
+                    "point": list(point),
                     "payoffs": {
                         "E_1^(1)": row.payoffs.e11,
                         "E_2^(1)": row.payoffs.e21,
@@ -551,7 +594,7 @@ class WitnessReport:
                     },
                     "residuals": list(row.residuals),
                 }
-                for row in self.ladder
+                for row, point in zip(self.ladder, points)
             ],
             "ok": self.ok,
         }
@@ -563,6 +606,10 @@ class WitnessReport:
 
 _LADDER = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 _WITNESS_TOL = 1e-6
+# (case, relabeling) -> the `_Ladder` of a relabeled pure-corner template:
+# four cases under four relabelings, so never more than 16 entries, none of
+# which depends on a game's payoffs or a profile
+_PURE_LADDERS = {}
 
 
 def _pure_corner_template(game: PayoffTables):
@@ -615,44 +662,52 @@ def ne_witness_sequence(game: PayoffTables, ne: MixedProfile) -> WitnessReport:
     Boundary equilibria are relabeled to the normalized position (player 1
     pure on row 2, and column 2 for pure equilibria), the template for the
     matching payoff-comparison case is chosen there, and its rows are
-    permuted back through the relabelings in reverse order.
+    permuted back through the relabelings in reverse order.  The profile is
+    read as integer pairs q = nq/dq, r = nr/dr in lowest terms, so interior,
+    0 and 1 are 0 < n < d, n == 0 and n == d.  A pure-corner ladder is
+    looked up by case and relabeling (`_PURE_LADDERS`).
     """
-    ne = MixedProfile(rat(ne.q), rat(ne.r))
+    (nq, dq), (nr, dr) = parse_rational(ne.q), parse_rational(ne.r)
     if not is_nash(game, ne):
-        raise DomainError(f"profile (q={rat_str(ne.q)}, r={rat_str(ne.r)}) "
+        raise DomainError(f"profile (q={ratio_str(nq, dq)}, r={ratio_str(nr, dr)}) "
                           "is not a Nash equilibrium of this game")
-    q, r_ = ne.q, ne.r
 
-    if 0 < q < 1 and 0 < r_ < 1:
+    if 0 < nq < dq and 0 < nr < dr:
+        p = MixedProfile(Fraction(nq, dq), Fraction(nr, dr)).segre().as_tuple()
         return WitnessReport(game, "totally-mixed", "interior equilibrium",
-                             "constant sequence p(r) = p", 1,
-                             tuple((p, 0, 0, 0) for p in ne.segre().as_tuple()))
+                             "constant sequence p(r) = p",
+                             _Ladder(tuple((x, 0, 0, 0) for x in p), 1))
 
     # normalize: player 1 should be the pure player, playing row 2
-    work, wr = game, r_
+    work = game
     steps = []
-    if 0 < q < 1:  # player 1 mixes, so player 2 must be pure: swap players
-        work, q, wr = work.transpose_players(), wr, q
+    if 0 < nq < dq:  # player 1 mixes, so player 2 must be pure: swap players
+        work, nq, (nr, dr) = work.transpose_players(), nr, (nq, dq)
         steps.append("players swapped")
-    if q == 1:
+    if nq:  # player 1 plays row 1
         work = work.swap_rows()
         steps.append("rows swapped")
 
-    if 0 < wr < 1:
+    if 0 < nr < dr:
         kind = "semi-mixed"
-        label, formula, threshold, template = _semi_mixed_template(work, wr)
+        label, formula, threshold, template = _semi_mixed_template(work, Fraction(nr, dr))
     else:
-        if wr == 1:
+        if nr:  # player 2 plays column 1
             work = work.swap_cols()
             steps.append("columns swapped")
         kind = "pure"
         label, formula, threshold, template = _pure_corner_template(work)
 
-    # each relabeling is an involution on the cells: undo the last one first
-    for step in reversed(steps):
-        template = tuple(template[j] for j in _SWAPS[step])
-    return WitnessReport(game, kind, label, formula, threshold, template,
-                         relabeling=", ".join(steps) if steps else "none")
+    relabeling = ", ".join(steps) if steps else "none"
+    ladder = _PURE_LADDERS.get((label, relabeling)) if kind == "pure" else None
+    if ladder is None:
+        # each relabeling is an involution on the cells: undo the last one first
+        for step in reversed(steps):
+            template = tuple(template[j] for j in _SWAPS[step])
+        ladder = _Ladder(template, threshold)
+        if kind == "pure":
+            _PURE_LADDERS[label, relabeling] = ladder
+    return WitnessReport(game, kind, label, formula, ladder, relabeling=relabeling)
 
 
 def cooperation_witness(game: PayoffTables) -> WitnessReport:
@@ -678,9 +733,10 @@ def cooperation_witness(game: PayoffTables) -> WitnessReport:
 
     lam = Fraction(a11 - a22, a21 - a22)
     v11, v22 = Fraction(a11, la), Fraction(a22, la)
+    ladder = _Ladder(((1, -1, -1, 0), (0, 0, 1, 0), (0, lam, 0, 0), (0, 1 - lam, 0, 0)),
+                     2)  # r^2 > r + 1
     return WitnessReport(game, "cooperation", f"lambda = {rat_str(lam)}",
-                         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)", 2,  # r^2 > r + 1
-                         ((1, -1, -1, 0), (0, 0, 1, 0), (0, lam, 0, 0), (0, 1 - lam, 0, 0)),
+                         "(1 - 1/r - 1/r^2, 1/r^2, lam/r, (1-lam)/r)", ladder,
                          lam=lam, payoff_limits=(v11, v11, v11, v22))
 
 

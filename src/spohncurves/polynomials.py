@@ -21,6 +21,12 @@ class DomainError(ValueError):
     """A mathematical precondition was violated (degenerate or invalid input)."""
 
 
+class ShapeError(ValueError):
+    """A JSON input of the wrong shape: a value that is not an array where
+    one belongs, an object without its keys, or a polynomial or matrix of
+    the wrong size.  A reader that knows which field it read names it."""
+
+
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------
@@ -130,10 +136,10 @@ def _too_many_digits() -> DomainError:
 
 def json_list(value, what: str) -> list:
     """`value` if it is a JSON array (a list, as `json` parses one), else
-    ValueError naming `what`: a string there would be read character by
+    ShapeError naming `what`: a string there would be read character by
     character."""
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+        raise ShapeError(f"{what} must be a JSON array, not {type(value).__name__}")
     return value
 
 
@@ -460,23 +466,24 @@ def terms_from_json(obj) -> tuple:
     an object with 'exp' and 'coef' or an exp that is not an array, each
     before its coefficient), coefficient, an exponent that is not a JSON
     integer (1.9, "1", true), vars not an array, an exponent of the wrong
-    length or sign.  A coefficient that is not a rational at all is
-    `parse_rational`'s TypeError."""
+    length or sign.  Every fault but the coefficient's is a ShapeError.  A
+    coefficient that is not a rational at all is `parse_rational`'s
+    TypeError."""
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
-        raise ValueError("polynomial JSON needs 'vars' and 'terms'")
+        raise ShapeError("polynomial JSON needs 'vars' and 'terms'")
     terms = []
     for t in json_list(obj["terms"], "polynomial terms"):
         if type(t) is not dict or "exp" not in t or "coef" not in t:
-            raise ValueError("each polynomial term must be a JSON object with 'exp' and 'coef'")
+            raise ShapeError("each polynomial term must be a JSON object with 'exp' and 'coef'")
         terms.append((tuple(json_list(t["exp"], "a term's exp")), *parse_rational(t["coef"])))
     if any(type(e) is not int for exp, _, _ in terms for e in exp):
-        raise ValueError("polynomial exponents must be JSON integers")
+        raise ShapeError("polynomial exponents must be JSON integers")
     variables = json_list(obj["vars"], "polynomial vars")
     for exp, _, _ in terms:
         if len(exp) != len(variables):
-            raise ValueError("exponent tuple length != number of variables")
+            raise ShapeError("exponent tuple length != number of variables")
         if exp and min(exp) < 0:
-            raise ValueError("negative exponent")
+            raise ShapeError("negative exponent")
     return variables, terms
 
 

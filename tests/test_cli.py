@@ -658,9 +658,11 @@ _V4 = {"vars": ["x", "y", "z", "t"],
 
 @pytest.mark.parametrize("pair, code, err", [
     ({"P1": _V3, "P2": {"vars": _V4["vars"], "terms": [{"exp": [1, 1], "coef": 1}]},
-      "point": [0, 0, 0, 1]}, 2, "bad input: exponent tuple length != number of variables"),
+      "point": [0, 0, 0, 1]}, 2, "bad input: quadric-pair JSON 'P2' is misshapen: "
+                                 "exponent tuple length != number of variables"),
     ({"P1": _V3, "P2": {"vars": _V4["vars"]}, "point": [0, 0, 0, 1]},
-     2, "bad input: polynomial JSON needs 'vars' and 'terms'"),
+     2, "bad input: quadric-pair JSON 'P2' is misshapen: "
+        "polynomial JSON needs 'vars' and 'terms'"),
     ({"P1": _V3, "P2": _V4, "point": [0, "x", 0, 1]},
      2, "bad input: cannot parse rational from 'x'"),
     ({"P1": _V3, "P2": _V4, "point": [0, 0, 0, 0]},
@@ -668,7 +670,7 @@ _V4 = {"vars": ["x", "y", "z", "t"],
     ({"P1": {"vars": _V4["vars"], "terms": [{"exp": [3, 0, 0, 0], "coef": 1}]}, "P2": _V4,
       "point": [0, 0, 1]}, 1, "domain error: expected nonzero homogeneous quadrics"),
     ({"A": [[0] * 4] * 4, "B": [[0] * 3] * 4, "point": [0, 0, 0, 1]},
-     2, "bad input: quadric matrix must be 4x4"),
+     2, "bad input: quadric-pair JSON 'B' is misshapen: quadric matrix must be 4x4"),
     ({"A": [[0] * 4] * 4, "B": [[0.5] * 4] * 4, "point": [0, 0, 0, 1]},
      2, "bad input: quadric-pair JSON 'B' must hold exact rationals: "
         "expected int, str or Fraction, got float"),
@@ -678,7 +680,7 @@ _V4 = {"vars": ["x", "y", "z", "t"],
 def test_several_pair_faults_report_the_first(capsys, pair, code, err):
     """Every parse or shape fault of P1, P2 or the point is bad input before
     any quadric is a domain error; the messages were recorded when the pair
-    was read through MultiPoly."""
+    was read through MultiPoly, and a shape fault now names its field."""
     out, got = run_ok(capsys, ["reduce", "--pair", json.dumps(pair)], code=code)
     assert (out, got) == ("", err + "\n")
 
@@ -690,19 +692,25 @@ def test_several_pair_faults_report_the_first(capsys, pair, code, err):
     ({"A": [[0] * 4] * 4, "P2": _V4, "point": [0, 0, 0, 1]},
      "quadric-pair JSON needs P1/P2 or A/B plus point: 'P1' is missing"),
     ({"P1": {"vars": "xyzt", "terms": [{"exp": 5, "coef": 1}]}, "P2": {}, "point": [1, 0, 0, 0]},
-     "a term's exp must be a JSON array, not int"),
+     "quadric-pair JSON 'P1' is misshapen: a term's exp must be a JSON array, not int"),
     ({"P1": _V4, "P2": {"vars": _V4["vars"], "terms": [{"exp": [0, 1, 0, 1]}]},
-      "point": [0, 0, 0, 1]}, "each polynomial term must be a JSON object with 'exp' and 'coef'"),
+      "point": [0, 0, 0, 1]}, "quadric-pair JSON 'P2' is misshapen: "
+                              "each polynomial term must be a JSON object with 'exp' and 'coef'"),
     ({"P1": _V4, "P2": {"vars": _V4["vars"], "terms": [[0, 1, 0, 1]]}, "point": [0, 0, 0, 1]},
+     "quadric-pair JSON 'P2' is misshapen: "
      "each polynomial term must be a JSON object with 'exp' and 'coef'"),
     ({"P1": {"vars": _V4["vars"], "terms": 7}, "P2": _V4, "point": [0, 0, 0, 1]},
-     "polynomial terms must be a JSON array, not int"),
+     "quadric-pair JSON 'P1' is misshapen: polynomial terms must be a JSON array, not int"),
+    ({"A": [[0] * 4] * 4, "B": [[0] * 4] * 3, "point": [0, 0, 0, 1]},
+     "quadric-pair JSON 'B' is misshapen: quadric matrix must be 4x4"),
+    ({"A": [[0] * 4] * 4, "B": [[0] * 4] * 4, "point": "0001"},
+     "quadric-pair JSON 'point' is misshapen: the common point must be a JSON array, not str"),
     ({"P1": _V4, "P2": _V4, "point": [0, None, 0, 1]},
      "quadric-pair JSON 'point' must hold exact rationals: expected int, str or "
      "Fraction, got NoneType"),
     ([_V4, _V4], "quadric-pair JSON must be a JSON object, not list"),
 ], ids=["no P2", "no point", "A without B", "exp an int", "term without coef",
-        "term an array", "terms an int", "point null", "an array"])
+        "term an array", "terms an int", "B 3x4", "point a string", "point null", "an array"])
 def test_pair_faults_name_the_field(capsys, pair, err):
     """A missing or misshapen field of the pair is named in the usage
     message, with exit 2 and nothing on stdout."""

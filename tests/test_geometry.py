@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -497,6 +498,50 @@ def test_irrational_line_pair_gets_a_null_point_at_once():
     assert line.point == (0, 0, 1)
     assert (conic.kind, conic.poly, conic.point) == (
         "conic", q3({(0, 2, 0): 1, (0, 0, 2): -2}), None)
+
+
+def test_no_spohn_cubic_has_a_conjugate_irrational_line_pair():
+    """The proof that no game reaches the null point above.  A cubic that is
+    a rational line L times two lines conjugate over Q(sqrt d) holds the
+    three coordinate points (it has no pure cubes), and the pair's only
+    rational point is its vertex, so two of them lie on L: L is x_k = 0 and
+    the cubic is x_k q, with four of c1..c6 zero.  Each c_i is a product of
+    two payoff differences, so that is 3 x 2^4 = 48 linear branches; on
+    each, the discriminant of q is a perfect square in the remaining
+    payoffs (or 0), so q splits over Q."""
+    sym = sympy.symbols("a11 a12 a21 a22 b11 b12 b21 b22")
+    a11, a12, a21, a22, b11, b12, b21, b22 = sym
+    factors = [(a11 - a22, b11 - b12), (a11 - a21, b22 - b11), (a12 - a22, b11 - b12),
+               (a11 - a21, b22 - b21), (a12 - a22, b21 - b12), (a12 - a21, b22 - b21)]
+    c = build_cubic(SimpleNamespace(cleared=((1, sym[:4]), (1, sym[4:])))).ints
+    assert all(sympy.expand(c[i] - f * g) == 0 for i, (f, g) in enumerate(factors))
+    # x_k -> (the c_i that vanish, the c_i of q's squares); q's cross term is c7
+    shapes = {"x": ((0, 1, 4, 5), (2, 3)), "y": ((1, 2, 3, 4), (0, 5)),
+              "z": ((0, 2, 3, 5), (1, 4))}
+    branches = 0
+    for zero, (u, w) in shapes.values():
+        for pick in itertools.product((0, 1), repeat=4):
+            (solution,) = sympy.solve([factors[i][j] for i, j in zip(zero, pick)], sym, dict=True)
+            assert all(sympy.expand(c[i].subs(solution)) == 0 for i in zero)
+            disc = sympy.expand((c[6] ** 2 - 4 * c[u] * c[w]).subs(solution))
+            unit, powers = sympy.factor_list(disc)
+            assert disc == 0 or unit > 0 and sympy.sqrt(unit).is_rational \
+                and all(m % 2 == 0 for _, m in powers), (zero, pick, sympy.factor(disc))
+            branches += 1
+    assert branches == 48
+
+
+def test_no_component_of_a_small_game_has_a_null_point():
+    """Every game with entries in {-1, 0, 1}: each component of a reducible
+    cubic gets a smooth rational point."""
+    reducible = 0
+    for entries in itertools.product((-1, 0, 1), repeat=8):
+        verdict = reducibility_verdict(PayoffTables([entries[0:2], entries[2:4]],
+                                                    [entries[4:6], entries[6:8]]))
+        if verdict.kind == "Reducible":
+            reducible += 1
+            assert all(comp.point is not None for comp in verdict.components), entries
+    assert reducible > 3 ** 8 // 2
 
 
 # the coordinate points e_k a factor passes through: a line through e_k has
