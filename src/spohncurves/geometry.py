@@ -230,13 +230,13 @@ def classify(game) -> tuple:
 class CurveComponent:
     """One irreducible component of the plane cubic, stored as integers.
 
-    `CurveComponent(kind, ints, multiplicity=1, point=None)`: kind is "line"
-    or "conic"; `ints` is the component's primitive coefficient vector over
+    `CurveComponent(kind, ints, multiplicity, point)`: kind is "line" or
+    "conic"; `ints` is the component's primitive coefficient vector over
     `_MONOS[d]` (d = 1 for a line, 2 for a conic; content 1, first nonzero
     entry positive); `multiplicity` counts repeated factors; `point` is a
     smooth rational point of the component as a primitive integer 3-vector,
-    read off exactly by `decompose_cubic`, or None if it has none (a pair of
-    conjugate irrational lines, whose only rational point is singular).
+    read off exactly by `decompose_cubic`, which finds one on every
+    component of a game's cubic.
 
     `poly` (a MultiPoly in x, y, z) is built on request.  `to_json` prints
     from the integers the bytes of `poly.to_json()` (the nonzero entries in
@@ -246,7 +246,7 @@ class CurveComponent:
 
     __slots__ = ("kind", "ints", "multiplicity", "point")
 
-    def __init__(self, kind, ints, multiplicity=1, point=None):
+    def __init__(self, kind, ints, multiplicity, point):
         self.kind, self.ints, self.multiplicity, self.point = kind, ints, multiplicity, point
 
     poly = property(lambda self: MultiPoly(VARS3, dict(zip(_MONOS[_DEGREE[len(self.ints)]],
@@ -259,7 +259,7 @@ class CurveComponent:
             "poly": {"vars": list(VARS3),
                      "terms": [{"exp": list(e), "coef": rat_str(k)} for e, k in
                                zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
-            "point": None if self.point is None else point_json(self.point),
+            "point": point_json(self.point),
         }
 
     def __repr__(self):
@@ -436,13 +436,11 @@ def _split_conic(N):
     """Factor a conic over Q if it is degenerate.
 
     N is a positive multiple of the conic's symmetric matrix (see
-    `_conic_matrix`).  Returns ("irreducible",) for a smooth conic,
-    ("lines", v1, v2) for a rational line pair (v1 == v2 for a double line,
-    which is when all 2x2 minors vanish) with v1, v2 primitive integer
-    3-vectors and N a verified multiple of v1 v2^T + v2 v1^T, or
-    ("irrational",) for a degenerate conic whose two conjugate lines are not
-    defined over Q, decided exactly, so the null point that
-    `decompose_cubic` reports for such a conic is a fact.
+    `_conic_matrix`).  Returns None for a smooth conic, or the rational line
+    pair (v1, v2) (v1 == v2 for a double line, which is when all 2x2 minors
+    vanish) as primitive integer 3-vectors, N a verified multiple of
+    v1 v2^T + v2 v1^T.  Two lines conjugate over Q(sqrt d), which no game's
+    cubic leaves (`decompose_cubic`), are a DomainError, decided exactly.
 
     The conic must have a squared variable.  A degenerate d1 xy + d2 xz + d3 yz
     (det = d1 d2 d3 / 4 = 0) is a coordinate line times a linear form, and
@@ -452,7 +450,7 @@ def _split_conic(N):
     """
     minors = cross_product(N[1], N[2]), cross_product(N[0], N[2]), cross_product(N[0], N[1])
     if sum(a * b for a, b in zip(N[0], minors[0])):  # det N = N[0] . (N[1] x N[2])
-        return ("irreducible",)
+        return None
     k = next(k for k in range(3) if N[k][k])
     if not any(minors[0] + minors[1] + minors[2]):
         v1 = v2 = primitive_vector(N[k])
@@ -466,7 +464,8 @@ def _split_conic(N):
         r_v = exact_isqrt(beta_v ** 2 - 4 * alpha * N[v][v])
         d_uv = 2 * beta_u * beta_v - 8 * alpha * N[u][v]
         if r_u is None or r_v is None or d_uv not in (2 * r_u * r_v, -2 * r_u * r_v):
-            return ("irrational",)
+            raise DomainError("the cubic has a pair of conjugate irrational lines, "
+                              "which no game's cubic has")
         if 2 * r_u * r_v != d_uv:
             r_v = -r_v
         pair = []
@@ -480,7 +479,7 @@ def _split_conic(N):
     if any(N[a][b] * prod[i][j] != N[i][j] * prod[a][b]
            for a in range(3) for b in range(3)):
         raise AssertionError("conic split verification failed")
-    return ("lines", v1, v2)
+    return v1, v2
 
 
 def _line_point(v) -> tuple:
@@ -492,13 +491,10 @@ def _line_point(v) -> tuple:
 
 def _coordinate_point(N):
     """The first coordinate point, in the order [0:1:0], [1:0:0], [0:0:1],
-    on the conic with matrix N (a zero diagonal entry) and smooth on it (a
-    nonzero row, the gradient there), as its unit 3-vector; None if there is
-    none."""
-    for k in (1, 0, 2):
-        if N[k][k] == 0 and any(N[k]):
-            return _MONOS[1][k]
-    return None
+    on the smooth conic with matrix N (a zero diagonal entry), as its unit
+    3-vector; smooth on it, as every point of a smooth conic is.  A residual
+    conic holds one: the cubic holds all three, a line at most two."""
+    return next(_MONOS[1][k] for k in (1, 0, 2) if not N[k][k])
 
 
 def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
@@ -521,16 +517,18 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     one.
 
     Every residual conic passes through a coordinate point (a line holds at
-    most two of them), which is smooth on a smooth conic; a pair of
-    conjugate irrational lines gets a null point, since its only rational
-    point is the singular vertex.  These read-offs are the library's only
-    route to component points: there is no point search.
+    most two of them), which is smooth on a smooth conic.  No game's cubic
+    leaves a pair of lines conjugate over Q(sqrt d): it would be x_k q with
+    four of c1..c6 zero, and on all 48 linear branches of that in the payoff
+    differences, q splits over Q (proved by sympy in the tests).  So every
+    component gets a smooth rational point, read off with no search, and
+    rational points are dense in the real points of a reducible Spohn curve.
 
     Takes a SpohnCubic only (a raw cubic of that shape is
     `SpohnCubic(den, ints)`) and decides the kind itself.  Raises
-    DomainError on the zero cubic.  The verdict's `cases` is None: a cubic
-    knows no payoffs, and `reducibility_verdict` attaches the cases that
-    `classify` decided.
+    DomainError on the zero cubic and on a raw cubic with such a pair.  The
+    verdict's `cases` is None: a cubic knows no payoffs, and
+    `reducibility_verdict` attaches the cases that `classify` decided.
     """
     if cubic.is_zero():
         raise DomainError("cannot decompose the zero cubic")
@@ -551,17 +549,15 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
     if degree == 3:
         return ReducibilityVerdict("Irreducible")
 
-    conic = conic_point = None
+    conic = None
     if degree == 2:
         N = _conic_matrix(residual)
-        split = _split_conic(N)
-        if split[0] == "lines":
-            for v in split[1:]:  # v1 == v2 for a double line
-                found[v] = found.get(v, 0) + 1
-        else:  # smooth, or an irrational line pair: one conic component
+        pair = _split_conic(N)
+        if pair is None:  # smooth: one conic component
             conic = primitive_vector(residual)
-            if split[0] == "irreducible":
-                conic_point = _coordinate_point(N)
+        else:
+            for v in pair:  # v1 == v2 for a double line
+                found[v] = found.get(v, 0) + 1
     elif degree == 1:
         # happens when coordinate-line shortcuts peeled two factors and the
         # third line is generic (the coordinate restrictions that would have
@@ -583,7 +579,7 @@ def decompose_cubic(cubic: SpohnCubic) -> ReducibilityVerdict:
 
     components = [CurveComponent("line", v, mult, _line_point(v)) for v, mult in found.items()]
     if conic is not None:
-        components.append(CurveComponent("conic", conic, point=conic_point))
+        components.append(CurveComponent("conic", conic, 1, _coordinate_point(N)))
     return ReducibilityVerdict("Reducible", components=components, scalar=scalar)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spohncurves import MultiPoly, SpohnCubic, cli, decompose_cubic
+from spohncurves import DomainError, MultiPoly, SpohnCubic, cli, decompose_cubic
 from spohncurves.geometry import _CUBIC_EXPS
 from spohncurves.polynomials import clear_denominators, terms_from_json
 from caselib import game_for_case, game_json, spohn_pair_json
@@ -139,10 +139,12 @@ def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
     """Bytes recorded while components were MultiPolys and ProjPoints: a line
     point with a fractional coordinate, a double line, fractional payoffs
     (a scalar that is not an integer), the zero cubic, and raw cubics as a
-    `SpohnCubic` (a conjugate irrational line pair with a null point,
-    coefficients near 10^12).  Two more were recorded while candidate lines
-    came from cross products: z | f with the line (7, 4, 3) listed, and
-    y | f with (7, -7, 10) listed, both of which fix the components' order."""
+    `SpohnCubic` (coefficients near 10^12, and a conjugate irrational line
+    pair, recorded with a null point).  No game's cubic has such a pair, and
+    the library now refuses that raw cubic with a DomainError.  Two more
+    were recorded while candidate lines came from cross products: z | f with
+    the line (7, 4, 3) listed, and y | f with (7, -7, 10) listed, both of
+    which fix the components' order."""
     rec = GOLDEN_DECOMPOSE[name]
     if "game" in rec:
         out, _ = run_ok(capsys, ["decompose", "--game", json.dumps(rec["game"])])
@@ -150,6 +152,10 @@ def test_decompose_golden_bytes_beyond_the_case_games(capsys, name):
         variables, terms = terms_from_json(rec["cubic"])
         f = MultiPoly(variables, [(e, Fraction(n, d)) for e, n, d in terms])
         cubic = SpohnCubic(*clear_denominators([f.coefficient(e) for e in _CUBIC_EXPS]))
+        if '"point": null' in rec["stdout"]:
+            with pytest.raises(DomainError, match="conjugate irrational lines"):
+                decompose_cubic(cubic)
+            return
         out = json.dumps(decompose_cubic(cubic).to_json(), sort_keys=True) + "\n"
     assert out == rec["stdout"]
 

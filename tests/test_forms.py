@@ -119,11 +119,12 @@ def test_swap_moves_each_monomial():
 
 
 def test_a_wrong_component_fails_the_reconstruction(monkeypatch):
-    """The product check of `decompose_cubic` is live: x (y^2 - 2 z^2) with
-    its conic split into the wrong lines y and z is an internal error."""
-    cubic = geometry.SpohnCubic(1, (0, 0, 1, -2, 0, 0, 0))
-    assert [c.ints for c in geometry.decompose_cubic(cubic).components] == [(1, 0, 0),
-                                                                            (0, 0, 0, 1, 0, -2)]
-    monkeypatch.setattr(geometry, "_split_conic", lambda N: ("lines", (0, 1, 0), (0, 0, 1)))
+    """The product check of `decompose_cubic` is live: x (y^2 - z^2), the
+    cubic of the game A = [[1, 0], [0, 1]], B = [[0, 1], [1, 0]], with its
+    conic split into the wrong lines y and z is an internal error."""
+    cubic = geometry.SpohnCubic(1, (0, 0, 1, -1, 0, 0, 0))
+    assert [c.ints for c in geometry.decompose_cubic(cubic).components] == [
+        (1, 0, 0), (0, 1, -1), (0, 1, 1)]
+    monkeypatch.setattr(geometry, "_split_conic", lambda N: ((0, 1, 0), (0, 0, 1)))
     with pytest.raises(AssertionError, match="^component product does not reproduce the cubic$"):
         geometry.decompose_cubic(cubic)

@@ -488,20 +488,19 @@ def test_primitive_vector_of_integers_and_of_fractions(v, fractions):
 # --- irrational line pairs and the sympy oracle for the decomposition ------------------
 
 def test_irrational_line_pair_gets_a_null_point_at_once():
-    """x (y^2 - 2 z^2): the conic's only rational point is its singular
-    vertex [1:0:0], so the split reports it null at once."""
+    """x (y^2 - 2 z^2), a raw cubic that no game gives: its conic's only
+    rational point is the singular vertex [1:0:0], where a null point once
+    stood.  The split decides the pair exactly and at once, and raises the
+    DomainError that names the theorem below."""
     start = time.perf_counter()
-    verdict = decompose_cubic(spohn_cubic(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
+    with pytest.raises(DomainError, match="^the cubic has a pair of conjugate irrational "
+                                          "lines, which no game's cubic has$"):
+        decompose_cubic(spohn_cubic(q3({(1, 2, 0): 1, (1, 0, 2): -2})))
     assert time.perf_counter() - start < 0.5
-    line, conic = verdict.components
-    assert (line.kind, line.poly, line.multiplicity) == ("line", q3({(1, 0, 0): 1}), 1)
-    assert line.point == (0, 0, 1)
-    assert (conic.kind, conic.poly, conic.point) == (
-        "conic", q3({(0, 2, 0): 1, (0, 0, 2): -2}), None)
 
 
 def test_no_spohn_cubic_has_a_conjugate_irrational_line_pair():
-    """The proof that no game reaches the null point above.  A cubic that is
+    """The proof that no game reaches the DomainError above.  A cubic that is
     a rational line L times two lines conjugate over Q(sqrt d) holds the
     three coordinate points (it has no pure cubes), and the pair's only
     rational point is its vertex, so two of them lie on L: L is x_k = 0 and
@@ -532,15 +531,18 @@ def test_no_spohn_cubic_has_a_conjugate_irrational_line_pair():
 
 
 def test_no_component_of_a_small_game_has_a_null_point():
-    """Every game with entries in {-1, 0, 1}: each component of a reducible
-    cubic gets a smooth rational point."""
+    """Every game with entries in {-1, 0, 1} decomposes without the
+    DomainError of a conjugate irrational line pair, and each component of
+    a reducible cubic gets a smooth rational point."""
     reducible = 0
     for entries in itertools.product((-1, 0, 1), repeat=8):
         verdict = reducibility_verdict(PayoffTables([entries[0:2], entries[2:4]],
                                                     [entries[4:6], entries[6:8]]))
         if verdict.kind == "Reducible":
             reducible += 1
-            assert all(comp.point is not None for comp in verdict.components), entries
+            for comp in verdict.components:
+                assert comp.poly.evaluate(comp.point) == 0, entries
+                assert any(comp.poly.gradient_at(comp.point)), entries
     assert reducible > 3 ** 8 // 2
 
 
@@ -624,15 +626,24 @@ def _sympy_factors(f):
 @example([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 1}), 1),                   # residual line
           (q3({(1, 0, 0): 1, (0, 1, 0): F(-1, 2), (0, 0, 1): 10**12}), 1)])
 def test_decomposition_matches_sympy_factorization(factors):
-    """The components, with multiplicity, are sympy's factors over Q; null
-    points only on conics; every call is fast (no exhausted search)."""
+    """The components, with multiplicity, are sympy's factors over Q, each
+    with a smooth rational point; a DomainError exactly where a factor is a
+    conic that the reference split calls a conjugate irrational line pair;
+    every call is fast (no exhausted search)."""
     f = q3({(0, 0, 0): 1})
     for form, mult in factors:
         f = f * form ** mult
+    expected = _sympy_factors(f)
+    irrational = any(degree == 2 and _ref_split_conic(q3(dict(terms)))[0] == "irrational"
+                     for degree, terms, _ in expected)
     start = time.perf_counter()
+    if irrational:
+        with pytest.raises(DomainError, match="conjugate irrational lines"):
+            decompose_cubic(spohn_cubic(f))
+        assert time.perf_counter() - start < 0.5
+        return
     verdict = decompose_cubic(spohn_cubic(f))
     assert time.perf_counter() - start < 0.5
-    expected = _sympy_factors(f)
     irreducible = len(expected) == 1 and expected[0][0] == 3
     assert (verdict.kind == "Irreducible") == irreducible
     if irreducible:
@@ -645,11 +656,8 @@ def test_decomposition_matches_sympy_factorization(factors):
         assert math.gcd(*(c.numerator for c in coeffs)) == 1
         assert comp.poly.terms[max(comp.poly.terms)] > 0
         got.append((comp.poly.degree(), _monic(comp.poly.terms), comp.multiplicity))
-        if comp.point is None:
-            assert comp.kind == "conic"
-        else:
-            assert comp.poly.evaluate(comp.point) == 0
-            assert any(comp.poly.gradient_at(comp.point))
+        assert comp.poly.evaluate(comp.point) == 0
+        assert any(comp.poly.gradient_at(comp.point))
     assert sorted(got) == expected
 
 
@@ -733,8 +741,8 @@ def _ref_split_conic(g):
 
 
 def _ref_point(kind, g):
-    """A smooth rational point of a component, or None for a pair of
-    conjugate irrational lines; a conic gets a coordinate point or fails."""
+    """A smooth rational point of a component: a conic gets a coordinate
+    point or fails."""
     if kind == "line":
         coeffs = [g.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         return next(v for v in (cross_product(coeffs, e) for e in
@@ -742,8 +750,6 @@ def _ref_point(kind, g):
     for coords in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
         if g.evaluate(coords) == 0 and any(g.gradient_at(coords)):
             return coords
-    if _ref_split_conic(g)[0] == "irrational":
-        return None
     raise AssertionError("every residual conic holds a coordinate point, but "
                          f"none is a smooth point of the conic {g}")
 
@@ -766,7 +772,7 @@ def _verdict_json(kind, components=(), scalar=1, cases=None, zero_condition=None
     return {"kind": kind, "cases": None if cases is None else sorted(cases),
             "zero_condition": zero_condition, "scalar": rat_str(scalar),
             "components": [{"kind": k, "multiplicity": m, "poly": g.to_json(),
-                            "point": None if pt is None else _scaled_point(pt)}
+                            "point": _scaled_point(pt)}
                            for k, g, m, pt in components]}
 
 
@@ -780,7 +786,8 @@ def _reference_decompose(cubic):
     """The decomposition on MultiPoly arithmetic, as verdict JSON:
     `divide_by_linear` peels each candidate line that the four-point test
     accepts, the residual conic is split on its rational matrix, and the
-    product is multiplied back."""
+    product is multiplied back.  None for a residual conjugate irrational
+    line pair, which the library refuses."""
     if isinstance(cubic, MultiPoly):
         cubic = spohn_cubic(cubic)
     work = f = cubic.f
@@ -794,6 +801,8 @@ def _reference_decompose(cubic):
         return _verdict_json("Irreducible")
     if work.degree() == 2:
         split = _ref_split_conic(work)
+        if split[0] == "irrational":
+            return None
         if split[0] == "lines":
             scalar *= split[3]
             for v in split[1:3]:
@@ -872,10 +881,15 @@ def test_candidate_lines_hold_every_rational_line(source):
 def test_decomposition_matches_the_reference_route(source):
     """Integer vectors and MultiPoly arithmetic give the same bytes: raw
     cubics of the four split shapes, and random and case games, with small,
-    ~10^12 and non-integer entries."""
+    ~10^12 and non-integer entries.  A raw cubic whose residual conic the
+    reference calls a conjugate irrational line pair is a DomainError."""
     if isinstance(source, MultiPoly):
         expected = _reference_decompose(source)
-        assert decompose_cubic(spohn_cubic(source)).to_json() == expected
+        if expected is None:
+            with pytest.raises(DomainError, match="conjugate irrational lines"):
+                decompose_cubic(spohn_cubic(source))
+        else:
+            assert decompose_cubic(spohn_cubic(source)).to_json() == expected
         return
     expected = _reference_verdict(source)
     assert reducibility_verdict(source).to_json() == expected
@@ -889,9 +903,15 @@ def test_decomposition_matches_the_reference_route(source):
 @example(_product([(q3({(1, 0, 0): 1}), 1), (q3({(0, 1, 0): 2, (0, 0, 1): 3}), 2)]))
 def test_components_build_poly_and_point_on_request(source):
     """A component stores integers: `point` is a primitive integer vector,
-    `poly` the MultiPoly of `ints`, and `to_json` prints their bytes."""
+    `poly` the MultiPoly of `ints`, and `to_json` prints their bytes.  A
+    raw cubic with a conjugate irrational line pair has no components: it
+    is a DomainError."""
     cubic = source if isinstance(source, MultiPoly) else build_cubic(source).f
     assume(not cubic.is_zero())
+    if _reference_decompose(cubic) is None:
+        with pytest.raises(DomainError, match="conjugate irrational lines"):
+            decompose_cubic(spohn_cubic(cubic))
+        return
     for comp in decompose_cubic(spohn_cubic(cubic)).components:
         d = {"line": 1, "conic": 2}[comp.kind]
         assert len(comp.ints) == len(_MONOS[d])
@@ -899,26 +919,25 @@ def test_components_build_poly_and_point_on_request(source):
         assert comp.poly == MultiPoly(P3, dict(zip(_MONOS[d], comp.ints)))
         data = comp.to_json()
         assert json.dumps(data["poly"]) == json.dumps(comp.poly.to_json())
-        if comp.point is None:
-            assert data["point"] is None
-        else:
-            assert all(type(c) is int for c in comp.point)
-            assert comp.point == primitive_vector(comp.point)
-            assert json.dumps(data["point"]) == json.dumps(_scaled_point(comp.point))
+        assert all(type(c) is int for c in comp.point)
+        assert comp.point == primitive_vector(comp.point)
+        assert json.dumps(data["point"]) == json.dumps(_scaled_point(comp.point))
         assert data == {"kind": comp.kind, "multiplicity": comp.multiplicity,
-                        "poly": comp.poly.to_json(),
-                        "point": None if comp.point is None else _scaled_point(comp.point)}
+                        "poly": comp.poly.to_json(), "point": _scaled_point(comp.point)}
 
 
 def test_curve_component_constructor():
-    """`CurveComponent(kind, ints, multiplicity=1, point=None)` keeps the
-    integers and builds nothing until asked."""
-    line = CurveComponent("line", (4, 7, -3), point=(0, 3, 7))
+    """`CurveComponent(kind, ints, multiplicity, point)` keeps the integers
+    and builds nothing until asked; every argument is required."""
+    line = CurveComponent("line", (4, 7, -3), 1, (0, 3, 7))
     assert (line.multiplicity, line.point) == (1, (0, 3, 7))
     assert line.poly == q3({(1, 0, 0): 4, (0, 1, 0): 7, (0, 0, 1): -3})
     assert line.to_json()["point"] == ["0", "1", "7/3"]
-    conic = CurveComponent("conic", (0, 1, 0, 0, 0, -2), 1)
-    assert conic.point is None and conic.to_json()["point"] is None
+    conic = CurveComponent("conic", (0, 1, 0, 0, 0, -2), 2, (1, 0, 0))
+    assert (conic.multiplicity, conic.point) == (2, (1, 0, 0))
+    assert conic.to_json()["point"] == ["1", "0", "0"]
+    with pytest.raises(TypeError):
+        CurveComponent("conic", (0, 1, 0, 0, 0, -2), 1)
     assert conic.to_json()["poly"] == q3({(1, 1, 0): 1, (0, 0, 2): -2}).to_json()
 
 
