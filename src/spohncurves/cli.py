@@ -6,6 +6,11 @@ with sorted keys to stdout.  Rationals are always fully reduced strings;
 floats appear only in the explicitly numeric reports (witness, pareto), which
 carry a "numeric": true marker.
 
+An argv whose first word is a subcommand's exact name is parsed by that
+subcommand's parser alone, in one pass; every other argv, and a subcommand
+call that leaves arguments over, by the top-level parser, which prints the
+same help, usage and error messages as argparse always has.
+
 Exit codes: 0 success, 1 domain error (singular curve, degenerate input,
 payoffs beyond the float range of a numeric report, an exact answer longer
 than Python's int-to-string digit limit, a pareto grid above 10^7 sample
@@ -86,15 +91,19 @@ def _rat_csv(text: str, n: int, what: str) -> list:
     return [Fraction(*pair) for pair in _pairs_csv(text, n, what)]
 
 
+# one encoder for every call: json.dumps(..., sort_keys=True) builds a new one each time
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "text":
         for key in sorted(payload):
             val = payload[key]
             if isinstance(val, (dict, list)):
-                val = json.dumps(val, sort_keys=True)
+                val = _ENCODER.encode(val)
             print(f"{key} = {val}")
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(_ENCODER.encode(payload))
 
 
 # --- subcommand bodies ------------------------------------------------------
@@ -214,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spohncurves",
         description="Exact algebro-geometric computations for 2x2 games.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    parser.subcommands = sub.choices  # name -> the subcommand's parser
 
     def add(name, func, help_text, game=False, second=False):
         """Add a subcommand with the game flags it takes and --format;
@@ -277,9 +287,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser, argv) -> argparse.Namespace:
+    """`parser.parse_args(argv)` in one pass when argv[0] is a subcommand's
+    name: the subcommand's parser, which `parser` would hand argv[1:] to,
+    reads it alone.  An argv it leaves arguments over from goes to `parser`,
+    which prints argparse's own error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2

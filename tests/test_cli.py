@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,6 +19,7 @@ from spohncurves import DomainError, MultiPoly, SpohnCubic, cli, decompose_cubic
 from spohncurves.geometry import _CUBIC_EXPS
 from spohncurves.polynomials import clear_denominators, terms_from_json
 from caselib import game_for_case, game_json, spohn_pair_json
+from golden_cli import golden_calls
 
 PD = '{"A": [[2,0],[3,1]], "B": [[2,3],[0,1]]}'
 G44 = '{"A": [[1,2],[0,3]], "B": [[6,1],[4,0]]}'
@@ -780,6 +782,141 @@ def test_reduce_reads_each_point_coordinate_once(capsys, monkeypatch):
     assert json.loads(out)["weierstrass"]["j"] == "65536/37"
     assert read[-3:] == ["1/2", "1/2", "1/2"]
     assert len(read) == 16 + 16 + 4 + 3  # A, B, the common point and --point
+
+
+# --- one argparse pass per call --------------------------------------------------------
+
+def _two_pass_run(argv) -> int:
+    """`cli.run` with every argv parsed by the top-level parser, which hands
+    the rest to the subcommand's parser, and printed by `json.dumps`: the
+    oracle of the one-pass parse."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "func", None) is None:
+        parser.print_usage(sys.stderr)
+        return 2
+    try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise cli.UsageError(f"argument --{name}: expected one argument, not '--'")
+        payload = args.func(args)
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError) as exc:
+        print(f"domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
+    if args.format == "text":
+        for key in sorted(payload):
+            val = payload[key]
+            if isinstance(val, (dict, list)):
+                val = json.dumps(val, sort_keys=True)
+            print(f"{key} = {val}")
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return 0
+
+
+def _outcome(run, argv) -> tuple:
+    """(exit code or ("SystemExit", code), stdout, stderr) of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_golden_calls_print_what_the_two_pass_parse_printed():
+    calls = golden_calls()
+    assert len(calls) == 251
+    for argv, code, stdout, stderr in calls:
+        assert _outcome(cli.run, argv) == _outcome(_two_pass_run, argv) \
+            == (code, stdout, stderr), argv
+
+
+_NAMES = sorted(cli.build_parser().subcommands)
+# each a word or words of an argv: names, prefixes of names, help, "--",
+# options of some subcommands with and without their values, stray values
+_WORDS = [[name] for name in _NAMES] + [
+    ["dec"], ["de"], ["pare"], ["--"], ["-h"], ["--help"], ["--game=--"],
+    ["--format", "text"], ["--frob"], ["stray"], ["-1_0"], ["--game", PD], ["--game"],
+    ["--seed", "-1_0"], ["--grid", "3"], ["--ne", "0,0"], ["--cooperation"],
+    ["--value", "-1/3"], ["--convergents", "2"], ["--payoffs", "-3,2"],
+    ["--game2", G44], ["--pair", PAIR], ["--point", "1/4,1/4,1/4,1/4"]]
+# any words, or a subcommand with a game and then any words, so that some calls succeed
+_WORD_ARGV = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=6),
+    st.builds(lambda name, tail: [[name, "--game", PD]] + tail,
+              st.sampled_from(_NAMES), st.lists(st.sampled_from(_WORDS), max_size=3)),
+).map(lambda words: sum(words, []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WORD_ARGV)
+@example([])
+@example(["dec", "--game", PD])
+@example(["de", "--game", PD])
+@example(["--"])
+@example(["--", "j", "--game", PD])
+@example(["j", "--", "--game", PD])
+@example(["-h"])
+@example(["--help", "j"])
+@example(["j", "-h"])
+@example(["j", "--game", PD, "--help"])
+@example(["j", "--game=--"])
+@example(["j", "--game", PD, "--format", "text"])
+@example(["--format", "text", "j", "--game", PD])
+@example(["j", "--game", PD, "--frob"])
+@example(["j", "--game", PD, "stray"])
+@example(["stray", "j"])
+@example(["pareto", "--game", PD, "--grid", "3", "--seed", "-1_0"])
+@example(["pareto", "--game", PD, "--grid", "3", "-1_0"])
+@example(["-1_0"])
+@example(["--game", PD, "j"])
+@example(["approx", "--value", "-1/3", "--convergents", "2"])
+@example(["witness", "--game", PD, "--cooperation"])
+def test_one_pass_prints_what_the_two_pass_parse_printed(argv):
+    """The exit code (or argparse's SystemExit code), stdout and stderr of
+    `cli.run` equal the oracle's on every argv: a subcommand's parser alone
+    reads an argv that starts with its name, and the top-level parser every
+    other argv and every call that leaves arguments over."""
+    assert _outcome(cli.run, argv) == _outcome(_two_pass_run, argv)
+
+
+def test_a_subcommand_call_is_parsed_once(monkeypatch, capsys):
+    """A call of each subcommand runs `parse_known_args` once, on that
+    subcommand's parser; an unknown name and an argument left over reach the
+    top-level parser, which prints argparse's error."""
+    progs = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in ONE_CALL_EACH:
+        progs.clear()
+        run_ok(capsys, argv)
+        assert progs == [f"spohncurves {argv[0]}"], argv
+    for argv, message, parsed in (
+            (["bogus"], "argument subcommand: invalid choice: 'bogus'", ["spohncurves"]),
+            (["j", "--game", PD, "stray"], "unrecognized arguments: stray",
+             ["spohncurves j", "spohncurves", "spohncurves j"])):
+        progs.clear()
+        assert _run_code(argv) == 2
+        assert progs == parsed, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"spohncurves: error: {message}"), argv
 
 
 # --- fuzzed argv: every input ends in exit 0, 1 or 2 ------------------------------------
