@@ -74,21 +74,18 @@ def _load_json(spec: str):
         raise UsageError(f"malformed JSON: {exc}")
 
 
-def _pairs_csv(text: str, n: int, what: str) -> list:
-    """The `parse_rational` pairs of n comma-separated rationals; a wrong
+def _rat_csv(text: str, n: int, what: str) -> list:
+    """The n comma-separated rationals of `text`, each string read once by
+    `parse_rational`: an int when it is integral, else a Fraction.  A wrong
     count or an unreadable one is a usage error naming `what`."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated rationals")
     try:
-        return [parse_rational(p) for p in parts]
+        pairs = [parse_rational(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}")
-
-
-def _rat_csv(text: str, n: int, what: str) -> list:
-    """`_pairs_csv` as Fractions."""
-    return [Fraction(*pair) for pair in _pairs_csv(text, n, what)]
+    return [num if den == 1 else Fraction(num, den) for num, den in pairs]
 
 
 # one encoder for every call: json.dumps(..., sort_keys=True) builds a new one each time
@@ -137,9 +134,8 @@ def _cmd_reduce(args):
     out = {"cubic": cubic.to_json(),
            "j": elliptic.j_invariant(cubic).to_json()["j"]}
     if args.point is not None:
-        pairs = _pairs_csv(args.point, 3, "--point")
-        model = elliptic.weierstrass_from_pairs(cubic, pairs)
-        out["weierstrass"] = model.to_json()
+        point = _rat_csv(args.point, 3, "--point")
+        out["weierstrass"] = elliptic.weierstrass_from_cubic(cubic, point).to_json()
     return out
 
 

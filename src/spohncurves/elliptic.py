@@ -458,9 +458,11 @@ def _tangent_frame(labels, P) -> tuple:
     """(grad, U, k, (beta, q1, q2, q3, k0, k1, k2, k3)) at the integer point
     P of the cubic with integer labels, for `weierstrass_from_cubic`.
 
-    grad is the gradient at P.  U is a tangent direction at P, the first
-    grad x e_j not parallel to P (they span the tangent line, which holds
-    P), and w = e_k is the first unit vector with det(U, P, w) nonzero.  The
+    grad is the gradient at P.  U = grad x e_j for the first j with
+    P_j != 0, and w = e_k for the first k with grad_k != 0, with no search:
+    P lies on the cubic, so grad.P = 3 C(P) = 0 and
+    (grad x e_j) x P = -P_j grad.  So U is a tangent direction at P not
+    parallel to P, and det(U, P, e_k) = -P_j grad_k is nonzero.  The
     eight values are the coefficients of Y^2 Z, X^2 Y, X Y Z, Y Z^2, X^3,
     X^2 Z, X Z^2 and Z^3 in the coordinates X U + Y P + Z w: each the
     multinomial (3; a, b, c) times T(U^a, P^b, w^c).  Every value of T is
@@ -477,13 +479,10 @@ def _tangent_frame(labels, P) -> tuple:
     g0, g1, g2 = grad = (3 * r[0], 3 * r[1], 3 * r[2])
     if not any(grad):  # pragma: no cover — impossible when disc != 0
         raise DomainError("base point is singular")
-    for U in ((0, g2, -g1), (-g2, 0, g0), (g1, -g0, 0)):  # grad x e_0, e_1, e_2
-        normal = cross_product(U, P)
-        if any(normal):
-            break
+    U = (0, g2, -g1) if P[0] else (-g2, 0, g0) if P[1] else (g1, -g0, 0)  # grad x e_j
     if _dot(U, r) != 0:  # the X Y^2 coefficient
         raise AssertionError("normalization failed")  # pragma: no cover
-    k = 0 if normal[0] else 1 if normal[1] else 2
+    k = 0 if g0 else 1 if g1 else 2
     QU = _polar_conic(labels, U)
     QP_U, QU_U = _apply(QP, U), _apply(QU, U)
     return grad, U, k, (3 * r[k], 3 * _dot(U, QP_U), 6 * QP_U[k], 3 * QP[k][k],
@@ -492,7 +491,9 @@ def _tangent_frame(labels, P) -> tuple:
 
 def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """Exact Weierstrass model of a smooth plane cubic with a rational point
-    p, given as a sequence of three coordinates (read by `parse_rational`).
+    p, given as a sequence of three coordinates, each an int, a Fraction or
+    a rational string, read once by `parse_rational`.  `reduce --point`
+    hands it the ints and Fractions its strings became.
 
     The point p is moved to [0:1:0] with its tangent line as {Z = 0}: the
     new coordinates are X u + Y p + Z w with u a tangent direction at p and
@@ -516,22 +517,7 @@ def weierstrass_from_cubic(cubic: PlaneCubic, pt) -> WeierstrassCurve:
     """
     if cubic.is_singular():
         raise DomainError("singular cubic: no Weierstrass model")
-    return _weierstrass_at(cubic, *point_of_pairs([parse_rational(c) for c in pt]))
-
-
-def weierstrass_from_pairs(cubic: PlaneCubic, pairs) -> WeierstrassCurve:
-    """`weierstrass_from_cubic` through the point whose coordinates have
-    the `parse_rational` pairs (n, d) in `pairs`, as `reduce --point`
-    reads them: the same checks in the same order, and no coordinate is
-    read twice."""
-    if cubic.is_singular():
-        raise DomainError("singular cubic: no Weierstrass model")
-    return _weierstrass_at(cubic, *point_of_pairs(pairs))
-
-
-def _weierstrass_at(cubic: PlaneCubic, dp: int, P) -> WeierstrassCurve:
-    """The model of `weierstrass_from_cubic` through P / dp, P a nonzero
-    integer vector and the cubic smooth."""
+    dp, P = point_of_pairs([parse_rational(c) for c in pt])
     if len(P) != 3:
         raise DomainError("base point must have 3 coordinates")
     # on integers: the labels are A / n, p = P / dp and u = U / du, and T is

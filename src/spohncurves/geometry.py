@@ -239,9 +239,10 @@ class CurveComponent:
     component of a game's cubic.
 
     `poly` (a MultiPoly in x, y, z) is built on request.  `to_json` prints
-    from the integers the bytes of `poly.to_json()` (the nonzero entries in
-    `_MONOS` order, which is its descending order, each by `rat_str`, so
-    with no gcd) and `point_json(point)`.
+    from the integers the bytes of `poly.to_json()`, through the one
+    polynomial writer `terms_json` (the entries as (exponent, k, 1) triples
+    in `_MONOS` order, which is its descending order), and
+    `point_json(point)`.
     """
 
     __slots__ = ("kind", "ints", "multiplicity", "point")
@@ -256,9 +257,8 @@ class CurveComponent:
         return {
             "kind": self.kind,
             "multiplicity": self.multiplicity,
-            "poly": {"vars": list(VARS3),
-                     "terms": [{"exp": list(e), "coef": rat_str(k)} for e, k in
-                               zip(_MONOS[_DEGREE[len(self.ints)]], self.ints) if k]},
+            "poly": terms_json(VARS3, [(e, k, 1) for e, k in
+                                       zip(_MONOS[_DEGREE[len(self.ints)]], self.ints)]),
             "point": point_json(self.point),
         }
 

@@ -106,11 +106,13 @@ def ratio_str(n: int, d: int) -> str:
     """Canonical string of n/d for integers n and d != 0: "n" for integers,
     "n/d" otherwise, reduced by the gcd, with no Fraction built.
     DomainError if a part is longer than Python's process-wide int-to-str
-    digit limit (`sys.get_int_max_str_digits`), which is left alone."""
-    g = math.gcd(n, d)
-    if d < 0:
-        g = -g
-    n, d = n // g, d // g
+    digit limit (`sys.get_int_max_str_digits`), which is left alone.  An
+    integer (d = 1) is printed with no gcd."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if d < 0:
+            g = -g
+        n, d = n // g, d // g
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:

@@ -767,8 +767,8 @@ def test_point_faults_report_the_first(capsys, pair, point, code, err):
 
 
 def test_reduce_reads_each_point_coordinate_once(capsys, monkeypatch):
-    """`reduce --point` parses each coordinate once, and no Fraction is
-    read back: the three strings, then nothing."""
+    """`reduce --point` parses each coordinate string once, after every
+    other string, and after them reads only the values they became."""
     from spohncurves import elliptic, polynomials
     read = []
     parse = polynomials.parse_rational
@@ -780,8 +780,11 @@ def test_reduce_reads_each_point_coordinate_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "parse_rational", counted, raising=False)
     out, _ = run_ok(capsys, ["reduce", "--pair", PAIR, "--point", "1/2, 1/2 ,1/2"])
     assert json.loads(out)["weierstrass"]["j"] == "65536/37"
-    assert read[-3:] == ["1/2", "1/2", "1/2"]
-    assert len(read) == 16 + 16 + 4 + 3  # A, B, the common point and --point
+    strings = [i for i, value in enumerate(read) if isinstance(value, str)]
+    last = strings[-1] + 1
+    assert read[last - 3:last] == ["1/2", "1/2", "1/2"]
+    assert last == 16 + 16 + 4 + 3  # A, B, the common point and --point
+    assert read[last:] == [Fraction(1, 2)] * 3
 
 
 # --- one argparse pass per call --------------------------------------------------------

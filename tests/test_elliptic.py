@@ -20,6 +20,7 @@ from spohncurves import (
     WeierstrassCurve,
     build_cubic,
     build_quadrics,
+    cli,
     cubic_from_quadrics,
     game_equivalence,
     j_invariant,
@@ -880,17 +881,23 @@ def test_reduction_at_flex_reads_off_short_form():
 def test_reduction_bytes_at_non_integer_points():
     """The models themselves are pinned, not only their Q-isomorphism class,
     for labels and base points with denominators: a flex (y^2 z = x^3 + x z^2
-    in other coordinates, scaled by 1/7) and a non-flex point."""
+    in other coordinates, scaled by 1/7) and a non-flex point.  Each point
+    is given as Fractions, as "n/d" strings and as the int-or-Fraction list
+    that `reduce --point` reads from its text (`cli._rat_csv`)."""
     flex = plane_cubic(F(-8, 7), F(3, 7), 0, F(4, 7), F(3, 7), F(-6, 7),
                        F(-8, 21), F(3, 7), 0, F(-2, 7))
-    E = weierstrass_from_cubic(flex, (F(1, 2), 1, F(-1, 3)))
-    assert repr(E) == "WeierstrassCurve(6/7, -36/49, -54/343, 486/2401, -2187/117649)"
+    for point in ((F(1, 2), 1, F(-1, 3)), ("1/2", "1", "-1/3"),
+                  cli._rat_csv("1/2, 1 ,-1/3", 3, "--point")):
+        E = weierstrass_from_cubic(flex, point)
+        assert repr(E) == "WeierstrassCurve(6/7, -36/49, -54/343, 486/2401, -2187/117649)"
     general = plane_cubic(F(566831, 124740), F(-5, 3), F(7, 11), F(1, 3),
                           F(2, 7), F(-1, 5), F(4, 9), F(1, 2), F(3, 8), F(5, 6))
-    E = weierstrass_from_cubic(general, (F(1, 2), F(-1, 3), 1))
-    assert repr(E) == (
-        "WeierstrassCurve(0, 0, 0, -1231525435528669377601804227193/5163165920371802112000000, "
-        "-782972023284187454531243344917494076261006571/17921925664157559815130002227200000000)")
+    for point in ((F(1, 2), F(-1, 3), 1), ("1/2", "-1/3", "1"),
+                  cli._rat_csv("1/2,-1/3,1", 3, "--point")):
+        E = weierstrass_from_cubic(general, point)
+        assert repr(E) == (
+            "WeierstrassCurve(0, 0, 0, -1231525435528669377601804227193/5163165920371802112000000, "
+            "-782972023284187454531243344917494076261006571/17921925664157559815130002227200000000)")
 
 
 # Models recorded from the Fraction reduction, before it moved to weighted
