@@ -252,7 +252,7 @@ class PlaneCubic:
     S / den^4 and T / den^6; the cubic is singular iff its discriminant
     (64 S^3 - T^2) / 1728 vanishes, that is iff 64 S^3 = T^2.  A Spohn
     cubic's plane cubic comes from its integers (`from_spohn`), and
-    `to_json` prints the stored integers; `poly` is built on request."""
+    `to_json` prints the stored integers."""
 
     __slots__ = ("den", "ints", "S", "T")
 
@@ -264,9 +264,6 @@ class PlaneCubic:
 
     def is_singular(self) -> bool:
         return 64 * self.S**3 == self.T**2
-
-    poly = property(lambda self: MultiPoly(VARS3, [
-        (e, Fraction(k * x, self.den)) for (e, k), x in zip(_TEN_MONOMIALS, self.ints)]))
 
     @classmethod
     def from_spohn(cls, spohn: geometry.SpohnCubic) -> "PlaneCubic":

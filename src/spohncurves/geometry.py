@@ -18,7 +18,7 @@ from .polynomials import (
     DomainError,
     MultiPoly,
     cross_product,
-    exact_isqrt,
+    exact_root,
     point_json,
     primitive_vector,
     rat_str,
@@ -88,9 +88,8 @@ class SpohnCubic:
     There are never pure-cube terms, so the three coordinate points always
     lie on the curve.  The coefficients are stored as integers over one
     denominator, c_k = ints[k] / den, the denominator not necessarily the
-    least, and that is all a SpohnCubic holds; the Fractions `c` and the
-    `MultiPoly` `f` are built on request, and `to_json` prints their bytes
-    from the integers.
+    least, and that is all a SpohnCubic holds; the `MultiPoly` `f` is built
+    on request, and `to_json` prints the c_k and `f` from the integers.
     """
 
     __slots__ = ("den", "ints")
@@ -100,14 +99,15 @@ class SpohnCubic:
             raise ValueError("need exactly seven coefficients")
         self.den, self.ints = den, tuple(ints)
 
-    c = property(lambda self: tuple(Fraction(x, self.den) for x in self.ints))
-    f = property(lambda self: MultiPoly(VARS3, dict(zip(_CUBIC_EXPS, self.c))))
+    f = property(lambda self: MultiPoly(VARS3, [
+        (e, Fraction(x, self.den)) for e, x in zip(_CUBIC_EXPS, self.ints)]))
 
     def is_zero(self) -> bool:
         return not any(self.ints)
 
     def to_json(self) -> dict:
-        """The bytes of `c` and `f.to_json()`, printed from the integers."""
+        """The c_k, each by `ratio_str`, and the bytes of `f.to_json()`,
+        printed from the integers."""
         den = self.den
         return {
             "c": [ratio_str(x, den) for x in self.ints],
@@ -460,8 +460,8 @@ def _split_conic(N):
         # d_uu u^2 + d_uv uv + d_vv v^2 is the square of some r_u u + r_v v
         u, v = (i for i in range(3) if i != k)
         alpha, beta_u, beta_v = N[k][k], 2 * N[k][u], 2 * N[k][v]
-        r_u = exact_isqrt(beta_u ** 2 - 4 * alpha * N[u][u])
-        r_v = exact_isqrt(beta_v ** 2 - 4 * alpha * N[v][v])
+        r_u = exact_root(beta_u ** 2 - 4 * alpha * N[u][u], 2)
+        r_v = exact_root(beta_v ** 2 - 4 * alpha * N[v][v], 2)
         d_uv = 2 * beta_u * beta_v - 8 * alpha * N[u][v]
         if r_u is None or r_v is None or d_uv not in (2 * r_u * r_v, -2 * r_u * r_v):
             raise DomainError("the cubic has a pair of conjugate irrational lines, "

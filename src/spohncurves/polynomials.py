@@ -4,8 +4,8 @@ The one reader of rational text and the one writer of rationals; the
 sparse-term form of a polynomial, (vars, [(exponent, n, d), ...]), with its
 JSON reader and writer; sparse multivariate polynomials over Q (`MultiPoly`,
 kept for on-request views); projective points as primitive integer vectors;
-a continued-fraction approximation; and a handful of integer-root
-utilities.  Everything here is exact: no floats ever enter.
+a continued-fraction approximation; and `exact_root`, the exact integer
+k-th root.  Everything here is exact: no floats ever enter.
 """
 
 from __future__ import annotations
@@ -145,22 +145,20 @@ def json_list(value, what: str) -> list:
     return value
 
 
-def _int_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, exact integer Newton iteration."""
+def exact_root(n: int, k: int) -> int | None:
+    """The integer r >= 0 with r^k = n, for k >= 1, or None if there is
+    none (n < 0 included).  The floor of the root is `math.isqrt` for k = 2
+    or n < 2, else integer Newton iteration from above; one power check
+    decides."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+        return None
+    if k == 2 or n < 2:
+        r = math.isqrt(n)
+    else:
+        r = 1 << (n.bit_length() // k + 1)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    return r if r ** k == n else None
 
 
 def is_nth_power_ratio(p: int, q: int, k: int) -> bool:
@@ -176,15 +174,7 @@ def is_nth_power_ratio(p: int, q: int, k: int) -> bool:
         if k % 2 == 0:
             return False
         p = -p
-    return _int_nth_root(p, k) ** k == p and _int_nth_root(q, k) ** k == q
-
-
-def exact_isqrt(n: int) -> int | None:
-    """The integer r >= 0 with r^2 = n, or None if n is not a square."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    return exact_root(p, k) is not None and exact_root(q, k) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +223,6 @@ class MultiPoly:
     def constant(cls, variables, c) -> "MultiPoly":
         v = tuple(variables)
         return cls(v, {(0,) * len(v): rat(c)})
-
-    @classmethod
-    def variable(cls, variables, name) -> "MultiPoly":
-        v = tuple(variables)
-        exp = [0] * len(v)
-        exp[v.index(name)] = 1
-        return cls(v, {tuple(exp): Fraction(1)})
 
     # -- serialization ------------------------------------------------------
 
@@ -391,19 +374,7 @@ class MultiPoly:
         rows = [[rat(x) for x in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square of size len(vars)")
-        repl = [
-            MultiPoly(self.vars, {tuple(1 if j == jj else 0 for jj in range(n)): rows[i][j]
-                                  for j in range(n) if rows[i][j] != 0})
-            for i in range(n)
-        ]
-        out = MultiPoly.zero(self.vars)
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(self.vars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * repl[i] ** e
-            out = out + term
-        return out
+        return self._compose(self.vars, rows)
 
     def restrict_to_line(self, p1, p2) -> "MultiPoly":
         """Restrict to the projective line through p1 and p2.
@@ -411,17 +382,27 @@ class MultiPoly:
         Returns the binary form f(s*p1 + t*p2) in variables (s, t).  The two
         points must be projectively distinct.
         """
-        a = _point_coords(p1, len(self.vars))
-        b = _point_coords(p2, len(self.vars))
-        if _proportional(a, b):
+        n = len(self.vars)
+        a = [rat(c) for c in p1]
+        if len(a) != n:
+            raise ValueError("point has wrong dimension")
+        b = [rat(c) for c in p2]
+        if len(b) != n:
+            raise ValueError("point has wrong dimension")
+        if all(a[i] * b[j] == a[j] * b[i] for j in range(n) for i in range(j)):
             raise DomainError("restrict_to_line needs two distinct projective points")
-        st = ("s", "t")
-        out = MultiPoly.zero(st)
-        s = MultiPoly.variable(st, "s")
-        t = MultiPoly.variable(st, "t")
-        lines = [s * ai + t * bi for ai, bi in zip(a, b)]
+        return self._compose(("s", "t"), zip(a, b))
+
+    def _compose(self, variables, rows) -> "MultiPoly":
+        """f(L_1, ..., L_n) in `variables`, where old variable i becomes the
+        linear form L_i with coefficients rows[i], one per new variable."""
+        m = len(variables)
+        lines = [MultiPoly(variables, {tuple(int(j == jj) for jj in range(m)): x
+                                       for j, x in enumerate(row) if x})
+                 for row in rows]
+        out = MultiPoly.zero(variables)
         for exp, c in self.terms.items():
-            term = MultiPoly.constant(st, c)
+            term = MultiPoly.constant(variables, c)
             for lin, e in zip(lines, exp):
                 if e:
                     term = term * lin ** e
@@ -496,23 +477,6 @@ def terms_json(variables, terms) -> dict:
     coefficient is printed by `ratio_str`; zero terms are left out."""
     return {"vars": list(variables),
             "terms": [{"exp": list(e), "coef": ratio_str(n, d)} for e, n, d in terms if n]}
-
-
-def _point_coords(p, n: int) -> tuple:
-    coords = tuple(rat(c) for c in p)
-    if len(coords) != n:
-        raise ValueError("point has wrong dimension")
-    return coords
-
-
-def _proportional(a, b) -> bool:
-    """True iff the nonzero vectors a, b are parallel."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

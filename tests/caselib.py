@@ -9,19 +9,22 @@ linear in the entries of B, so a kernel basis gives every matching B.  Two
 converters, `sparse` and `poly`, move a polynomial between a `MultiPoly` and
 the sparse terms that the library reads and builds.  A quadric pair is built
 only by `QuadricPair.from_json`, so `quadric_pair` writes its JSON first, and
-`quadric_polys` reads the pair's stored integers back as MultiPolys.  A
-`WeierstrassCurve` is built only from weighted integers, so `curve` clears
-rational coefficients into them and `values` reads the rational invariants
-back; `tables` reads a game's payoffs back as Fractions, and `game_json`
-writes them as JSON.
+`quadric_polys` reads the pair's stored integers back as MultiPolys;
+`fraction_coefficients` reads a Spohn cubic's seven integers back as
+Fractions, and `plane_poly` a plane cubic's ten labels back as its
+MultiPoly.  A `WeierstrassCurve` is built only from weighted integers, so
+`curve` clears rational coefficients into them and `values` reads the
+rational invariants back; `tables` reads a game's payoffs back as
+Fractions, and `game_json` writes them as JSON.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from spohncurves import (MultiPoly, PayoffTables, QuadricPair, WeierstrassCurve, build_cubic,
-                         build_quadrics, rat, rat_str)
-from spohncurves.geometry import _mono4
+from spohncurves import (MultiPoly, PayoffTables, PlaneCubic, QuadricPair, SpohnCubic,
+                         WeierstrassCurve, build_cubic, build_quadrics, rat, rat_str)
+from spohncurves.elliptic import _TEN_MONOMIALS
+from spohncurves.geometry import VARS3, _mono4
 from spohncurves.polynomials import clear_denominators, terms_json
 
 VARS4 = ("x", "y", "z", "t")
@@ -68,6 +71,18 @@ def quadric_polys(pair: QuadricPair) -> tuple:
     return tuple(MultiPoly(VARS4, [(_mono4(i, j), Fraction(N[i][j] if i == j else 2 * N[i][j], d))
                                    for i in range(4) for j in range(i, 4)])
                  for d, N in pair.quadrics)
+
+
+def fraction_coefficients(cubic: SpohnCubic) -> tuple:
+    """c1..c7 of a Spohn cubic as Fractions, c_k = ints[k] / den."""
+    return tuple(Fraction(x, cubic.den) for x in cubic.ints)
+
+
+def plane_poly(cubic: PlaneCubic) -> MultiPoly:
+    """A plane cubic as a MultiPoly in (x, y, z): each monomial gets its
+    label ints[k] / den times its multiplier 1, 3 or 6."""
+    return MultiPoly(VARS3, [(e, Fraction(k * x, cubic.den))
+                             for (e, k), x in zip(_TEN_MONOMIALS, cubic.ints)])
 
 
 def curve(a1, a2, a3, a4, a6) -> WeierstrassCurve:

@@ -25,7 +25,7 @@ from spohncurves import (
 )
 from spohncurves.polynomials import clear_denominators
 from caselib import (
-    curve, game_for_case, poly, quadric_pair, random_game, sparse, tables, values)
+    curve, game_for_case, plane_poly, poly, quadric_pair, random_game, sparse, tables, values)
 
 F = Fraction
 P4 = ("p11", "p12", "p21", "p22")
@@ -74,7 +74,7 @@ def test_criterion_03_non_spohn_quadric_pair_reduction():
     P2 = MultiPoly(xyzt, {(1, 0, 1, 0): 1, (0, 1, 1, 0): -1,
                           (0, 1, 0, 1): 1, (0, 0, 1, 1): -1})
     cubic = cubic_from_quadrics(quadric_pair(sparse(P1), sparse(P2), (1, 1, 1, 1)))
-    assert cubic.poly == q3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
+    assert plane_poly(cubic) == q3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
                              (0, 2, 1): -1, (1, 0, 2): -1, (0, 1, 2): 2,
                              (0, 0, 3): -1})
     assert j_invariant(cubic).value == F(65536, 37)
@@ -207,7 +207,7 @@ def test_criterion_11_invariant_covariance_and_unimodular_changes():
     for _ in range(50):
         cbc = ten_coeffs()
         lam = F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
-        scaled = PlaneCubic.from_poly(cbc.poly * lam)
+        scaled = PlaneCubic.from_poly(plane_poly(cbc) * lam)
         S0, T0 = F(cbc.S, cbc.den**4), F(cbc.T, cbc.den**6)
         S1, T1 = F(scaled.S, scaled.den**4), F(scaled.T, scaled.den**6)
         assert S1 == lam ** 4 * S0
@@ -225,7 +225,7 @@ def test_criterion_11_invariant_covariance_and_unimodular_changes():
         if det not in (1, -1):
             continue
         done += 1
-        moved = PlaneCubic.from_poly(plane.poly.substitute_matrix(M))
+        moved = PlaneCubic.from_poly(plane_poly(plane).substitute_matrix(M))
         assert j_invariant(moved).value == j0
 
 

@@ -839,7 +839,7 @@ def _outcome(run, argv) -> tuple:
 
 def test_golden_calls_print_what_the_two_pass_parse_printed():
     calls = golden_calls()
-    assert len(calls) == 251
+    assert len(calls) == 254
     for argv, code, stdout, stderr in calls:
         assert _outcome(cli.run, argv) == _outcome(_two_pass_run, argv) \
             == (code, stdout, stderr), argv

@@ -35,7 +35,8 @@ from spohncurves.polynomials import (
     clear_denominators, cross_product, parse_rational, point_of_pairs, primitive_vector,
     terms_from_json)
 from caselib import (
-    curve, poly, quadric_pair, quadric_polys, random_game, sparse, spohn_pair, tables, values)
+    curve, fraction_coefficients, plane_poly, poly, quadric_pair, quadric_polys, random_game,
+    sparse, spohn_pair, tables, values)
 
 F = Fraction
 
@@ -93,7 +94,7 @@ def test_aronhold_scaling_degrees_and_unimodular_invariance():
     for _ in range(40):
         cbc = random_ten_coeffs(rng)
         lam = F(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = PlaneCubic.from_poly(cbc.poly * lam)
+        scaled = PlaneCubic.from_poly(plane_poly(cbc) * lam)
         (S0, T0), (S1, T1) = invariants(cbc), invariants(scaled)
         assert S1 == lam ** 4 * S0
         assert T1 == lam ** 6 * T0
@@ -106,7 +107,7 @@ def test_aronhold_scaling_degrees_and_unimodular_invariance():
                  + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
             if d in (1, -1):
                 break
-        assert invariants(PlaneCubic.from_poly(cbc.poly.substitute_matrix(M))) == (S0, T0)
+        assert invariants(PlaneCubic.from_poly(plane_poly(cbc).substitute_matrix(M))) == (S0, T0)
 
 
 TEN_MONOMIALS = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (0, 2, 1),
@@ -353,8 +354,8 @@ def test_spohn_pair_split_golden(g44):
     assert s.L2 == poly3({(1, 0, 0): -6, (0, 0, 1): -4})
     assert s.M2 == poly3({(1, 1, 0): -5, (0, 1, 1): -3})
     cub = cubic_from_quadrics(pair)
-    assert cub.poly == poly3(dict(build_cubic(g44).f.terms))
-    assert cub.poly == _reference_cubic_from_quadrics(pair).poly
+    assert plane_poly(cub) == poly3(dict(build_cubic(g44).f.terms))
+    assert plane_poly(cub) == plane_poly(_reference_cubic_from_quadrics(pair))
     assert j_invariant(cub).value == F(2810381476, 227025)
 
 
@@ -368,7 +369,7 @@ def test_cubic_from_quadrics_matches_direct_spohn_cubic():
             continue
         checked += 1
         cub = cubic_from_quadrics(spohn_pair(g))
-        assert cub.poly == poly3(dict(direct.f.terms))
+        assert plane_poly(cub) == poly3(dict(direct.f.terms))
 
 
 def test_non_spohn_pair_pipeline():
@@ -381,10 +382,10 @@ def test_non_spohn_pair_pipeline():
     assert sp.L2 == poly3({(1, 0, 0): 1, (0, 0, 1): -1})
     assert sp.M2 == poly3({(1, 0, 1): 1, (0, 1, 1): -1})
     cub = cubic_from_quadrics(pr)
-    assert cub.poly == poly3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
+    assert plane_poly(cub) == poly3({(3, 0, 0): -1, (1, 2, 0): -1, (2, 0, 1): 3,
                               (0, 2, 1): -1, (1, 0, 2): -1, (0, 1, 2): 2,
                               (0, 0, 3): -1})
-    assert cub.poly == _reference_cubic_from_quadrics(pr).poly
+    assert plane_poly(cub) == plane_poly(_reference_cubic_from_quadrics(pr))
     assert fraction_labels(cub) == [F(-1), F(0), F(-1), F(0), F(-1, 3), F(-1, 3),
                                     F(-1, 3), F(2, 3), F(1), F(0)]
     assert j_invariant(cub).value == F(65536, 37)
@@ -422,7 +423,8 @@ def test_translate_swaps_when_last_coordinate_vanishes(g44):
     assert moved.P == (0, 0, 0, 1)
     # same curve, so the reduction lands at the same j
     assert j_invariant(cubic_from_quadrics(pair)).value == F(2810381476, 227025)
-    assert cubic_from_quadrics(pair).poly == _reference_cubic_from_quadrics(pair).poly
+    assert plane_poly(cubic_from_quadrics(pair)) == \
+        plane_poly(_reference_cubic_from_quadrics(pair))
 
 
 # t x + y^2 and t x + z^2 share the linear-in-t part: the pencil drops genus
@@ -551,7 +553,7 @@ def test_cubic_from_quadrics_matches_the_multipoly_route(pair):
 
 def _reference_plane_cubic_json(cubic: PlaneCubic) -> dict:
     """`PlaneCubic.to_json` through the `MultiPoly` and the `Fraction` labels."""
-    return {"poly": cubic.poly.to_json(),
+    return {"poly": plane_poly(cubic).to_json(),
             "coefficients": dict(zip("abcdefghim", map(rat_str, fraction_labels(cubic))))}
 
 
@@ -559,7 +561,7 @@ def _reference_plane_cubic_json(cubic: PlaneCubic) -> dict:
 @given(quadric_pair_inputs())
 @example(OFF_LATTICE_INPUTS)     # the pivot clears to -3: a negative denominator
 def test_plane_cubic_builders_agree(inputs):
-    """cubic_from_quadrics, from_poly of its poly and the constructor on its
+    """cubic_from_quadrics, from_poly of its `plane_poly` and the constructor on its
     cleared labels may store different integers over different denominators;
     every view of them, and the Weierstrass model, is the same.  The JSON
     printed from the stored integers has the bytes of the reference built
@@ -569,10 +571,10 @@ def test_plane_cubic_builders_agree(inputs):
     except DomainError:
         assume(False)
     assert json.dumps(cub.to_json()) == json.dumps(_reference_plane_cubic_json(cub))
-    points = [e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if cub.poly.evaluate(e) == 0]
-    for other in (PlaneCubic.from_poly(cub.poly), plane_cubic(*fraction_labels(cub))):
+    points = [e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if plane_poly(cub).evaluate(e) == 0]
+    for other in (PlaneCubic.from_poly(plane_poly(cub)), plane_cubic(*fraction_labels(cub))):
         assert fraction_labels(other) == fraction_labels(cub)
-        assert other.poly == cub.poly
+        assert plane_poly(other) == plane_poly(cub)
         assert invariants(other) == invariants(cub)
         assert other.is_singular() == cub.is_singular()
         if points and not cub.is_singular():
@@ -591,12 +593,12 @@ def test_from_spohn_stores_the_integers_of_from_poly(e, k):
     (den, ints) as clearing its polynomial, also when the SpohnCubic's
     denominator is scaled by k, negative included, and prints the same
     bytes; the zero cubic is a DomainError either way.  The SpohnCubic's
-    own JSON, printed from its integers, has the bytes of its Fractions
-    `c` and polynomial `f`."""
+    own JSON, printed from its integers, has the bytes of its coefficients
+    as Fractions and of its polynomial `f`."""
     spohn = build_cubic(PayoffTables([e[0:2], e[2:4]], [e[4:6], e[6:8]]))
     for s in (spohn, SpohnCubic(k * spohn.den, [k * x for x in spohn.ints])):
         assert json.dumps(s.to_json()) == json.dumps(
-            {"c": [rat_str(x) for x in s.c], "f": s.f.to_json()})
+            {"c": [rat_str(x) for x in fraction_coefficients(s)], "f": s.f.to_json()})
         if s.is_zero():
             with pytest.raises(DomainError):
                 PlaneCubic.from_spohn(s)
@@ -966,7 +968,7 @@ def test_reduction_certifies_on_random_cubics():
         if cbc.is_singular():
             continue
         pt = next((cand for cand in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-                   if cbc.poly.evaluate(cand) == 0), None)
+                   if plane_poly(cbc).evaluate(cand) == 0), None)
         if pt is None:
             continue
         trials += 1
@@ -1102,7 +1104,7 @@ def test_polar_coefficients_match_substitution(ten, entries):
     u, v, w = entries[0:3], entries[3:6], entries[6:9]
     M = [[u[i], v[i], w[i]] for i in range(3)]            # columns u, v, w
     assume(sum(x * y for x, y in zip(u, cross_product(v, w))) != 0)  # det M
-    g = cubic.poly.substitute_matrix(M)
+    g = plane_poly(cubic).substitute_matrix(M)
     for a in range(4):
         for b in range(4 - a):
             c = 3 - a - b

@@ -32,7 +32,7 @@ from spohncurves.games import (
     _unit_floats,
 )
 from spohncurves.polynomials import rat_str
-from caselib import random_game, tables
+from caselib import fraction_coefficients, random_game, tables
 
 F = Fraction
 
@@ -548,7 +548,7 @@ def _keep_new(found, seen, p):
 def _reference_pencil_points(game, count, seed=0):
     import numpy as np
 
-    c1, c2, c3, c4, c5, c6, c7 = [float(c) for c in build_cubic(game).c]
+    c1, c2, c3, c4, c5, c6, c7 = [float(c) for c in fraction_coefficients(build_cubic(game))]
     a, b = _reference_tables(game)
     rng = random.Random(seed)
     found, seen = [], set()
@@ -569,7 +569,7 @@ def _reference_pencil_points(game, count, seed=0):
 def _reference_sample_curve_points(game, count, seed=0):
     import numpy as np
 
-    cvec = [float(c) for c in build_cubic(game).c]
+    cvec = [float(c) for c in fraction_coefficients(build_cubic(game))]
     a, b = _reference_tables(game)
     exps = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1)]
     rng = np.random.default_rng(seed)
@@ -817,7 +817,7 @@ def test_sampler_setup_matches_the_exact_rescaling(A, B):
     unit = PayoffTables(*map(_unit_spread, tables(g)))
     expected = ([float(x) for row in tables(unit)[0] for x in row],
                 [float(x) for row in tables(unit)[1] for x in row],
-                [float(c) for c in build_cubic(unit).c])
+                [float(c) for c in fraction_coefficients(build_cubic(unit))])
     assert repr(_unit_floats(g)) == repr(expected)
 
 

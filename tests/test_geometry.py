@@ -31,7 +31,8 @@ from spohncurves.geometry import _CUBIC_EXPS, _MONOS, _candidate_lines
 from spohncurves.polynomials import (
     clear_denominators, cross_product, primitive_vector, rat_str)
 from caselib import (
-    case_equations, cases_by_equations, game_for_case, poly, random_game, tables)
+    case_equations, cases_by_equations, fraction_coefficients, game_for_case, poly, random_game,
+    tables)
 from formref import _HORNER, _vanishes_on_line
 
 F = Fraction
@@ -137,17 +138,17 @@ def test_variety_and_w_membership(pd):
 # --- the cubic ------------------------------------------------------------------------
 
 def test_cubic_pd(pd):
-    assert build_cubic(pd).c == (-1, 1, 1, -1, 3, -3, 0)
+    assert fraction_coefficients(build_cubic(pd)) == (-1, 1, 1, -1, 3, -3, 0)
 
 
 def test_cubic_with_linear_factor_game():
     g = PayoffTables([[1, 1], [2, 0]], [[3, -2], [-1, 4]])
-    assert build_cubic(g).c == (5, -1, 5, -5, 1, -5, 0)
+    assert fraction_coefficients(build_cubic(g)) == (5, -1, 5, -5, 1, -5, 0)
 
 
 def test_cubic_worked_example(g44):
     cubic = build_cubic(g44)
-    assert cubic.c == (-10, -6, -5, -4, -3, -8, -18)
+    assert fraction_coefficients(cubic) == (-10, -6, -5, -4, -3, -8, -18)
     # (-10y - 6z)x^2 + (-5y^2 - 18zy - 4z^2)x + (-3zy^2 - 8z^2y)
     assert cubic.f == q3({(2, 1, 0): -10, (2, 0, 1): -6, (1, 2, 0): -5,
                           (1, 1, 1): -18, (1, 0, 2): -4, (0, 2, 1): -3,
@@ -161,7 +162,7 @@ def test_cubic_coordination_family(bos):
         (2, 3, -4, 6, -2, 0, 1),
         (2, 2, -4, 6, 0, -3, -1),
     ]
-    assert [build_cubic(g).c for g in bos] == expected
+    assert [fraction_coefficients(build_cubic(g)) for g in bos] == expected
 
 
 def test_cubic_has_no_pure_cubes():
@@ -186,7 +187,8 @@ def test_cubic_affine_rescaling_scales_coefficients():
         A, B = tables(g)
         h = PayoffTables([[lam1 * x + al for x in row] for row in A],
                          [[lam2 * x + be for x in row] for row in B])
-        assert build_cubic(h).c == tuple(lam1 * lam2 * c for c in build_cubic(g).c)
+        scaled = tuple(lam1 * lam2 * c for c in fraction_coefficients(build_cubic(g)))
+        assert fraction_coefficients(build_cubic(h)) == scaled
 
 
 # --- zero cubic -----------------------------------------------------------------------
@@ -377,8 +379,9 @@ def line_test_games(draw):
 @example(PayoffTables([[F(1, 2), F(3, 4)], [0, F(5, 6)]], [[F(2, 3), 1], [F(-1, 4), 0]]))
 def test_spohn_cubic_stores_integers_over_the_table_scales(game):
     """build_cubic stores the integer products over la lb, the scales that
-    clear the two tables; `c` gives the Fractions the division by la lb
-    gives, and a round trip through `f` gives them back."""
+    clear the two tables; `fraction_coefficients` reads back the Fractions
+    that the division by la lb gives, and a round trip through `f` gives
+    them back."""
     A, B = tables(game)
     la, (a11, a12, a21, a22) = clear_denominators(A[0] + A[1])
     lb, (b11, b12, b21, b22) = clear_denominators(B[0] + B[1])
@@ -389,8 +392,8 @@ def test_spohn_cubic_stores_integers_over_the_table_scales(game):
     cubic = build_cubic(game)
     assert cubic.den == la * lb
     assert all(type(x) is int for x in cubic.ints)
-    assert cubic.c == expected
-    assert spohn_cubic(cubic.f).c == expected
+    assert fraction_coefficients(cubic) == expected
+    assert fraction_coefficients(spohn_cubic(cubic.f)) == expected
     assert cubic.is_zero() == (not any(expected))
 
 

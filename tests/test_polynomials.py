@@ -13,7 +13,7 @@ from spohncurves.polynomials import (
     clear_denominators,
     contfrac_approx,
     cross_product,
-    exact_isqrt,
+    exact_root,
     is_nth_power_ratio,
     parse_rational,
     point_json,
@@ -241,12 +241,33 @@ def test_rational_power_tests():
     q = F(123, 457) ** 4
     assert is_nth_power_ratio(q.numerator, q.denominator, 4)
     assert not is_nth_power_ratio(q.numerator + q.denominator, q.denominator, 4)
-    assert exact_isqrt(9) == 3
-    assert exact_isqrt(0) == 0
-    assert exact_isqrt(10**24 + 2 * 10**12 + 1) == 10**12 + 1
-    assert exact_isqrt(5) is None
-    assert exact_isqrt(-4) is None
-    assert exact_isqrt(10**24 + 1) is None
+    assert exact_root(9, 2) == 3
+    assert exact_root(0, 2) == 0
+    assert exact_root(10**24 + 2 * 10**12 + 1, 2) == 10**12 + 1
+    assert exact_root(5, 2) is None
+    assert exact_root(-4, 2) is None
+    assert exact_root(10**24 + 1, 2) is None
+
+
+def test_exact_root_finds_exact_powers_and_nothing_else():
+    """r^k has the root r, and its neighbours r^k + 1 (r >= 1) and r^k - 1
+    (r >= 2) have none, for k = 2..6 and r from 0 up to 2^400: the isqrt
+    route (k = 2) and the Newton route (k >= 3) alike.  Standard library
+    only, so it runs wherever this file runs."""
+    rng = random.Random(4001)
+    roots = list(range(40)) + [2**b + d for b in (31, 32, 63, 64, 200, 399) for d in (-1, 0, 1)]
+    roots += [rng.randrange(2**rng.randint(1, 400)) for _ in range(200)] + [2**400]
+    for k in range(2, 7):
+        for r in roots:
+            n = r**k
+            assert exact_root(n, k) == r, (r, k)
+            if r >= 1:
+                assert exact_root(n + 1, k) is None, (r, k)
+            if r >= 2:
+                assert exact_root(n - 1, k) is None, (r, k)
+        assert exact_root(0, k) == 0 and exact_root(1, k) == 1
+        for n in (-1, -2, -(2**k), -(3**k), -(10**100)):
+            assert exact_root(n, k) is None, (n, k)
 
 
 # --- MultiPoly ----------------------------------------------------------------
@@ -347,6 +368,31 @@ def test_restrict_to_line_agrees_with_parametrization():
         assert g.evaluate((s, t)) == p.evaluate(pt)
     with pytest.raises(DomainError):
         p.restrict_to_line((1, 2, 3), (2, 4, 6))
+
+
+def test_substitution_errors_and_their_order():
+    """Each substitution reads and sizes its input before it fails: p1 is
+    read and sized before p2 is read, a zero or repeated point is a
+    DomainError, and a matrix that is not n x n is refused."""
+    p = P({(2, 1, 0): 2, (1, 1, 1): -1, (0, 0, 3): 5})
+    with pytest.raises(ValueError, match="^point has wrong dimension$"):
+        p.restrict_to_line((1, 2), ("junk", 0, 1))
+    with pytest.raises(ValueError, match="^point has wrong dimension$"):
+        p.restrict_to_line((1, 2, 3), (0, 1))
+    with pytest.raises(ValueError, match="cannot parse rational"):
+        p.restrict_to_line((1, 2, 3), ("junk", 0, 1))
+    distinct = "^restrict_to_line needs two distinct projective points$"
+    for p1, p2 in [((0, 0, 0), (1, 2, 3)), ((1, 2, 3), (0, 0, 0)),
+                   ((1, 2, 3), ("-1/2", -1, "-3/2"))]:
+        with pytest.raises(DomainError, match=distinct):
+            p.restrict_to_line(p1, p2)
+    # distinct points whose first two coordinates are proportional
+    g = p.restrict_to_line((1, 0, 0), (2, 0, 1))
+    assert g.evaluate((1, 1)) == p.evaluate((3, 0, 1))
+    with pytest.raises(ValueError, match=r"^matrix must be square of size len\(vars\)$"):
+        p.substitute_matrix([[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(ValueError, match=r"^matrix must be square of size len\(vars\)$"):
+        p.substitute_matrix([[1, 0, 0], [0, 1, 0]])
 
 
 def test_divide_by_linear_exact_and_failing():

@@ -36,10 +36,6 @@ _MULTIPOLY = ("the generic polynomial class: bench/tracing.py patches seven of i
 _REPR = "a debugging view: no subcommand prints a repr"
 UNREACHED = {
     "polynomials.MultiPoly": _MULTIPOLY,
-    "polynomials._point_coords": "MultiPoly.restrict_to_line's helper; " + _MULTIPOLY,
-    "polynomials._proportional": "MultiPoly.restrict_to_line's helper; " + _MULTIPOLY,
-    "elliptic.PlaneCubic.poly": "the MultiPoly view the tests check plane cubics "
-                                "against; " + _MULTIPOLY,
     "geometry.CurveComponent.poly": "the MultiPoly view that the README's library "
                                     "example prints",
     "elliptic.WeierstrassCurve.__repr__": "the certification AssertionError prints it",
